@@ -6,184 +6,19 @@ peak-based heart-rate estimation, synthetic data generation, and a
 train/test evaluation harness with greedy parameter search.
 """
 
-from .bench import (
-    ALGORITHMS,
-    DEFAULT_ESTIMATION_BAND,
-    OBJECTIVES,
-    REFERENCE_RESULTS,
-    EvalReport,
-    SearchResult,
-    SearchStage,
-    SequenceBundle,
-    SequenceResult,
-    build_params,
-    emit_report,
-    evaluate,
-    extract_pulse,
-    greedy_search,
-    load_bundle,
-    params_to_dict,
-    read_report,
-    read_report_csv,
-)
-from .chrom import ChromParams, chrom_pulse, window_starts
-from .errors import (
-    AggregateUndefinedError,
-    DegenerateSubspaceError,
-    FormatError,
-    InsufficientPeaksError,
-    NumericDegeneracyError,
-    SearchFailedError,
-    SplitOverlapError,
-    UndefinedCorrelationError,
-)
-from .hr import (
-    GroundTruthHr,
-    HrEstimate,
-    detect_peaks,
-    estimate_hr_spectral,
-    hr_from_peaks,
-)
-from .io import (
-    FrameSequence,
-    PhysioSignal,
-    ProtocolEntry,
-    ProtocolIndex,
-    RoiBox,
-    RoiPolygon,
-    RoiTrack,
-    load_protocol,
-    read_ground_truth,
-    read_physio_csv,
-    read_roi_track,
-    read_rvid,
-    read_rvid_header,
-    read_series_csv,
-    write_ground_truth,
-    write_physio_csv,
-    write_protocol,
-    write_roi_track,
-    write_rvid,
-    write_series_csv,
-)
-from .licvpr import (
-    LiParams,
-    background_trace,
-    eliminate_motion_segments,
-    licvpr_pulse,
-)
-from .roi import (
-    STRATEGIES,
-    RgbTrace,
-    SkinModel,
-    fit_skin_model,
-    iter_roi_pixels,
-    lower_face_mask,
-    mean_rgb_trace,
-    skin_mask,
-)
-from .signals import (
-    BandHz,
-    PulseSignal,
-    Signal1D,
-    bandpass,
-    detrend_smoothness_priors,
-    hann_overlap_add,
-    moving_average,
-    nlms_rectify,
-    pearson,
-    rmse,
-)
-from .ssr import FrameEigen, SsrParams, canonical_eigenvector_signs, frame_eigen, ssr_pulse
-from .synth import SynthConfig, SynthResult, build_dataset, generate, write_bundle
+from . import bench, chrom, errors, hr, io, licvpr, roi, signals, ssr, synth
+from .bench import *  # noqa: F403
+from .chrom import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .hr import *  # noqa: F403
+from .io import *  # noqa: F403
+from .licvpr import *  # noqa: F403
+from .roi import *  # noqa: F403
+from .signals import *  # noqa: F403
+from .ssr import *  # noqa: F403
+from .synth import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "DEFAULT_ESTIMATION_BAND",
-    "OBJECTIVES",
-    "REFERENCE_RESULTS",
-    "STRATEGIES",
-    "AggregateUndefinedError",
-    "BandHz",
-    "ChromParams",
-    "DegenerateSubspaceError",
-    "EvalReport",
-    "FormatError",
-    "FrameEigen",
-    "FrameSequence",
-    "GroundTruthHr",
-    "HrEstimate",
-    "InsufficientPeaksError",
-    "LiParams",
-    "NumericDegeneracyError",
-    "PhysioSignal",
-    "ProtocolEntry",
-    "ProtocolIndex",
-    "PulseSignal",
-    "RgbTrace",
-    "RoiBox",
-    "RoiPolygon",
-    "RoiTrack",
-    "SearchFailedError",
-    "SearchResult",
-    "SearchStage",
-    "SequenceBundle",
-    "SequenceResult",
-    "Signal1D",
-    "SkinModel",
-    "SplitOverlapError",
-    "SsrParams",
-    "SynthConfig",
-    "SynthResult",
-    "UndefinedCorrelationError",
-    "background_trace",
-    "bandpass",
-    "build_dataset",
-    "build_params",
-    "canonical_eigenvector_signs",
-    "chrom_pulse",
-    "detect_peaks",
-    "detrend_smoothness_priors",
-    "eliminate_motion_segments",
-    "emit_report",
-    "estimate_hr_spectral",
-    "evaluate",
-    "extract_pulse",
-    "fit_skin_model",
-    "frame_eigen",
-    "generate",
-    "greedy_search",
-    "hann_overlap_add",
-    "hr_from_peaks",
-    "iter_roi_pixels",
-    "licvpr_pulse",
-    "load_bundle",
-    "load_protocol",
-    "lower_face_mask",
-    "mean_rgb_trace",
-    "moving_average",
-    "nlms_rectify",
-    "params_to_dict",
-    "pearson",
-    "read_ground_truth",
-    "read_physio_csv",
-    "read_report",
-    "read_report_csv",
-    "read_roi_track",
-    "read_rvid",
-    "read_rvid_header",
-    "read_series_csv",
-    "rmse",
-    "skin_mask",
-    "ssr_pulse",
-    "window_starts",
-    "write_bundle",
-    "write_ground_truth",
-    "write_physio_csv",
-    "write_protocol",
-    "write_roi_track",
-    "write_rvid",
-    "write_series_csv",
-]
+#: The public names of every module, each listed once in its own module.
+__all__ = [name for module in (bench, chrom, errors, hr, io, licvpr, roi, signals, ssr, synth) for name in module.__all__]

@@ -29,7 +29,7 @@ from .io import (
     read_rvid,
 )
 from .licvpr import LiParams, background_trace, licvpr_pulse
-from .roi import fit_skin_model, iter_roi_pixels, mean_rgb_trace
+from .roi import fit_skin_model, mean_rgb_trace, roi_moments
 from .signals import BandHz, PulseSignal, Signal1D, pearson, rmse
 from .ssr import SsrParams, ssr_pulse
 from .synth import BUNDLE_FILES
@@ -41,8 +41,11 @@ __all__ = [
     "SearchStage",
     "SearchResult",
     "ALGORITHMS",
+    "DEFAULT_ESTIMATION_BAND",
+    "OBJECTIVES",
     "REFERENCE_RESULTS",
     "build_params",
+    "params_to_dict",
     "load_bundle",
     "extract_pulse",
     "evaluate",
@@ -169,16 +172,16 @@ def pulse_licvpr(bundle: SequenceBundle, params: LiParams) -> PulseSignal:
 
 def pulse_ssr(bundle: SequenceBundle, params: SsrParams) -> PulseSignal:
     model = _maybe_skin_model(bundle, params.strategy, params.skin_tau)
-    pixels = []
-    fallbacks = 0
-    for frame_pixels, fallback in iter_roi_pixels(bundle.sequence, bundle.roi, params.strategy, model):
-        pixels.append(frame_pixels)
-        fallbacks += int(fallback)
+    moments = roi_moments(bundle.sequence, bundle.roi, params.strategy, model, second=True)
+    counts = moments.counts
+    few = np.flatnonzero(counts < 3)
+    if few.size:
+        raise ValueError(f"need at least 3 pixels, got {counts[few[0]]}")
     return ssr_pulse(
-        pixels,
+        moments.second / counts[:, None, None],
         params,
         fps=bundle.sequence.fps_float,
-        fallback_fraction=fallbacks / len(pixels),
+        fallback_fraction=len(moments.fallback_frames) / len(counts),
     )
 
 

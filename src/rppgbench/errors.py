@@ -7,6 +7,17 @@ need to tell apart.
 
 from __future__ import annotations
 
+__all__ = [
+    "FormatError",
+    "NumericDegeneracyError",
+    "UndefinedCorrelationError",
+    "InsufficientPeaksError",
+    "DegenerateSubspaceError",
+    "AggregateUndefinedError",
+    "SplitOverlapError",
+    "SearchFailedError",
+]
+
 
 class FormatError(Exception):
     """An input file violates its declared on-disk format.

@@ -480,13 +480,23 @@ class RoiTrack:
     def covers(self, n_frames: int) -> bool:
         return self.frames[0] <= 0 and n_frames > 0
 
+    def runs(self, n_frames: int):
+        """Yield ``(start, stop, entry)`` for each stretch of frames below
+        ``n_frames`` that shares one entry, in frame order."""
+        stops = self.frames[1:] + (n_frames,)
+        for first, stop, entry in zip(self.frames, stops, self.entries):
+            start, stop = max(first, 0), min(stop, n_frames)
+            if start < stop:
+                yield start, stop, entry
+
 
 def read_roi_track(path, frame_width: int | None = None, frame_height: int | None = None) -> RoiTrack:
     """Read a ROI CSV of box rows or landmark rows.
 
     A row with 5 cells is ``frame,x,y,w,h``; a row with an odd cell count of
     at least 9 is ``frame`` followed by ``x,y`` landmark pairs. When the frame
-    geometry is given, boxes must lie fully inside it.
+    geometry is given, boxes and the bounding boxes of polygons must lie fully
+    inside it.
     """
     path = Path(path)
     with open(path, "r", encoding="ascii") as fh:
@@ -511,17 +521,9 @@ def read_roi_track(path, frame_width: int | None = None, frame_height: int | Non
             except ValueError:
                 raise FormatError(f"row {row_no}: unparsable box coordinates", path=str(path)) from None
             try:
-                box = RoiBox(x, y, w, h)
+                entry, kind = RoiBox(x, y, w, h), "box"
             except ValueError as exc:
                 raise FormatError(f"row {row_no}: {exc}", path=str(path)) from None
-            if frame_width is not None and frame_height is not None:
-                if x < 0 or y < 0 or x + w > frame_width or y + h > frame_height:
-                    raise FormatError(
-                        f"row {row_no}: box ({x},{y},{w},{h}) exceeds the "
-                        f"{frame_width}x{frame_height} frame",
-                        path=str(path),
-                    )
-            entries.append(box)
         elif len(cells) >= 9 and len(cells) % 2 == 1:
             try:
                 coords = [float(c) for c in cells[1:]]
@@ -531,7 +533,7 @@ def read_roi_track(path, frame_width: int | None = None, frame_height: int | Non
                 raise FormatError(f"row {row_no}: non-finite landmark", path=str(path))
             pts = tuple(zip(coords[0::2], coords[1::2]))
             try:
-                entries.append(RoiPolygon(pts))
+                entry, kind = RoiPolygon(pts), "landmark bounding box"
             except ValueError as exc:
                 raise FormatError(f"row {row_no}: {exc}", path=str(path)) from None
         else:
@@ -540,6 +542,15 @@ def read_roi_track(path, frame_width: int | None = None, frame_height: int | Non
                 f"got {len(cells)}",
                 path=str(path),
             )
+        if frame_width is not None and frame_height is not None:
+            b = entry.bbox()
+            if b.x < 0 or b.y < 0 or b.x + b.w > frame_width or b.y + b.h > frame_height:
+                raise FormatError(
+                    f"row {row_no}: {kind} ({b.x},{b.y},{b.w},{b.h}) exceeds the "
+                    f"{frame_width}x{frame_height} frame",
+                    path=str(path),
+                )
+        entries.append(entry)
         frames.append(frame_idx)
     if not frames:
         raise FormatError("no ROI rows", path=str(path))

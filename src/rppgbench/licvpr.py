@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import FrameSequence, RoiBox, RoiTrack
+from .io import FrameSequence, RoiTrack
+from .roi import CHUNK_PIXELS
 from .signals import (
     BandHz,
     PulseSignal,
@@ -81,21 +82,24 @@ def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Sig
     if not roi.covers(seq.n_frames):
         raise ValueError("ROI track must cover the sequence from frame 0")
     out = np.empty(seq.n_frames)
-    for i in range(seq.n_frames):
-        box = roi.entry_for(i).bbox()
+    step = max(1, CHUNK_PIXELS // (seq.width * seq.height))
+    for start, stop, entry in roi.runs(seq.n_frames):
+        box = entry.bbox()
         x0 = max(box.x - margin, 0)
         y0 = max(box.y - margin, 0)
         x1 = min(box.x + box.w + margin, seq.width)
         y1 = min(box.y + box.h + margin, seq.height)
-        green = seq.frames[i, :, :, 1].astype(np.float64)
-        total = green.sum()
-        inner = green[y0:y1, x0:x1].sum()
         n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
         if n_outside <= 0:
             raise ValueError(
-                f"no background pixels left at frame {i}: the ROI grown by {margin} px covers the frame"
+                f"no background pixels left at frame {start}: the ROI grown by {margin} px covers the frame"
             )
-        out[i] = (total - inner) / n_outside
+        for a in range(start, stop, step):
+            # Integer-valued float64 sums are exact, so chunking changes no bit.
+            green = seq.frames[a:min(a + step, stop), :, :, 1].astype(np.float64)
+            total = green.sum(axis=(1, 2))
+            inner = green[:, y0:y1, x0:x1].sum(axis=(1, 2))
+            out[a:a + len(green)] = (total - inner) / n_outside
     return Signal1D(out, seq.fps_float)
 
 

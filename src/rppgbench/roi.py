@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +18,8 @@ __all__ = [
     "fit_skin_model",
     "skin_mask",
     "lower_face_mask",
+    "RoiMoments",
+    "roi_moments",
     "mean_rgb_trace",
     "iter_roi_pixels",
 ]
@@ -27,6 +31,13 @@ STRATEGIES = ("bbox", "skin", "mask")
 #: Ridge added to a degenerate chromaticity covariance.
 COV_RIDGE = 1e-6
 _COV_EIG_FLOOR = 1e-12
+#: Pixels per chunk of the moments pass (32 frames of a 32x32 ROI): the
+#: float64 temporaries stay near a megabyte whatever the frame size.
+CHUNK_PIXELS = 32 * 32 * 32
+#: Half-width, relative to the summed magnitudes of its terms, of the band
+#: around the Mahalanobis limit in which the closed-form distance is checked
+#: again with the reference einsum. The two differ by a few ulps of that sum.
+_RECHECK_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,13 @@ class SkinModel:
     def mahalanobis_limit(self) -> float:
         """Boundary squared distance: pixels with d^2 <= -2 ln(tau) are kept."""
         return -2.0 * float(np.log(self.tau))
+
+    @cached_property
+    def inv_cov(self) -> np.ndarray:
+        """The inverse covariance, computed once per model."""
+        inv = np.linalg.inv(self.cov)
+        inv.setflags(write=False)
+        return inv
 
 
 @dataclass(frozen=True)
@@ -106,22 +124,23 @@ class RgbTrace:
         return self.means[:, idx]
 
 
-def _chromaticity(pixels: np.ndarray) -> np.ndarray:
-    """Map (..., 3) RGB values to (..., 2) normalized (r, g) chromaticity.
+def _planes(pixels) -> np.ndarray:
+    """(..., 3) RGB values as float64 channel planes (3, ...)."""
+    return np.moveaxis(np.asarray(pixels, dtype=np.float64), -1, 0)
+
+
+def _chromaticity(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized (r, g) chromaticity of channel planes (3, ...).
 
     Pixels with zero intensity get the achromatic point (1/3, 1/3).
     """
-    rgb = np.asarray(pixels, dtype=np.float64)
-    total = rgb.sum(axis=-1)
-    safe = np.where(total > 0, total, 1.0)
-    r = np.where(total > 0, rgb[..., 0] / safe, 1.0 / 3.0)
-    g = np.where(total > 0, rgb[..., 1] / safe, 1.0 / 3.0)
-    return np.stack([r, g], axis=-1)
-
-
-def _box_pixels(frame: np.ndarray, box: RoiBox) -> np.ndarray:
-    sub = frame[box.y:box.y + box.h, box.x:box.x + box.w]
-    return sub.reshape(-1, 3)
+    total = planes[0] + planes[1] + planes[2]
+    dark = ~(total > 0)
+    total[dark] = 1.0
+    r = planes[0] / total
+    g = planes[1] / total
+    r[dark] = g[dark] = 1.0 / 3.0
+    return r, g
 
 
 def fit_skin_model(frame: np.ndarray, roi, tau: float) -> SkinModel:
@@ -146,7 +165,8 @@ def fit_skin_model(frame: np.ndarray, roi, tau: float) -> SkinModel:
     seed_w = max(1, box.w // 2)
     seed_h = max(1, box.h // 2)
     seed = RoiBox(box.x + (box.w - seed_w) // 2, box.y + (box.h - seed_h) // 2, seed_w, seed_h)
-    chrom = _chromaticity(_box_pixels(frame, seed))
+    seed_pixels = frame[seed.y:seed.y + seed.h, seed.x:seed.x + seed.w].reshape(-1, 3)
+    chrom = np.stack(_chromaticity(_planes(seed_pixels)), axis=-1)
     mean = chrom.mean(axis=0)
     if chrom.shape[0] > 1:
         cov = np.cov(chrom, rowvar=False, ddof=1)
@@ -169,11 +189,31 @@ def skin_mask(frame: np.ndarray, model: SkinModel) -> np.ndarray:
     frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ValueError("frame must be shaped (h, w, 3)")
-    chrom = _chromaticity(frame)
-    delta = chrom - model.mean
-    inv_cov = np.linalg.inv(model.cov)
-    d2 = np.einsum("...i,ij,...j->...", delta, inv_cov, delta)
-    return d2 <= model.mahalanobis_limit()
+    return _skin_select(_planes(frame), model)
+
+
+def _skin_select(planes: np.ndarray, model: SkinModel) -> np.ndarray:
+    """The skin test of :func:`skin_mask` on channel planes (3, ...).
+
+    The reference distance is ``einsum("...i,ij,...j->...", delta, inv_cov,
+    delta)``. The same four products summed in closed form are much faster
+    and land within a few ulps of it; pixels that close to the limit are
+    decided by the reference, so the mask equals the reference bit for bit.
+    """
+    r, g = _chromaticity(planes)
+    dr = r - model.mean[0]
+    dg = g - model.mean[1]
+    q = model.inv_cov
+    d2 = dr * q[0, 0] * dr + dr * q[0, 1] * dg + dg * q[1, 0] * dr + dg * q[1, 1] * dg
+    limit = model.mahalanobis_limit()
+    keep = d2 <= limit
+    if d2.size:
+        terms = np.abs(q).max() * (np.abs(dr).max() + np.abs(dg).max()) ** 2
+        near = np.abs(d2 - limit) <= _RECHECK_REL * terms
+        if near.any():
+            ref = np.stack([dr[near], dg[near]], axis=-1)
+            keep[near] = np.einsum("...i,ij,...j->...", ref, q, ref) <= limit
+    return keep
 
 
 def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
@@ -255,31 +295,90 @@ def lower_face_mask(landmarks, frame_width: int, frame_height: int) -> np.ndarra
     return inside | on_edge
 
 
-def _frame_mask_pixels(frame: np.ndarray, entry, strategy: str, model, mask_cache: dict):
-    """Pixels (N, 3) for one frame plus whether the full-box fallback fired."""
-    box = entry.bbox()
-    if strategy == "bbox":
-        return _box_pixels(frame, box), False
-    if strategy == "skin":
-        if model is None:
+class RoiMoments(NamedTuple):
+    """Per-frame moments of the selected pixels.
+
+    Sums of uint8 values and of their products are integers far below 2**53,
+    so they are exact in float64 and independent of summation order.
+    """
+
+    counts: np.ndarray  # (n,) int64 pixels per frame
+    sums: np.ndarray  # (n, 3) sum of RGB
+    second: np.ndarray | None  # (n, 3, 3) sum of RGB' RGB, when requested
+    fallback_frames: tuple[int, ...]
+
+
+def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: SkinModel | None):
+    """Yield ``(start, x, mask, fallback)`` per chunk of frames.
+
+    ``x`` holds the ROI box of frames ``start..start+c-1`` as float64
+    channel rows (c, 3, P), P pixels in row-major order; ``mask`` is None
+    (whole box) or a (c, P) selection in which frames whose selection came
+    up empty (``fallback``) keep the whole box.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    if not roi.covers(seq.n_frames):
+        raise ValueError("ROI track must cover the sequence from frame 0")
+    for start, stop, entry in roi.runs(seq.n_frames):
+        box = entry.bbox()
+        if box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height:
+            raise ValueError(f"ROI for frame {start} exceeds the frame bounds")
+        if box.w * box.h <= 0:
+            raise ValueError(f"empty ROI at frame {start}")
+        if strategy == "skin" and model is None:
             raise ValueError("strategy 'skin' requires a fitted SkinModel")
-        sub = frame[box.y:box.y + box.h, box.x:box.x + box.w]
-        mask = skin_mask(sub, model)
-        if not mask.any():
-            return _box_pixels(frame, box), True
-        return sub[mask].reshape(-1, 3), False
-    if strategy == "mask":
-        if not isinstance(entry, RoiPolygon):
-            raise ValueError("strategy 'mask' requires landmark ROI entries")
-        key = id(entry)
-        mask = mask_cache.get(key)
+        if strategy == "mask":
+            if not isinstance(entry, RoiPolygon):
+                raise ValueError("strategy 'mask' requires landmark ROI entries")
+            polygon = lower_face_mask(entry, seq.width, seq.height)[box.y:box.y + box.h, box.x:box.x + box.w]
+        step = max(1, CHUNK_PIXELS // (box.w * box.h))
+        for a in range(start, stop, step):
+            block = seq.frames[a:min(a + step, stop), box.y:box.y + box.h, box.x:box.x + box.w]
+            x = np.ascontiguousarray(block.transpose(0, 3, 1, 2), dtype=np.float64).reshape(len(block), 3, -1)
+            if strategy == "bbox":
+                mask = None
+            elif strategy == "skin":
+                mask = _skin_select(x.transpose(1, 0, 2), model)
+            else:
+                mask = np.broadcast_to(polygon.reshape(-1), (len(x), x.shape[2]))
+            fallback = np.zeros(len(x), dtype=bool) if mask is None else ~mask.any(axis=1)
+            if fallback.any():
+                mask = mask | fallback[:, None]
+            yield a, x, mask, fallback
+
+
+def roi_moments(
+    seq: FrameSequence,
+    roi: RoiTrack,
+    strategy: str = "bbox",
+    model: SkinModel | None = None,
+    second: bool = False,
+) -> RoiMoments:
+    """Pixel counts, RGB sums and optionally RGB' RGB sums of every frame.
+
+    One vectorized pass over chunks of frames that share a ROI entry; the
+    selection per strategy and the full-box fallback are those of
+    :func:`iter_roi_pixels`.
+    """
+    n = seq.n_frames
+    counts = np.empty(n, dtype=np.int64)
+    sums = np.empty((n, 3))
+    products = np.empty((n, 3, 3)) if second else None
+    fallbacks: list[int] = []
+    for start, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
+        stop = start + len(x)
         if mask is None:
-            mask = lower_face_mask(entry, frame.shape[1], frame.shape[0])
-            mask_cache[key] = mask
-        if not mask.any():
-            return _box_pixels(frame, box), True
-        return frame[mask].reshape(-1, 3), False
-    raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+            counts[start:stop] = x.shape[2]
+            weighted = x
+        else:
+            counts[start:stop] = mask.sum(axis=1)
+            weighted = x * mask[:, None, :]
+        sums[start:stop] = weighted.sum(axis=2)
+        if second:
+            products[start:stop] = weighted @ x.transpose(0, 2, 1)
+        fallbacks.extend(np.flatnonzero(fallback) + start)
+    return RoiMoments(counts, sums, products, tuple(int(i) for i in fallbacks))
 
 
 def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None):
@@ -288,37 +387,20 @@ def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", m
     ``pixels`` is a float64 array of shape (N, 3); ``fallback`` is True when
     the skin or polygon selection came up empty and the full box was used.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if not roi.covers(seq.n_frames):
-        raise ValueError("ROI track must cover the sequence from frame 0")
-    mask_cache: dict = {}
-    for i in range(seq.n_frames):
-        entry = roi.entry_for(i)
-        box = entry.bbox()
-        if box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height:
-            raise ValueError(f"ROI for frame {i} exceeds the frame bounds")
-        pixels, fallback = _frame_mask_pixels(seq.frames[i], entry, strategy, model, mask_cache)
-        if pixels.shape[0] == 0:
-            raise ValueError(f"empty ROI at frame {i}")
-        yield pixels.astype(np.float64, copy=False), fallback
+    for _, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
+        for j in range(len(x)):
+            selected = x[j] if mask is None else x[j][:, mask[j]]
+            yield np.ascontiguousarray(selected.T), bool(fallback[j])
 
 
 def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
     """Average the selected pixels of every frame into an RGB trace."""
-    means = np.empty((seq.n_frames, 3))
-    counts = np.empty(seq.n_frames, dtype=np.int64)
-    fallbacks: list[int] = []
-    for i, (pixels, fallback) in enumerate(iter_roi_pixels(seq, roi, strategy, model)):
-        means[i] = pixels.mean(axis=0)
-        counts[i] = pixels.shape[0]
-        if fallback:
-            fallbacks.append(i)
-    if fallbacks:
-        log.info("ROI fallback on %d/%d frames", len(fallbacks), seq.n_frames)
+    moments = roi_moments(seq, roi, strategy, model)
+    if moments.fallback_frames:
+        log.info("ROI fallback on %d/%d frames", len(moments.fallback_frames), seq.n_frames)
     return RgbTrace(
-        means=means,
+        means=moments.sums / moments.counts[:, None],
         fs=seq.fps_float,
-        pixel_counts=counts,
-        fallback_frames=tuple(fallbacks),
+        pixel_counts=moments.counts,
+        fallback_frames=moments.fallback_frames,
     )

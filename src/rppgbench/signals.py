@@ -6,6 +6,7 @@ allocated. Value types freeze their sample arrays after validation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,12 @@ def moving_average(s: Signal1D, window_len: int) -> Signal1D:
     return Signal1D(out, s.fs)
 
 
+@functools.lru_cache(maxsize=64)
+def _bandpass_taps(numtaps: int, lo: float, hi: float, fs: float) -> np.ndarray:
+    """Hamming-windowed band-pass taps, designed once per (numtaps, band, fs)."""
+    return _frozen_copy(firwin(numtaps, [lo, hi], pass_zero=False, window="hamming", fs=fs))
+
+
 def bandpass(s: Signal1D, band: BandHz, numtaps: int = 127) -> Signal1D:
     """Zero-phase FIR band-pass filter (Hamming-windowed sinc).
 
@@ -161,7 +168,7 @@ def bandpass(s: Signal1D, band: BandHz, numtaps: int = 127) -> Signal1D:
     numtaps = int(numtaps)
     if numtaps < 3 or numtaps % 2 == 0:
         raise ValueError(f"numtaps must be an odd integer >= 3, got {numtaps}")
-    taps = firwin(numtaps, [band.lo, band.hi], pass_zero=False, window="hamming", fs=s.fs)
+    taps = _bandpass_taps(numtaps, band.lo, band.hi, s.fs)
     delay = (numtaps - 1) // 2
     mode = "reflect" if len(s) > 1 else "edge"
     padded = np.pad(s.samples, delay, mode=mode)

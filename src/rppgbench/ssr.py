@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateSubspaceError, NumericDegeneracyError
 from .signals import PulseSignal, hann_overlap_add
 
-__all__ = ["SsrParams", "FrameEigen", "frame_eigen", "canonical_eigenvector_signs", "ssr_pulse"]
+__all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs", "ssr_pulse"]
 
 log = logging.getLogger(__name__)
 
@@ -65,16 +65,30 @@ class FrameEigen:
 def canonical_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so each first nonzero component is positive.
 
-    This removes the solver's sign ambiguity and makes the decomposition
-    deterministic for identical input.
+    Works on one (3, k) matrix or a stack (..., 3, k). This removes the
+    solver's sign ambiguity and makes the decomposition deterministic for
+    identical input.
     """
-    vectors = np.array(vectors, dtype=np.float64)
-    for col in range(vectors.shape[1]):
-        column = vectors[:, col]
-        nonzero = np.nonzero(column)[0]
-        if nonzero.size and column[nonzero[0]] < 0:
-            vectors[:, col] = -column
-    return vectors
+    vectors = np.asarray(vectors, dtype=np.float64)
+    lead = np.argmax(vectors != 0, axis=-2)[..., None, :]
+    flip = np.take_along_axis(vectors, lead, axis=-2) < 0
+    return np.where(flip, -vectors, vectors)
+
+
+def correlation_eigens(correlations) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompose a stack of (n, 3, 3) pixel correlation matrices at once.
+
+    Returns eigenvalues (n, 3) sorted descending and clamped at 0, and the
+    matching eigenvectors (n, 3, 3) as columns with canonical signs; frame
+    ``i`` equals :func:`frame_eigen` of the pixels behind ``correlations[i]``.
+    """
+    lam, vec = np.linalg.eigh(correlations)
+    lam = lam[:, ::-1]
+    vec = vec[:, :, ::-1]
+    if np.any(lam[:, 0] <= 0):
+        raise NumericDegeneracyError("pixel correlation matrix has no positive eigenvalue")
+    lam = np.maximum(lam, 0.0)  # clamp eigh round-off on a PSD matrix
+    return lam, canonical_eigenvector_signs(vec)
 
 
 def frame_eigen(pixels) -> FrameEigen:
@@ -84,14 +98,8 @@ def frame_eigen(pixels) -> FrameEigen:
         raise ValueError("pixels must be shaped (N, 3)")
     if pixels.shape[0] < 3:
         raise ValueError(f"need at least 3 pixels, got {pixels.shape[0]}")
-    corr = pixels.T @ pixels / pixels.shape[0]
-    lam, vec = np.linalg.eigh(corr)
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    if lam[0] <= 0:
-        raise NumericDegeneracyError("pixel correlation matrix has no positive eigenvalue")
-    lam = np.maximum(lam, 0.0)  # clamp eigh round-off on a PSD matrix
-    return FrameEigen(eigenvalues=lam, eigenvectors=canonical_eigenvector_signs(vec))
+    lam, vec = correlation_eigens((pixels.T @ pixels / pixels.shape[0])[None])
+    return FrameEigen(eigenvalues=lam[0], eigenvectors=vec[0])
 
 
 def _default_window(fps: float) -> int:
@@ -101,12 +109,13 @@ def _default_window(fps: float) -> int:
     return max(length, 2)
 
 
-def ssr_pulse(pixel_sets, params: SsrParams = SsrParams(), fps: float = None, fallback_fraction: float = 0.0) -> PulseSignal:
-    """Extract the pulse from per-frame skin pixel sets.
+def ssr_pulse(correlations, params: SsrParams = SsrParams(), fps: float = None, fallback_fraction: float = 0.0) -> PulseSignal:
+    """Extract the pulse from per-frame skin pixel correlation matrices.
 
     Parameters
     ----------
-    pixel_sets : iterable of (N_i, 3) arrays, one per frame.
+    correlations : (n, 3, 3) stack of ``C = V'V / N``, one per frame, over
+        that frame's (N, 3) skin pixels ``V``.
     params : extractor tunables.
     fps : video frame rate.
     fallback_fraction : forwarded into the resulting PulseSignal.
@@ -117,8 +126,11 @@ def ssr_pulse(pixel_sets, params: SsrParams = SsrParams(), fps: float = None, fa
     """
     if fps is None or not np.isfinite(fps) or fps <= 0:
         raise ValueError(f"fps must be finite and positive, got {fps!r}")
-    eigens = [frame_eigen(p) for p in pixel_sets]
-    n = len(eigens)
+    correlations = np.asarray(correlations, dtype=np.float64)
+    if correlations.ndim != 3 or correlations.shape[1:] != (3, 3):
+        raise ValueError("correlations must be shaped (n, 3, 3)")
+    lams, vectors = correlation_eigens(correlations)
+    n = len(lams)
     if n < 2:
         raise ValueError(f"need at least 2 frames, got {n}")
     length = params.window_l if params.window_l is not None else _default_window(fps)
@@ -126,8 +138,7 @@ def ssr_pulse(pixel_sets, params: SsrParams = SsrParams(), fps: float = None, fa
         raise ValueError(f"window_l must be even for 50% overlap, got {length}")
     if length > n:
         raise ValueError(f"window of {length} frames exceeds the {n}-frame sequence")
-    lams = np.stack([e.eigenvalues for e in eigens])  # (n, 3)
-    u1 = np.stack([e.eigenvectors[:, 0] for e in eigens])  # (n, 3)
+    u1 = np.ascontiguousarray(vectors[:, :, 0])  # (n, 3)
 
     hop = length // 2
     starts = list(range(0, n - length + 1, hop))
@@ -141,8 +152,8 @@ def ssr_pulse(pixel_sets, params: SsrParams = SsrParams(), fps: float = None, fa
         if min(lam_anchor[1], lam_anchor[2]) <= params.degeneracy_eps * lam_anchor[0]:
             skipped += 1
             continue
-        u2a = eigens[start].eigenvectors[:, 1]
-        u3a = eigens[start].eigenvectors[:, 2]
+        u2a = vectors[start][:, 1]
+        u3a = vectors[start][:, 2]
         lam_t = lams[start:start + length]
         u1_t = u1[start:start + length]
         r1 = u1_t @ u2a

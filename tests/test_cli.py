@@ -245,6 +245,24 @@ def test_eval_missing_sequence_exits_2(small_dataset, tmp_path, capsys):
     assert "missing9" in err and "video.rvid" in err
 
 
+def test_trace_with_off_frame_polygon_exits_2(synth_bundle, tmp_path, capsys):
+    roi = tmp_path / "roi.csv"
+    roi.write_text("0,40,10,70,10,70,40,40,40\n", encoding="ascii")
+    code, _, err = run(
+        capsys,
+        "trace",
+        str(synth_bundle / "video.rvid"),
+        "--roi",
+        str(roi),
+        "--strategy",
+        "mask",
+        "--out",
+        str(tmp_path / "trace.csv"),
+    )
+    assert code == EXIT_DATA
+    assert str(roi) in err and "row 1" in err and "exceeds the 64x64 frame" in err
+
+
 def test_hr_on_malformed_csv_exits_2(tmp_path, capsys):
     bad = tmp_path / "pulse.csv"
     bad.write_text("t,value\n0.0,1.0\nmid,2.0\n", encoding="ascii")

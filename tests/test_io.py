@@ -306,6 +306,16 @@ def test_roi_rejects_out_of_bounds_box(tmp_path):
     assert read_roi_track(p).entry_for(0) == RoiBox(600, 400, 100, 100)
 
 
+def test_roi_rejects_out_of_bounds_polygon(tmp_path):
+    # Points 10..70 wide: the bounding box leaves a 64x64 frame on the right.
+    p = tmp_path / "roi.csv"
+    p.write_text("0,1,1,4,4\n1,10,10,70,10,70,40,40,50,10,40\n")
+    with pytest.raises(FormatError, match=r"row 2: landmark bounding box \(10,10,60,40\) exceeds the 64x64 frame"):
+        read_roi_track(p, 64, 64)
+    # same file is fine when geometry is unknown
+    assert isinstance(read_roi_track(p).entry_for(1), RoiPolygon)
+
+
 def test_roi_landmark_row_of_nine_points(tmp_path):
     coords = [(10 + i, 20 + (i % 3)) for i in range(9)]
     flat = ",".join(f"{x},{y}" for x, y in coords)

@@ -23,6 +23,7 @@ from .io import (
     FrameSequence,
     ProtocolIndex,
     RoiTrack,
+    _read_json,
     read_ground_truth,
     read_physio_csv,
     read_roi_track,
@@ -46,13 +47,14 @@ __all__ = [
     "REFERENCE_RESULTS",
     "build_params",
     "params_to_dict",
+    "read_bundle",
     "load_bundle",
+    "skin_model_for",
     "extract_pulse",
     "evaluate",
     "greedy_search",
     "emit_report",
     "read_report",
-    "read_report_csv",
 ]
 
 #: Band searched when estimating bpm for methods that do not band-pass
@@ -120,17 +122,26 @@ class SequenceBundle:
     directory: Path
 
 
-def load_bundle(dataset_root, sequence_id: str) -> SequenceBundle:
-    directory = Path(dataset_root) / sequence_id
-    video = directory / BUNDLE_FILES["video"]
+def read_bundle(video, roi, sequence_id: str | None = None) -> SequenceBundle:
+    """Read a video and its ROI track; the bundle's directory is the video's.
+
+    ``sequence_id`` defaults to the video's file stem.
+    """
+    video = Path(video)
     if not video.exists():
         raise FileNotFoundError(str(video))
     sequence = read_rvid(video, sequence_id=sequence_id)
-    roi_path = directory / BUNDLE_FILES["roi"]
-    if not roi_path.exists():
-        raise FileNotFoundError(str(roi_path))
-    roi = read_roi_track(roi_path, sequence.width, sequence.height)
-    return SequenceBundle(sequence=sequence, roi=roi, directory=directory)
+    roi = Path(roi)
+    if not roi.exists():
+        raise FileNotFoundError(str(roi))
+    track = read_roi_track(roi, sequence.width, sequence.height)
+    return SequenceBundle(sequence=sequence, roi=track, directory=video.parent)
+
+
+def load_bundle(dataset_root, sequence_id: str) -> SequenceBundle:
+    """Read the bundle stored under ``dataset_root / sequence_id``."""
+    directory = Path(dataset_root) / sequence_id
+    return read_bundle(directory / BUNDLE_FILES["video"], directory / BUNDLE_FILES["roi"], sequence_id)
 
 
 def load_ground_truth(bundle: SequenceBundle) -> GroundTruthHr:
@@ -142,25 +153,25 @@ def load_ground_truth(bundle: SequenceBundle) -> GroundTruthHr:
         bundle.directory / BUNDLE_FILES["physio"],
         bundle.directory / BUNDLE_FILES["physio_meta"],
     )
-    peaks = detect_peaks(bvp.as_signal())
+    peaks = detect_peaks(bvp)
     return GroundTruthHr(bpm=hr_from_peaks(peaks, bvp.fs).bpm, source="peaks")
 
 
-def _maybe_skin_model(bundle: SequenceBundle, strategy: str, tau: float):
+def skin_model_for(bundle: SequenceBundle, strategy: str, tau: float):
+    """The skin model a strategy needs: fitted on frame 0 for ``skin``, else None."""
     if strategy != "skin":
         return None
-    first_entry = bundle.roi.entry_for(0)
-    return fit_skin_model(bundle.sequence.frames[0], first_entry, tau)
+    return fit_skin_model(bundle.sequence.frames[0], bundle.roi.entry_for(0), tau)
 
 
 def pulse_chrom(bundle: SequenceBundle, params: ChromParams) -> PulseSignal:
-    model = _maybe_skin_model(bundle, params.strategy, params.skin_tau)
+    model = skin_model_for(bundle, params.strategy, params.skin_tau)
     trace = mean_rgb_trace(bundle.sequence, bundle.roi, params.strategy, model)
     return chrom_pulse(trace, params)
 
 
 def pulse_licvpr(bundle: SequenceBundle, params: LiParams) -> PulseSignal:
-    model = _maybe_skin_model(bundle, params.strategy, params.skin_tau)
+    model = skin_model_for(bundle, params.strategy, params.skin_tau)
     trace = mean_rgb_trace(bundle.sequence, bundle.roi, params.strategy, model)
     green = Signal1D(trace.channel(1), trace.fs)
     if params.rectify:
@@ -171,7 +182,7 @@ def pulse_licvpr(bundle: SequenceBundle, params: LiParams) -> PulseSignal:
 
 
 def pulse_ssr(bundle: SequenceBundle, params: SsrParams) -> PulseSignal:
-    model = _maybe_skin_model(bundle, params.strategy, params.skin_tau)
+    model = skin_model_for(bundle, params.strategy, params.skin_tau)
     moments = roi_moments(bundle.sequence, bundle.roi, params.strategy, model, second=True)
     counts = moments.counts
     few = np.flatnonzero(counts < 3)
@@ -211,13 +222,7 @@ ALGORITHMS = {
 
 def extract_pulse(bundle: SequenceBundle, algorithm: str, params=None) -> PulseSignal:
     """Run one algorithm's pulse extraction on a loaded bundle."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
-    cls, pulse_fn, _ = ALGORITHMS[algorithm]
-    if params is None:
-        params = cls()
-    elif isinstance(params, dict):
-        params = build_params(algorithm, params)
+    (_, pulse_fn, _), params = _resolve(algorithm, params)
     return pulse_fn(bundle, params)
 
 
@@ -260,10 +265,24 @@ def build_params(algorithm: str, overrides=None):
     ``band_lo`` / ``band_hi`` address the edges of a ``band`` field; every
     other key must name a dataclass field. Unknown keys raise ValueError.
     """
+    return _resolve(algorithm, dict(overrides or {}))[1]
+
+
+def _resolve(algorithm: str, params):
+    """The registry entry of ``algorithm`` and its parameter object.
+
+    ``params`` is None (the defaults), a dict of overrides (see
+    :func:`build_params`) or an instance of the algorithm's parameter class.
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
-    cls = ALGORITHMS[algorithm][0]
-    overrides = dict(overrides or {})
+    entry = ALGORITHMS[algorithm]
+    cls = entry[0]
+    if isinstance(params, cls):
+        return entry, params
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"params must be a dict or {cls.__name__}, got {type(params).__name__}")
+    overrides = dict(params or {})
     fields = {f.name: f for f in dataclasses.fields(cls)}
     band_lo = overrides.pop("band_lo", None)
     band_hi = overrides.pop("band_hi", None)
@@ -280,7 +299,7 @@ def build_params(algorithm: str, overrides=None):
         lo = float(band_lo) if band_lo is not None else band.lo
         hi = float(band_hi) if band_hi is not None else band.hi
         params = dataclasses.replace(params, band=BandHz(lo, hi))
-    return params
+    return entry, params
 
 
 def params_to_dict(params) -> dict:
@@ -363,18 +382,8 @@ def evaluate(
         name = getattr(algorithm, "__name__", "custom")
         run_params = params
     else:
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
-        cls, _, runner = ALGORITHMS[algorithm]
+        (_, _, runner), run_params = _resolve(algorithm, params)
         name = algorithm
-        if params is None:
-            run_params = cls()
-        elif isinstance(params, dict):
-            run_params = build_params(algorithm, params)
-        elif isinstance(params, cls):
-            run_params = params
-        else:
-            raise ValueError(f"params must be a dict or {cls.__name__}, got {type(params).__name__}")
 
     ordered = sorted(entries, key=lambda e: e.sequence_id)
 
@@ -561,12 +570,18 @@ def _float_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _report_format(path: Path, fmt: str | None) -> str:
+    if fmt is None:
+        fmt = path.suffix.lstrip(".").lower() or "csv"
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}, expected csv or json")
+    return fmt
+
+
 def emit_report(report: EvalReport, path, fmt: str | None = None) -> None:
     """Write a report as CSV (rows + rmse/pearson trailer) or JSON."""
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower() or "csv"
-    if fmt == "csv":
+    if _report_format(path, fmt) == "csv":
         with open(path, "w", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["sequence_id", "status", "estimated_bpm", "ground_truth_bpm", "detail"])
@@ -576,7 +591,7 @@ def emit_report(report: EvalReport, path, fmt: str | None = None) -> None:
                 )
             writer.writerow(["rmse", repr(report.rmse)])
             writer.writerow(["pearson", repr(report.pearson_rho)])
-    elif fmt == "json":
+    else:
         payload = {
             "protocol": report.protocol,
             "algorithm": report.algorithm,
@@ -589,36 +604,36 @@ def emit_report(report: EvalReport, path, fmt: str | None = None) -> None:
             "sequences": [dataclasses.asdict(s) for s in report.sequences],
         }
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}, expected csv or json")
 
 
 def read_report(path) -> EvalReport:
-    """Read back a JSON report into a structurally equal EvalReport."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    sequences = tuple(
-        SequenceResult(
-            sequence_id=s["sequence_id"],
-            status=s["status"],
-            estimated_bpm=s["estimated_bpm"],
-            ground_truth_bpm=s["ground_truth_bpm"],
-            detail=s.get("detail", ""),
+    """Read back a report written by :func:`emit_report`, CSV or JSON by suffix.
+
+    A JSON report reads back structurally equal. A CSV report holds no
+    protocol, algorithm, split or params, so those come back as ``""`` and
+    ``{}``.
+    """
+    path = Path(path)
+    if _report_format(path, None) == "json":
+        payload = _read_json(path)
+        return EvalReport(
+            protocol=payload["protocol"],
+            algorithm=payload["algorithm"],
+            split=payload["split"],
+            params=payload["params"],
+            sequences=tuple(
+                SequenceResult(
+                    sequence_id=s["sequence_id"],
+                    status=s["status"],
+                    estimated_bpm=s["estimated_bpm"],
+                    ground_truth_bpm=s["ground_truth_bpm"],
+                    detail=s.get("detail", ""),
+                )
+                for s in payload["sequences"]
+            ),
+            rmse=payload["rmse"],
+            pearson_rho=payload["pearson_rho"],
         )
-        for s in payload["sequences"]
-    )
-    return EvalReport(
-        protocol=payload["protocol"],
-        algorithm=payload["algorithm"],
-        split=payload["split"],
-        params=payload["params"],
-        sequences=sequences,
-        rmse=payload["rmse"],
-        pearson_rho=payload["pearson_rho"],
-    )
-
-
-def read_report_csv(path) -> tuple[tuple[SequenceResult, ...], float, float]:
-    """Read back a CSV report: (sequence rows, rmse, pearson)."""
     rows: list[SequenceResult] = []
     rmse_value = None
     pearson_value = None
@@ -646,4 +661,4 @@ def read_report_csv(path) -> tuple[tuple[SequenceResult, ...], float, float]:
                 )
     if rmse_value is None or pearson_value is None:
         raise ValueError(f"{path}: missing rmse/pearson trailer rows")
-    return tuple(rows), rmse_value, pearson_value
+    return EvalReport("", "", "", {}, tuple(rows), rmse_value, pearson_value)

@@ -23,7 +23,8 @@ from .bench import (
     evaluate,
     extract_pulse,
     greedy_search,
-    load_bundle,
+    read_bundle,
+    skin_model_for,
 )
 from .errors import (
     AggregateUndefinedError,
@@ -33,10 +34,10 @@ from .errors import (
     SplitOverlapError,
 )
 from .hr import estimate_hr_spectral
-from .io import load_protocol, read_series_csv, write_series_csv
-from .roi import STRATEGIES, fit_skin_model, mean_rgb_trace
+from .io import _read_json, load_protocol, read_series_csv, write_series_csv
+from .roi import STRATEGIES, mean_rgb_trace
 from .signals import BandHz, Signal1D
-from .synth import SynthConfig, build_dataset, generate, write_bundle
+from .synth import SynthConfig, build_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,25 +176,13 @@ def cmd_synth(args) -> int:
         illum_drift=(args.drift_freq, args.drift_amp),
         seed=args.seed,
     )
-    if args.train_count > 0:
-        build_dataset(args.out, list(zip(hrs, splits)), base_config=base, base_seed=args.seed)
-    else:
-        # No usable protocol without both splits; just write the bundles.
-        root = Path(args.out)
-        for i, hr_bpm in enumerate(hrs):
-            from dataclasses import replace
-
-            config = replace(base, hr_bpm=float(hr_bpm), seed=args.seed + i)
-            sid = f"seq{i:03d}"
-            write_bundle(generate(config, sequence_id=sid, subject_id=f"subj{i:03d}"), root / sid)
+    build_dataset(args.out, list(zip(hrs, splits)), base_config=base, base_seed=args.seed)
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    bundle = _load_video_roi(args.video, args.roi)
-    model = None
-    if args.strategy == "skin":
-        model = fit_skin_model(bundle.sequence.frames[0], bundle.roi.entry_for(0), args.tau)
+    bundle = read_bundle(args.video, args.roi)
+    model = skin_model_for(bundle, args.strategy, args.tau)
     trace = mean_rgb_trace(bundle.sequence, bundle.roi, args.strategy, model)
     out = Path(args.out) if args.out else Path(args.video).parent / "trace.csv"
     fallback = set(trace.fallback_frames)
@@ -205,23 +194,8 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _load_video_roi(video_path, roi_path):
-    from .bench import SequenceBundle
-    from .io import read_roi_track, read_rvid
-
-    video = Path(video_path)
-    if not video.exists():
-        raise FileNotFoundError(str(video))
-    seq = read_rvid(video)
-    roi = Path(roi_path)
-    if not roi.exists():
-        raise FileNotFoundError(str(roi))
-    track = read_roi_track(roi, seq.width, seq.height)
-    return SequenceBundle(sequence=seq, roi=track, directory=video.parent)
-
-
 def cmd_pulse(args) -> int:
-    bundle = _load_video_roi(args.video, args.roi)
+    bundle = read_bundle(args.video, args.roi)
     overrides = _parse_overrides(args.overrides, args.algo)
     params = build_params(args.algo, overrides)
     pulse = extract_pulse(bundle, args.algo, params)
@@ -259,12 +233,7 @@ def cmd_eval(args) -> int:
 
 def _load_stages(path) -> list:
     stage_path = Path(path)
-    if not stage_path.exists():
-        raise FileNotFoundError(str(stage_path))
-    try:
-        payload = json.loads(stage_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}", path=str(stage_path)) from None
+    payload = _read_json(stage_path)
     if not isinstance(payload, list) or not payload:
         raise FormatError("expected a non-empty JSON list of stages", path=str(stage_path))
     stages = []

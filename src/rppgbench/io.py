@@ -65,6 +65,40 @@ PHYSIO_KINDS = ("bvp", "respiration")
 
 
 # ---------------------------------------------------------------------------
+# text files
+# ---------------------------------------------------------------------------
+
+def _decode(path: Path, encoding: str) -> str:
+    data = path.read_bytes()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(
+            f"row {row}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not valid {encoding}",
+            path=str(path),
+            offset=exc.start,
+        ) from None
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of an ASCII text file without their terminators.
+
+    CR LF and a lone CR end a line like LF, as in text mode. Row ``i`` in
+    a reader's messages is ``lines[i - 1]``.
+    """
+    return _decode(Path(path), "ascii").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _read_json(path):
+    """The parsed content of a UTF-8 JSON file."""
+    try:
+        return json.loads(_decode(Path(path), "utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}", path=str(path)) from None
+
+
+# ---------------------------------------------------------------------------
 # video container
 # ---------------------------------------------------------------------------
 
@@ -198,12 +232,10 @@ def write_rvid(seq: FrameSequence, path) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PhysioSignal:
+class PhysioSignal(Signal1D):
     """A contact sensor recording with its acquisition metadata."""
 
     kind: str
-    fs: float
-    samples: np.ndarray
     subject_id: str
     lighting: str
 
@@ -212,20 +244,7 @@ class PhysioSignal:
             raise ValueError(f"kind must be one of {PHYSIO_KINDS}, got {self.kind!r}")
         if self.lighting not in LIGHTING:
             raise ValueError(f"lighting must be one of {LIGHTING}, got {self.lighting!r}")
-        fs = float(self.fs)
-        if not np.isfinite(fs) or fs <= 0:
-            raise ValueError(f"sample rate must be finite and positive, got {self.fs!r}")
-        arr = np.array(self.samples, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("samples must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must all be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "fs", fs)
-
-    def as_signal(self) -> Signal1D:
-        return Signal1D(self.samples, self.fs)
+        super().__post_init__()
 
 
 def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +254,8 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     violations raise :class:`FormatError` naming the offending row.
     """
     path = Path(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\r\n") for ln in fh]
-    if not lines or lines[0].strip() != "t,value":
+    lines = _read_lines(path)
+    if lines[0].strip() != "t,value":
         raise FormatError("first line must be the header 't,value'", path=str(path))
     ts: list[float] = []
     vs: list[float] = []
@@ -281,10 +299,7 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
     meta_path = Path(meta_path)
     if not meta_path.exists():
         raise FormatError(f"missing sidecar {meta_path.name}", path=str(path))
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"sidecar is not valid JSON: {exc}", path=str(meta_path)) from None
+    meta = _read_json(meta_path)
     for key in ("subject_id", "lighting", "sample_rate_hz", "signal_type"):
         if key not in meta:
             raise FormatError(f"sidecar missing key {key!r}", path=str(meta_path))
@@ -363,14 +378,12 @@ def load_protocol(path) -> ProtocolIndex:
     splits, and subjects that appear on both sides of the train/test divide.
     """
     path = Path(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\r\n") for ln in fh]
-    rows = [ln for ln in lines if ln.strip()]
-    if rows and rows[0].strip() in _PROTOCOL_HEADERS:
+    rows = [(row_no, ln) for row_no, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
+    if rows and rows[0][1].strip() in _PROTOCOL_HEADERS:
         rows = rows[1:]
     entries: list[ProtocolEntry] = []
     seen: set[str] = set()
-    for row_no, line in enumerate(rows, start=1):
+    for row_no, line in rows:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) not in (3, 4):
             raise FormatError(f"row {row_no}: expected 3 or 4 columns, got {len(cells)}", path=str(path))
@@ -499,11 +512,9 @@ def read_roi_track(path, frame_width: int | None = None, frame_height: int | Non
     inside it.
     """
     path = Path(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\r\n") for ln in fh]
     frames: list[int] = []
     entries: list = []
-    for row_no, line in enumerate(lines, start=1):
+    for row_no, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         cells = [c.strip() for c in line.split(",")]
@@ -572,11 +583,7 @@ def write_roi_track(track: RoiTrack, path) -> None:
 # ---------------------------------------------------------------------------
 
 def read_ground_truth(path) -> GroundTruthHr:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}", path=str(path)) from None
+    payload = _read_json(path)
     if not isinstance(payload, dict) or "hr_bpm" not in payload:
         raise FormatError("expected an object with an 'hr_bpm' key", path=str(path))
     try:

@@ -90,7 +90,7 @@ class BandHz:
 
 
 @dataclass(frozen=True)
-class PulseSignal:
+class PulseSignal(Signal1D):
     """A pulse waveform at the video frame rate; zero mean by construction.
 
     ``fallback_fraction`` is the fraction of frames whose region of interest
@@ -98,21 +98,13 @@ class PulseSignal:
     segments dropped by motion elimination (zero for methods without it).
     """
 
-    samples: np.ndarray
-    fs: float
     method: str
     fallback_fraction: float = 0.0
     discarded_fraction: float = 0.0
 
     def __post_init__(self):
-        arr = _frozen_copy(self.samples)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("pulse samples must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("pulse samples must all be finite")
-        fs = float(self.fs)
-        if not np.isfinite(fs) or fs <= 0:
-            raise ValueError(f"sampling rate must be finite and positive, got {self.fs!r}")
+        super().__post_init__()
+        arr = self.samples
         rms = float(np.sqrt(np.mean(arr * arr)))
         if rms > 0 and abs(float(arr.mean())) > 1e-9 * rms:
             raise ValueError("pulse signal must have zero mean (relative to its RMS)")
@@ -121,11 +113,6 @@ class PulseSignal:
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {frac}")
             object.__setattr__(self, name, frac)
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "fs", fs)
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
 
 
 def moving_average(s: Signal1D, window_len: int) -> Signal1D:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .hr import GroundTruthHr
 from .io import (
+    SPLITS,
     FrameSequence,
     PhysioSignal,
     ProtocolEntry,
@@ -172,11 +173,13 @@ def build_dataset(
     base_config: SynthConfig = SynthConfig(),
     base_seed: int | None = None,
     protocol_filename: str = "protocol.csv",
-) -> Path:
+) -> Path | None:
     """Generate one bundle per (hr, split) pair and write the protocol CSV.
 
     Sequences are named ``seq000``, ``seq001``, ... in pair order, each with
-    its own seed and subject id. Returns the protocol path.
+    its own seed and subject id. The protocol is written only when both
+    splits have entries, since a protocol needs both to load; returns its
+    path, else None.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -192,6 +195,8 @@ def build_dataset(
         condition = "studio" if config.illum_drift[1] == 0 else "natural"
         entries.append(ProtocolEntry(sequence_id=sid, split=split, condition=condition, subject_id=subject))
     protocol = ProtocolIndex(entries=tuple(entries), name=Path(protocol_filename).stem)
+    if not all(protocol.split_entries(split) for split in SPLITS):
+        return None
     path = root / protocol_filename
     write_protocol(protocol, path)
     return path

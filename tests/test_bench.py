@@ -20,7 +20,6 @@ from rppgbench.bench import (
     load_ground_truth,
     params_to_dict,
     read_report,
-    read_report_csv,
 )
 from rppgbench.chrom import ChromParams
 from rppgbench.errors import (
@@ -246,7 +245,8 @@ def test_csv_report_roundtrip(protocol, small_dataset, tmp_path):
     report = evaluate(protocol, "test", perfect, small_dataset)
     path = tmp_path / "report.csv"
     emit_report(report, path)
-    rows, rmse_value, pearson_value = read_report_csv(path)
+    back = read_report(path)
+    rows, rmse_value, pearson_value = back.sequences, back.rmse, back.pearson_rho
     assert rows == report.sequences
     assert rmse_value == report.rmse
     assert pearson_value == report.pearson_rho
@@ -256,7 +256,8 @@ def test_csv_report_aggregates_recomputable(protocol, small_dataset, tmp_path):
     report = evaluate(protocol, "test", "licvpr", small_dataset)
     path = tmp_path / "report.csv"
     emit_report(report, path)
-    rows, rmse_value, _ = read_report_csv(path)
+    back = read_report(path)
+    rows, rmse_value = back.sequences, back.rmse
     ok = [r for r in rows if r.status == "ok"]
     err = np.array([r.estimated_bpm for r in ok]) - np.array([r.ground_truth_bpm for r in ok])
     assert np.sqrt(np.mean(err**2)) == pytest.approx(rmse_value, rel=1e-9)
@@ -280,11 +281,11 @@ def test_report_format_guards(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,report\n", encoding="ascii")
     with pytest.raises(ValueError, match="missing report header"):
-        read_report_csv(bad)
+        read_report(bad)
     headless = tmp_path / "trailerless.csv"
     headless.write_text("sequence_id,status,estimated_bpm,ground_truth_bpm,detail\n", encoding="ascii")
     with pytest.raises(ValueError, match="trailer"):
-        read_report_csv(headless)
+        read_report(headless)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from rppgbench.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from rppgbench.io import FrameSequence, write_rvid
+from rppgbench.synth import SynthConfig, build_dataset
 
 
 def run(capsys, *argv):
@@ -168,6 +169,16 @@ def test_synth_is_byte_deterministic(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == EXIT_OK
     for name in ("video.rvid", "roi.csv", "bvp.csv", "bvp_meta.json", "gt.json"):
         assert (a / "seq000" / name).read_bytes() == (b / "seq000" / name).read_bytes()
+
+
+def test_synth_without_train_split_writes_bundles_only(tmp_path):
+    out = tmp_path / "cli"
+    assert main(["synth", "--out", str(out), "--count", "2", "--duration", "5", "--seed", "4"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["seq000", "seq001"]
+    ref = tmp_path / "ref"
+    assert build_dataset(ref, [(72.0, "test")] * 2, base_config=SynthConfig(duration_s=5.0), base_seed=4) is None
+    for sid in ("seq000", "seq001"):
+        assert (out / sid / "video.rvid").read_bytes() == (ref / sid / "video.rvid").read_bytes()
 
 
 def test_eval_reruns_are_byte_identical_across_jobs(small_dataset, tmp_path, capsys):
@@ -382,3 +393,55 @@ def test_search_rejects_malformed_stage_file(small_dataset, tmp_path, capsys):
     )
     assert code == EXIT_DATA
     assert "stages.json" in err
+
+
+def test_trace_with_non_ascii_roi_exits_2(synth_bundle, tmp_path, capsys):
+    roi = tmp_path / "roi.csv"
+    roi.write_bytes(b"0,16,16,32,32\n1,16,16,32,3\xe92\n")
+    code, _, err = run(
+        capsys, "trace", str(synth_bundle / "video.rvid"), "--roi", str(roi), "--out", str(tmp_path / "t.csv")
+    )
+    assert code == EXIT_DATA
+    assert str(roi) in err and "row 2: byte 0xe9 at offset 26" in err
+
+
+def test_eval_with_non_ascii_protocol_exits_2(small_dataset, tmp_path, capsys):
+    protocol = tmp_path / "protocol.csv"
+    protocol.write_text(
+        "sequence_id,split,condition\nseq000,train,studio\nseq002,test,caf\u00e9\n", encoding="utf-8"
+    )
+    code, _, err = run(
+        capsys,
+        "eval",
+        "--root",
+        str(small_dataset),
+        "--protocol",
+        str(protocol),
+        "--algo",
+        "chrom",
+        "--out",
+        str(tmp_path / "r.csv"),
+    )
+    assert code == EXIT_DATA
+    assert str(protocol) in err and "row 3" in err
+
+
+def test_search_with_invalid_utf8_stage_file_exits_2(small_dataset, tmp_path, capsys):
+    stages = tmp_path / "stages.json"
+    stages.write_bytes(b'[{"grid": {"window_s": [1.6]}}]\xff')
+    code, _, err = run(
+        capsys,
+        "search",
+        "--root",
+        str(small_dataset),
+        "--protocol",
+        str(small_dataset / "protocol.csv"),
+        "--algo",
+        "chrom",
+        "--stages",
+        str(stages),
+        "--out",
+        str(tmp_path / "s.json"),
+    )
+    assert code == EXIT_DATA
+    assert str(stages) in err and "not valid utf-8" in err

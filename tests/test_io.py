@@ -261,6 +261,13 @@ def test_protocol_rejects_subject_overlap(tmp_path):
         load_protocol(p)
 
 
+def test_protocol_error_names_the_physical_line(tmp_path):
+    p = tmp_path / "p.csv"
+    p.write_text("sequence_id,split,condition\na,train,any\n\nb,validation,any\nc,test,any\n")
+    with pytest.raises(FormatError, match="row 4"):
+        load_protocol(p)
+
+
 def test_protocol_round_trip_with_subjects(tmp_path):
     index = ProtocolIndex(
         entries=(
@@ -381,3 +388,36 @@ def test_ground_truth_rejects_malformed(tmp_path):
     p.write_text("not json")
     with pytest.raises(FormatError):
         read_ground_truth(p)
+
+
+# ---------------------------------------------------------------------------
+# text decoding
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "name, data, offset, read",
+    [
+        ("pulse.csv", b"t,value\n0.0,1.0\n0.05,\xe9\n", 21, read_series_csv),
+        ("p.csv", b"sequence_id,split,condition\na,train,any\nb,test,caf\xc3\xa9\n", 50, load_protocol),
+        ("roi.csv", b"0,16,16,32,32\n1,16,16,32,32\n2,16,16,32,3\xe92\n", 40, read_roi_track),
+    ],
+    ids=["series", "protocol", "roi"],
+)
+def test_text_readers_reject_non_ascii_with_row_and_offset(tmp_path, name, data, offset, read):
+    p = tmp_path / name
+    p.write_bytes(data)
+    with pytest.raises(FormatError, match=f"row 3: byte 0x{data[offset]:02x} at offset {offset} is not valid ascii") as info:
+        read(p)
+    assert str(info.value).startswith(f"{p}: ") and info.value.offset == offset
+
+
+def test_json_readers_reject_invalid_utf8(tmp_path):
+    gt = tmp_path / "gt.json"
+    gt.write_bytes(b'{"hr_bpm": 72.0}\xff')
+    with pytest.raises(FormatError, match="offset 16 is not valid utf-8"):
+        read_ground_truth(gt)
+    csv_path, meta_path = tmp_path / "bvp.csv", tmp_path / "bvp_meta.json"
+    csv_path.write_text("t,value\n0.0,1.0\n")
+    meta_path.write_bytes(b'{"subject_id": "s\xff"}')
+    with pytest.raises(FormatError, match="bvp_meta.json"):
+        read_physio_csv(csv_path, meta_path)

@@ -124,6 +124,14 @@ def test_pulse_signal_rejects_nonzero_mean():
     assert p.fallback_fraction == 0.0
 
 
+def test_pulse_signal_keeps_signal_validation():
+    with pytest.raises(ValueError, match="finite"):
+        PulseSignal(np.array([1.0, -1.0, np.inf, 0.0]), 20.0, "chrom")
+    for fs in (0.0, -20.0):
+        with pytest.raises(ValueError, match="sampling rate"):
+            PulseSignal(np.array([1.0, -1.0]), fs, "chrom")
+
+
 # ---------------------------------------------------------------------------
 # moving average
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -128,12 +129,7 @@ def read_bundle(video, roi, sequence_id: str | None = None) -> SequenceBundle:
     ``sequence_id`` defaults to the video's file stem.
     """
     video = Path(video)
-    if not video.exists():
-        raise FileNotFoundError(str(video))
     sequence = read_rvid(video, sequence_id=sequence_id)
-    roi = Path(roi)
-    if not roi.exists():
-        raise FileNotFoundError(str(roi))
     track = read_roi_track(roi, sequence.width, sequence.height)
     return SequenceBundle(sequence=sequence, roi=track, directory=video.parent)
 
@@ -242,12 +238,6 @@ def _coerce_value(raw, default, key: str):
         if isinstance(value, bool):
             return value
         raise ValueError(f"{key} expects true/false, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool):
-            raise ValueError(f"{key} expects an integer, got {raw!r}")
-        if isinstance(value, (int, float)) and float(value).is_integer():
-            return int(value)
-        raise ValueError(f"{key} expects an integer, got {raw!r}")
     if isinstance(default, float):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
@@ -256,7 +246,13 @@ def _coerce_value(raw, default, key: str):
         if isinstance(value, (str, int, float)):
             return str(raw)
         raise ValueError(f"{key} expects a string, got {raw!r}")
-    return value  # fields defaulting to None take the parsed value as-is
+    # Integer fields; the one field defaulting to None (SsrParams.window_l)
+    # is an integer that may also be null.
+    if default is None and value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{key} expects an integer, got {raw!r}")
 
 
 def build_params(algorithm: str, overrides=None):
@@ -406,7 +402,7 @@ def evaluate(
                 entry.sequence_id, "failed", None, None, f"{type(exc).__name__}: {exc}"
             )
 
-    if jobs == 1:
+    if jobs == 1:  # inline: a one-worker pool costs peak memory and buys nothing
         results = [process(e) for e in ordered]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -570,27 +566,28 @@ def _float_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _report_format(path: Path, fmt: str | None) -> str:
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower() or "csv"
+def _report_format(path: Path) -> str:
+    fmt = path.suffix.lstrip(".").lower() or "csv"
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}, expected csv or json")
     return fmt
 
 
-def emit_report(report: EvalReport, path, fmt: str | None = None) -> None:
-    """Write a report as CSV (rows + rmse/pearson trailer) or JSON."""
+def emit_report(report: EvalReport, path) -> None:
+    """Write a report as CSV (rows + rmse/pearson trailer) or JSON, by suffix."""
     path = Path(path)
-    if _report_format(path, fmt) == "csv":
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sequence_id", "status", "estimated_bpm", "ground_truth_bpm", "detail"])
-            for s in report.sequences:
-                writer.writerow(
-                    [s.sequence_id, s.status, _float_cell(s.estimated_bpm), _float_cell(s.ground_truth_bpm), s.detail]
-                )
-            writer.writerow(["rmse", repr(report.rmse)])
-            writer.writerow(["pearson", repr(report.pearson_rho)])
+    if _report_format(path) == "csv":
+        # Built in memory and written once, so the file is never left partial.
+        text = StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["sequence_id", "status", "estimated_bpm", "ground_truth_bpm", "detail"])
+        for s in report.sequences:
+            writer.writerow(
+                [s.sequence_id, s.status, _float_cell(s.estimated_bpm), _float_cell(s.ground_truth_bpm), s.detail]
+            )
+        writer.writerow(["rmse", repr(report.rmse)])
+        writer.writerow(["pearson", repr(report.pearson_rho)])
+        path.write_bytes(text.getvalue().encode("utf-8"))
     else:
         payload = {
             "protocol": report.protocol,
@@ -614,7 +611,7 @@ def read_report(path) -> EvalReport:
     ``{}``.
     """
     path = Path(path)
-    if _report_format(path, None) == "json":
+    if _report_format(path) == "json":
         payload = _read_json(path)
         return EvalReport(
             protocol=payload["protocol"],
@@ -637,7 +634,7 @@ def read_report(path) -> EvalReport:
     rows: list[SequenceResult] = []
     rmse_value = None
     pearson_value = None
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[0] != "sequence_id":

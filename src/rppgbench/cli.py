@@ -206,10 +206,7 @@ def cmd_pulse(args) -> int:
 
 
 def cmd_hr(args) -> int:
-    path = Path(args.pulse_csv)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    t, values = read_series_csv(path)
+    t, values = read_series_csv(args.pulse_csv)
     if t.size < 2:
         raise ValueError("pulse CSV must contain at least 2 samples")
     fs = (t.size - 1) / (t[-1] - t[0])
@@ -279,7 +276,7 @@ def main(argv=None) -> int:
     except NumericDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FormatError, FileNotFoundError, AggregateUndefinedError, SplitOverlapError, SearchFailedError) as exc:
+    except (FormatError, OSError, AggregateUndefinedError, SplitOverlapError, SearchFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

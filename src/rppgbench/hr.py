@@ -56,11 +56,15 @@ class GroundTruthHr:
             raise ValueError(f"bpm must be finite and positive, got {self.bpm}")
 
 
-def estimate_hr_spectral(pulse, band: BandHz, nfft_min: int = 2048) -> HrEstimate:
+#: Smallest transform length of the spectral estimate.
+NFFT_MIN = 2048
+
+
+def estimate_hr_spectral(pulse, band: BandHz) -> HrEstimate:
     """Heart rate from the dominant in-band peak of the periodogram.
 
     The mean-removed signal is zero-padded to the smallest power of two that
-    is at least ``max(nfft_min, 8 * len)``, which bounds the bin spacing well
+    is at least ``max(NFFT_MIN, 8 * len)``, which bounds the bin spacing well
     below physiological differences. The band is clamped to Nyquist; if
     nothing of it survives the clamp, ValueError is raised.
     """
@@ -70,16 +74,13 @@ def estimate_hr_spectral(pulse, band: BandHz, nfft_min: int = 2048) -> HrEstimat
         raise ValueError(
             f"need at least 2 s of signal ({2 * fs:.0f} samples), got {samples.size}"
         )
-    nfft_min = int(nfft_min)
-    if nfft_min < 2:
-        raise ValueError(f"nfft_min must be >= 2, got {nfft_min}")
     lo = band.lo
     hi = min(band.hi, fs / 2)
     if lo >= hi:
         raise ValueError(
             f"band [{band.lo}, {band.hi}] Hz is empty after clamping to Nyquist ({fs / 2} Hz)"
         )
-    nfft = 1 << int(np.ceil(np.log2(max(nfft_min, 8 * samples.size))))
+    nfft = 1 << int(np.ceil(np.log2(max(NFFT_MIN, 8 * samples.size))))
     x = samples - samples.mean()
     power = np.abs(np.fft.rfft(x, nfft)) ** 2
     freqs = np.fft.rfftfreq(nfft, 1.0 / fs)

@@ -503,13 +503,12 @@ class RoiTrack:
                 yield start, stop, entry
 
 
-def read_roi_track(path, frame_width: int | None = None, frame_height: int | None = None) -> RoiTrack:
-    """Read a ROI CSV of box rows or landmark rows.
+def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
+    """Read a ROI CSV of box rows or landmark rows for frames of the given size.
 
     A row with 5 cells is ``frame,x,y,w,h``; a row with an odd cell count of
-    at least 9 is ``frame`` followed by ``x,y`` landmark pairs. When the frame
-    geometry is given, boxes and the bounding boxes of polygons must lie fully
-    inside it.
+    at least 9 is ``frame`` followed by ``x,y`` landmark pairs. Boxes and the
+    bounding boxes of polygons must lie fully inside the frame.
     """
     path = Path(path)
     frames: list[int] = []
@@ -553,14 +552,13 @@ def read_roi_track(path, frame_width: int | None = None, frame_height: int | Non
                 f"got {len(cells)}",
                 path=str(path),
             )
-        if frame_width is not None and frame_height is not None:
-            b = entry.bbox()
-            if b.x < 0 or b.y < 0 or b.x + b.w > frame_width or b.y + b.h > frame_height:
-                raise FormatError(
-                    f"row {row_no}: {kind} ({b.x},{b.y},{b.w},{b.h}) exceeds the "
-                    f"{frame_width}x{frame_height} frame",
-                    path=str(path),
-                )
+        b = entry.bbox()
+        if b.x < 0 or b.y < 0 or b.x + b.w > frame_width or b.y + b.h > frame_height:
+            raise FormatError(
+                f"row {row_no}: {kind} ({b.x},{b.y},{b.w},{b.h}) exceeds the "
+                f"{frame_width}x{frame_height} frame",
+                path=str(path),
+            )
         entries.append(entry)
         frames.append(frame_idx)
     if not frames:

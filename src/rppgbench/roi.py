@@ -324,8 +324,6 @@ def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: Sk
         box = entry.bbox()
         if box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height:
             raise ValueError(f"ROI for frame {start} exceeds the frame bounds")
-        if box.w * box.h <= 0:
-            raise ValueError(f"empty ROI at frame {start}")
         if strategy == "skin" and model is None:
             raise ValueError("strategy 'skin' requires a fitted SkinModel")
         if strategy == "mask":

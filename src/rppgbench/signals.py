@@ -10,7 +10,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import solveh_banded
 from scipy.signal import firwin
 
@@ -179,12 +178,15 @@ def detrend_smoothness_priors(s: Signal1D, lam: float) -> Signal1D:
         raise ValueError(f"detrending needs at least 3 samples, got {n}")
     if lam == 0.0:
         return Signal1D(np.zeros(n), s.fs)
-    d2 = sparse.diags([1.0, -2.0, 1.0], offsets=[0, 1, 2], shape=(n - 2, n), format="csr")
-    a = (sparse.eye(n, format="csr") + (lam * lam) * (d2.T @ d2)).tocsr()
+    # Upper bands of I + lam^2 D2'D2. Each of the n - 2 rows [1, -2, 1] of D2
+    # adds its outer product, whose bands 2, 1 and 0 hold [1], [-2, -2] and
+    # [1, 4, 1]; summing the shifted copies is a convolution with ones.
+    lam2 = lam * lam
+    rows = np.ones(n - 2)
     ab = np.zeros((3, n))
-    ab[0, 2:] = a.diagonal(2)
-    ab[1, 1:] = a.diagonal(1)
-    ab[2, :] = a.diagonal(0)
+    ab[0, 2:] = lam2
+    ab[1, 1:] = lam2 * np.convolve(rows, [-2.0, -2.0])
+    ab[2, :] = 1.0 + lam2 * np.convolve(rows, [1.0, 4.0, 1.0])
     trend = solveh_banded(ab, s.samples, lower=False)
     return Signal1D(s.samples - trend, s.fs)
 

@@ -31,6 +31,8 @@ class SsrParams:
     degeneracy_eps: float = 1e-12
 
     def __post_init__(self):
+        if self.window_l is not None and not isinstance(self.window_l, int):
+            raise ValueError(f"window_l must be an integer number of frames, got {self.window_l!r}")
         if self.window_l is not None and self.window_l < 2:
             raise ValueError(f"window_l must be at least 2 frames, got {self.window_l}")
         if not 0.0 < self.skin_tau < 1.0:

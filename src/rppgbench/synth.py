@@ -172,7 +172,6 @@ def build_dataset(
     hr_split_pairs: Sequence[tuple[float, str]],
     base_config: SynthConfig = SynthConfig(),
     base_seed: int | None = None,
-    protocol_filename: str = "protocol.csv",
 ) -> Path | None:
     """Generate one bundle per (hr, split) pair and write the protocol CSV.
 
@@ -194,9 +193,9 @@ def build_dataset(
         write_bundle(result, root / sid)
         condition = "studio" if config.illum_drift[1] == 0 else "natural"
         entries.append(ProtocolEntry(sequence_id=sid, split=split, condition=condition, subject_id=subject))
-    protocol = ProtocolIndex(entries=tuple(entries), name=Path(protocol_filename).stem)
+    protocol = ProtocolIndex(entries=tuple(entries), name="protocol")
     if not all(protocol.split_entries(split) for split in SPLITS):
         return None
-    path = root / protocol_filename
+    path = root / "protocol.csv"
     write_protocol(protocol, path)
     return path

@@ -222,6 +222,16 @@ def test_build_params_integer_accepts_whole_floats():
     assert build_params("chrom", {"numtaps": 63.0}).numtaps == 63
 
 
+def test_build_params_optional_integer_field():
+    assert build_params("ssr", {"window_l": "16.0"}).window_l == 16
+    assert build_params("ssr", {"window_l": "null"}).window_l is None
+    for bad in ("abc", "16.5", "true", 16.5):
+        with pytest.raises(ValueError, match="window_l expects an integer"):
+            build_params("ssr", {"window_l": bad})
+    with pytest.raises(ValueError, match="window_l must be an integer"):
+        SsrParams(window_l=16.0)
+
+
 def test_params_roundtrip_through_dict():
     params = ChromParams(window_s=2.0, band=BandHz(0.5, 3.0), numtaps=63)
     flat = params_to_dict(params)
@@ -250,6 +260,25 @@ def test_csv_report_roundtrip(protocol, small_dataset, tmp_path):
     assert rows == report.sequences
     assert rmse_value == report.rmse
     assert pearson_value == report.pearson_rho
+
+
+def test_csv_report_roundtrip_keeps_non_ascii_detail(tmp_path):
+    report = EvalReport(
+        protocol="",
+        algorithm="",
+        split="",
+        params={},
+        sequences=(
+            SequenceResult("s1", "ok", 60.0, 61.0),
+            SequenceResult("s2", "failed", None, None, "FormatError: d\u00e9/s2/roi.csv: row 1: exceeds"),
+            SequenceResult("s3", "ok", 70.0, 69.0),
+        ),
+        rmse=1.0,
+        pearson_rho=1.0,
+    )
+    path = tmp_path / "report.csv"
+    emit_report(report, path)
+    assert read_report(path) == report
 
 
 def test_csv_report_aggregates_recomputable(protocol, small_dataset, tmp_path):

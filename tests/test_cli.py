@@ -274,6 +274,14 @@ def test_trace_with_off_frame_polygon_exits_2(synth_bundle, tmp_path, capsys):
     assert str(roi) in err and "row 1" in err and "exceeds the 64x64 frame" in err
 
 
+def test_trace_with_directory_roi_exits_2(synth_bundle, tmp_path, capsys):
+    code, _, err = run(
+        capsys, "trace", str(synth_bundle / "video.rvid"), "--roi", str(tmp_path), "--out", str(tmp_path / "t.csv")
+    )
+    assert code == EXIT_DATA
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
 def test_hr_on_malformed_csv_exits_2(tmp_path, capsys):
     bad = tmp_path / "pulse.csv"
     bad.write_text("t,value\n0.0,1.0\nmid,2.0\n", encoding="ascii")
@@ -330,6 +338,48 @@ def test_override_errors_exit_1(synth_bundle, tmp_path, capsys, overrides):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["abc", "16.5", "true"])
+def test_non_integer_window_override_exits_1(synth_bundle, tmp_path, capsys, value):
+    code, _, err = run(
+        capsys,
+        "pulse",
+        str(synth_bundle / "video.rvid"),
+        "--roi",
+        str(synth_bundle / "roi.csv"),
+        "--algo",
+        "ssr",
+        "--set",
+        f"window_l={value}",
+        "--out",
+        str(tmp_path / "p.csv"),
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "window_l expects an integer" in err
+
+
+def test_whole_float_and_null_window_overrides(synth_bundle, tmp_path, capsys):
+    # At 20 fps the default (null) window is 20 frames.
+    outputs = []
+    for value in ("20", "20.0", "null"):
+        out = tmp_path / f"p_{value}.csv"
+        code, _, _ = run(
+            capsys,
+            "pulse",
+            str(synth_bundle / "video.rvid"),
+            "--roi",
+            str(synth_bundle / "roi.csv"),
+            "--algo",
+            "ssr",
+            "--set",
+            f"window_l={value}",
+            "--out",
+            str(out),
+        )
+        assert code == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_unknown_parameter_override_exits_1(synth_bundle, tmp_path, capsys):

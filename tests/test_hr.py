@@ -84,11 +84,6 @@ def test_short_signal_rejected():
         estimate_hr_spectral(tone(72.0, duration=1.5), WIDE)
 
 
-def test_nfft_floor_validation():
-    with pytest.raises(ValueError, match="nfft_min"):
-        estimate_hr_spectral(tone(72.0), WIDE, nfft_min=1)
-
-
 def test_resolution_reported_exactly():
     est = estimate_hr_spectral(tone(72.0), WIDE)
     # 1200 samples -> 8x padding -> 16384-point transform at 20 Hz.

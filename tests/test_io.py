@@ -301,7 +301,7 @@ def test_roi_rejects_negative_width(tmp_path):
     p = tmp_path / "roi.csv"
     p.write_text("0,10,10,-5,20\n")
     with pytest.raises(FormatError, match="row 1"):
-        read_roi_track(p)
+        read_roi_track(p, 640, 480)
 
 
 def test_roi_rejects_out_of_bounds_box(tmp_path):
@@ -309,8 +309,6 @@ def test_roi_rejects_out_of_bounds_box(tmp_path):
     p.write_text("0,600,400,100,100\n")
     with pytest.raises(FormatError, match="exceeds"):
         read_roi_track(p, 640, 480)
-    # same file is fine when geometry is unknown
-    assert read_roi_track(p).entry_for(0) == RoiBox(600, 400, 100, 100)
 
 
 def test_roi_rejects_out_of_bounds_polygon(tmp_path):
@@ -319,8 +317,6 @@ def test_roi_rejects_out_of_bounds_polygon(tmp_path):
     p.write_text("0,1,1,4,4\n1,10,10,70,10,70,40,40,50,10,40\n")
     with pytest.raises(FormatError, match=r"row 2: landmark bounding box \(10,10,60,40\) exceeds the 64x64 frame"):
         read_roi_track(p, 64, 64)
-    # same file is fine when geometry is unknown
-    assert isinstance(read_roi_track(p).entry_for(1), RoiPolygon)
 
 
 def test_roi_landmark_row_of_nine_points(tmp_path):
@@ -328,7 +324,7 @@ def test_roi_landmark_row_of_nine_points(tmp_path):
     flat = ",".join(f"{x},{y}" for x, y in coords)
     p = tmp_path / "roi.csv"
     p.write_text(f"0,{flat}\n")
-    entry = read_roi_track(p).entry_for(0)
+    entry = read_roi_track(p, 64, 64).entry_for(0)
     assert isinstance(entry, RoiPolygon)
     assert len(entry.points) == 9
 
@@ -337,14 +333,14 @@ def test_roi_rejects_even_cell_count(tmp_path):
     p = tmp_path / "roi.csv"
     p.write_text("0,1,2,3,4,5,6,7\n")
     with pytest.raises(FormatError, match="row 1"):
-        read_roi_track(p)
+        read_roi_track(p, 64, 64)
 
 
 def test_roi_rejects_non_increasing_frames(tmp_path):
     p = tmp_path / "roi.csv"
     p.write_text("0,1,1,4,4\n0,2,2,4,4\n")
     with pytest.raises(FormatError, match="increasing"):
-        read_roi_track(p)
+        read_roi_track(p, 64, 64)
 
 
 def test_roi_track_round_trip(tmp_path):
@@ -354,7 +350,7 @@ def test_roi_track_round_trip(tmp_path):
     )
     p = tmp_path / "roi.csv"
     write_roi_track(track, p)
-    back = read_roi_track(p)
+    back = read_roi_track(p, 64, 64)
     assert back.frames == (0, 5)
     assert back.entries[0] == RoiBox(1, 2, 3, 4)
     assert back.entries[1].points == ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0))
@@ -399,7 +395,7 @@ def test_ground_truth_rejects_malformed(tmp_path):
     [
         ("pulse.csv", b"t,value\n0.0,1.0\n0.05,\xe9\n", 21, read_series_csv),
         ("p.csv", b"sequence_id,split,condition\na,train,any\nb,test,caf\xc3\xa9\n", 50, load_protocol),
-        ("roi.csv", b"0,16,16,32,32\n1,16,16,32,32\n2,16,16,32,3\xe92\n", 40, read_roi_track),
+        ("roi.csv", b"0,16,16,32,32\n1,16,16,32,32\n2,16,16,32,3\xe92\n", 40, lambda p: read_roi_track(p, 64, 64)),
     ],
     ids=["series", "protocol", "roi"],
 )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rppgbench.errors import UndefinedCorrelationError
 from rppgbench.signals import (
@@ -260,6 +262,22 @@ def test_detrend_matches_dense_oracle():
         want = detrend_dense_oracle(s, lam)
         scale = np.max(np.abs(want)) or 1.0
         assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.integers(3, 60).flatmap(
+        lambda n: st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=n, max_size=n)
+    ),
+    lam=st.floats(0.0, 1e3),
+)
+def test_detrend_matches_dense_solve(samples, lam):
+    s = np.array(samples)
+    n = len(s)
+    d2 = np.diff(np.eye(n), 2, axis=0)  # rows [1, -2, 1]
+    trend = np.linalg.solve(np.eye(n) + lam * lam * (d2.T @ d2), s)
+    got = detrend_smoothness_priors(Signal1D(s, 20.0), lam).samples
+    assert np.linalg.norm(got - (s - trend)) <= 1e-8 * np.linalg.norm(s)
 
 
 def test_detrend_long_signal_stays_linear_cost():

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
@@ -239,9 +240,9 @@ def _coerce_value(raw, default, key: str):
             return value
         raise ValueError(f"{key} expects true/false, got {raw!r}")
     if isinstance(default, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
             return float(value)
-        raise ValueError(f"{key} expects a number, got {raw!r}")
+        raise ValueError(f"{key} expects a finite number, got {raw!r}")
     if isinstance(default, str):
         if isinstance(value, (str, int, float)):
             return str(raw)
@@ -250,7 +251,7 @@ def _coerce_value(raw, default, key: str):
     # is an integer that may also be null.
     if default is None and value is None:
         return None
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer():
+    if type(value) is int or (isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ValueError(f"{key} expects an integer, got {raw!r}")
 
@@ -258,8 +259,8 @@ def _coerce_value(raw, default, key: str):
 def build_params(algorithm: str, overrides=None):
     """Build an algorithm's parameter object from ``{field: value}`` overrides.
 
-    ``band_lo`` / ``band_hi`` address the edges of a ``band`` field; every
-    other key must name a dataclass field. Unknown keys raise ValueError.
+    Every key must name a field of the algorithm's parameter class; unknown
+    keys and values the class rejects raise ValueError.
     """
     return _resolve(algorithm, dict(overrides or {}))[1]
 
@@ -278,41 +279,22 @@ def _resolve(algorithm: str, params):
         return entry, params
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"params must be a dict or {cls.__name__}, got {type(params).__name__}")
-    overrides = dict(params or {})
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    band_lo = overrides.pop("band_lo", None)
-    band_hi = overrides.pop("band_hi", None)
-    if (band_lo is not None or band_hi is not None) and "band" not in fields:
-        raise ValueError(f"algorithm {algorithm!r} has no band parameter")
     kwargs = {}
-    for key, raw in overrides.items():
-        if key == "band" or key not in fields:
+    for key, raw in (params or {}).items():
+        if key not in fields:
             raise ValueError(f"unknown parameter {key!r} for algorithm {algorithm!r}")
         kwargs[key] = _coerce_value(raw, fields[key].default, key)
-    params = cls(**kwargs)
-    if band_lo is not None or band_hi is not None:
-        band = params.band
-        lo = float(band_lo) if band_lo is not None else band.lo
-        hi = float(band_hi) if band_hi is not None else band.hi
-        params = dataclasses.replace(params, band=BandHz(lo, hi))
-    return entry, params
+    return entry, cls(**kwargs)
 
 
 def params_to_dict(params) -> dict:
-    """Flatten a parameter object to a JSON-friendly dict (band -> lo/hi)."""
+    """A parameter object as a JSON-friendly dict; None gives {}, a dict a copy."""
     if params is None:
         return {}
     if isinstance(params, dict):
         return dict(params)
-    out = {}
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, BandHz):
-            out["band_lo"] = value.lo
-            out["band_hi"] = value.hi
-        else:
-            out[f.name] = value
-    return out
+    return dataclasses.asdict(params)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +460,7 @@ class SearchResult:
         }
 
 
-def _validate_stages(stages, algorithm) -> None:
+def _validate_stages(stages, algorithm, defaults: dict) -> None:
     seen: set[str] = set()
     for stage in stages:
         for key, _ in stage.grid:
@@ -486,7 +468,8 @@ def _validate_stages(stages, algorithm) -> None:
                 raise ValueError(f"parameter {key!r} appears in more than one stage")
             seen.add(key)
     if not callable(algorithm):
-        # Surface typos before spending evaluations: every key must build.
+        # Surface typos before spending evaluations: defaults and every key must build.
+        build_params(algorithm, defaults)
         for stage in stages:
             for key, candidates in stage.grid:
                 build_params(algorithm, {key: candidates[0]})
@@ -514,8 +497,8 @@ def greedy_search(
         raise ValueError("need at least one search stage")
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    _validate_stages(stages, algorithm)
     fixed = dict(defaults or {})
+    _validate_stages(stages, algorithm, fixed)
     trace: list[dict] = []
     n_evaluations = 0
     for stage in stages:
@@ -632,8 +615,7 @@ def read_report(path) -> EvalReport:
             pearson_rho=payload["pearson_rho"],
         )
     rows: list[SequenceResult] = []
-    rmse_value = None
-    pearson_value = None
+    trailer: dict[str, float] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -642,20 +624,21 @@ def read_report(path) -> EvalReport:
         for cells in reader:
             if not cells:
                 continue
-            if cells[0] == "rmse":
-                rmse_value = float(cells[1])
-            elif cells[0] == "pearson":
-                pearson_value = float(cells[1])
-            else:
-                rows.append(
-                    SequenceResult(
-                        sequence_id=cells[0],
-                        status=cells[1],
-                        estimated_bpm=float(cells[2]) if cells[2] else None,
-                        ground_truth_bpm=float(cells[3]) if cells[3] else None,
-                        detail=cells[4] if len(cells) > 4 else "",
+            try:
+                if cells[0] in ("rmse", "pearson"):
+                    trailer[cells[0]] = float(cells[1])
+                else:
+                    rows.append(
+                        SequenceResult(
+                            sequence_id=cells[0],
+                            status=cells[1],
+                            estimated_bpm=float(cells[2]) if cells[2] else None,
+                            ground_truth_bpm=float(cells[3]) if cells[3] else None,
+                            detail=cells[4] if len(cells) > 4 else "",
+                        )
                     )
-                )
-    if rmse_value is None or pearson_value is None:
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: row {reader.line_num}: short or unparsable report row") from None
+    if len(trailer) < 2:
         raise ValueError(f"{path}: missing rmse/pearson trailer rows")
-    return EvalReport("", "", "", {}, tuple(rows), rmse_value, pearson_value)
+    return EvalReport("", "", "", {}, tuple(rows), trailer["rmse"], trailer["pearson"])

@@ -9,9 +9,10 @@ windows are Hann-weighted and overlap-added back into one waveform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NumericDegeneracyError
-from .roi import RgbTrace
+from .roi import RgbTrace, check_selection
 from .signals import BandHz, PulseSignal, Signal1D, bandpass, hann_overlap_add
 
 __all__ = ["ChromParams", "chrom_pulse", "window_starts"]
@@ -22,7 +23,8 @@ class ChromParams:
     """Tunables of the chrominance extractor."""
 
     window_s: float = 1.6
-    band: BandHz = BandHz(0.67, 4.0)
+    band_lo: float = 0.67
+    band_hi: float = 4.0
     strategy: str = "skin"
     skin_tau: float = 0.3
     numtaps: int = 127
@@ -30,8 +32,14 @@ class ChromParams:
     def __post_init__(self):
         if self.window_s <= 0:
             raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if not 0.0 < self.skin_tau < 1.0:
-            raise ValueError(f"skin_tau must lie in (0, 1), got {self.skin_tau}")
+        if self.numtaps < 3:
+            raise ValueError(f"numtaps must be at least 3, got {self.numtaps}")
+        self.band  # BandHz checks the edges
+        check_selection(self.strategy, self.skin_tau)
+
+    @cached_property
+    def band(self) -> BandHz:
+        return BandHz(self.band_lo, self.band_hi)
 
 
 def _window_len(window_s: float, fs: float, n: int) -> int:

@@ -8,8 +8,8 @@ Formats
   ``lighting``, ``sample_rate_hz`` and ``signal_type``.
 - protocol CSV: ``sequence_id,split,condition[,subject_id]`` rows.
 - ROI CSV: per keyframe either ``frame,x,y,w,h`` or ``frame,x1,y1,x2,y2,...``
-  with at least four landmark points; later frames inherit the most recent
-  earlier entry.
+  with at least four landmark points, from frame 0 on; later frames inherit
+  the most recent earlier entry.
 - ground truth JSON: ``{"hr_bpm": <float>}``.
 """
 
@@ -469,7 +469,7 @@ class RoiPolygon:
 
 @dataclass(frozen=True)
 class RoiTrack:
-    """Per-frame regions of interest with carry-forward inheritance."""
+    """Per-frame regions of interest from frame 0 on, with carry-forward inheritance."""
 
     frames: tuple[int, ...]
     entries: tuple
@@ -478,6 +478,8 @@ class RoiTrack:
         frames = tuple(int(f) for f in self.frames)
         if len(frames) != len(self.entries) or not frames:
             raise ValueError("frames and entries must be non-empty and parallel")
+        if frames[0] != 0:
+            raise ValueError(f"ROI track must cover the sequence from frame 0, got a first entry at {frames[0]}")
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError("frame indices must be strictly increasing")
         object.__setattr__(self, "frames", frames)
@@ -490,15 +492,12 @@ class RoiTrack:
             raise ValueError(f"frame {frame_idx} precedes the first ROI entry ({self.frames[0]})")
         return self.entries[pos]
 
-    def covers(self, n_frames: int) -> bool:
-        return self.frames[0] <= 0 and n_frames > 0
-
     def runs(self, n_frames: int):
         """Yield ``(start, stop, entry)`` for each stretch of frames below
         ``n_frames`` that shares one entry, in frame order."""
         stops = self.frames[1:] + (n_frames,)
-        for first, stop, entry in zip(self.frames, stops, self.entries):
-            start, stop = max(first, 0), min(stop, n_frames)
+        for start, stop, entry in zip(self.frames, stops, self.entries):
+            stop = min(stop, n_frames)
             if start < stop:
                 yield start, stop, entry
 
@@ -507,8 +506,8 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
     """Read a ROI CSV of box rows or landmark rows for frames of the given size.
 
     A row with 5 cells is ``frame,x,y,w,h``; a row with an odd cell count of
-    at least 9 is ``frame`` followed by ``x,y`` landmark pairs. Boxes and the
-    bounding boxes of polygons must lie fully inside the frame.
+    at least 9 is ``frame`` followed by ``x,y`` landmark pairs, from frame 0
+    on. Boxes and the bounding boxes of polygons must lie inside the frame.
     """
     path = Path(path)
     frames: list[int] = []
@@ -521,8 +520,8 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
             frame_idx = int(cells[0])
         except ValueError:
             raise FormatError(f"row {row_no}: unparsable frame index", path=str(path)) from None
-        if frame_idx < 0:
-            raise FormatError(f"row {row_no}: negative frame index", path=str(path))
+        if not frames and frame_idx != 0:
+            raise FormatError(f"row {row_no}: the first ROI entry must be at frame 0, got {frame_idx}", path=str(path))
         if frames and frame_idx <= frames[-1]:
             raise FormatError(f"row {row_no}: frame indices must be strictly increasing", path=str(path))
         if len(cells) == 5:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .io import FrameSequence, RoiTrack
-from .roi import CHUNK_PIXELS
+from .roi import CHUNK_PIXELS, check_selection
 from .signals import (
     BandHz,
     PulseSignal,
@@ -44,7 +45,8 @@ class LiParams:
     discard_percentile: float = 95.0
     detrend_lambda: float = 300.0
     ma_window: int = 5
-    band: BandHz = BandHz(0.67, 4.0)
+    band_lo: float = 0.67
+    band_hi: float = 4.0
     background_margin: int = 10
     strategy: str = "mask"
     skin_tau: float = 0.3
@@ -67,8 +69,12 @@ class LiParams:
             raise ValueError(f"ma_window must be a positive odd integer, got {self.ma_window}")
         if self.background_margin < 0:
             raise ValueError(f"background_margin must be non-negative, got {self.background_margin}")
-        if not 0.0 < self.skin_tau < 1.0:
-            raise ValueError(f"skin_tau must lie in (0, 1), got {self.skin_tau}")
+        self.band  # BandHz checks the edges
+        check_selection(self.strategy, self.skin_tau)
+
+    @cached_property
+    def band(self) -> BandHz:
+        return BandHz(self.band_lo, self.band_hi)
 
 
 def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Signal1D:
@@ -79,8 +85,6 @@ def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Sig
     """
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
-    if not roi.covers(seq.n_frames):
-        raise ValueError("ROI track must cover the sequence from frame 0")
     out = np.empty(seq.n_frames)
     step = max(1, CHUNK_PIXELS // (seq.width * seq.height))
     for start, stop, entry in roi.runs(seq.n_frames):

@@ -15,6 +15,7 @@ __all__ = [
     "SkinModel",
     "RgbTrace",
     "STRATEGIES",
+    "check_selection",
     "fit_skin_model",
     "skin_mask",
     "lower_face_mask",
@@ -38,6 +39,18 @@ CHUNK_PIXELS = 32 * 32 * 32
 #: around the Mahalanobis limit in which the closed-form distance is checked
 #: again with the reference einsum. The two differ by a few ulps of that sum.
 _RECHECK_REL = 1e-12
+
+
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+
+
+def check_selection(strategy: str, skin_tau: float) -> None:
+    """Reject a pixel strategy or skin threshold that no run can use."""
+    _check_strategy(strategy)
+    if not 0.0 < skin_tau < 1.0:
+        raise ValueError(f"skin_tau must lie in (0, 1), got {skin_tau}")
 
 
 @dataclass(frozen=True)
@@ -316,10 +329,7 @@ def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: Sk
     (whole box) or a (c, P) selection in which frames whose selection came
     up empty (``fallback``) keep the whole box.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if not roi.covers(seq.n_frames):
-        raise ValueError("ROI track must cover the sequence from frame 0")
+    _check_strategy(strategy)
     for start, stop, entry in roi.runs(seq.n_frames):
         box = entry.bbox()
         if box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height:

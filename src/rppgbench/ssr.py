@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSubspaceError, NumericDegeneracyError
+from .roi import check_selection
 from .signals import PulseSignal, hann_overlap_add
 
 __all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs", "ssr_pulse"]
@@ -31,12 +32,9 @@ class SsrParams:
     degeneracy_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.window_l is not None and not isinstance(self.window_l, int):
-            raise ValueError(f"window_l must be an integer number of frames, got {self.window_l!r}")
-        if self.window_l is not None and self.window_l < 2:
-            raise ValueError(f"window_l must be at least 2 frames, got {self.window_l}")
-        if not 0.0 < self.skin_tau < 1.0:
-            raise ValueError(f"skin_tau must lie in (0, 1), got {self.skin_tau}")
+        if self.window_l is not None and (not isinstance(self.window_l, int) or self.window_l < 2 or self.window_l % 2):
+            raise ValueError(f"window_l must be an integer, even (50% overlap) and >= 2, got {self.window_l!r}")
+        check_selection(self.strategy, self.skin_tau)
         if self.degeneracy_eps <= 0:
             raise ValueError(f"degeneracy_eps must be positive, got {self.degeneracy_eps}")
 
@@ -136,8 +134,6 @@ def ssr_pulse(correlations, params: SsrParams = SsrParams(), fps: float = None, 
     if n < 2:
         raise ValueError(f"need at least 2 frames, got {n}")
     length = params.window_l if params.window_l is not None else _default_window(fps)
-    if length % 2 == 1:
-        raise ValueError(f"window_l must be even for 50% overlap, got {length}")
     if length > n:
         raise ValueError(f"window of {length} frames exceeds the {n}-frame sequence")
     u1 = np.ascontiguousarray(vectors[:, :, 0])  # (n, 3)

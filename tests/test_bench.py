@@ -1,5 +1,6 @@
 """Evaluation harness: parameter plumbing, aggregation, reports, search."""
 
+import re
 import shutil
 
 import numpy as np
@@ -214,7 +215,7 @@ def test_build_params_band_edges():
     assert lo_only.band == BandHz(0.5, 4.0)
     both = build_params("licvpr", {"band_lo": "0.7", "band_hi": "3.5"})
     assert both.band == BandHz(0.7, 3.5)
-    with pytest.raises(ValueError, match="no band parameter"):
+    with pytest.raises(ValueError, match="unknown parameter 'band_lo'"):
         build_params("ssr", {"band_lo": 0.5})
 
 
@@ -233,11 +234,43 @@ def test_build_params_optional_integer_field():
 
 
 def test_params_roundtrip_through_dict():
-    params = ChromParams(window_s=2.0, band=BandHz(0.5, 3.0), numtaps=63)
+    params = ChromParams(window_s=2.0, band_lo=0.5, band_hi=3.0, numtaps=63)
     flat = params_to_dict(params)
     assert flat["band_lo"] == 0.5 and flat["band_hi"] == 3.0
     assert build_params("chrom", flat) == params
     assert params_to_dict(None) == {}
+
+
+def test_build_params_band_edges_coerced_like_float_fields():
+    with pytest.raises(ValueError, match="band_lo expects a finite number"):
+        build_params("chrom", {"band_lo": "true"})
+    with pytest.raises(ValueError, match="band_hi expects a finite number"):
+        build_params("licvpr", {"band_hi": "NaN"})
+    with pytest.raises(ValueError, match="band must satisfy"):
+        build_params("chrom", {"band_lo": 4.0})
+
+
+def test_build_params_keeps_big_integers_exact():
+    big = "1" * 400
+    assert build_params("chrom", {"numtaps": big}).numtaps == int(big)
+    with pytest.raises(ValueError, match="window_s expects a finite number"):
+        build_params("chrom", {"window_s": big})
+
+
+@pytest.mark.parametrize(
+    ("algorithm", "overrides", "match"),
+    [
+        ("chrom", {"strategy": "foo"}, "unknown strategy 'foo'"),
+        ("licvpr", {"strategy": "foo"}, "unknown strategy 'foo'"),
+        ("ssr", {"strategy": "foo"}, "unknown strategy 'foo'"),
+        ("licvpr", {"skin_tau": 1.0}, "skin_tau"),
+        ("chrom", {"numtaps": 2}, "numtaps must be at least 3"),
+        ("ssr", {"window_l": 7}, "window_l must be an integer, even"),
+    ],
+)
+def test_params_reject_values_no_run_accepts(algorithm, overrides, match):
+    with pytest.raises(ValueError, match=match):
+        build_params(algorithm, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +348,20 @@ def test_report_format_guards(tmp_path):
     headless.write_text("sequence_id,status,estimated_bpm,ground_truth_bpm,detail\n", encoding="ascii")
     with pytest.raises(ValueError, match="trailer"):
         read_report(headless)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["s1,ok", "s1,ok,fast,61.0,", "rmse", "pearson,high"],
+)
+def test_report_rows_that_do_not_parse_name_the_row(tmp_path, row):
+    path = tmp_path / "report.csv"
+    path.write_text(
+        f"sequence_id,status,estimated_bpm,ground_truth_bpm,detail\ns0,ok,60.0,61.0,\n{row}\nrmse,1.0\npearson,1.0\n",
+        encoding="ascii",
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row 3")):
+        read_report(path)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +451,13 @@ def test_greedy_search_surfaces_typos_before_evaluating(protocol, small_dataset)
     stages = [SearchStage("a", grid=(("windw_s", (1.6,)),))]
     with pytest.raises(ValueError, match="unknown parameter"):
         greedy_search(stages, protocol, "chrom", small_dataset)
+
+
+def test_greedy_search_rejects_bad_defaults_before_evaluating(protocol, tmp_path):
+    # The root holds no bundles: reaching any evaluation would fail differently.
+    stages = [SearchStage("a", grid=(("window_s", (1.6,)),))]
+    with pytest.raises(ValueError, match="unknown strategy"):
+        greedy_search(stages, protocol, "chrom", tmp_path, defaults={"strategy": "foo"})
 
 
 def test_greedy_search_with_registry_algorithm(protocol, small_dataset):

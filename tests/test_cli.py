@@ -274,6 +274,16 @@ def test_trace_with_off_frame_polygon_exits_2(synth_bundle, tmp_path, capsys):
     assert str(roi) in err and "row 1" in err and "exceeds the 64x64 frame" in err
 
 
+def test_trace_with_roi_starting_after_frame_0_exits_2(synth_bundle, tmp_path, capsys):
+    roi = tmp_path / "roi.csv"
+    roi.write_text("3,16,16,32,32\n", encoding="ascii")
+    code, _, err = run(
+        capsys, "trace", str(synth_bundle / "video.rvid"), "--roi", str(roi), "--out", str(tmp_path / "t.csv")
+    )
+    assert code == EXIT_DATA
+    assert str(roi) in err and "row 1" in err and "frame 0" in err
+
+
 def test_trace_with_directory_roi_exits_2(synth_bundle, tmp_path, capsys):
     code, _, err = run(
         capsys, "trace", str(synth_bundle / "video.rvid"), "--roi", str(tmp_path), "--out", str(tmp_path / "t.csv")
@@ -357,6 +367,73 @@ def test_non_integer_window_override_exits_1(synth_bundle, tmp_path, capsys, val
     )
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "window_l expects an integer" in err
+
+
+def test_huge_integer_override_ends_in_error_line(synth_bundle, tmp_path, capsys):
+    code, _, err = run(
+        capsys,
+        "pulse",
+        str(synth_bundle / "video.rvid"),
+        "--roi",
+        str(synth_bundle / "roi.csv"),
+        "--algo",
+        "ssr",
+        "--set",
+        "window_l=" + "1" * 400,
+        "--out",
+        str(tmp_path / "p.csv"),
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("algo", "override"),
+    [("chrom", "strategy=foo"), ("licvpr", "strategy=foo"), ("chrom", "numtaps=2"), ("ssr", "window_l=7")],
+)
+def test_bad_static_override_exits_1_before_reading_bundles(small_dataset, tmp_path, capsys, algo, override):
+    # The root holds no bundles, so reading any would exit 2.
+    code, _, err = run(
+        capsys,
+        "eval",
+        "--root",
+        str(tmp_path),
+        "--protocol",
+        str(small_dataset / "protocol.csv"),
+        "--algo",
+        algo,
+        "--set",
+        override,
+        "--out",
+        str(tmp_path / "r.csv"),
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and override.partition("=")[0] in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_search_with_bad_default_exits_1(small_dataset, tmp_path, capsys):
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([{"grid": {"window_s": [1.6]}}]), encoding="utf-8")
+    code, _, err = run(
+        capsys,
+        "search",
+        "--root",
+        str(small_dataset),
+        "--protocol",
+        str(small_dataset / "protocol.csv"),
+        "--algo",
+        "chrom",
+        "--stages",
+        str(stages),
+        "--set",
+        "strategy=foo",
+        "--out",
+        str(tmp_path / "s.json"),
+    )
+    assert code == EXIT_USAGE
+    assert "unknown strategy 'foo'" in err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_whole_float_and_null_window_overrides(synth_bundle, tmp_path, capsys):

@@ -292,7 +292,6 @@ def test_roi_single_row_inherits_forward(tmp_path):
     p = tmp_path / "roi.csv"
     p.write_text("0,100,80,200,240\n")
     track = read_roi_track(p, 640, 480)
-    assert track.covers(1200)
     for idx in (0, 1, 599, 1199):
         assert track.entry_for(idx) == RoiBox(100, 80, 200, 240)
 
@@ -343,6 +342,14 @@ def test_roi_rejects_non_increasing_frames(tmp_path):
         read_roi_track(p, 64, 64)
 
 
+@pytest.mark.parametrize("first", ["3", "-1"])
+def test_roi_first_row_must_be_frame_0(tmp_path, first):
+    p = tmp_path / "roi.csv"
+    p.write_text(f"\n{first},1,1,4,4\n9,2,2,4,4\n")
+    with pytest.raises(FormatError, match=f"row 2: the first ROI entry must be at frame 0, got {first}"):
+        read_roi_track(p, 64, 64)
+
+
 def test_roi_track_round_trip(tmp_path):
     track = RoiTrack(
         frames=(0, 5),
@@ -357,10 +364,8 @@ def test_roi_track_round_trip(tmp_path):
 
 
 def test_roi_entry_before_first_frame_errors():
-    track = RoiTrack(frames=(5,), entries=(RoiBox(0, 0, 2, 2),))
-    with pytest.raises(ValueError):
-        track.entry_for(0)
-    assert not track.covers(10)
+    with pytest.raises(ValueError, match="from frame 0"):
+        RoiTrack(frames=(5,), entries=(RoiBox(0, 0, 2, 2),))
 
 
 # ---------------------------------------------------------------------------

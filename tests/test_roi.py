@@ -292,8 +292,8 @@ def test_roi_exceeding_frame_bounds_rejected():
 
 def test_track_starting_late_rejected():
     seq = constant_sequence(SKIN)
-    track = RoiTrack(frames=(3,), entries=(RoiBox(0, 0, 4, 4),))
     with pytest.raises(ValueError, match="cover"):
+        track = RoiTrack(frames=(3,), entries=(RoiBox(0, 0, 4, 4),))
         mean_rgb_trace(seq, track, "bbox")
 
 

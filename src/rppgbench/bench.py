@@ -15,11 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .chrom import ChromParams, chrom_pulse
-from .errors import (
-    AggregateUndefinedError,
-    SearchFailedError,
-    SplitOverlapError,
-)
+from .errors import EXPECTED_ERRORS, DataError, FormatError
 from .hr import GroundTruthHr, detect_peaks, estimate_hr_spectral, hr_from_peaks
 from .io import (
     FrameSequence,
@@ -184,7 +180,7 @@ def pulse_ssr(bundle: SequenceBundle, params: SsrParams) -> PulseSignal:
     counts = moments.counts
     few = np.flatnonzero(counts < 3)
     if few.size:
-        raise ValueError(f"need at least 3 pixels, got {counts[few[0]]}")
+        raise DataError(f"need at least 3 pixels, got {counts[few[0]]}")
     return ssr_pulse(
         moments.second / counts[:, None, None],
         params,
@@ -340,10 +336,13 @@ def evaluate(
     """Run one algorithm over one protocol split and aggregate the errors.
 
     ``algorithm`` is a registry tag (``chrom``, ``licvpr``, ``ssr``) or a
-    callable ``(bundle, params) -> bpm`` for stubs and extensions. Sequence
-    failures are recorded per sequence and excluded from the aggregates; fewer
-    than two successes raise :class:`AggregateUndefinedError`. Aggregates are
-    computed over sequences sorted by id, so row order never matters.
+    callable ``(bundle, params) -> bpm`` for stubs and extensions. A sequence
+    that fails with one of :data:`~rppgbench.errors.EXPECTED_ERRORS` (a
+    :class:`DataError`, a numeric degeneracy or an ``OSError``) is recorded
+    as failed and excluded from the aggregates; any other exception is a bug
+    and propagates. Fewer than two successes, or a subject in both splits,
+    raise :class:`DataError`. Aggregates are computed over sequences sorted by
+    id, so row order never matters.
     """
     dataset_root = Path(dataset_root)
     jobs = max(1, int(jobs))
@@ -352,7 +351,7 @@ def evaluate(
         raise ValueError(f"protocol {protocol.name!r} has no entries in split {split!r}")
     overlap = protocol.subjects("train") & protocol.subjects("test")
     if overlap:
-        raise SplitOverlapError(
+        raise DataError(
             f"subjects {sorted(overlap)} appear in both splits of protocol {protocol.name!r}"
         )
     if callable(algorithm):
@@ -379,7 +378,7 @@ def evaluate(
             truth = load_ground_truth(bundle)
             bpm = float(runner(bundle, run_params))
             return SequenceResult(entry.sequence_id, "ok", bpm, truth.bpm)
-        except Exception as exc:  # per-sequence isolation is the contract
+        except EXPECTED_ERRORS as exc:
             return SequenceResult(
                 entry.sequence_id, "failed", None, None, f"{type(exc).__name__}: {exc}"
             )
@@ -392,7 +391,7 @@ def evaluate(
 
     ok = [r for r in results if r.status == "ok"]
     if len(ok) < 2:
-        raise AggregateUndefinedError(
+        raise DataError(
             f"only {len(ok)} of {len(results)} sequences succeeded; aggregates need at least 2"
         )
     estimates = [r.estimated_bpm for r in ok]
@@ -514,7 +513,7 @@ def greedy_search(
                 report = evaluate(protocol, split, algorithm, dataset_root, params=candidate, jobs=jobs)
                 score = report.pearson_rho if objective == "pearson" else -report.rmse
                 rows.append({"params": candidate, "objective_value": score, "error": None})
-            except Exception as exc:
+            except EXPECTED_ERRORS as exc:
                 rows.append(
                     {"params": candidate, "objective_value": None, "error": f"{type(exc).__name__}: {exc}"}
                 )
@@ -523,7 +522,7 @@ def greedy_search(
                 best_score = score
                 best_assignment = assignment
         if best_assignment is None:
-            raise SearchFailedError(stage.name)
+            raise DataError(f"all candidates failed in search stage {stage.name!r}")
         fixed.update(best_assignment)
         trace.append(
             {
@@ -620,7 +619,7 @@ def read_report(path) -> EvalReport:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[0] != "sequence_id":
-            raise ValueError(f"{path}: missing report header")
+            raise FormatError("missing report header", path=str(path))
         for cells in reader:
             if not cells:
                 continue
@@ -638,7 +637,7 @@ def read_report(path) -> EvalReport:
                         )
                     )
             except (IndexError, ValueError):
-                raise ValueError(f"{path}: row {reader.line_num}: short or unparsable report row") from None
+                raise FormatError(f"row {reader.line_num}: short or unparsable report row", path=str(path)) from None
     if len(trailer) < 2:
-        raise ValueError(f"{path}: missing rmse/pearson trailer rows")
+        raise FormatError("missing rmse/pearson trailer rows", path=str(path))
     return EvalReport("", "", "", {}, tuple(rows), trailer["rmse"], trailer["pearson"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NumericDegeneracyError
+from .errors import DataError, NumericDegeneracyError
 from .roi import RgbTrace, check_selection
 from .signals import BandHz, PulseSignal, Signal1D, bandpass, hann_overlap_add
 
@@ -47,9 +47,9 @@ def _window_len(window_s: float, fs: float, n: int) -> int:
     if length % 2 == 1:
         length += 1
     if length < 8:
-        raise ValueError(f"window of {window_s} s at {fs} fps is shorter than 8 frames")
+        raise DataError(f"window of {window_s} s at {fs} fps is shorter than 8 frames")
     if length > n:
-        raise ValueError(f"window of {length} frames exceeds the {n}-frame trace")
+        raise DataError(f"window of {length} frames exceeds the {n}-frame trace")
     return length
 
 

@@ -26,13 +26,7 @@ from .bench import (
     read_bundle,
     skin_model_for,
 )
-from .errors import (
-    AggregateUndefinedError,
-    FormatError,
-    NumericDegeneracyError,
-    SearchFailedError,
-    SplitOverlapError,
-)
+from .errors import DataError, FormatError, NumericDegeneracyError
 from .hr import estimate_hr_spectral
 from .io import _read_json, load_protocol, read_series_csv, write_series_csv
 from .roi import STRATEGIES, mean_rgb_trace
@@ -208,9 +202,12 @@ def cmd_pulse(args) -> int:
 def cmd_hr(args) -> int:
     t, values = read_series_csv(args.pulse_csv)
     if t.size < 2:
-        raise ValueError("pulse CSV must contain at least 2 samples")
+        raise DataError(f"{args.pulse_csv}: pulse CSV must contain at least 2 samples")
     fs = (t.size - 1) / (t[-1] - t[0])
-    estimate = estimate_hr_spectral(Signal1D(values, fs), BandHz(args.band_lo, args.band_hi))
+    band = BandHz(args.band_lo, args.band_hi)
+    if band.lo >= fs / 2:  # no file at this rate can hold the band: a usage error
+        raise ValueError(f"band [{band.lo}, {band.hi}] Hz is empty below the {fs / 2} Hz Nyquist limit")
+    estimate = estimate_hr_spectral(Signal1D(values, fs), band)
     print(f"{estimate.bpm:.4f}")
     return EXIT_OK
 
@@ -235,8 +232,9 @@ def _load_stages(path) -> list:
         raise FormatError("expected a non-empty JSON list of stages", path=str(stage_path))
     stages = []
     for i, item in enumerate(payload):
-        if not isinstance(item, dict) or not isinstance(item.get("grid"), dict):
-            raise FormatError(f"stage {i} must be an object with a 'grid' mapping", path=str(stage_path))
+        grid = item.get("grid") if isinstance(item, dict) else None
+        if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+            raise FormatError(f"stage {i} must be an object with a 'grid' mapping to lists", path=str(stage_path))
         stages.append(SearchStage.from_dict(item, default_name=f"stage{i}"))
     return stages
 
@@ -276,7 +274,7 @@ def main(argv=None) -> int:
     except NumericDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FormatError, OSError, AggregateUndefinedError, SplitOverlapError, SearchFailedError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

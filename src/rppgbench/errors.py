@@ -1,25 +1,34 @@
-"""Exception types shared across the package.
+"""The package's error taxonomy: which failure is whose.
 
-Plain invalid arguments raise :class:`ValueError`; the classes below cover
-failure modes that callers (in particular the CLI and the benchmark harness)
-need to tell apart.
+A :class:`DataError` (a ``ValueError``) is input that cannot be processed: a
+file that breaks its format (:class:`FormatError`), or content the run cannot
+use (too short for a window or a spectrum, a ROI off the frame or unfit for
+its strategy, a band above Nyquist, fewer than two successful sequences,
+subjects in both splits, a search stage with no successful candidate). The
+CLI exits 2. A :class:`NumericDegeneracyError` is well-formed input with
+degenerate numerics; the CLI exits 3. Any other ``ValueError`` is a bad
+argument and exits 1. Per-sequence and per-candidate isolation records only
+:data:`EXPECTED_ERRORS`; anything else is a bug and propagates.
 """
 
 from __future__ import annotations
 
 __all__ = [
+    "DataError",
     "FormatError",
     "NumericDegeneracyError",
     "UndefinedCorrelationError",
     "InsufficientPeaksError",
     "DegenerateSubspaceError",
-    "AggregateUndefinedError",
-    "SplitOverlapError",
-    "SearchFailedError",
+    "EXPECTED_ERRORS",
 ]
 
 
-class FormatError(Exception):
+class DataError(ValueError):
+    """The input cannot be processed: a property of the data, not of an argument."""
+
+
+class FormatError(DataError):
     """An input file violates its declared on-disk format.
 
     ``offset`` is the byte offset at which the problem was detected for binary
@@ -51,17 +60,5 @@ class DegenerateSubspaceError(NumericDegeneracyError):
     """Anchor-frame eigenvalues are too small to span a rotation subspace."""
 
 
-class AggregateUndefinedError(Exception):
-    """Fewer than two sequences succeeded, so RMSE/correlation are undefined."""
-
-
-class SplitOverlapError(Exception):
-    """A subject appears in both splits of the same protocol."""
-
-
-class SearchFailedError(Exception):
-    """Every candidate in one search stage failed to evaluate."""
-
-    def __init__(self, stage: str, message: str | None = None):
-        super().__init__(message or f"all candidates failed in search stage {stage!r}")
-        self.stage = stage
+#: Failures a run expects from its inputs; isolation catches these only.
+EXPECTED_ERRORS = (DataError, NumericDegeneracyError, OSError)

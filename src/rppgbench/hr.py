@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import InsufficientPeaksError
+from .errors import DataError, InsufficientPeaksError
 from .signals import BandHz
 
 __all__ = [
@@ -66,18 +66,18 @@ def estimate_hr_spectral(pulse, band: BandHz) -> HrEstimate:
     The mean-removed signal is zero-padded to the smallest power of two that
     is at least ``max(NFFT_MIN, 8 * len)``, which bounds the bin spacing well
     below physiological differences. The band is clamped to Nyquist; if
-    nothing of it survives the clamp, ValueError is raised.
+    nothing of it survives the clamp, DataError is raised.
     """
     samples = np.asarray(pulse.samples, dtype=np.float64)
     fs = float(pulse.fs)
     if samples.size < 2 * fs:
-        raise ValueError(
+        raise DataError(
             f"need at least 2 s of signal ({2 * fs:.0f} samples), got {samples.size}"
         )
     lo = band.lo
     hi = min(band.hi, fs / 2)
     if lo >= hi:
-        raise ValueError(
+        raise DataError(
             f"band [{band.lo}, {band.hi}] Hz is empty after clamping to Nyquist ({fs / 2} Hz)"
         )
     nfft = 1 << int(np.ceil(np.log2(max(NFFT_MIN, 8 * samples.size))))
@@ -86,7 +86,7 @@ def estimate_hr_spectral(pulse, band: BandHz) -> HrEstimate:
     freqs = np.fft.rfftfreq(nfft, 1.0 / fs)
     in_band = (freqs >= lo) & (freqs <= hi)
     if not np.any(in_band):
-        raise ValueError("no spectral bins fall inside the requested band")
+        raise DataError("no spectral bins fall inside the requested band")
     band_power = power[in_band]
     band_freqs = freqs[in_band]
     k = int(np.argmax(band_power))
@@ -113,7 +113,7 @@ def detect_peaks(s, min_dist_s: float = 0.3, min_prominence_sd: float = 0.5) -> 
         raise ValueError("spacing and prominence floors must be non-negative")
     x = np.asarray(s.samples, dtype=np.float64)
     if x.size < 3:
-        raise ValueError(f"peak detection needs at least 3 samples, got {x.size}")
+        raise DataError(f"peak detection needs at least 3 samples, got {x.size}")
     sd = float(x.std())
     if sd == 0.0:
         return np.empty(0, dtype=np.intp)

@@ -300,6 +300,8 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
     if not meta_path.exists():
         raise FormatError(f"missing sidecar {meta_path.name}", path=str(path))
     meta = _read_json(meta_path)
+    if not isinstance(meta, dict):
+        raise FormatError("sidecar must be a JSON object", path=str(meta_path))
     for key in ("subject_id", "lighting", "sample_rate_hz", "signal_type"):
         if key not in meta:
             raise FormatError(f"sidecar missing key {key!r}", path=str(meta_path))
@@ -312,7 +314,7 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
             subject_id=str(meta["subject_id"]),
             lighting=str(meta["lighting"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid sidecar metadata: {exc}", path=str(meta_path)) from None
 
 

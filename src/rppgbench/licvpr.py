@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DataError
 from .io import FrameSequence, RoiTrack
 from .roi import CHUNK_PIXELS, check_selection
 from .signals import (
@@ -80,7 +81,7 @@ class LiParams:
 def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Signal1D:
     """Mean green value of everything outside the ROI box grown by ``margin``.
 
-    Raises ValueError when the grown box swallows the whole frame on some
+    Raises DataError when the grown box swallows the whole frame on some
     frame (no background pixels remain).
     """
     if margin < 0:
@@ -95,7 +96,7 @@ def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Sig
         y1 = min(box.y + box.h + margin, seq.height)
         n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
         if n_outside <= 0:
-            raise ValueError(
+            raise DataError(
                 f"no background pixels left at frame {start}: the ROI grown by {margin} px covers the frame"
             )
         for a in range(start, stop, step):
@@ -126,7 +127,7 @@ def eliminate_motion_segments(s: Signal1D, segment_s: float, p: float) -> tuple[
     bounds = list(range(0, n, seg_len))
     segments = [s.samples[b:b + seg_len] for b in bounds]
     if len(segments) < 2:
-        raise ValueError(
+        raise DataError(
             f"need at least 2 segments, got {len(segments)} "
             f"({segment_s} s segments over {n / s.fs:.2f} s)"
         )

@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DataError
 from .io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
 
 __all__ = [
@@ -174,7 +175,7 @@ def fit_skin_model(frame: np.ndarray, roi, tau: float) -> SkinModel:
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ValueError("frame must be shaped (h, w, 3)")
     if box.w * box.h < 100:
-        raise ValueError(f"ROI must contain at least 100 pixels, got {box.w * box.h}")
+        raise DataError(f"ROI must contain at least 100 pixels, got {box.w * box.h}")
     seed_w = max(1, box.w // 2)
     seed_h = max(1, box.h // 2)
     seed = RoiBox(box.x + (box.w - seed_w) // 2, box.y + (box.h - seed_h) // 2, seed_w, seed_h)
@@ -264,7 +265,7 @@ def _check_simple_polygon(points) -> None:
             b1 = points[j]
             b2 = points[(j + 1) % k]
             if _segments_properly_intersect(a1, a2, b1, b2):
-                raise ValueError("landmark polygon must be simple (non self-intersecting)")
+                raise DataError("landmark polygon must be simple (non self-intersecting)")
 
 
 def lower_face_mask(landmarks, frame_width: int, frame_height: int) -> np.ndarray:
@@ -333,12 +334,12 @@ def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: Sk
     for start, stop, entry in roi.runs(seq.n_frames):
         box = entry.bbox()
         if box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height:
-            raise ValueError(f"ROI for frame {start} exceeds the frame bounds")
+            raise DataError(f"ROI for frame {start} exceeds the frame bounds")
         if strategy == "skin" and model is None:
             raise ValueError("strategy 'skin' requires a fitted SkinModel")
         if strategy == "mask":
             if not isinstance(entry, RoiPolygon):
-                raise ValueError("strategy 'mask' requires landmark ROI entries")
+                raise DataError("strategy 'mask' requires landmark ROI entries")
             polygon = lower_face_mask(entry, seq.width, seq.height)[box.y:box.y + box.h, box.x:box.x + box.w]
         step = max(1, CHUNK_PIXELS // (box.w * box.h))
         for a in range(start, stop, step):

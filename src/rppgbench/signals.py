@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.signal import firwin
 
-from .errors import UndefinedCorrelationError
+from .errors import DataError, UndefinedCorrelationError
 
 __all__ = [
     "Signal1D",
@@ -83,7 +83,7 @@ class BandHz:
 
     def validate_for(self, fs: float) -> None:
         if self.hi >= fs / 2:
-            raise ValueError(
+            raise DataError(
                 f"band [{self.lo}, {self.hi}] Hz does not fit below Nyquist at fs={fs}"
             )
 
@@ -126,7 +126,7 @@ def moving_average(s: Signal1D, window_len: int) -> Signal1D:
         raise ValueError(f"window_len must be a positive odd integer, got {window_len}")
     n = len(s)
     if window_len > n:
-        raise ValueError(f"window_len {window_len} exceeds signal length {n}")
+        raise DataError(f"window_len {window_len} exceeds signal length {n}")
     half = window_len // 2
     csum = np.concatenate(([0.0], np.cumsum(s.samples)))
     idx = np.arange(n)
@@ -175,7 +175,7 @@ def detrend_smoothness_priors(s: Signal1D, lam: float) -> Signal1D:
         raise ValueError(f"lambda must be finite and non-negative, got {lam}")
     n = len(s)
     if n < 3:
-        raise ValueError(f"detrending needs at least 3 samples, got {n}")
+        raise DataError(f"detrending needs at least 3 samples, got {n}")
     if lam == 0.0:
         return Signal1D(np.zeros(n), s.fs)
     # Upper bands of I + lam^2 D2'D2. Each of the n - 2 rows [1, -2, 1] of D2

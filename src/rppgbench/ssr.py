@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSubspaceError, NumericDegeneracyError
+from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from .roi import check_selection
 from .signals import PulseSignal, hann_overlap_add
 
@@ -132,10 +132,10 @@ def ssr_pulse(correlations, params: SsrParams = SsrParams(), fps: float = None, 
     lams, vectors = correlation_eigens(correlations)
     n = len(lams)
     if n < 2:
-        raise ValueError(f"need at least 2 frames, got {n}")
+        raise DataError(f"need at least 2 frames, got {n}")
     length = params.window_l if params.window_l is not None else _default_window(fps)
     if length > n:
-        raise ValueError(f"window of {length} frames exceeds the {n}-frame sequence")
+        raise DataError(f"window of {length} frames exceeds the {n}-frame sequence")
     u1 = np.ascontiguousarray(vectors[:, :, 0])  # (n, 3)
 
     hop = length // 2

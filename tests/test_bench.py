@@ -23,11 +23,7 @@ from rppgbench.bench import (
     read_report,
 )
 from rppgbench.chrom import ChromParams
-from rppgbench.errors import (
-    AggregateUndefinedError,
-    SearchFailedError,
-    SplitOverlapError,
-)
+from rppgbench.errors import DataError
 from rppgbench.io import ProtocolEntry, ProtocolIndex, load_protocol
 from rppgbench.signals import BandHz
 from rppgbench.ssr import SsrParams
@@ -80,14 +76,14 @@ def test_subject_overlap_across_splits_rejected(small_dataset):
         ProtocolEntry("seq002", "test", "studio", subject_id="subj000"),
         ProtocolEntry("seq003", "test", "studio", subject_id="subj003"),
     )
-    with pytest.raises(SplitOverlapError, match="subj000"):
+    with pytest.raises(DataError, match="subj000"):
         evaluate(ProtocolIndex(entries, name="leaky"), "test", perfect, small_dataset)
 
 
 def test_failures_are_isolated_per_sequence(protocol, small_dataset):
     def flaky(bundle, params):
         if bundle.sequence.sequence_id == "seq003":
-            raise ValueError("boom")
+            raise DataError("boom")
         return load_ground_truth(bundle).bpm
 
     report = evaluate(protocol, "test", flaky, small_dataset)
@@ -96,7 +92,7 @@ def test_failures_are_isolated_per_sequence(protocol, small_dataset):
     failed = [s for s in report.sequences if s.status == "failed"]
     assert len(failed) == 1
     assert failed[0].sequence_id == "seq003"
-    assert failed[0].detail == "ValueError: boom"
+    assert failed[0].detail == "DataError: boom"
     assert failed[0].estimated_bpm is None
     # Aggregates cover only the three survivors.
     assert report.rmse == 0.0
@@ -105,11 +101,22 @@ def test_failures_are_isolated_per_sequence(protocol, small_dataset):
 def test_fewer_than_two_successes_is_undefined(protocol, small_dataset):
     def mostly_broken(bundle, params):
         if bundle.sequence.sequence_id != "seq002":
-            raise RuntimeError("no signal")
+            raise DataError("no signal")
         return 60.0
 
-    with pytest.raises(AggregateUndefinedError, match="1 of 4"):
+    with pytest.raises(DataError, match="1 of 4"):
         evaluate(protocol, "test", mostly_broken, small_dataset)
+
+
+def test_bugs_propagate_out_of_evaluate_and_search(protocol, small_dataset):
+    def buggy(bundle, params):
+        return None + 1.0
+
+    with pytest.raises(TypeError):
+        evaluate(protocol, "test", buggy, small_dataset)
+    stages = [SearchStage("bias", grid=(("bias", (0.0, 1.0)),))]
+    with pytest.raises(TypeError):
+        greedy_search(stages, protocol, buggy, small_dataset, split="train")
 
 
 def test_empty_split_rejected(small_dataset):
@@ -404,17 +411,17 @@ def test_greedy_search_multi_parameter_stage(protocol, small_dataset):
 
 def test_greedy_search_all_failures_name_the_stage(protocol, small_dataset):
     def broken(bundle, params):
-        raise RuntimeError("dead")
+        raise DataError("dead")
 
     stages = [SearchStage("warmup", grid=(("bias", (0.0, 1.0)),))]
-    with pytest.raises(SearchFailedError, match="warmup"):
+    with pytest.raises(DataError, match="warmup"):
         greedy_search(stages, protocol, broken, small_dataset, split="train")
 
 
 def test_greedy_search_records_candidate_errors(protocol, small_dataset):
     def picky(bundle, params):
         if params["bias"] > 0:
-            raise RuntimeError("dead")
+            raise DataError("dead")
         return load_ground_truth(bundle).bpm + params["bias"]
 
     stages = [SearchStage("bias", grid=(("bias", (1.0, 0.0)),))]
@@ -423,7 +430,7 @@ def test_greedy_search_records_candidate_errors(protocol, small_dataset):
     )
     rows = result.trace[0]["evaluations"]
     assert rows[0]["objective_value"] is None
-    assert "AggregateUndefinedError" in rows[0]["error"]
+    assert rows[0]["error"] == "DataError: only 0 of 2 sequences succeeded; aggregates need at least 2"
     assert rows[1]["error"] is None
     assert result.best_params == {"bias": 0.0}
 

@@ -1,10 +1,13 @@
 """Command-line behavior: exit codes, output files, determinism."""
 
 import json
+import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rppgbench.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from rppgbench.io import FrameSequence, write_rvid
@@ -572,3 +575,170 @@ def test_search_with_invalid_utf8_stage_file_exits_2(small_dataset, tmp_path, ca
     )
     assert code == EXIT_DATA
     assert str(stages) in err and "not valid utf-8" in err
+
+
+# ---------------------------------------------------------------------------
+# data errors exit 2, whatever the input
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def short_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("short_bundle")
+    assert main(["synth", "--out", str(root), "--duration", "0.5", "--seed", "7"]) == EXIT_OK
+    return root / "seq000"
+
+
+def assert_data_error(code, err):
+    assert code == EXIT_DATA, err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo", ["chrom", "licvpr", "ssr"])
+def test_video_shorter_than_the_window_exits_2(short_bundle, tmp_path, capsys, algo):
+    code, _, err = run(
+        capsys,
+        "pulse",
+        str(short_bundle / "video.rvid"),
+        "--roi",
+        str(short_bundle / "roi.csv"),
+        "--algo",
+        algo,
+        "--out",
+        str(tmp_path / "p.csv"),
+    )
+    assert_data_error(code, err)
+
+
+@pytest.mark.parametrize("rows", [1, 19])
+def test_hr_on_too_short_pulse_exits_2(tmp_path, capsys, rows):
+    pulse_csv = tmp_path / "p.csv"
+    pulse_csv.write_text(
+        "t,value\n" + "".join(f"{i / 20!r},{float(np.sin(i))!r}\n" for i in range(rows)), encoding="ascii"
+    )
+    code, _, err = run(capsys, "hr", str(pulse_csv))
+    assert_data_error(code, err)
+
+
+@pytest.mark.parametrize(
+    ("roi_row", "command", "options"),
+    [
+        ("0,16,16,48,48,16,48,48,16", "trace", ["--strategy", "mask"]),  # bow-tie polygon
+        ("0,16,16,32,32", "trace", ["--strategy", "mask"]),  # box where mask needs landmarks
+        ("0,16,16,5,5", "trace", ["--strategy", "skin"]),  # too few pixels to fit skin
+        ("0,0,0,64,64", "pulse", ["--algo", "licvpr", "--set", "strategy=bbox"]),  # no background left
+    ],
+)
+def test_roi_unfit_for_the_strategy_exits_2(synth_bundle, tmp_path, capsys, roi_row, command, options):
+    roi = tmp_path / "roi.csv"
+    roi.write_text(roi_row + "\n", encoding="ascii")
+    code, _, err = run(
+        capsys, command, str(synth_bundle / "video.rvid"), "--roi", str(roi), *options, "--out", str(tmp_path / "o.csv")
+    )
+    assert_data_error(code, err)
+
+
+@pytest.fixture(scope="module")
+def corruptible_dataset(tmp_path_factory):
+    """Three 6 s bundles whose truth comes from the BVP (no gt.json)."""
+    root = tmp_path_factory.mktemp("corruptible")
+    pairs = [(66.0, "train"), (72.0, "test"), (84.0, "test")]
+    build_dataset(root, pairs, base_config=SynthConfig(duration_s=6.0), base_seed=11)
+    for sid in ("seq000", "seq001", "seq002"):
+        (root / sid / "gt.json").unlink()
+    return root
+
+
+def _corrupt(data: bytes, op: str, pos: int, payload: bytes) -> bytes:
+    if op == "flip":
+        return data[:pos] + bytes([data[pos] ^ (payload[0] or 1)]) + data[pos + 1:]
+    if op == "delete":
+        return data[:pos] + data[pos + len(payload):]
+    if op == "insert":
+        return data[:pos] + payload + data[pos:]
+    return data[:pos]  # truncate
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    target=st.sampled_from(
+        [
+            ("pulse", "seq001/video.rvid"),
+            ("pulse", "seq001/roi.csv"),
+            ("eval", "seq001/bvp.csv"),
+            ("eval", "seq001/bvp_meta.json"),
+            ("eval", "protocol.csv"),
+        ]
+    ),
+    algo=st.sampled_from(["chrom", "licvpr", "ssr"]),
+    op=st.sampled_from(["flip", "delete", "insert", "truncate"]),
+    payload=st.binary(min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_corrupted_input_never_exits_1_or_raises(corruptible_dataset, tmp_path, capsys, target, algo, op, payload, data):
+    command, name = target
+    root = tmp_path / "ds"
+    shutil.rmtree(root, ignore_errors=True)
+    shutil.copytree(corruptible_dataset, root)
+    path = root / name
+    original = path.read_bytes()
+    pos = data.draw(st.integers(0, len(original) - 1), label="pos")
+    path.write_bytes(_corrupt(original, op, pos, payload))
+    if command == "pulse":
+        argv = ["pulse", str(root / "seq001/video.rvid"), "--roi", str(root / "seq001/roi.csv")]
+    else:
+        argv = ["eval", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--jobs", "1"]
+    code, _, err = run(capsys, *argv, "--algo", algo, "--out", str(tmp_path / "out.csv"))
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC), err
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.startswith("error:")
+
+
+def test_eval_isolates_a_video_too_slow_for_the_band(corruptible_dataset, tmp_path, capsys):
+    # At 20/19 fps the SSR estimation band lies above Nyquist.
+    root = tmp_path / "ds"
+    shutil.copytree(corruptible_dataset, root)
+    video = root / "seq001" / "video.rvid"
+    video.write_bytes(video.read_bytes().replace(b" 20/1 ", b" 20/19 ", 1))
+    argv = ["eval", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--algo", "ssr"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert_data_error(code, err)
+    assert "only 1 of 2 sequences succeeded" in err
+
+
+def test_licvpr_on_a_three_frame_video_exits_2(tmp_path, capsys):
+    frames = np.random.default_rng(0).integers(100, 160, size=(3, 64, 64, 3), dtype=np.uint8)
+    video = tmp_path / "video.rvid"
+    write_rvid(FrameSequence(width=64, height=64, fps=Fraction(2), frames=frames), video)
+    roi = tmp_path / "roi.csv"
+    roi.write_text("0,16,16,32,32\n", encoding="ascii")
+    code, _, err = run(
+        capsys, "pulse", str(video), "--roi", str(roi), "--algo", "licvpr", "--set", "strategy=bbox",
+        "--out", str(tmp_path / "p.csv"),
+    )
+    assert_data_error(code, err)
+
+
+def test_eval_with_null_sample_rate_in_sidecar_exits_2(corruptible_dataset, tmp_path, capsys):
+    root = tmp_path / "ds"
+    shutil.copytree(corruptible_dataset, root)
+    for sid in ("seq001", "seq002"):
+        meta = root / sid / "bvp_meta.json"
+        meta.write_text(meta.read_text(encoding="utf-8").replace("256.0", "null"), encoding="utf-8")
+    argv = ["eval", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--algo", "chrom"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert_data_error(code, err)
+
+
+def test_search_with_scalar_grid_exits_2(small_dataset, tmp_path, capsys):
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([{"grid": {"window_s": 1.6}}]), encoding="utf-8")
+    argv = ["search", "--root", str(small_dataset), "--protocol", str(small_dataset / "protocol.csv")]
+    code, _, err = run(capsys, *argv, "--algo", "chrom", "--stages", str(stages), "--out", str(tmp_path / "s.json"))
+    assert_data_error(code, err)
+    assert "stages.json" in err

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .chrom import ChromParams, chrom_pulse
-from .errors import EXPECTED_ERRORS, DataError, FormatError
+from .errors import EXPECTED_ERRORS, DataError, FormatError, UndefinedCorrelationError
 from .hr import GroundTruthHr, detect_peaks, estimate_hr_spectral, hr_from_peaks
 from .io import (
     FrameSequence,
@@ -44,7 +44,6 @@ __all__ = [
     "OBJECTIVES",
     "REFERENCE_RESULTS",
     "build_params",
-    "params_to_dict",
     "read_bundle",
     "load_bundle",
     "skin_model_for",
@@ -284,15 +283,6 @@ def _resolve(algorithm: str, params):
     return entry, cls(**kwargs)
 
 
-def params_to_dict(params) -> dict:
-    """A parameter object as a JSON-friendly dict; None gives {}, a dict a copy."""
-    if params is None:
-        return {}
-    if isinstance(params, dict):
-        return dict(params)
-    return dataclasses.asdict(params)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ class EvalReport:
     params: dict
     sequences: tuple[SequenceResult, ...]
     rmse: float
-    pearson_rho: float
+    pearson_rho: float | None  # None when every truth or every estimate is equal
 
     @property
     def ok_count(self) -> int:
@@ -328,41 +318,28 @@ class EvalReport:
 def evaluate(
     protocol: ProtocolIndex,
     split: str,
-    algorithm,
+    algorithm: str,
     dataset_root,
     params=None,
     jobs: int = 1,
 ) -> EvalReport:
     """Run one algorithm over one protocol split and aggregate the errors.
 
-    ``algorithm`` is a registry tag (``chrom``, ``licvpr``, ``ssr``) or a
-    callable ``(bundle, params) -> bpm`` for stubs and extensions. A sequence
-    that fails with one of :data:`~rppgbench.errors.EXPECTED_ERRORS` (a
-    :class:`DataError`, a numeric degeneracy or an ``OSError``) is recorded
+    ``algorithm`` is a key of :data:`ALGORITHMS`; extensions and test stubs
+    register an entry there. ``params`` is None (the defaults), a dict of
+    overrides (see :func:`build_params`) or a parameter object. A sequence
+    that fails with one of :data:`~rppgbench.errors.EXPECTED_ERRORS`
+    (a :class:`DataError`, a numeric degeneracy or an ``OSError``) is recorded
     as failed and excluded from the aggregates; any other exception is a bug
-    and propagates. Fewer than two successes, or a subject in both splits,
-    raise :class:`DataError`. Aggregates are computed over sequences sorted by
-    id, so row order never matters.
+    and propagates. Fewer than two successes raise :class:`DataError`; when
+    every truth or every estimate is equal, ``pearson_rho`` is None.
+    Aggregates are computed over sequences sorted by id, so row order never
+    matters.
     """
     dataset_root = Path(dataset_root)
     jobs = max(1, int(jobs))
-    entries = protocol.split_entries(split)
-    if not entries:
-        raise ValueError(f"protocol {protocol.name!r} has no entries in split {split!r}")
-    overlap = protocol.subjects("train") & protocol.subjects("test")
-    if overlap:
-        raise DataError(
-            f"subjects {sorted(overlap)} appear in both splits of protocol {protocol.name!r}"
-        )
-    if callable(algorithm):
-        runner = algorithm
-        name = getattr(algorithm, "__name__", "custom")
-        run_params = params
-    else:
-        (_, _, runner), run_params = _resolve(algorithm, params)
-        name = algorithm
-
-    ordered = sorted(entries, key=lambda e: e.sequence_id)
+    (_, _, runner), params = _resolve(algorithm, params)
+    ordered = sorted(protocol.split_entries(split), key=lambda e: e.sequence_id)
 
     # Missing files are a dataset problem, not a per-sequence one: fail fast
     # before spending any compute, naming the first absent path.
@@ -376,7 +353,7 @@ def evaluate(
         try:
             bundle = load_bundle(dataset_root, entry.sequence_id)
             truth = load_ground_truth(bundle)
-            bpm = float(runner(bundle, run_params))
+            bpm = float(runner(bundle, params))
             return SequenceResult(entry.sequence_id, "ok", bpm, truth.bpm)
         except EXPECTED_ERRORS as exc:
             return SequenceResult(
@@ -396,14 +373,18 @@ def evaluate(
         )
     estimates = [r.estimated_bpm for r in ok]
     truths = [r.ground_truth_bpm for r in ok]
+    try:
+        rho = pearson(estimates, truths)
+    except UndefinedCorrelationError:
+        rho = None
     return EvalReport(
         protocol=protocol.name,
-        algorithm=name,
+        algorithm=algorithm,
         split=split,
-        params=params_to_dict(run_params),
+        params=dataclasses.asdict(params),
         sequences=tuple(results),
         rmse=rmse(estimates, truths),
-        pearson_rho=pearson(estimates, truths),
+        pearson_rho=rho,
     )
 
 
@@ -424,10 +405,10 @@ class SearchStage:
     def __post_init__(self):
         grid = tuple((str(k), tuple(v)) for k, v in self.grid)
         if not grid:
-            raise ValueError(f"stage {self.name!r} has an empty grid")
+            raise DataError(f"stage {self.name!r} has an empty grid")
         for key, candidates in grid:
             if not candidates:
-                raise ValueError(f"stage {self.name!r}: parameter {key!r} has no candidates")
+                raise DataError(f"stage {self.name!r}: parameter {key!r} has no candidates")
         object.__setattr__(self, "grid", grid)
 
     @property
@@ -439,8 +420,7 @@ class SearchStage:
 
     @classmethod
     def from_dict(cls, payload: dict, default_name: str = "stage") -> "SearchStage":
-        grid = tuple((k, tuple(v)) for k, v in payload.get("grid", {}).items())
-        return cls(name=str(payload.get("name", default_name)), grid=grid)
+        return cls(name=str(payload.get("name", default_name)), grid=tuple(payload.get("grid", {}).items()))
 
 
 @dataclass(frozen=True)
@@ -459,25 +439,31 @@ class SearchResult:
         }
 
 
-def _validate_stages(stages, algorithm, defaults: dict) -> None:
-    seen: set[str] = set()
+def _coerced(algorithm: str, overrides: dict, keys) -> dict:
+    """``keys`` of the parameter object built from ``overrides``."""
+    params = build_params(algorithm, overrides)
+    return {key: getattr(params, key) for key in keys}
+
+
+def _stage_assignments(stages, algorithm: str, defaults: dict) -> tuple[dict, list]:
+    """The coerced defaults and each stage's grid combinations, built on them."""
+    keys = [key for stage in stages for key, _ in stage.grid]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"parameter {key!r} appears in more than one stage")
+    fixed = _coerced(algorithm, defaults, defaults)
+    per_stage = []
     for stage in stages:
-        for key, _ in stage.grid:
-            if key in seen:
-                raise ValueError(f"parameter {key!r} appears in more than one stage")
-            seen.add(key)
-    if not callable(algorithm):
-        # Surface typos before spending evaluations: defaults and every key must build.
-        build_params(algorithm, defaults)
-        for stage in stages:
-            for key, candidates in stage.grid:
-                build_params(algorithm, {key: candidates[0]})
+        names = [key for key, _ in stage.grid]
+        combos = itertools.product(*(candidates for _, candidates in stage.grid))
+        per_stage.append([_coerced(algorithm, {**fixed, **dict(zip(names, c))}, names) for c in combos])
+    return fixed, per_stage
 
 
 def greedy_search(
     stages,
     protocol: ProtocolIndex,
-    algorithm,
+    algorithm: str,
     dataset_root,
     objective: str = "pearson",
     defaults=None,
@@ -489,29 +475,32 @@ def greedy_search(
     Within a stage every combination of that stage's grids is evaluated with
     earlier winners applied and all later parameters at their defaults. Ties
     keep the first candidate in grid order. The total number of evaluations is
-    exactly the sum over stages of the per-stage grid product.
+    exactly the sum over stages of the per-stage grid product. Every
+    combination is built on the defaults before the first evaluation, and the
+    result holds the coerced values under the keys given. Under ``pearson``,
+    a candidate whose correlation is undefined is recorded as failed.
     """
     stages = list(stages)
     if not stages:
         raise ValueError("need at least one search stage")
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    fixed = dict(defaults or {})
-    _validate_stages(stages, algorithm, fixed)
+    fixed, per_stage = _stage_assignments(stages, algorithm, dict(defaults or {}))
     trace: list[dict] = []
     n_evaluations = 0
-    for stage in stages:
-        names = [key for key, _ in stage.grid]
+    for stage, assignments in zip(stages, per_stage):
         best_score = None
         best_assignment = None
         rows = []
-        for combo in itertools.product(*(candidates for _, candidates in stage.grid)):
-            assignment = dict(zip(names, combo))
+        for assignment in assignments:
             candidate = {**fixed, **assignment}
+            params = build_params(algorithm, candidate)
             n_evaluations += 1
             try:
-                report = evaluate(protocol, split, algorithm, dataset_root, params=candidate, jobs=jobs)
+                report = evaluate(protocol, split, algorithm, dataset_root, params=params, jobs=jobs)
                 score = report.pearson_rho if objective == "pearson" else -report.rmse
+                if score is None:
+                    raise UndefinedCorrelationError()
                 rows.append({"params": candidate, "objective_value": score, "error": None})
             except EXPECTED_ERRORS as exc:
                 rows.append(
@@ -568,7 +557,7 @@ def emit_report(report: EvalReport, path) -> None:
                 [s.sequence_id, s.status, _float_cell(s.estimated_bpm), _float_cell(s.ground_truth_bpm), s.detail]
             )
         writer.writerow(["rmse", repr(report.rmse)])
-        writer.writerow(["pearson", repr(report.pearson_rho)])
+        writer.writerow(["pearson", _float_cell(report.pearson_rho)])
         path.write_bytes(text.getvalue().encode("utf-8"))
     else:
         payload = {
@@ -614,7 +603,7 @@ def read_report(path) -> EvalReport:
             pearson_rho=payload["pearson_rho"],
         )
     rows: list[SequenceResult] = []
-    trailer: dict[str, float] = {}
+    trailer: dict[str, float | None] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -625,7 +614,7 @@ def read_report(path) -> EvalReport:
                 continue
             try:
                 if cells[0] in ("rmse", "pearson"):
-                    trailer[cells[0]] = float(cells[1])
+                    trailer[cells[0]] = float(cells[1]) if cells[1] or cells[0] == "rmse" else None
                 else:
                     rows.append(
                         SequenceResult(

@@ -18,6 +18,7 @@ import numpy as np
 from .bench import (
     ALGORITHMS,
     SearchStage,
+    _report_format,
     build_params,
     emit_report,
     evaluate,
@@ -213,15 +214,14 @@ def cmd_hr(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _report_format(Path(args.out))
     protocol = load_protocol(args.protocol)
     overrides = _parse_overrides(args.overrides, args.algo)
     params = build_params(args.algo, overrides)
     report = evaluate(protocol, args.split, args.algo, args.root, params=params, jobs=args.jobs)
     emit_report(report, args.out)
-    print(
-        f"rmse={report.rmse:.4f} pearson={report.pearson_rho:.4f} "
-        f"ok={report.ok_count} failed={report.failed_count}"
-    )
+    rho = "undefined" if report.pearson_rho is None else f"{report.pearson_rho:.4f}"
+    print(f"rmse={report.rmse:.4f} pearson={rho} ok={report.ok_count} failed={report.failed_count}")
     return EXIT_OK
 
 
@@ -235,7 +235,10 @@ def _load_stages(path) -> list:
         grid = item.get("grid") if isinstance(item, dict) else None
         if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
             raise FormatError(f"stage {i} must be an object with a 'grid' mapping to lists", path=str(stage_path))
-        stages.append(SearchStage.from_dict(item, default_name=f"stage{i}"))
+        try:
+            stages.append(SearchStage.from_dict(item, default_name=f"stage{i}"))
+        except DataError as exc:
+            raise FormatError(str(exc), path=str(stage_path)) from None
     return stages
 
 

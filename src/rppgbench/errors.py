@@ -51,6 +51,9 @@ class NumericDegeneracyError(Exception):
 class UndefinedCorrelationError(NumericDegeneracyError):
     """Pearson correlation was requested for a constant vector."""
 
+    def __init__(self, message: str = "correlation of a constant vector is undefined"):
+        super().__init__(message)
+
 
 class InsufficientPeaksError(NumericDegeneracyError):
     """Fewer than two peaks were found, so no inter-beat interval exists."""

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .hr import GroundTruthHr
 from .signals import Signal1D
 
@@ -353,13 +353,19 @@ class ProtocolEntry:
 
 @dataclass(frozen=True)
 class ProtocolIndex:
-    """The sequences of an evaluation protocol, tagged train/test."""
+    """The sequences of a protocol, tagged train/test; both splits non-empty, no subject in both."""
 
     entries: tuple[ProtocolEntry, ...]
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        for split in SPLITS:
+            if not self.split_entries(split):
+                raise DataError(f"split {split!r} is empty")
+        overlap = self.subjects("train") & self.subjects("test")
+        if overlap:
+            raise DataError(f"subjects {sorted(overlap)} appear in both splits")
 
     def split_entries(self, split: str) -> tuple[ProtocolEntry, ...]:
         if split not in SPLITS:
@@ -402,16 +408,10 @@ def load_protocol(path) -> ProtocolIndex:
             raise FormatError(f"row {row_no}: duplicate sequence_id {entry.sequence_id!r}", path=str(path))
         seen.add(entry.sequence_id)
         entries.append(entry)
-    index = ProtocolIndex(entries=tuple(entries), name=path.stem)
-    for split in SPLITS:
-        if not index.split_entries(split):
-            raise FormatError(f"split {split!r} is empty", path=str(path))
-    overlap = index.subjects("train") & index.subjects("test")
-    if overlap:
-        raise FormatError(
-            f"subjects {sorted(overlap)} appear in both splits", path=str(path)
-        )
-    return index
+    try:
+        return ProtocolIndex(entries=tuple(entries), name=path.stem)
+    except DataError as exc:
+        raise FormatError(str(exc), path=str(path)) from None
 
 
 def write_protocol(index: ProtocolIndex, path) -> None:

@@ -245,7 +245,7 @@ def pearson(a, b) -> float:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("inputs must be finite")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise UndefinedCorrelationError("correlation of a constant vector is undefined")
+        raise UndefinedCorrelationError()
     am = a - a.mean()
     bm = b - b.mean()
     return float((am @ bm) / np.sqrt((am @ am) * (bm @ bm)))

@@ -193,9 +193,8 @@ def build_dataset(
         write_bundle(result, root / sid)
         condition = "studio" if config.illum_drift[1] == 0 else "natural"
         entries.append(ProtocolEntry(sequence_id=sid, split=split, condition=condition, subject_id=subject))
-    protocol = ProtocolIndex(entries=tuple(entries), name="protocol")
-    if not all(protocol.split_entries(split) for split in SPLITS):
+    if {e.split for e in entries} != set(SPLITS):
         return None
     path = root / "protocol.csv"
-    write_protocol(protocol, path)
+    write_protocol(ProtocolIndex(entries=tuple(entries), name="protocol"), path)
     return path

@@ -6,9 +6,12 @@ tests pay the generation cost once.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from rppgbench.bench import ALGORITHMS
 from rppgbench.synth import SynthConfig, build_dataset, generate
 
 # Heart rates spread uniformly over 50-110 bpm for the 16 scored sequences.
@@ -61,3 +64,25 @@ def clean_sequence():
     """One noise-free, drift-free 72 bpm sequence (in memory, 30 s)."""
     config = SynthConfig(duration_s=30.0, noise_sd=0.0, seed=3)
     return generate(config)
+
+
+@dataclass(frozen=True)
+class StubParams:
+    """Parameters of the stub algorithms that harness tests register."""
+
+    bias: float = 0.0
+    scale: float = 1.0
+
+
+@pytest.fixture
+def register_stub(monkeypatch):
+    """Register ``run(bundle, StubParams) -> bpm`` in ``ALGORITHMS`` for one test.
+
+    Returns a function that registers ``run`` under its name and returns the tag.
+    """
+
+    def register(run) -> str:
+        monkeypatch.setitem(ALGORITHMS, run.__name__, (StubParams, None, run))
+        return run.__name__
+
+    return register

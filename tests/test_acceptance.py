@@ -251,19 +251,19 @@ def test_08_metric_oracles(capfd):
 # 9. greedy search selects the optimum in exactly sum-of-stages evaluations
 # ---------------------------------------------------------------------------
 
-def test_09_greedy_search_contract(small_dataset, capfd):
+def test_09_greedy_search_contract(small_dataset, capfd, register_stub):
     protocol = load_protocol(small_dataset / "protocol.csv")
 
     def biased(bundle, params):
         truth = load_ground_truth(bundle).bpm
-        return truth * params.get("scale", 1.0) + params.get("bias", 0.0)
+        return truth * params.scale + params.bias
 
     stages = [
         SearchStage("bias", grid=(("bias", (-2.0, 0.0, 3.0)),)),
         SearchStage("scale", grid=(("scale", (1.02, 1.0)),)),
     ]
     result = greedy_search(
-        stages, protocol, biased, small_dataset, objective="neg_rmse", split="train"
+        stages, protocol, register_stub(biased), small_dataset, objective="neg_rmse", split="train"
     )
     ok = result.best_params == {"bias": 0.0, "scale": 1.0} and result.n_evaluations == 5
     detail = f"best={result.best_params}, evaluations={result.n_evaluations} (bound 3+2)"

@@ -1,5 +1,7 @@
 """Evaluation harness: parameter plumbing, aggregation, reports, search."""
 
+import dataclasses
+import json
 import re
 import shutil
 
@@ -19,7 +21,6 @@ from rppgbench.bench import (
     greedy_search,
     load_bundle,
     load_ground_truth,
-    params_to_dict,
     read_report,
 )
 from rppgbench.chrom import ChromParams
@@ -35,9 +36,7 @@ def perfect(bundle, params):
 
 
 def biased(bundle, params):
-    params = params or {}
-    truth = load_ground_truth(bundle).bpm
-    return truth * params.get("scale", 1.0) + params.get("bias", 0.0)
+    return load_ground_truth(bundle).bpm * params.scale + params.bias
 
 
 @pytest.fixture(scope="module")
@@ -45,48 +44,56 @@ def protocol(small_dataset):
     return load_protocol(small_dataset / "protocol.csv")
 
 
+@pytest.fixture
+def stubs(register_stub):
+    """The tags of the ``perfect`` and ``biased`` stubs, registered for one test."""
+    return register_stub(perfect), register_stub(biased)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
 
-def test_perfect_stub_scores_perfectly(protocol, small_dataset):
-    report = evaluate(protocol, "test", perfect, small_dataset)
+def test_perfect_stub_scores_perfectly(protocol, small_dataset, stubs):
+    report = evaluate(protocol, "test", "perfect", small_dataset)
     assert report.rmse == 0.0
     assert report.pearson_rho == pytest.approx(1.0, abs=1e-12)
     assert report.ok_count == 4
     assert report.failed_count == 0
     assert report.algorithm == "perfect"
     assert report.split == "test"
+    assert report.params == {"bias": 0.0, "scale": 1.0}
     assert [s.status for s in report.sequences] == ["ok"] * 4
 
 
-def test_row_order_never_matters(protocol, small_dataset):
+def test_row_order_never_matters(protocol, small_dataset, stubs):
     reversed_protocol = ProtocolIndex(entries=tuple(reversed(protocol.entries)), name=protocol.name)
-    a = evaluate(protocol, "test", perfect, small_dataset)
-    b = evaluate(reversed_protocol, "test", perfect, small_dataset)
+    a = evaluate(protocol, "test", "perfect", small_dataset)
+    b = evaluate(reversed_protocol, "test", "perfect", small_dataset)
     assert a.sequences == b.sequences
     assert a.rmse == b.rmse
     assert a.pearson_rho == b.pearson_rho
 
 
-def test_subject_overlap_across_splits_rejected(small_dataset):
+def test_subject_overlap_across_splits_rejected():
+    # A protocol is valid by construction: evaluate never sees a leaky split.
     entries = (
         ProtocolEntry("seq000", "train", "studio", subject_id="subj000"),
         ProtocolEntry("seq001", "train", "studio", subject_id="subj001"),
         ProtocolEntry("seq002", "test", "studio", subject_id="subj000"),
         ProtocolEntry("seq003", "test", "studio", subject_id="subj003"),
     )
-    with pytest.raises(DataError, match="subj000"):
-        evaluate(ProtocolIndex(entries, name="leaky"), "test", perfect, small_dataset)
+    with pytest.raises(DataError, match=re.escape("subjects ['subj000'] appear in both splits")):
+        ProtocolIndex(entries, name="leaky")
 
 
-def test_failures_are_isolated_per_sequence(protocol, small_dataset):
+def test_failures_are_isolated_per_sequence(protocol, small_dataset, register_stub):
     def flaky(bundle, params):
         if bundle.sequence.sequence_id == "seq003":
             raise DataError("boom")
         return load_ground_truth(bundle).bpm
 
-    report = evaluate(protocol, "test", flaky, small_dataset)
+    report = evaluate(protocol, "test", register_stub(flaky), small_dataset)
     assert report.ok_count == 3
     assert report.failed_count == 1
     failed = [s for s in report.sequences if s.status == "failed"]
@@ -98,31 +105,48 @@ def test_failures_are_isolated_per_sequence(protocol, small_dataset):
     assert report.rmse == 0.0
 
 
-def test_fewer_than_two_successes_is_undefined(protocol, small_dataset):
+def test_fewer_than_two_successes_is_undefined(protocol, small_dataset, register_stub):
     def mostly_broken(bundle, params):
         if bundle.sequence.sequence_id != "seq002":
             raise DataError("no signal")
         return 60.0
 
     with pytest.raises(DataError, match="1 of 4"):
-        evaluate(protocol, "test", mostly_broken, small_dataset)
+        evaluate(protocol, "test", register_stub(mostly_broken), small_dataset)
 
 
-def test_bugs_propagate_out_of_evaluate_and_search(protocol, small_dataset):
+def test_constant_estimates_leave_pearson_undefined(protocol, small_dataset, register_stub, tmp_path):
+    def flat(bundle, params):
+        return 70.0
+
+    report = evaluate(protocol, "test", register_stub(flat), small_dataset)
+    assert report.pearson_rho is None
+    assert report.rmse > 0
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    emit_report(report, csv_path)
+    emit_report(report, json_path)
+    assert csv_path.read_text(encoding="utf-8").endswith("\npearson,\n")
+    assert json.loads(json_path.read_text(encoding="utf-8"))["pearson_rho"] is None
+    assert read_report(csv_path).pearson_rho is None
+    assert read_report(json_path) == report
+
+
+def test_bugs_propagate_out_of_evaluate_and_search(protocol, small_dataset, register_stub):
     def buggy(bundle, params):
         return None + 1.0
 
     with pytest.raises(TypeError):
-        evaluate(protocol, "test", buggy, small_dataset)
+        evaluate(protocol, "test", register_stub(buggy), small_dataset)
     stages = [SearchStage("bias", grid=(("bias", (0.0, 1.0)),))]
     with pytest.raises(TypeError):
-        greedy_search(stages, protocol, buggy, small_dataset, split="train")
+        greedy_search(stages, protocol, "buggy", small_dataset, split="train")
 
 
-def test_empty_split_rejected(small_dataset):
+def test_empty_split_rejected():
+    # A protocol is valid by construction: evaluate never sees an empty split.
     entries = (ProtocolEntry("seq002", "test", "studio"),)
-    with pytest.raises(ValueError, match="no entries"):
-        evaluate(ProtocolIndex(entries, name="p"), "train", perfect, small_dataset)
+    with pytest.raises(DataError, match="split 'train' is empty"):
+        ProtocolIndex(entries, name="p")
 
 
 def test_unknown_algorithm_tag_rejected(protocol, small_dataset):
@@ -135,9 +159,9 @@ def test_params_object_must_match_algorithm(protocol, small_dataset):
         evaluate(protocol, "test", "chrom", small_dataset, params=SsrParams())
 
 
-def test_missing_sequence_files_fail_the_whole_run(protocol, tmp_path):
+def test_missing_sequence_files_fail_the_whole_run(protocol, tmp_path, stubs):
     with pytest.raises(FileNotFoundError) as exc_info:
-        evaluate(protocol, "test", perfect, tmp_path / "nowhere")
+        evaluate(protocol, "test", "perfect", tmp_path / "nowhere")
     assert "video.rvid" in str(exc_info.value)
 
 
@@ -190,7 +214,7 @@ def test_extract_pulse_with_dict_params(small_dataset):
 
 
 # ---------------------------------------------------------------------------
-# build_params / params_to_dict
+# build_params
 # ---------------------------------------------------------------------------
 
 def test_build_params_coerces_cli_strings():
@@ -242,10 +266,9 @@ def test_build_params_optional_integer_field():
 
 def test_params_roundtrip_through_dict():
     params = ChromParams(window_s=2.0, band_lo=0.5, band_hi=3.0, numtaps=63)
-    flat = params_to_dict(params)
+    flat = dataclasses.asdict(params)
     assert flat["band_lo"] == 0.5 and flat["band_hi"] == 3.0
     assert build_params("chrom", flat) == params
-    assert params_to_dict(None) == {}
 
 
 def test_build_params_band_edges_coerced_like_float_fields():
@@ -291,8 +314,8 @@ def test_json_report_roundtrip(protocol, small_dataset, tmp_path):
     assert read_report(path) == report
 
 
-def test_csv_report_roundtrip(protocol, small_dataset, tmp_path):
-    report = evaluate(protocol, "test", perfect, small_dataset)
+def test_csv_report_roundtrip(protocol, small_dataset, tmp_path, stubs):
+    report = evaluate(protocol, "test", "perfect", small_dataset)
     path = tmp_path / "report.csv"
     emit_report(report, path)
     back = read_report(path)
@@ -375,13 +398,13 @@ def test_report_rows_that_do_not_parse_name_the_row(tmp_path, row):
 # greedy stage-wise search
 # ---------------------------------------------------------------------------
 
-def test_greedy_search_finds_known_optimum(protocol, small_dataset):
+def test_greedy_search_finds_known_optimum(protocol, small_dataset, stubs):
     stages = [
         SearchStage("bias", grid=(("bias", (-2.0, 0.0, 3.0)),)),
         SearchStage("scale", grid=(("scale", (1.02, 1.0)),)),
     ]
     result = greedy_search(
-        stages, protocol, biased, small_dataset, objective="neg_rmse", split="train"
+        stages, protocol, "biased", small_dataset, objective="neg_rmse", split="train"
     )
     assert result.best_params == {"bias": 0.0, "scale": 1.0}
     assert result.n_evaluations == 5  # 3 + 2, nothing more
@@ -390,43 +413,43 @@ def test_greedy_search_finds_known_optimum(protocol, small_dataset):
     assert result.trace[1]["objective_value"] == 0.0
 
 
-def test_greedy_search_tie_keeps_first_candidate(protocol, small_dataset):
+def test_greedy_search_tie_keeps_first_candidate(protocol, small_dataset, stubs):
     # Both biases leave correlation at exactly 1, so the first stays.
     stages = [SearchStage("bias", grid=(("bias", (1.0, -1.0)),))]
     result = greedy_search(
-        stages, protocol, biased, small_dataset, objective="pearson", split="train"
+        stages, protocol, "biased", small_dataset, objective="pearson", split="train"
     )
     assert result.best_params == {"bias": 1.0}
     assert result.n_evaluations == 2
 
 
-def test_greedy_search_multi_parameter_stage(protocol, small_dataset):
+def test_greedy_search_multi_parameter_stage(protocol, small_dataset, stubs):
     stages = [SearchStage("joint", grid=(("bias", (0.0, 2.0)), ("scale", (1.0, 0.9))))]
     result = greedy_search(
-        stages, protocol, biased, small_dataset, objective="neg_rmse", split="train"
+        stages, protocol, "biased", small_dataset, objective="neg_rmse", split="train"
     )
     assert result.n_evaluations == 4
     assert result.best_params == {"bias": 0.0, "scale": 1.0}
 
 
-def test_greedy_search_all_failures_name_the_stage(protocol, small_dataset):
+def test_greedy_search_all_failures_name_the_stage(protocol, small_dataset, register_stub):
     def broken(bundle, params):
         raise DataError("dead")
 
     stages = [SearchStage("warmup", grid=(("bias", (0.0, 1.0)),))]
     with pytest.raises(DataError, match="warmup"):
-        greedy_search(stages, protocol, broken, small_dataset, split="train")
+        greedy_search(stages, protocol, register_stub(broken), small_dataset, split="train")
 
 
-def test_greedy_search_records_candidate_errors(protocol, small_dataset):
+def test_greedy_search_records_candidate_errors(protocol, small_dataset, register_stub):
     def picky(bundle, params):
-        if params["bias"] > 0:
+        if params.bias > 0:
             raise DataError("dead")
-        return load_ground_truth(bundle).bpm + params["bias"]
+        return load_ground_truth(bundle).bpm + params.bias
 
     stages = [SearchStage("bias", grid=(("bias", (1.0, 0.0)),))]
     result = greedy_search(
-        stages, protocol, picky, small_dataset, objective="neg_rmse", split="train"
+        stages, protocol, register_stub(picky), small_dataset, objective="neg_rmse", split="train"
     )
     rows = result.trace[0]["evaluations"]
     assert rows[0]["objective_value"] is None
@@ -435,20 +458,30 @@ def test_greedy_search_records_candidate_errors(protocol, small_dataset):
     assert result.best_params == {"bias": 0.0}
 
 
-def test_greedy_search_stage_validation(protocol, small_dataset):
+def test_greedy_search_undefined_pearson_fails_the_candidate(protocol, small_dataset, stubs):
+    # scale 0 answers the bias for every sequence: no correlation exists.
+    stages = [SearchStage("scale", grid=(("scale", (0.0, 1.0)),))]
+    result = greedy_search(stages, protocol, "biased", small_dataset, objective="pearson", split="train")
+    rows = result.trace[0]["evaluations"]
+    assert rows[0]["error"] == "UndefinedCorrelationError: correlation of a constant vector is undefined"
+    assert rows[0]["objective_value"] is None
+    assert result.best_params == {"scale": 1.0}
+
+
+def test_greedy_search_stage_validation(protocol, small_dataset, stubs):
     dup = [
         SearchStage("a", grid=(("bias", (0.0,)),)),
         SearchStage("b", grid=(("bias", (1.0,)),)),
     ]
     with pytest.raises(ValueError, match="more than one stage"):
-        greedy_search(dup, protocol, biased, small_dataset)
+        greedy_search(dup, protocol, "biased", small_dataset)
     with pytest.raises(ValueError, match="at least one"):
-        greedy_search([], protocol, biased, small_dataset)
+        greedy_search([], protocol, "biased", small_dataset)
     with pytest.raises(ValueError, match="objective"):
         greedy_search(
             [SearchStage("a", grid=(("bias", (0.0,)),))],
             protocol,
-            biased,
+            "biased",
             small_dataset,
             objective="rmse",
         )
@@ -467,6 +500,7 @@ def test_greedy_search_rejects_bad_defaults_before_evaluating(protocol, tmp_path
         greedy_search(stages, protocol, "chrom", tmp_path, defaults={"strategy": "foo"})
 
 
+
 def test_greedy_search_with_registry_algorithm(protocol, small_dataset):
     stages = [SearchStage("window", grid=(("window_s", (1.6, 3.2)),))]
     result = greedy_search(
@@ -482,9 +516,9 @@ def test_search_stage_helpers():
     assert stage.size == 2
     unnamed = SearchStage.from_dict({"grid": {"bias": [1]}}, default_name="stage0")
     assert unnamed.name == "stage0"
-    with pytest.raises(ValueError, match="empty grid"):
+    with pytest.raises(DataError, match="empty grid"):
         SearchStage("s", grid=())
-    with pytest.raises(ValueError, match="no candidates"):
+    with pytest.raises(DataError, match="no candidates"):
         SearchStage("s", grid=(("bias", ()),))
 
 

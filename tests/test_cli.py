@@ -736,9 +736,83 @@ def test_eval_with_null_sample_rate_in_sidecar_exits_2(corruptible_dataset, tmp_
 
 
 def test_search_with_scalar_grid_exits_2(small_dataset, tmp_path, capsys):
+    # Also an empty grid and an empty candidate list.
     stages = tmp_path / "stages.json"
-    stages.write_text(json.dumps([{"grid": {"window_s": 1.6}}]), encoding="utf-8")
     argv = ["search", "--root", str(small_dataset), "--protocol", str(small_dataset / "protocol.csv")]
+    for grid in ({"window_s": 1.6}, {}, {"window_s": []}):
+        stages.write_text(json.dumps([{"grid": grid}]), encoding="utf-8")
+        code, _, err = run(capsys, *argv, "--algo", "chrom", "--stages", str(stages), "--out", str(tmp_path / "s.json"))
+        assert_data_error(code, err)
+        assert "stages.json" in err
+
+
+def test_search_with_invalid_band_combination_exits_1_before_reading_bundles(small_dataset, tmp_path, capsys):
+    # Each key's first candidate builds, the pair (3.5, 3.0) does not. The root
+    # holds no bundles, so evaluating the first stage would exit 2.
+    stages = tmp_path / "stages.json"
+    grids = [{"window_s": [1.6]}, {"band_lo": [0.5, 3.5], "band_hi": [3.0, 4.0]}]
+    stages.write_text(json.dumps([{"grid": grid} for grid in grids]), encoding="utf-8")
+    argv = ["search", "--root", str(tmp_path), "--protocol", str(small_dataset / "protocol.csv")]
     code, _, err = run(capsys, *argv, "--algo", "chrom", "--stages", str(stages), "--out", str(tmp_path / "s.json"))
-    assert_data_error(code, err)
-    assert "stages.json" in err
+    assert code == EXIT_USAGE, err
+    assert "band must satisfy 0 < lo < hi, got [3.5, 3.0]" in err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_search_output_holds_coerced_values(small_dataset, tmp_path, capsys):
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([{"grid": {"window_s": [1.6, 3]}}]), encoding="utf-8")
+    out = tmp_path / "s.json"
+    argv = ["search", "--root", str(small_dataset), "--protocol", str(small_dataset / "protocol.csv")]
+    code, _, err = run(
+        capsys, *argv, "--algo", "chrom", "--stages", str(stages), "--set", "skin_tau=0.25",
+        "--objective", "neg_rmse", "--out", str(out), "--jobs", "1",
+    )
+    assert code == EXIT_OK, err
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["best_params"]["skin_tau"] == 0.25
+    rows = payload["trace"][0]["evaluations"]
+    assert [row["params"] for row in rows] == [
+        {"skin_tau": 0.25, "window_s": 1.6},
+        {"skin_tau": 0.25, "window_s": 3.0},
+    ]
+    assert all(type(value) is float for row in rows for value in row["params"].values())
+    assert type(payload["trace"][0]["selected"]["window_s"]) is float
+
+
+def test_eval_with_unknown_report_suffix_exits_1_before_reading(small_dataset, tmp_path, capsys):
+    # The root holds no bundles, so reading any would exit 2.
+    argv = ["eval", "--root", str(tmp_path), "--protocol", str(small_dataset / "protocol.csv"), "--algo", "chrom"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "r.txt"))
+    assert code == EXIT_USAGE, err
+    assert "unknown report format 'txt'" in err
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def constant_truth_dataset(tmp_path_factory):
+    """Four 72 bpm bundles, one of them in the train split."""
+    root = tmp_path_factory.mktemp("constant_truth")
+    assert main(["synth", "--out", str(root), "--count", "4", "--train-count", "1", "--duration", "10"]) == EXIT_OK
+    return root
+
+
+def test_eval_with_constant_truth_reports_undefined_pearson(constant_truth_dataset, tmp_path, capsys):
+    root = constant_truth_dataset
+    argv = ["eval", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--algo", "chrom", "--jobs", "1"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_OK, err
+    assert "pearson=undefined ok=3 failed=0" in out
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["pearson_rho"] is None
+
+
+def test_neg_rmse_search_with_constant_truth_succeeds(constant_truth_dataset, tmp_path, capsys):
+    root = constant_truth_dataset
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([{"grid": {"window_s": [1.6, 3.2]}}]), encoding="utf-8")
+    argv = ["search", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--algo", "chrom"]
+    argv += ["--stages", str(stages), "--split", "test", "--jobs", "1", "--out", str(tmp_path / "s.json")]
+    code, _, err = run(capsys, *argv, "--objective", "neg_rmse")
+    assert code == EXIT_OK, err
+    rows = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))["trace"][0]["evaluations"]
+    assert [row["error"] for row in rows] == [None, None]

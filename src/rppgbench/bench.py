@@ -411,16 +411,13 @@ class SearchStage:
                 raise DataError(f"stage {self.name!r}: parameter {key!r} has no candidates")
         object.__setattr__(self, "grid", grid)
 
-    @property
-    def size(self) -> int:
-        out = 1
-        for _, candidates in self.grid:
-            out *= len(candidates)
-        return out
-
     @classmethod
     def from_dict(cls, payload: dict, default_name: str = "stage") -> "SearchStage":
-        return cls(name=str(payload.get("name", default_name)), grid=tuple(payload.get("grid", {}).items()))
+        """A stage from ``{"name": ..., "grid": {param: [candidates]}}``; else DataError."""
+        grid = payload.get("grid") if isinstance(payload, dict) else None
+        if not isinstance(grid, dict) or not all(isinstance(v, (list, tuple)) for v in grid.values()):
+            raise DataError(f"stage {default_name!r} must be an object with a 'grid' mapping to lists")
+        return cls(name=str(payload.get("name", default_name)), grid=tuple(grid.items()))
 
 
 @dataclass(frozen=True)
@@ -460,6 +457,10 @@ def _stage_assignments(stages, algorithm: str, defaults: dict) -> tuple[dict, li
     return fixed, per_stage
 
 
+def _failed_row(candidate: dict, exc: Exception) -> dict:
+    return {"params": candidate, "objective_value": None, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def greedy_search(
     stages,
     protocol: ProtocolIndex,
@@ -477,8 +478,9 @@ def greedy_search(
     keep the first candidate in grid order. The total number of evaluations is
     exactly the sum over stages of the per-stage grid product. Every
     combination is built on the defaults before the first evaluation, and the
-    result holds the coerced values under the keys given. Under ``pearson``,
-    a candidate whose correlation is undefined is recorded as failed.
+    result holds the coerced values under the keys given. A candidate that only
+    earlier winners make invalid, or under ``pearson`` has an undefined
+    correlation, is recorded as failed.
     """
     stages = list(stages)
     if not stages:
@@ -494,19 +496,22 @@ def greedy_search(
         rows = []
         for assignment in assignments:
             candidate = {**fixed, **assignment}
-            params = build_params(algorithm, candidate)
             n_evaluations += 1
+            try:
+                # Every combination builds on the defaults, so only an earlier winner breaks it.
+                params = build_params(algorithm, candidate)
+            except ValueError as exc:
+                rows.append(_failed_row(candidate, exc))
+                continue
             try:
                 report = evaluate(protocol, split, algorithm, dataset_root, params=params, jobs=jobs)
                 score = report.pearson_rho if objective == "pearson" else -report.rmse
                 if score is None:
                     raise UndefinedCorrelationError()
-                rows.append({"params": candidate, "objective_value": score, "error": None})
             except EXPECTED_ERRORS as exc:
-                rows.append(
-                    {"params": candidate, "objective_value": None, "error": f"{type(exc).__name__}: {exc}"}
-                )
+                rows.append(_failed_row(candidate, exc))
                 continue
+            rows.append({"params": candidate, "objective_value": score, "error": None})
             if best_score is None or score > best_score:
                 best_score = score
                 best_assignment = assignment
@@ -584,24 +589,12 @@ def read_report(path) -> EvalReport:
     path = Path(path)
     if _report_format(path) == "json":
         payload = _read_json(path)
-        return EvalReport(
-            protocol=payload["protocol"],
-            algorithm=payload["algorithm"],
-            split=payload["split"],
-            params=payload["params"],
-            sequences=tuple(
-                SequenceResult(
-                    sequence_id=s["sequence_id"],
-                    status=s["status"],
-                    estimated_bpm=s["estimated_bpm"],
-                    ground_truth_bpm=s["ground_truth_bpm"],
-                    detail=s.get("detail", ""),
-                )
-                for s in payload["sequences"]
-            ),
-            rmse=payload["rmse"],
-            pearson_rho=payload["pearson_rho"],
-        )
+        try:
+            fields = {f.name: payload[f.name] for f in dataclasses.fields(EvalReport)}
+            fields["sequences"] = tuple(SequenceResult(**row) for row in fields["sequences"])
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"not a JSON report: {type(exc).__name__}: {exc}", path=str(path)) from None
+        return EvalReport(**fields)
     rows: list[SequenceResult] = []
     trailer: dict[str, float | None] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:

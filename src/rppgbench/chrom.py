@@ -13,9 +13,9 @@ from functools import cached_property
 
 from .errors import DataError, NumericDegeneracyError
 from .roi import RgbTrace, check_selection
-from .signals import BandHz, PulseSignal, Signal1D, bandpass, hann_overlap_add
+from .signals import BandHz, PulseSignal, Signal1D, bandpass, hann_overlap_add, window_starts
 
-__all__ = ["ChromParams", "chrom_pulse", "window_starts"]
+__all__ = ["ChromParams", "chrom_pulse"]
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,6 @@ def _window_len(window_s: float, fs: float, n: int) -> int:
     if length > n:
         raise DataError(f"window of {length} frames exceeds the {n}-frame trace")
     return length
-
-
-def window_starts(n: int, length: int) -> list[int]:
-    """Start indices at 50% hop plus, if needed, a final window anchored at the end."""
-    hop = length // 2
-    starts = list(range(0, n - length + 1, hop))
-    if starts[-1] + length < n:
-        starts.append(n - length)
-    return starts
 
 
 def chrom_pulse(trace: RgbTrace, params: ChromParams = ChromParams()) -> PulseSignal:

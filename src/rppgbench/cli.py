@@ -77,6 +77,8 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rppgbench", description=__doc__.splitlines()[0])
+    # The CPUs this process may run on, where the platform can tell.
+    jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_synth = sub.add_parser("synth", help="generate synthetic sequence bundles")
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=("train", "test"), default="test")
     p_eval.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
     p_eval.add_argument("--out", required=True, help="report path (.csv or .json)")
-    p_eval.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    p_eval.add_argument("--jobs", type=_positive_int, default=jobs)
     p_eval.set_defaults(func=cmd_eval)
 
     p_search = sub.add_parser("search", help="greedy stage-wise parameter search")
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                           help="fixed defaults applied to every candidate")
     p_search.add_argument("--out", required=True, help="output JSON (best params + trace)")
-    p_search.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    p_search.add_argument("--jobs", type=_positive_int, default=jobs)
     p_search.set_defaults(func=cmd_search)
     return parser
 
@@ -230,16 +232,10 @@ def _load_stages(path) -> list:
     payload = _read_json(stage_path)
     if not isinstance(payload, list) or not payload:
         raise FormatError("expected a non-empty JSON list of stages", path=str(stage_path))
-    stages = []
-    for i, item in enumerate(payload):
-        grid = item.get("grid") if isinstance(item, dict) else None
-        if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-            raise FormatError(f"stage {i} must be an object with a 'grid' mapping to lists", path=str(stage_path))
-        try:
-            stages.append(SearchStage.from_dict(item, default_name=f"stage{i}"))
-        except DataError as exc:
-            raise FormatError(str(exc), path=str(stage_path)) from None
-    return stages
+    try:
+        return [SearchStage.from_dict(item, default_name=f"stage{i}") for i, item in enumerate(payload)]
+    except DataError as exc:
+        raise FormatError(str(exc), path=str(stage_path)) from None
 
 
 def cmd_search(args) -> int:

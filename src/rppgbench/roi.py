@@ -157,7 +157,7 @@ def _chromaticity(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, g
 
 
-def fit_skin_model(frame: np.ndarray, roi, tau: float) -> SkinModel:
+def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> SkinModel:
     """Fit the chromaticity Gaussian on the central quarter of a ROI.
 
     Parameters
@@ -170,7 +170,7 @@ def fit_skin_model(frame: np.ndarray, roi, tau: float) -> SkinModel:
     half the height of the ROI (a quarter of its area), which reliably sits
     on skin when the ROI is a face box.
     """
-    box = roi.bbox() if isinstance(roi, (RoiBox, RoiPolygon)) else RoiBox(*roi)
+    box = roi.bbox()
     frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ValueError("frame must be shaped (h, w, 3)")
@@ -182,11 +182,7 @@ def fit_skin_model(frame: np.ndarray, roi, tau: float) -> SkinModel:
     seed_pixels = frame[seed.y:seed.y + seed.h, seed.x:seed.x + seed.w].reshape(-1, 3)
     chrom = np.stack(_chromaticity(_planes(seed_pixels)), axis=-1)
     mean = chrom.mean(axis=0)
-    if chrom.shape[0] > 1:
-        cov = np.cov(chrom, rowvar=False, ddof=1)
-    else:
-        cov = np.zeros((2, 2))
-    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
+    cov = np.cov(chrom, rowvar=False, ddof=1)
     regularized = False
     if np.linalg.eigvalsh(cov).min() < _COV_EIG_FLOOR:
         cov = cov + COV_RIDGE * np.eye(2)
@@ -268,19 +264,14 @@ def _check_simple_polygon(points) -> None:
                 raise DataError("landmark polygon must be simple (non self-intersecting)")
 
 
-def lower_face_mask(landmarks, frame_width: int, frame_height: int) -> np.ndarray:
+def lower_face_mask(landmarks: RoiPolygon, frame_width: int, frame_height: int) -> np.ndarray:
     """Rasterize a landmark polygon into a boolean mask.
 
     A pixel belongs to the mask when its center satisfies the even-odd rule,
     with centers that fall exactly on an edge counted inside. The polygon must
-    be simple and have at least four vertices.
+    be simple.
     """
-    if isinstance(landmarks, RoiPolygon):
-        points = landmarks.points
-    else:
-        points = tuple((float(x), float(y)) for x, y in landmarks)
-    if len(points) < 4:
-        raise ValueError(f"a landmark polygon needs at least 4 points, got {len(points)}")
+    points = landmarks.points
     if frame_width <= 0 or frame_height <= 0:
         raise ValueError("frame dimensions must be positive")
     _check_simple_polygon(points)

@@ -25,6 +25,7 @@ __all__ = [
     "nlms_rectify",
     "pearson",
     "rmse",
+    "window_starts",
     "hann_overlap_add",
 ]
 
@@ -261,6 +262,15 @@ def rmse(a, b) -> float:
         raise ValueError("rmse needs at least 1 sample")
     d = a - b
     return float(np.sqrt(np.mean(d * d)))
+
+
+def window_starts(n: int, length: int) -> list[int]:
+    """Start indices at 50% hop plus, if needed, a final window anchored at the end."""
+    hop = length // 2
+    starts = list(range(0, n - length + 1, hop))
+    if starts[-1] + length < n:
+        starts.append(n - length)
+    return starts
 
 
 def _hann_periodic(length: int) -> np.ndarray:

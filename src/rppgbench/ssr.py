@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from .roi import check_selection
-from .signals import PulseSignal, hann_overlap_add
+from .signals import PulseSignal, hann_overlap_add, window_starts
 
 __all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs", "ssr_pulse"]
 
@@ -137,11 +137,7 @@ def ssr_pulse(correlations, params: SsrParams = SsrParams(), fps: float = None, 
     if length > n:
         raise DataError(f"window of {length} frames exceeds the {n}-frame sequence")
     u1 = np.ascontiguousarray(vectors[:, :, 0])  # (n, 3)
-
-    hop = length // 2
-    starts = list(range(0, n - length + 1, hop))
-    if starts[-1] + length < n:
-        starts.append(n - length)
+    starts = window_starts(n, length)
     blocks = []
     offsets = []
     skipped = 0

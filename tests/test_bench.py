@@ -24,7 +24,7 @@ from rppgbench.bench import (
     read_report,
 )
 from rppgbench.chrom import ChromParams
-from rppgbench.errors import DataError
+from rppgbench.errors import DataError, FormatError
 from rppgbench.io import ProtocolEntry, ProtocolIndex, load_protocol
 from rppgbench.signals import BandHz
 from rppgbench.ssr import SsrParams
@@ -394,6 +394,24 @@ def test_report_rows_that_do_not_parse_name_the_row(tmp_path, row):
         read_report(path)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: {},
+        lambda payload: [],
+        lambda payload: {**payload, "sequences": [{"sequence_id": "s1", "estimated_bpm": 60.0, "ground_truth_bpm": 61.0}]},
+    ],
+    ids=["empty-object", "list", "row-without-status"],
+)
+def test_malformed_json_report_names_the_path(tmp_path, corrupt):
+    report = EvalReport("p", "a", "test", {}, (SequenceResult("s1", "ok", 60.0, 61.0),), 1.0, None)
+    path = tmp_path / "report.json"
+    emit_report(report, path)
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not a JSON report")):
+        read_report(path)
+
+
 # ---------------------------------------------------------------------------
 # greedy stage-wise search
 # ---------------------------------------------------------------------------
@@ -513,13 +531,23 @@ def test_greedy_search_with_registry_algorithm(protocol, small_dataset):
 
 def test_search_stage_helpers():
     stage = SearchStage.from_dict({"name": "s", "grid": {"bias": [1, 2], "scale": [3]}})
-    assert stage.size == 2
+    assert stage.grid == (("bias", (1, 2)), ("scale", (3,)))
     unnamed = SearchStage.from_dict({"grid": {"bias": [1]}}, default_name="stage0")
     assert unnamed.name == "stage0"
     with pytest.raises(DataError, match="empty grid"):
         SearchStage("s", grid=())
     with pytest.raises(DataError, match="no candidates"):
         SearchStage("s", grid=(("bias", ()),))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [["bias", [1]], {"grid": [["bias", [1]]]}, {"grid": {"bias": "12"}}],
+    ids=["non-object-stage", "list-grid", "string-grid-value"],
+)
+def test_search_stage_from_dict_rejects_malformed_stages(payload):
+    with pytest.raises(DataError, match="'stage0' must be an object with a 'grid' mapping to lists"):
+        SearchStage.from_dict(payload, default_name="stage0")
 
 
 # ---------------------------------------------------------------------------

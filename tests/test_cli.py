@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output files, determinism."""
 
 import json
+import os
 import shutil
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rppgbench.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from rppgbench.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from rppgbench.io import FrameSequence, write_rvid
 from rppgbench.synth import SynthConfig, build_dataset
 
@@ -736,14 +737,42 @@ def test_eval_with_null_sample_rate_in_sidecar_exits_2(corruptible_dataset, tmp_
 
 
 def test_search_with_scalar_grid_exits_2(small_dataset, tmp_path, capsys):
-    # Also an empty grid and an empty candidate list.
+    # Also an empty grid, an empty candidate list, a string candidate list, a
+    # list grid and a stage that is not an object.
     stages = tmp_path / "stages.json"
     argv = ["search", "--root", str(small_dataset), "--protocol", str(small_dataset / "protocol.csv")]
-    for grid in ({"window_s": 1.6}, {}, {"window_s": []}):
-        stages.write_text(json.dumps([{"grid": grid}]), encoding="utf-8")
+    grids = ({"window_s": 1.6}, {}, {"window_s": []}, {"window_s": "1.6"}, [["window_s", [1.6]]])
+    for stage in [{"grid": grid} for grid in grids] + [["window_s", [1.6]]]:
+        stages.write_text(json.dumps([stage]), encoding="utf-8")
         code, _, err = run(capsys, *argv, "--algo", "chrom", "--stages", str(stages), "--out", str(tmp_path / "s.json"))
         assert_data_error(code, err)
         assert "stages.json" in err
+
+
+def test_search_records_a_candidate_an_earlier_winner_makes_invalid(small_dataset, tmp_path, capsys):
+    # band_hi 3.0 is valid on the default band_lo, not on stage 0's winner 3.5.
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([{"grid": {"band_lo": [3.5]}}, {"grid": {"band_hi": [3.0, 4.0]}}]), encoding="utf-8")
+    out = tmp_path / "s.json"
+    argv = ["search", "--root", str(small_dataset), "--protocol", str(small_dataset / "protocol.csv")]
+    argv += ["--algo", "chrom", "--stages", str(stages), "--objective", "neg_rmse", "--jobs", "1"]
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == EXIT_OK, err
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["n_evaluations"] == 3
+    rows = [row for stage in payload["trace"] for row in stage["evaluations"]]
+    assert [row["error"] for row in rows if row["error"]] == ["ValueError: band must satisfy 0 < lo < hi, got [3.5, 3.0]"]
+    assert payload["trace"][1]["selected"] == {"band_hi": 4.0}
+    assert payload["best_params"] == {"band_lo": 3.5, "band_hi": 4.0}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the platform reports no CPU affinity")
+def test_jobs_default_to_the_cpus_this_process_may_run_on():
+    parser = build_parser()
+    common = ["--root", "ds", "--protocol", "p.csv", "--algo", "chrom", "--out", "o.json"]
+    for argv in (["eval", *common], ["search", *common, "--stages", "s.json"]):
+        assert parser.parse_args(argv).jobs == len(os.sched_getaffinity(0))
+        assert parser.parse_args([*argv, "--jobs", "64"]).jobs == 64
 
 
 def test_search_with_invalid_band_combination_exits_1_before_reading_bundles(small_dataset, tmp_path, capsys):

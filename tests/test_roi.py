@@ -145,20 +145,20 @@ def test_zero_intensity_pixels_map_to_achromatic_point():
 
 def test_square_of_side_ten_covers_hundred_pixels():
     square = [(2, 3), (12, 3), (12, 13), (2, 13)]
-    mask = lower_face_mask(square, 20, 20)
+    mask = lower_face_mask(RoiPolygon(square), 20, 20)
     assert int(mask.sum()) == 100
     assert mask[3:13, 2:12].all()
 
 
 def test_polygon_needs_four_points():
     with pytest.raises(ValueError, match="4"):
-        lower_face_mask([(0, 0), (5, 0), (5, 5)], 10, 10)
+        lower_face_mask(RoiPolygon([(0, 0), (5, 0), (5, 5)]), 10, 10)
 
 
 def test_self_intersecting_polygon_rejected():
     bowtie = [(0, 0), (10, 10), (10, 0), (0, 10)]
     with pytest.raises(ValueError, match="simple"):
-        lower_face_mask(bowtie, 20, 20)
+        lower_face_mask(RoiPolygon(bowtie), 20, 20)
 
 
 def test_synth_roi_polygon_equals_skin_rect():
@@ -175,7 +175,7 @@ def test_synth_roi_polygon_equals_skin_rect():
 def test_edge_centers_count_as_inside():
     # Half-integer vertices put pixel centers exactly on the boundary.
     square = [(0.5, 0.5), (4.5, 0.5), (4.5, 4.5), (0.5, 4.5)]
-    mask = lower_face_mask(square, 8, 8)
+    mask = lower_face_mask(RoiPolygon(square), 8, 8)
     assert mask[0, 0] and mask[4, 4] and mask[0, 4] and mask[4, 0]
     assert int(mask.sum()) == 25
 

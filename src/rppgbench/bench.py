@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +29,16 @@ from .io import (
     read_rvid,
 )
 from .licvpr import LiParams, background_trace, licvpr_pulse
-from .roi import fit_skin_model, mean_rgb_trace, roi_moments
+from .roi import RgbTrace, fit_skin_model, mean_rgb_trace, roi_moments
 from .signals import BandHz, PulseSignal, Signal1D, pearson, rmse
 from .ssr import SsrParams, ssr_pulse
 from .synth import BUNDLE_FILES
 
 __all__ = [
     "SequenceBundle",
+    "SequenceFeatures",
+    "FeatureStore",
+    "SsrInput",
     "SequenceResult",
     "EvalReport",
     "SearchStage",
@@ -156,55 +160,145 @@ def skin_model_for(bundle: SequenceBundle, strategy: str, tau: float):
     return fit_skin_model(bundle.sequence.frames[0], bundle.roi.entry_for(0), tau)
 
 
-def pulse_chrom(bundle: SequenceBundle, params: ChromParams) -> PulseSignal:
-    model = skin_model_for(bundle, params.strategy, params.skin_tau)
-    trace = mean_rgb_trace(bundle.sequence, bundle.roi, params.strategy, model)
-    return chrom_pulse(trace, params)
+def _selection_key(strategy: str, skin_tau: float) -> tuple:
+    """The pixels a selection keeps depend on ``skin_tau`` only under ``skin``."""
+    return (strategy, skin_tau if strategy == "skin" else None)
 
 
-def pulse_licvpr(bundle: SequenceBundle, params: LiParams) -> PulseSignal:
-    model = skin_model_for(bundle, params.strategy, params.skin_tau)
-    trace = mean_rgb_trace(bundle.sequence, bundle.roi, params.strategy, model)
+class SsrInput(NamedTuple):
+    """What SSR reads of a sequence: per-frame pixel correlations ``C = V'V / N``."""
+
+    correlations: np.ndarray  # (n, 3, 3)
+    fps: float
+    fallback_fraction: float
+
+
+def _ssr_input(bundle: SequenceBundle, strategy: str, skin_tau: float) -> SsrInput:
+    model = skin_model_for(bundle, strategy, skin_tau)
+    moments = roi_moments(bundle.sequence, bundle.roi, strategy, model, second=True)
+    counts = moments.counts
+    few = np.flatnonzero(counts < 3)
+    if few.size:
+        raise DataError(f"need at least 3 pixels, got {counts[few[0]]}")
+    return SsrInput(
+        moments.second / counts[:, None, None],
+        bundle.sequence.fps_float,
+        len(moments.fallback_frames) / len(counts),
+    )
+
+
+def _rgb_trace(bundle: SequenceBundle, strategy: str, skin_tau: float) -> RgbTrace:
+    model = skin_model_for(bundle, strategy, skin_tau)
+    return mean_rgb_trace(bundle.sequence, bundle.roi, strategy, model)
+
+
+def _background(bundle: SequenceBundle, margin: int) -> Signal1D:
+    return background_trace(bundle.sequence, bundle.roi, margin)
+
+
+class SequenceFeatures:
+    """One sequence's features for one evaluation, each computed on first use.
+
+    A feature is looked up in ``cache`` (a :class:`FeatureStore`'s entry for
+    the sequence, or a private dict); on a miss the bundle is read once, held
+    by this object only, and the computed feature is stored. A feature that
+    raises is not stored, so the next evaluation recomputes it and fails the
+    same way. Dropping this object releases the bundle.
+    """
+
+    def __init__(self, cache: dict, load):
+        self._cache = cache
+        self._load = load
+        self._bundle = None
+
+    @classmethod
+    def of(cls, bundle: SequenceBundle) -> "SequenceFeatures":
+        """The features of a bundle already in memory, cached nowhere else."""
+        return cls({}, lambda: bundle)
+
+    @property
+    def bundle(self) -> SequenceBundle:
+        """The sequence's bundle, read on first use."""
+        if self._bundle is None:
+            self._bundle = self._load()
+        return self._bundle
+
+    def _feature(self, key: tuple, compute, *args):
+        if key not in self._cache:
+            self._cache[key] = compute(self.bundle, *args)
+        return self._cache[key]
+
+    def truth(self) -> GroundTruthHr:
+        # On a miss the bundle is read before the BVP, so a sequence whose
+        # video and BVP are both bad fails on the video.
+        return self._feature(("truth",), load_ground_truth)
+
+    def rgb_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
+        return self._feature(("rgb", *_selection_key(strategy, skin_tau)), _rgb_trace, strategy, skin_tau)
+
+    def ssr_input(self, strategy: str, skin_tau: float) -> SsrInput:
+        return self._feature(("ssr", *_selection_key(strategy, skin_tau)), _ssr_input, strategy, skin_tau)
+
+    def background(self, margin: int) -> Signal1D:
+        return self._feature(("background", margin), _background, margin)
+
+
+class FeatureStore:
+    """The features of one dataset's sequences, keyed by sequence id.
+
+    ``greedy_search`` shares one store between its candidates, so each
+    sequence's truth, RGB traces, SSR correlations and background traces
+    are computed once per feature setting. The store holds no frames: a
+    bundle read on a miss lives only as long as the :class:`SequenceFeatures`
+    that read it.
+    """
+
+    def __init__(self, dataset_root):
+        self.root = Path(dataset_root)
+        self._sequences: dict[str, dict] = {}
+
+    def sequence(self, sequence_id: str) -> SequenceFeatures:
+        cache = self._sequences.setdefault(sequence_id, {})
+        return SequenceFeatures(cache, lambda: load_bundle(self.root, sequence_id))
+
+
+def pulse_chrom(features: SequenceFeatures, params: ChromParams) -> PulseSignal:
+    return chrom_pulse(features.rgb_trace(params.strategy, params.skin_tau), params)
+
+
+def pulse_licvpr(features: SequenceFeatures, params: LiParams) -> PulseSignal:
+    trace = features.rgb_trace(params.strategy, params.skin_tau)
     green = Signal1D(trace.channel(1), trace.fs)
     if params.rectify:
-        background = background_trace(bundle.sequence, bundle.roi, params.background_margin)
+        background = features.background(params.background_margin)
     else:
         background = Signal1D(np.zeros(len(green)), green.fs)
     return licvpr_pulse(green, background, params)
 
 
-def pulse_ssr(bundle: SequenceBundle, params: SsrParams) -> PulseSignal:
-    model = skin_model_for(bundle, params.strategy, params.skin_tau)
-    moments = roi_moments(bundle.sequence, bundle.roi, params.strategy, model, second=True)
-    counts = moments.counts
-    few = np.flatnonzero(counts < 3)
-    if few.size:
-        raise DataError(f"need at least 3 pixels, got {counts[few[0]]}")
-    return ssr_pulse(
-        moments.second / counts[:, None, None],
-        params,
-        fps=bundle.sequence.fps_float,
-        fallback_fraction=len(moments.fallback_frames) / len(counts),
-    )
+def pulse_ssr(features: SequenceFeatures, params: SsrParams) -> PulseSignal:
+    ssr = features.ssr_input(params.strategy, params.skin_tau)
+    return ssr_pulse(ssr.correlations, params, fps=ssr.fps, fallback_fraction=ssr.fallback_fraction)
 
 
 def _estimation_band(params) -> BandHz:
     return getattr(params, "band", DEFAULT_ESTIMATION_BAND)
 
 
-def run_chrom(bundle: SequenceBundle, params: ChromParams) -> float:
-    return estimate_hr_spectral(pulse_chrom(bundle, params), _estimation_band(params)).bpm
+def run_chrom(features: SequenceFeatures, params: ChromParams) -> float:
+    return estimate_hr_spectral(pulse_chrom(features, params), _estimation_band(params)).bpm
 
 
-def run_licvpr(bundle: SequenceBundle, params: LiParams) -> float:
-    return estimate_hr_spectral(pulse_licvpr(bundle, params), _estimation_band(params)).bpm
+def run_licvpr(features: SequenceFeatures, params: LiParams) -> float:
+    return estimate_hr_spectral(pulse_licvpr(features, params), _estimation_band(params)).bpm
 
 
-def run_ssr(bundle: SequenceBundle, params: SsrParams) -> float:
-    return estimate_hr_spectral(pulse_ssr(bundle, params), _estimation_band(params)).bpm
+def run_ssr(features: SequenceFeatures, params: SsrParams) -> float:
+    return estimate_hr_spectral(pulse_ssr(features, params), _estimation_band(params)).bpm
 
 
-#: algorithm tag -> (parameter dataclass, pulse extractor, bpm runner)
+#: algorithm tag -> (parameter dataclass, pulse extractor, bpm runner); the
+#: extractor and the runner take ``(SequenceFeatures, params)``.
 ALGORITHMS = {
     "chrom": (ChromParams, pulse_chrom, run_chrom),
     "licvpr": (LiParams, pulse_licvpr, run_licvpr),
@@ -215,7 +309,7 @@ ALGORITHMS = {
 def extract_pulse(bundle: SequenceBundle, algorithm: str, params=None) -> PulseSignal:
     """Run one algorithm's pulse extraction on a loaded bundle."""
     (_, pulse_fn, _), params = _resolve(algorithm, params)
-    return pulse_fn(bundle, params)
+    return pulse_fn(SequenceFeatures.of(bundle), params)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +381,13 @@ def _resolve(algorithm: str, params):
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _check_number(name: str, value, optional: bool = True) -> None:
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number{' or null' if optional else ''}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SequenceResult:
     sequence_id: str
@@ -294,6 +395,12 @@ class SequenceResult:
     estimated_bpm: float | None
     ground_truth_bpm: float | None
     detail: str = ""
+
+    def __post_init__(self):
+        if self.status not in ("ok", "failed"):
+            raise ValueError(f"status must be 'ok' or 'failed', got {self.status!r}")
+        _check_number("estimated_bpm", self.estimated_bpm)
+        _check_number("ground_truth_bpm", self.ground_truth_bpm)
 
 
 @dataclass(frozen=True)
@@ -305,6 +412,10 @@ class EvalReport:
     sequences: tuple[SequenceResult, ...]
     rmse: float
     pearson_rho: float | None  # None when every truth or every estimate is equal
+
+    def __post_init__(self):
+        _check_number("rmse", self.rmse, optional=False)
+        _check_number("pearson_rho", self.pearson_rho)
 
     @property
     def ok_count(self) -> int:
@@ -322,6 +433,7 @@ def evaluate(
     dataset_root,
     params=None,
     jobs: int = 1,
+    store: FeatureStore | None = None,
 ) -> EvalReport:
     """Run one algorithm over one protocol split and aggregate the errors.
 
@@ -334,10 +446,15 @@ def evaluate(
     and propagates. Fewer than two successes raise :class:`DataError`; when
     every truth or every estimate is equal, ``pearson_rho`` is None.
     Aggregates are computed over sequences sorted by id, so row order never
-    matters.
+    matters. Features are read through ``store``, a fresh
+    :class:`FeatureStore` unless the caller shares one over ``dataset_root``.
     """
     dataset_root = Path(dataset_root)
     jobs = max(1, int(jobs))
+    if store is None:
+        store = FeatureStore(dataset_root)
+    elif store.root != dataset_root:
+        raise ValueError(f"feature store of {store.root} cannot serve {dataset_root}")
     (_, _, runner), params = _resolve(algorithm, params)
     ordered = sorted(protocol.split_entries(split), key=lambda e: e.sequence_id)
 
@@ -350,10 +467,10 @@ def evaluate(
                 raise FileNotFoundError(str(path))
 
     def process(entry) -> SequenceResult:
+        features = store.sequence(entry.sequence_id)
         try:
-            bundle = load_bundle(dataset_root, entry.sequence_id)
-            truth = load_ground_truth(bundle)
-            bpm = float(runner(bundle, params))
+            truth = features.truth()
+            bpm = float(runner(features, params))
             return SequenceResult(entry.sequence_id, "ok", bpm, truth.bpm)
         except EXPECTED_ERRORS as exc:
             return SequenceResult(
@@ -480,7 +597,8 @@ def greedy_search(
     combination is built on the defaults before the first evaluation, and the
     result holds the coerced values under the keys given. A candidate that only
     earlier winners make invalid, or under ``pearson`` has an undefined
-    correlation, is recorded as failed.
+    correlation, is recorded as failed. One :class:`FeatureStore` serves every
+    candidate, so a stage that changes only pulse parameters reads no video.
     """
     stages = list(stages)
     if not stages:
@@ -488,6 +606,7 @@ def greedy_search(
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     fixed, per_stage = _stage_assignments(stages, algorithm, dict(defaults or {}))
+    store = FeatureStore(dataset_root)
     trace: list[dict] = []
     n_evaluations = 0
     for stage, assignments in zip(stages, per_stage):
@@ -504,7 +623,7 @@ def greedy_search(
                 rows.append(_failed_row(candidate, exc))
                 continue
             try:
-                report = evaluate(protocol, split, algorithm, dataset_root, params=params, jobs=jobs)
+                report = evaluate(protocol, split, algorithm, dataset_root, params=params, jobs=jobs, store=store)
                 score = report.pearson_rho if objective == "pearson" else -report.rmse
                 if score is None:
                     raise UndefinedCorrelationError()
@@ -592,9 +711,9 @@ def read_report(path) -> EvalReport:
         try:
             fields = {f.name: payload[f.name] for f in dataclasses.fields(EvalReport)}
             fields["sequences"] = tuple(SequenceResult(**row) for row in fields["sequences"])
-        except (KeyError, TypeError) as exc:
+            return EvalReport(**fields)
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"not a JSON report: {type(exc).__name__}: {exc}", path=str(path)) from None
-        return EvalReport(**fields)
     rows: list[SequenceResult] = []
     trailer: dict[str, float | None] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:

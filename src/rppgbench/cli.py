@@ -18,6 +18,7 @@ import numpy as np
 from .bench import (
     ALGORITHMS,
     SearchStage,
+    SequenceFeatures,
     _report_format,
     build_params,
     emit_report,
@@ -25,12 +26,11 @@ from .bench import (
     extract_pulse,
     greedy_search,
     read_bundle,
-    skin_model_for,
 )
 from .errors import DataError, FormatError, NumericDegeneracyError
 from .hr import estimate_hr_spectral
 from .io import _read_json, load_protocol, read_series_csv, write_series_csv
-from .roi import STRATEGIES, mean_rgb_trace
+from .roi import STRATEGIES
 from .signals import BandHz, Signal1D
 from .synth import SynthConfig, build_dataset
 
@@ -178,9 +178,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    bundle = read_bundle(args.video, args.roi)
-    model = skin_model_for(bundle, args.strategy, args.tau)
-    trace = mean_rgb_trace(bundle.sequence, bundle.roi, args.strategy, model)
+    trace = SequenceFeatures.of(read_bundle(args.video, args.roi)).rgb_trace(args.strategy, args.tau)
     out = Path(args.out) if args.out else Path(args.video).parent / "trace.csv"
     fallback = set(trace.fallback_frames)
     with open(out, "w", encoding="ascii", newline="\n") as fh:

@@ -163,7 +163,8 @@ def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> S
     Parameters
     ----------
     frame : (h, w, 3) image.
-    roi : RoiBox or RoiPolygon locating the face; at least 100 pixels.
+    roi : RoiBox or RoiPolygon locating the face; at least 100 pixels, and
+        its seed (below) inside the frame, else DataError.
     tau : relative likelihood threshold in (0, 1).
 
     The seed region is the centered sub-rectangle with half the width and
@@ -179,6 +180,9 @@ def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> S
     seed_w = max(1, box.w // 2)
     seed_h = max(1, box.h // 2)
     seed = RoiBox(box.x + (box.w - seed_w) // 2, box.y + (box.h - seed_h) // 2, seed_w, seed_h)
+    height, width = frame.shape[:2]
+    if seed.x < 0 or seed.y < 0 or seed.x + seed.w > width or seed.y + seed.h > height:
+        raise DataError(f"skin seed {seed} of ROI {box} lies outside the {width}x{height} frame")
     seed_pixels = frame[seed.y:seed.y + seed.h, seed.x:seed.x + seed.w].reshape(-1, 3)
     chrom = np.stack(_chromaticity(_planes(seed_pixels)), axis=-1)
     mean = chrom.mean(axis=0)

@@ -218,13 +218,22 @@ def nlms_rectify(target: Signal1D, reference: Signal1D, mu: float = 1.0, order: 
         raise ValueError(f"order must be a positive integer, got {order}")
     t = target.samples
     r = reference.samples
+    if order == 1:
+        # The same arithmetic on Python floats, bit for bit: a one-tap dot
+        # product is a single multiply, so no summation order can differ.
+        out = []
+        w = 0.0
+        for ti, ri in zip(t.tolist(), r.tolist()):
+            e = ti - w * ri
+            out.append(e)
+            w += (mu * e / (NLMS_EPS + ri * ri)) * ri
+        return Signal1D(np.array(out), target.fs)
     n = t.size
     w = np.zeros(order)
     u = np.zeros(order)
     out = np.empty(n)
     for i in range(n):
-        if order > 1:
-            u[1:] = u[:-1]
+        u[1:] = u[:-1]
         u[0] = r[i]
         e = t[i] - w @ u
         out[i] = e

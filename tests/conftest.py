@@ -76,7 +76,7 @@ class StubParams:
 
 @pytest.fixture
 def register_stub(monkeypatch):
-    """Register ``run(bundle, StubParams) -> bpm`` in ``ALGORITHMS`` for one test.
+    """Register ``run(features, StubParams) -> bpm`` in ``ALGORITHMS`` for one test.
 
     Returns a function that registers ``run`` under its name and returns the tag.
     """

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rppgbench.bench import ALGORITHMS, SearchStage, evaluate, greedy_search, load_ground_truth
+from rppgbench.bench import ALGORITHMS, SearchStage, evaluate, greedy_search
 from rppgbench.cli import EXIT_OK, main
 from rppgbench.hr import detect_peaks, estimate_hr_spectral, hr_from_peaks
 from rppgbench.io import load_protocol
@@ -254,8 +254,8 @@ def test_08_metric_oracles(capfd):
 def test_09_greedy_search_contract(small_dataset, capfd, register_stub):
     protocol = load_protocol(small_dataset / "protocol.csv")
 
-    def biased(bundle, params):
-        truth = load_ground_truth(bundle).bpm
+    def biased(features, params):
+        truth = features.truth().bpm
         return truth * params.scale + params.bias
 
     stages = [

@@ -30,13 +30,13 @@ from rppgbench.signals import BandHz
 from rppgbench.ssr import SsrParams
 
 
-def perfect(bundle, params):
+def perfect(features, params):
     """Stub extractor that answers with the recorded ground truth."""
-    return load_ground_truth(bundle).bpm
+    return features.truth().bpm
 
 
-def biased(bundle, params):
-    return load_ground_truth(bundle).bpm * params.scale + params.bias
+def biased(features, params):
+    return features.truth().bpm * params.scale + params.bias
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +88,10 @@ def test_subject_overlap_across_splits_rejected():
 
 
 def test_failures_are_isolated_per_sequence(protocol, small_dataset, register_stub):
-    def flaky(bundle, params):
-        if bundle.sequence.sequence_id == "seq003":
+    def flaky(features, params):
+        if features.bundle.sequence.sequence_id == "seq003":
             raise DataError("boom")
-        return load_ground_truth(bundle).bpm
+        return features.truth().bpm
 
     report = evaluate(protocol, "test", register_stub(flaky), small_dataset)
     assert report.ok_count == 3
@@ -106,8 +106,8 @@ def test_failures_are_isolated_per_sequence(protocol, small_dataset, register_st
 
 
 def test_fewer_than_two_successes_is_undefined(protocol, small_dataset, register_stub):
-    def mostly_broken(bundle, params):
-        if bundle.sequence.sequence_id != "seq002":
+    def mostly_broken(features, params):
+        if features.bundle.sequence.sequence_id != "seq002":
             raise DataError("no signal")
         return 60.0
 
@@ -116,7 +116,7 @@ def test_fewer_than_two_successes_is_undefined(protocol, small_dataset, register
 
 
 def test_constant_estimates_leave_pearson_undefined(protocol, small_dataset, register_stub, tmp_path):
-    def flat(bundle, params):
+    def flat(features, params):
         return 70.0
 
     report = evaluate(protocol, "test", register_stub(flat), small_dataset)
@@ -132,7 +132,7 @@ def test_constant_estimates_leave_pearson_undefined(protocol, small_dataset, reg
 
 
 def test_bugs_propagate_out_of_evaluate_and_search(protocol, small_dataset, register_stub):
-    def buggy(bundle, params):
+    def buggy(features, params):
         return None + 1.0
 
     with pytest.raises(TypeError):
@@ -382,7 +382,7 @@ def test_report_format_guards(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ["s1,ok", "s1,ok,fast,61.0,", "rmse", "pearson,high"],
+    ["s1,ok", "s1,ok,fast,61.0,", "s1,bogus,60.0,61.0,", "rmse", "pearson,high"],
 )
 def test_report_rows_that_do_not_parse_name_the_row(tmp_path, row):
     path = tmp_path / "report.csv"
@@ -409,6 +409,24 @@ def test_malformed_json_report_names_the_path(tmp_path, corrupt):
     emit_report(report, path)
     path.write_text(json.dumps(corrupt(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
     with pytest.raises(FormatError, match=re.escape(f"{path}: not a JSON report")):
+        read_report(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: {**payload, "rmse": "x"},
+        lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "status": "bogus"}]},
+        lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "estimated_bpm": "fast"}]},
+    ],
+    ids=["rmse-string", "unknown-status", "estimate-string"],
+)
+def test_json_report_values_are_checked(tmp_path, corrupt):
+    report = EvalReport("p", "a", "test", {}, (SequenceResult("s1", "ok", 60.0, 61.0),), 1.0, None)
+    path = tmp_path / "report.json"
+    emit_report(report, path)
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not a JSON report: ValueError")):
         read_report(path)
 
 
@@ -451,7 +469,7 @@ def test_greedy_search_multi_parameter_stage(protocol, small_dataset, stubs):
 
 
 def test_greedy_search_all_failures_name_the_stage(protocol, small_dataset, register_stub):
-    def broken(bundle, params):
+    def broken(features, params):
         raise DataError("dead")
 
     stages = [SearchStage("warmup", grid=(("bias", (0.0, 1.0)),))]
@@ -460,10 +478,10 @@ def test_greedy_search_all_failures_name_the_stage(protocol, small_dataset, regi
 
 
 def test_greedy_search_records_candidate_errors(protocol, small_dataset, register_stub):
-    def picky(bundle, params):
+    def picky(features, params):
         if params.bias > 0:
             raise DataError("dead")
-        return load_ground_truth(bundle).bpm + params.bias
+        return features.truth().bpm + params.bias
 
     stages = [SearchStage("bias", grid=(("bias", (1.0, 0.0)),))]
     result = greedy_search(

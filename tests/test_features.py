@@ -1,0 +1,162 @@
+"""The per-sequence feature store shared by a search's candidates."""
+
+import gc
+import json
+import shutil
+import types
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rppgbench import bench
+from rppgbench.bench import ALGORITHMS, FeatureStore, SearchStage, SequenceBundle, evaluate, greedy_search
+from rppgbench.io import FrameSequence, load_protocol
+
+#: Small grids per algorithm: pulse-only stages first, then a feature stage.
+STAGES = {
+    "chrom": [
+        {"name": "window", "grid": {"window_s": [1.6, 3.2]}},
+        {"name": "strategy", "grid": {"strategy": ["bbox", "skin"]}},
+        {"name": "skin", "grid": {"skin_tau": [0.2, 0.3]}},
+    ],
+    "licvpr": [
+        {"name": "detrend", "grid": {"detrend_lambda": [100.0, 300.0]}},
+        {"name": "background", "grid": {"background_margin": [5, 10]}},
+    ],
+    "ssr": [
+        {"name": "window", "grid": {"window_l": [16, 20]}},
+        {"name": "skin", "grid": {"skin_tau": [0.2, 0.3]}},
+    ],
+}
+
+
+def stages_of(payload) -> list:
+    return [SearchStage.from_dict(stage) for stage in payload]
+
+
+@pytest.fixture(scope="module")
+def protocol(small_dataset):
+    return load_protocol(small_dataset / "protocol.csv")
+
+
+@pytest.fixture
+def peaks_dataset(small_dataset, tmp_path):
+    """The train bundles of ``small_dataset`` without gt.json: truth comes from the BVP."""
+    for seq in ("seq000", "seq001"):
+        shutil.copytree(small_dataset / seq, tmp_path / seq)
+        (tmp_path / seq / "gt.json").unlink()
+    return tmp_path
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Count video and BVP reads per sequence directory."""
+    counts = {"video": Counter(), "bvp": Counter()}
+
+    def counting(kind, func):
+        def wrapper(path, *args, **kwargs):
+            counts[kind][Path(path).parent.name] += 1
+            return func(path, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(bench, "read_rvid", counting("video", bench.read_rvid))
+    monkeypatch.setattr(bench, "read_physio_csv", counting("bvp", bench.read_physio_csv))
+    return counts
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_search_objectives_equal_fresh_evaluations(protocol, small_dataset, algorithm):
+    result = greedy_search(
+        stages_of(STAGES[algorithm]), protocol, algorithm, small_dataset, objective="neg_rmse", split="train"
+    )
+    rows = [row for stage in result.trace for row in stage["evaluations"]]
+    assert len(rows) == result.n_evaluations and all(row["error"] is None for row in rows)
+    for row in rows:
+        fresh = evaluate(protocol, "train", algorithm, small_dataset, params=row["params"])
+        assert row["objective_value"] == -fresh.rmse, row["params"]
+
+
+def test_search_json_is_the_same_at_any_jobs(protocol, small_dataset):
+    outputs = []
+    for jobs in (1, 2):
+        result = greedy_search(
+            stages_of(STAGES["chrom"]), protocol, "chrom", small_dataset, objective="neg_rmse", jobs=jobs
+        )
+        outputs.append(json.dumps(result.to_jsonable(), indent=2))
+    assert outputs[0] == outputs[1]
+
+
+def test_pulse_stages_read_each_file_once(protocol, peaks_dataset, reads):
+    stages = [{"grid": {"window_s": [0.8, 1.6, 3.2]}}, {"grid": {"band_lo": [0.5, 0.67], "band_hi": [3.0, 4.0]}}]
+    greedy_search(stages_of(stages), protocol, "chrom", peaks_dataset, objective="neg_rmse")
+    assert reads["video"] == {"seq000": 1, "seq001": 1}
+    assert reads["bvp"] == {"seq000": 1, "seq001": 1}
+
+
+@pytest.mark.parametrize(
+    "algorithm, stages",
+    [
+        ("chrom", [{"grid": {"window_s": [1.6, 3.2]}}, {"grid": {"skin_tau": [0.3, 0.2]}}]),
+        ("licvpr", [{"grid": {"detrend_lambda": [100.0, 300.0]}}, {"grid": {"background_margin": [10, 5]}}]),
+    ],
+    ids=["skin_tau", "background_margin"],
+)
+def test_feature_stage_reads_each_video_again(protocol, peaks_dataset, reads, algorithm, stages):
+    # The defaults (skin_tau 0.3, background_margin 10) come first and hit;
+    # the second value is a new feature setting, so each video is read again.
+    greedy_search(stages_of(stages), protocol, algorithm, peaks_dataset, objective="neg_rmse")
+    assert reads["video"] == {"seq000": 2, "seq001": 2}
+    assert reads["bvp"] == {"seq000": 1, "seq001": 1}
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, not crossing into types, modules or code."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            stack.append(obj.base)
+
+
+def test_store_holds_no_frames(protocol, small_dataset):
+    store = FeatureStore(small_dataset)
+    for algorithm in ALGORITHMS:
+        evaluate(protocol, "train", algorithm, small_dataset, store=store)
+    held = list(_reachable(store))
+    assert not [obj for obj in held if isinstance(obj, (FrameSequence, SequenceBundle))]
+    arrays = [obj for obj in held if isinstance(obj, np.ndarray)]
+    assert arrays, "the store kept no feature"
+    video_bytes = bench.load_bundle(small_dataset, "seq000").sequence.frames.nbytes
+    assert sum(a.nbytes for a in arrays) < video_bytes / 10
+
+
+def test_failed_feature_is_not_stored(protocol, small_dataset, monkeypatch):
+    calls = Counter()
+    original = bench.background_trace
+
+    def counting(seq, roi, margin):
+        calls[margin] += 1
+        return original(seq, roi, margin)
+
+    monkeypatch.setattr(bench, "background_trace", counting)
+    # A 100 px margin grows the 32 px face box past the 64x64 frame.
+    stages = [{"grid": {"background_margin": [100, 5, 100]}}]
+    result = greedy_search(stages_of(stages), protocol, "licvpr", small_dataset, objective="neg_rmse")
+    rows = result.trace[0]["evaluations"]
+    assert [row["error"] is None for row in rows] == [False, True, False]
+    assert rows[0]["error"] == rows[2]["error"] == "DataError: only 0 of 2 sequences succeeded; aggregates need at least 2"
+    assert result.best_params["background_margin"] == 5
+    assert calls == {100: 4, 5: 2}
+
+
+def test_store_serves_one_dataset(protocol, small_dataset, tmp_path):
+    with pytest.raises(ValueError, match="feature store"):
+        evaluate(protocol, "train", "chrom", small_dataset, store=FeatureStore(tmp_path))

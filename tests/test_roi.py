@@ -1,10 +1,13 @@
 """Skin model, polygon rasterization, and trace extraction."""
 
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rppgbench.errors import DataError
 from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
 from rppgbench.roi import (
     RgbTrace,
@@ -55,6 +58,14 @@ def test_fit_rejects_small_roi():
     frame = uniform_frame(SKIN)
     with pytest.raises(ValueError, match="100"):
         fit_skin_model(frame, RoiBox(0, 0, 9, 9), tau=0.3)
+
+
+def test_fit_on_off_frame_roi_is_a_data_error_without_warnings():
+    frame = uniform_frame(SKIN, h=64, w=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=re.escape("ROI RoiBox(x=100, y=100, w=20, h=20) lies outside the 64x64 frame")):
+            fit_skin_model(frame, RoiBox(100, 100, 20, 20), tau=0.3)
 
 
 def test_model_validation():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rppgbench.errors import UndefinedCorrelationError
 from rppgbench.signals import (
+    NLMS_EPS,
     BandHz,
     PulseSignal,
     Signal1D,
@@ -22,6 +23,21 @@ from rppgbench.signals import (
 # ---------------------------------------------------------------------------
 # oracles: independent, deliberately naive reference implementations
 # ---------------------------------------------------------------------------
+
+
+def nlms_numpy_loop(t, r, mu, order):
+    """The per-sample numpy loop that ``nlms_rectify`` ran for every order."""
+    w = np.zeros(order)
+    u = np.zeros(order)
+    out = np.empty(t.size)
+    for i in range(t.size):
+        if order > 1:
+            u[1:] = u[:-1]
+        u[0] = r[i]
+        e = t[i] - w @ u
+        out[i] = e
+        w += (mu * e / (NLMS_EPS + u @ u)) * u
+    return out
 
 
 def moving_average_loop(samples, window_len):
@@ -332,6 +348,29 @@ def test_nlms_preserves_uncorrelated_pulse():
     peak_pulse = spectrum[np.argmin(np.abs(freqs - 1.2))]
     peak_ref = spectrum[np.argmin(np.abs(freqs - 0.3))]
     assert peak_pulse > peak_ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 1500),
+    mu=st.floats(0.0, 2.0, exclude_min=True),
+    scale=st.sampled_from([1e-3, 1.0, 255.0]),
+    zero_reference=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nlms_one_tap_float_loop_is_bit_equal_to_numpy_loop(n, mu, scale, zero_reference, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.normal(100.0, 10.0, n)
+    r = np.zeros(n) if zero_reference else scale * rng.normal(1.0, 1.0, n)
+    out = nlms_rectify(Signal1D(t, 20.0), Signal1D(r, 20.0), mu=mu, order=1).samples
+    assert out.tobytes() == nlms_numpy_loop(t, r, mu, 1).tobytes()
+
+
+def test_nlms_multi_tap_keeps_numpy_loop():
+    rng = np.random.default_rng(31)
+    t, r = rng.normal(size=300), rng.normal(size=300)
+    out = nlms_rectify(Signal1D(t, 20.0), Signal1D(r, 20.0), mu=0.5, order=3).samples
+    assert out.tobytes() == nlms_numpy_loop(t, r, 0.5, 3).tobytes()
 
 
 def test_nlms_argument_validation():

@@ -17,11 +17,12 @@ import numpy as np
 
 from .chrom import ChromParams, chrom_pulse
 from .errors import EXPECTED_ERRORS, DataError, FormatError, UndefinedCorrelationError
-from .hr import GroundTruthHr, detect_peaks, estimate_hr_spectral, hr_from_peaks
+from .hr import HrEstimate, detect_peaks, estimate_hr_spectral, hr_from_peaks
 from .io import (
     FrameSequence,
     ProtocolIndex,
     RoiTrack,
+    _check_number,
     _read_json,
     read_ground_truth,
     read_physio_csv,
@@ -140,7 +141,7 @@ def load_bundle(dataset_root, sequence_id: str) -> SequenceBundle:
     return read_bundle(directory / BUNDLE_FILES["video"], directory / BUNDLE_FILES["roi"], sequence_id)
 
 
-def load_ground_truth(bundle: SequenceBundle) -> GroundTruthHr:
+def load_ground_truth(bundle: SequenceBundle) -> HrEstimate:
     """Ground truth for a bundle: the recorded value, else beats of the BVP."""
     gt_path = bundle.directory / BUNDLE_FILES["ground_truth"]
     if gt_path.exists():
@@ -149,8 +150,7 @@ def load_ground_truth(bundle: SequenceBundle) -> GroundTruthHr:
         bundle.directory / BUNDLE_FILES["physio"],
         bundle.directory / BUNDLE_FILES["physio_meta"],
     )
-    peaks = detect_peaks(bvp)
-    return GroundTruthHr(bpm=hr_from_peaks(peaks, bvp.fs).bpm, source="peaks")
+    return hr_from_peaks(detect_peaks(bvp), bvp.fs)
 
 
 def skin_model_for(bundle: SequenceBundle, strategy: str, tau: float):
@@ -228,7 +228,7 @@ class SequenceFeatures:
             self._cache[key] = compute(self.bundle, *args)
         return self._cache[key]
 
-    def truth(self) -> GroundTruthHr:
+    def truth(self) -> HrEstimate:
         # On a miss the bundle is read before the BVP, so a sequence whose
         # video and BVP are both bad fails on the video.
         return self._feature(("truth",), load_ground_truth)
@@ -380,13 +380,6 @@ def _resolve(algorithm: str, params):
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def _check_number(name: str, value, optional: bool = True) -> None:
-    if optional and value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number{' or null' if optional else ''}, got {value!r}")
-
 
 @dataclass(frozen=True)
 class SequenceResult:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DataError, NumericDegeneracyError
+from .errors import NumericDegeneracyError
 from .roi import RgbTrace, check_selection
-from .signals import BandHz, PulseSignal, Signal1D, bandpass, hann_overlap_add, window_starts
+from .signals import BandHz, PulseSignal, Signal1D, bandpass, hann_overlap_add, window_length, window_starts
 
 __all__ = ["ChromParams", "chrom_pulse"]
 
@@ -42,17 +42,6 @@ class ChromParams:
         return BandHz(self.band_lo, self.band_hi)
 
 
-def _window_len(window_s: float, fs: float, n: int) -> int:
-    length = int(round(window_s * fs))
-    if length % 2 == 1:
-        length += 1
-    if length < 8:
-        raise DataError(f"window of {window_s} s at {fs} fps is shorter than 8 frames")
-    if length > n:
-        raise DataError(f"window of {length} frames exceeds the {n}-frame trace")
-    return length
-
-
 def chrom_pulse(trace: RgbTrace, params: ChromParams = ChromParams()) -> PulseSignal:
     """Extract the pulse waveform from an RGB trace.
 
@@ -62,7 +51,7 @@ def chrom_pulse(trace: RgbTrace, params: ChromParams = ChromParams()) -> PulseSi
     """
     n = len(trace)
     fs = trace.fs
-    length = _window_len(params.window_s, fs, n)
+    length = window_length(params.window_s * fs, n, minimum=8)
     # The FIR must fit the analysis window; keep taps odd for an integer delay.
     numtaps = min(params.numtaps, length - 1)
     if numtaps % 2 == 0:

@@ -204,6 +204,13 @@ def cmd_hr(args) -> int:
     t, values = read_series_csv(args.pulse_csv)
     if t.size < 2:
         raise DataError(f"{args.pulse_csv}: pulse CSV must contain at least 2 samples")
+    steps = np.diff(t)
+    step = np.median(steps)
+    uneven = np.flatnonzero(np.abs(steps - step) > step / 2)
+    if uneven.size:
+        k = uneven[0]
+        raise DataError(f"{args.pulse_csv}: row at t={t[k + 1]}: {steps[k]} s after the previous row, more than "
+                        f"half a step off the median step {step} s; samples must be evenly spaced")
     fs = (t.size - 1) / (t[-1] - t[0])
     band = BandHz(args.band_lo, args.band_hi)
     if band.lo >= fs / 2:  # no file at this rate can hold the band: a usage error

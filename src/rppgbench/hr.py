@@ -12,7 +12,6 @@ from .signals import BandHz
 
 __all__ = [
     "HrEstimate",
-    "GroundTruthHr",
     "estimate_hr_spectral",
     "detect_peaks",
     "hr_from_peaks",
@@ -23,10 +22,11 @@ __all__ = [
 class HrEstimate:
     """A heart-rate reading in bpm with its provenance.
 
-    ``method`` is ``"spectral"`` or ``"peaks"``. Spectral estimates carry the
-    band actually searched and the spectral resolution in bpm; peak-based
-    estimates leave both as ``None``. ``low_confidence`` marks spectra whose
-    maximum barely rises above the in-band background.
+    ``method`` is ``"spectral"``, ``"peaks"`` (counted from BVP beats) or
+    ``"synthetic"`` (a recorded reference). Spectral estimates carry the band
+    actually searched and the spectral resolution in bpm; the others leave
+    both as ``None``. ``low_confidence`` marks spectra whose maximum barely
+    rises above the in-band background.
     """
 
     bpm: float
@@ -36,22 +36,8 @@ class HrEstimate:
     low_confidence: bool = False
 
     def __post_init__(self):
-        if self.method not in ("spectral", "peaks"):
+        if self.method not in ("spectral", "peaks", "synthetic"):
             raise ValueError(f"unknown estimation method {self.method!r}")
-        if not (np.isfinite(self.bpm) and self.bpm > 0):
-            raise ValueError(f"bpm must be finite and positive, got {self.bpm}")
-
-
-@dataclass(frozen=True)
-class GroundTruthHr:
-    """Reference heart rate; ``source`` is ``"synthetic"`` or ``"peaks"``."""
-
-    bpm: float
-    source: str
-
-    def __post_init__(self):
-        if self.source not in ("synthetic", "peaks"):
-            raise ValueError(f"unknown ground-truth source {self.source!r}")
         if not (np.isfinite(self.bpm) and self.bpm > 0):
             raise ValueError(f"bpm must be finite and positive, got {self.bpm}")
 

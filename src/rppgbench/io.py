@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError
-from .hr import GroundTruthHr
+from .hr import HrEstimate
 from .signals import Signal1D
 
 __all__ = [
@@ -98,6 +98,14 @@ def _read_json(path):
         raise FormatError(f"not valid JSON: {exc}", path=str(path)) from None
 
 
+def _check_number(name: str, value, optional: bool = True) -> None:
+    """Raise ValueError unless ``value`` is an int or a float (a bool is neither), or None if optional."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number{' or null' if optional else ''}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # video container
 # ---------------------------------------------------------------------------
@@ -139,10 +147,6 @@ class FrameSequence:
     @property
     def fps_float(self) -> float:
         return float(self.fps)
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames / self.fps_float
 
 
 def _parse_rvid_header(data: bytes, path: str) -> tuple[int, int, Fraction, int, int]:
@@ -307,6 +311,7 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
             raise FormatError(f"sidecar missing key {key!r}", path=str(meta_path))
     _, values = read_series_csv(path)
     try:
+        _check_number("sample_rate_hz", meta["sample_rate_hz"], optional=False)
         return PhysioSignal(
             kind=str(meta["signal_type"]),
             fs=float(meta["sample_rate_hz"]),
@@ -573,7 +578,8 @@ def write_roi_track(track: RoiTrack, path) -> None:
             if isinstance(entry, RoiBox):
                 fh.write(f"{frame_idx},{entry.x},{entry.y},{entry.w},{entry.h}\n")
             else:
-                coords = ",".join(f"{v:g}" for pt in entry.points for v in pt)
+                # Shortest repr reads back exactly; whole values drop the ".0".
+                coords = ",".join(repr(v).removesuffix(".0") for pt in entry.points for v in pt)
                 fh.write(f"{frame_idx},{coords}\n")
 
 
@@ -581,12 +587,13 @@ def write_roi_track(track: RoiTrack, path) -> None:
 # ground truth
 # ---------------------------------------------------------------------------
 
-def read_ground_truth(path) -> GroundTruthHr:
+def read_ground_truth(path) -> HrEstimate:
     payload = _read_json(path)
     if not isinstance(payload, dict) or "hr_bpm" not in payload:
         raise FormatError("expected an object with an 'hr_bpm' key", path=str(path))
     try:
-        return GroundTruthHr(bpm=float(payload["hr_bpm"]), source="synthetic")
+        _check_number("hr_bpm", payload["hr_bpm"], optional=False)
+        return HrEstimate(bpm=float(payload["hr_bpm"]), method="synthetic")
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad hr_bpm value: {exc}", path=str(path)) from None
 

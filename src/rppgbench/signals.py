@@ -25,6 +25,7 @@ __all__ = [
     "nlms_rectify",
     "pearson",
     "rmse",
+    "window_length",
     "window_starts",
     "hann_overlap_add",
 ]
@@ -60,10 +61,6 @@ class Signal1D:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.fs
 
 
 @dataclass(frozen=True)
@@ -271,6 +268,20 @@ def rmse(a, b) -> float:
         raise ValueError("rmse needs at least 1 sample")
     d = a - b
     return float(np.sqrt(np.mean(d * d)))
+
+
+def window_length(frames: float, n: int, minimum: int = 2) -> int:
+    """Window length for ``frames`` samples: rounded, odd counts up to even (50 % hop), at least 2.
+
+    Raises :class:`DataError` when the length is under ``minimum`` or over the ``n``-sample trace.
+    """
+    length = int(round(frames))
+    length = max(length + length % 2, 2)
+    if length < minimum:
+        raise DataError(f"window of {length} frames is shorter than {minimum} frames")
+    if length > n:
+        raise DataError(f"window of {length} frames exceeds the {n}-frame trace")
+    return length
 
 
 def window_starts(n: int, length: int) -> list[int]:

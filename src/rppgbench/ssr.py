@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from .roi import check_selection
-from .signals import PulseSignal, hann_overlap_add, window_starts
+from .signals import PulseSignal, hann_overlap_add, window_length, window_starts
 
 __all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs", "ssr_pulse"]
 
@@ -102,13 +102,6 @@ def frame_eigen(pixels) -> FrameEigen:
     return FrameEigen(eigenvalues=lam[0], eigenvectors=vec[0])
 
 
-def _default_window(fps: float) -> int:
-    length = int(round(fps))
-    if length % 2 == 1:
-        length += 1
-    return max(length, 2)
-
-
 def ssr_pulse(correlations, params: SsrParams = SsrParams(), fps: float = None, fallback_fraction: float = 0.0) -> PulseSignal:
     """Extract the pulse from per-frame skin pixel correlation matrices.
 
@@ -133,9 +126,7 @@ def ssr_pulse(correlations, params: SsrParams = SsrParams(), fps: float = None, 
     n = len(lams)
     if n < 2:
         raise DataError(f"need at least 2 frames, got {n}")
-    length = params.window_l if params.window_l is not None else _default_window(fps)
-    if length > n:
-        raise DataError(f"window of {length} frames exceeds the {n}-frame sequence")
+    length = window_length(fps if params.window_l is None else params.window_l, n)
     u1 = np.ascontiguousarray(vectors[:, :, 0])  # (n, 3)
     starts = window_starts(n, length)
     blocks = []

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hr import GroundTruthHr
+from .hr import HrEstimate
 from .io import (
     SPLITS,
     FrameSequence,
@@ -91,7 +91,7 @@ class SynthResult(NamedTuple):
     sequence: FrameSequence
     bvp: PhysioSignal
     roi: RoiTrack
-    ground_truth: GroundTruthHr
+    ground_truth: HrEstimate
 
 
 def generate(config: SynthConfig, sequence_id: str | None = None, subject_id: str | None = None) -> SynthResult:
@@ -153,7 +153,7 @@ def generate(config: SynthConfig, sequence_id: str | None = None, subject_id: st
     )
     corners = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
     roi = RoiTrack(frames=(0,), entries=(RoiPolygon(corners),))
-    return SynthResult(sequence, bvp, roi, GroundTruthHr(bpm=config.hr_bpm, source="synthetic"))
+    return SynthResult(sequence, bvp, roi, HrEstimate(bpm=config.hr_bpm, method="synthetic"))
 
 
 def write_bundle(result: SynthResult, out_dir) -> Path:

@@ -191,7 +191,7 @@ def test_load_bundle_names_missing_file(tmp_path):
 def test_ground_truth_prefers_recorded_value(small_dataset):
     bundle = load_bundle(small_dataset, "seq002")
     truth = load_ground_truth(bundle)
-    assert truth.source == "synthetic"
+    assert truth.method == "synthetic"
     assert truth.bpm == 60.0
 
 
@@ -200,7 +200,7 @@ def test_ground_truth_falls_back_to_bvp_beats(small_dataset, tmp_path):
     shutil.copytree(small_dataset / "seq002", copy)
     (copy / "gt.json").unlink()
     truth = load_ground_truth(load_bundle(tmp_path, "seq002"))
-    assert truth.source == "peaks"
+    assert truth.method == "peaks"
     assert truth.bpm == pytest.approx(60.0, abs=1.0)
 
 

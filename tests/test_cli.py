@@ -620,6 +620,20 @@ def test_hr_on_too_short_pulse_exits_2(tmp_path, capsys, rows):
     assert_data_error(code, err)
 
 
+def test_hr_on_unevenly_spaced_pulse_exits_2(tmp_path, capsys):
+    # 72 bpm at 20 fps with a 30 s gap after sample 200: the end-to-end rate
+    # would be 400 samples over 49.95 s, so the spectrum would read ~40 bpm.
+    t = np.arange(400) / 20.0
+    t[200:] += 30.0
+    pulse_csv = tmp_path / "p.csv"
+    pulse_csv.write_text(
+        "t,value\n" + "".join(f"{ti!r},{float(np.sin(2 * np.pi * 1.2 * ti))!r}\n" for ti in t.tolist()), encoding="ascii"
+    )
+    code, out, err = run(capsys, "hr", str(pulse_csv))
+    assert_data_error(code, err)
+    assert out == "" and str(pulse_csv) in err and "t=40.0" in err
+
+
 @pytest.mark.parametrize(
     ("roi_row", "command", "options"),
     [

@@ -5,7 +5,6 @@ import pytest
 
 from rppgbench.errors import InsufficientPeaksError
 from rppgbench.hr import (
-    GroundTruthHr,
     HrEstimate,
     detect_peaks,
     estimate_hr_spectral,
@@ -95,10 +94,9 @@ def test_estimate_fields_validated():
         HrEstimate(bpm=60.0, method="guess")
     with pytest.raises(ValueError, match="bpm"):
         HrEstimate(bpm=-5.0, method="spectral")
-    with pytest.raises(ValueError, match="source"):
-        GroundTruthHr(bpm=60.0, source="oracle")
+    assert HrEstimate(bpm=72.5, method="synthetic").band is None
     with pytest.raises(ValueError, match="bpm"):
-        GroundTruthHr(bpm=float("nan"), source="peaks")
+        HrEstimate(bpm=float("nan"), method="synthetic")
 
 
 # ---------------------------------------------------------------------------

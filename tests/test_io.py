@@ -1,10 +1,13 @@
 """File format round-trips and rejection paths."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rppgbench.errors import FormatError
 from rppgbench.io import (
@@ -29,6 +32,11 @@ from rppgbench.io import (
     write_rvid,
     write_series_csv,
 )
+
+
+#: Hypothesis settings for the round-trips, which rewrite one file in tmp_path.
+ROUND_TRIP = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def make_sequence(n=2, w=4, h=4, seed=0):
@@ -142,6 +150,16 @@ def test_series_csv_round_trip_full_precision(tmp_path):
     assert np.array_equal(v, v2)
 
 
+@ROUND_TRIP
+@given(rows=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=30, unique_by=lambda r: r[0]))
+def test_series_csv_round_trips_any_finite_rows(tmp_path, rows):
+    t, v = (np.array(col) for col in zip(*sorted(rows)))
+    p = tmp_path / "s.csv"
+    write_series_csv(t, v, p)
+    t2, v2 = read_series_csv(p)
+    assert np.array_equal(t, t2) and np.array_equal(v, v2)
+
+
 def test_series_csv_rejects_non_monotonic(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("t,value\n0.0,1.0\n0.5,2.0\n0.5,3.0\n")
@@ -190,6 +208,17 @@ def test_physio_sidecar_missing_key(tmp_path):
     meta_path = tmp_path / "m.json"
     meta_path.write_text(json.dumps({"subject_id": "s", "lighting": "studio", "sample_rate_hz": 2}))
     with pytest.raises(FormatError, match="signal_type"):
+        read_physio_csv(csv_path, meta_path)
+
+
+@pytest.mark.parametrize("rate", [True, "256"])
+def test_physio_sidecar_rate_must_be_a_number(tmp_path, rate):
+    csv_path = tmp_path / "bvp.csv"
+    write_series_csv([0.0, 0.5], [1.0, 2.0], csv_path)
+    meta_path = tmp_path / "m.json"
+    meta = {"subject_id": "s", "lighting": "studio", "sample_rate_hz": rate, "signal_type": "bvp"}
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=f"{re.escape(str(meta_path))}: .*sample_rate_hz must be a number"):
         read_physio_csv(csv_path, meta_path)
 
 
@@ -283,6 +312,30 @@ def test_protocol_round_trip_with_subjects(tmp_path):
     assert back.subjects("train") == {"s1"}
 
 
+IDS = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=8)
+
+
+@st.composite
+def protocols(draw):
+    ids = draw(st.lists(IDS, min_size=2, max_size=8, unique=True))
+    n_train = draw(st.integers(1, len(ids) - 1))
+    entries = []
+    for i, sid in enumerate(ids):
+        split = "train" if i < n_train else "test"
+        # A subject id carries its split, so no subject lands in both.
+        subject = draw(st.none() | IDS.map(lambda s, split=split: f"{split}{s}"))
+        entries.append(ProtocolEntry(sid, split, draw(st.sampled_from(["studio", "natural", "any"])), subject))
+    return ProtocolIndex(entries=tuple(draw(st.permutations(entries))), name="p")
+
+
+@ROUND_TRIP
+@given(index=protocols())
+def test_protocol_round_trips_any_valid_index(tmp_path, index):
+    p = tmp_path / "p.csv"
+    write_protocol(index, p)
+    assert load_protocol(p) == index
+
+
 # ---------------------------------------------------------------------------
 # ROI tracks
 # ---------------------------------------------------------------------------
@@ -363,6 +416,62 @@ def test_roi_track_round_trip(tmp_path):
     assert back.entries[1].points == ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0))
 
 
+WIDTH, HEIGHT = 64, 48
+
+
+@st.composite
+def roi_entries(draw):
+    if draw(st.booleans()):
+        x = draw(st.integers(0, WIDTH - 1))
+        y = draw(st.integers(0, HEIGHT - 1))
+        return RoiBox(x, y, draw(st.integers(1, WIDTH - x)), draw(st.integers(1, HEIGHT - y)))
+    # Points up to one pixel short of the far edge keep the bounding box in the frame.
+    xs = st.floats(0.0, WIDTH - 1.0)
+    ys = st.floats(0.0, HEIGHT - 1.0)
+    return RoiPolygon(tuple(draw(st.lists(st.tuples(xs, ys), min_size=4, max_size=9))))
+
+
+@ROUND_TRIP
+@given(
+    gaps=st.lists(st.integers(1, 50), max_size=5),
+    entries=st.lists(roi_entries(), min_size=6, max_size=6),
+)
+def test_roi_track_round_trips_boxes_and_polygons(tmp_path, gaps, entries):
+    frames = tuple(np.cumsum([0, *gaps]).tolist())
+    track = RoiTrack(frames=frames, entries=tuple(entries[:len(frames)]))
+    p = tmp_path / "roi.csv"
+    write_roi_track(track, p)
+    assert read_roi_track(p, WIDTH, HEIGHT) == track
+
+
+def test_roi_track_writes_whole_and_half_coordinates_as_before(tmp_path):
+    corners = ((16, 14.5), (48, 14.5), (48, 40), (16, 40.123456789))
+    p = tmp_path / "roi.csv"
+    write_roi_track(RoiTrack(frames=(0,), entries=(RoiPolygon(corners),)), p)
+    assert p.read_text() == "0,16,14.5,48,14.5,48,40,16,40.123456789\n"
+    assert read_roi_track(p, WIDTH, HEIGHT).entries[0].points[3] == (16.0, 40.123456789)
+
+
+def test_roi_track_runs_clip_at_the_sequence_end():
+    a, b, c = RoiBox(0, 0, 2, 2), RoiBox(1, 1, 2, 2), RoiBox(2, 2, 2, 2)
+    track = RoiTrack(frames=(0, 5, 10), entries=(a, b, c))
+    assert list(track.runs(12)) == [(0, 5, a), (5, 10, b), (10, 12, c)]
+    assert list(track.runs(7)) == [(0, 5, a), (5, 7, b)]  # c starts after the end
+    assert list(track.runs(10)) == [(0, 5, a), (5, 10, b)]  # c starts at the end
+    assert list(track.runs(3)) == [(0, 3, a)]
+
+
+@given(frames=st.lists(st.integers(1, 40), max_size=6, unique=True), n_frames=st.integers(1, 50))
+def test_roi_track_runs_tile_the_frames_like_entry_for(frames, n_frames):
+    frames = (0, *sorted(frames))
+    track = RoiTrack(frames=frames, entries=tuple(RoiBox(f, 0, 1, 1) for f in frames))
+    runs = list(track.runs(n_frames))
+    assert [start for start, _, _ in runs] == [f for f in frames if f < n_frames]
+    assert [stop for _, stop, _ in runs] == [start for start, _, _ in runs[1:]] + [n_frames]
+    for start, stop, entry in runs:
+        assert all(track.entry_for(i) == entry for i in range(start, stop))
+
+
 def test_roi_entry_before_first_frame_errors():
     with pytest.raises(ValueError, match="from frame 0"):
         RoiTrack(frames=(5,), entries=(RoiBox(0, 0, 2, 2),))
@@ -378,7 +487,15 @@ def test_ground_truth_round_trip(tmp_path):
     write_ground_truth(72.5, p)
     gt = read_ground_truth(p)
     assert gt.bpm == 72.5
-    assert gt.source == "synthetic"
+    assert gt.method == "synthetic"
+
+
+@pytest.mark.parametrize("value", [True, "72"])
+def test_ground_truth_must_be_a_number(tmp_path, value):
+    p = tmp_path / "gt.json"
+    p.write_text(json.dumps({"hr_bpm": value}))
+    with pytest.raises(FormatError, match=f"{re.escape(str(p))}: .*hr_bpm must be a number"):
+        read_ground_truth(p)
 
 
 def test_ground_truth_rejects_malformed(tmp_path):

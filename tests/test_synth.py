@@ -60,7 +60,7 @@ def test_noise_free_trace_matches_model():
 def test_ground_truth_equals_config_exactly():
     result = generate(SynthConfig(duration_s=2.0, hr_bpm=83.25))
     assert result.ground_truth.bpm == 83.25
-    assert result.ground_truth.source == "synthetic"
+    assert result.ground_truth.method == "synthetic"
 
 
 def test_bvp_is_256hz_same_sinusoid():

@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .io import (
     read_rvid,
 )
 from .licvpr import LiParams, background_trace, licvpr_pulse
-from .roi import RgbTrace, fit_skin_model, mean_rgb_trace, roi_moments
+from .roi import RgbTrace, fit_skin_model, mean_rgb_trace
 from .signals import BandHz, PulseSignal, Signal1D, pearson, rmse
 from .ssr import SsrParams, ssr_pulse
 from .synth import BUNDLE_FILES
@@ -39,7 +38,6 @@ __all__ = [
     "SequenceBundle",
     "SequenceFeatures",
     "FeatureStore",
-    "SsrInput",
     "SequenceResult",
     "EvalReport",
     "SearchStage",
@@ -165,28 +163,6 @@ def _selection_key(strategy: str, skin_tau: float) -> tuple:
     return (strategy, skin_tau if strategy == "skin" else None)
 
 
-class SsrInput(NamedTuple):
-    """What SSR reads of a sequence: per-frame pixel correlations ``C = V'V / N``."""
-
-    correlations: np.ndarray  # (n, 3, 3)
-    fps: float
-    fallback_fraction: float
-
-
-def _ssr_input(bundle: SequenceBundle, strategy: str, skin_tau: float) -> SsrInput:
-    model = skin_model_for(bundle, strategy, skin_tau)
-    moments = roi_moments(bundle.sequence, bundle.roi, strategy, model, second=True)
-    counts = moments.counts
-    few = np.flatnonzero(counts < 3)
-    if few.size:
-        raise DataError(f"need at least 3 pixels, got {counts[few[0]]}")
-    return SsrInput(
-        moments.second / counts[:, None, None],
-        bundle.sequence.fps_float,
-        len(moments.fallback_frames) / len(counts),
-    )
-
-
 def _rgb_trace(bundle: SequenceBundle, strategy: str, skin_tau: float) -> RgbTrace:
     model = skin_model_for(bundle, strategy, skin_tau)
     return mean_rgb_trace(bundle.sequence, bundle.roi, strategy, model)
@@ -236,9 +212,6 @@ class SequenceFeatures:
     def rgb_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
         return self._feature(("rgb", *_selection_key(strategy, skin_tau)), _rgb_trace, strategy, skin_tau)
 
-    def ssr_input(self, strategy: str, skin_tau: float) -> SsrInput:
-        return self._feature(("ssr", *_selection_key(strategy, skin_tau)), _ssr_input, strategy, skin_tau)
-
     def background(self, margin: int) -> Signal1D:
         return self._feature(("background", margin), _background, margin)
 
@@ -247,10 +220,9 @@ class FeatureStore:
     """The features of one dataset's sequences, keyed by sequence id.
 
     ``greedy_search`` shares one store between its candidates, so each
-    sequence's truth, RGB traces, SSR correlations and background traces
-    are computed once per feature setting. The store holds no frames: a
-    bundle read on a miss lives only as long as the :class:`SequenceFeatures`
-    that read it.
+    sequence's truth, RGB traces and background traces are computed once
+    per feature setting. The store holds no frames: a bundle read on a miss
+    lives only as long as the :class:`SequenceFeatures` that read it.
     """
 
     def __init__(self, dataset_root):
@@ -277,8 +249,7 @@ def pulse_licvpr(features: SequenceFeatures, params: LiParams) -> PulseSignal:
 
 
 def pulse_ssr(features: SequenceFeatures, params: SsrParams) -> PulseSignal:
-    ssr = features.ssr_input(params.strategy, params.skin_tau)
-    return ssr_pulse(ssr.correlations, params, fps=ssr.fps, fallback_fraction=ssr.fallback_fraction)
+    return ssr_pulse(features.rgb_trace(params.strategy, params.skin_tau), params)
 
 
 def _estimation_band(params) -> BandHz:
@@ -436,8 +407,9 @@ def evaluate(
     that fails with one of :data:`~rppgbench.errors.EXPECTED_ERRORS`
     (a :class:`DataError`, a numeric degeneracy or an ``OSError``) is recorded
     as failed and excluded from the aggregates; any other exception is a bug
-    and propagates. Fewer than two successes raise :class:`DataError`; when
-    every truth or every estimate is equal, ``pearson_rho`` is None.
+    and propagates. Fewer than two successes raise :class:`DataError`, which
+    names each failed sequence and its reason; when every truth or every
+    estimate is equal, ``pearson_rho`` is None.
     Aggregates are computed over sequences sorted by id, so row order never
     matters. Features are read through ``store``, a fresh
     :class:`FeatureStore` unless the caller shares one over ``dataset_root``.
@@ -478,8 +450,10 @@ def evaluate(
 
     ok = [r for r in results if r.status == "ok"]
     if len(ok) < 2:
+        failed = ", ".join(f"{r.sequence_id} ({r.detail})" for r in results if r.status == "failed")
         raise DataError(
             f"only {len(ok)} of {len(results)} sequences succeeded; aggregates need at least 2"
+            + (f"; failed: {failed}" if failed else "")
         )
     estimates = [r.estimated_bpm for r in ok]
     truths = [r.ground_truth_bpm for r in ok]

@@ -37,7 +37,6 @@ __all__ = [
     "RoiPolygon",
     "RoiTrack",
     "read_rvid",
-    "read_rvid_header",
     "write_rvid",
     "read_physio_csv",
     "write_physio_csv",
@@ -175,15 +174,6 @@ def _parse_rvid_header(data: bytes, path: str) -> tuple[int, int, Fraction, int,
     return width, height, fps, n_frames, nl + 1
 
 
-def read_rvid_header(path) -> tuple[int, int, Fraction, int]:
-    """Parse just the header of an ``.rvid`` file: (width, height, fps, n_frames)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER_SCAN)
-    width, height, fps, n_frames, _ = _parse_rvid_header(head, str(path))
-    return width, height, fps, n_frames
-
-
 def read_rvid(path, sequence_id: str | None = None) -> FrameSequence:
     """Read an ``.rvid`` file into a FrameSequence.
 
@@ -244,6 +234,8 @@ class PhysioSignal(Signal1D):
     lighting: str
 
     def __post_init__(self):
+        if not isinstance(self.subject_id, str):
+            raise ValueError(f"subject_id must be a string, got {self.subject_id!r}")
         if self.kind not in PHYSIO_KINDS:
             raise ValueError(f"kind must be one of {PHYSIO_KINDS}, got {self.kind!r}")
         if self.lighting not in LIGHTING:
@@ -313,11 +305,11 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
     try:
         _check_number("sample_rate_hz", meta["sample_rate_hz"], optional=False)
         return PhysioSignal(
-            kind=str(meta["signal_type"]),
+            kind=meta["signal_type"],
             fs=float(meta["sample_rate_hz"]),
             samples=values,
-            subject_id=str(meta["subject_id"]),
-            lighting=str(meta["lighting"]),
+            subject_id=meta["subject_id"],
+            lighting=meta["lighting"],
         )
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid sidecar metadata: {exc}", path=str(meta_path)) from None

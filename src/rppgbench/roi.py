@@ -18,7 +18,6 @@ __all__ = [
     "STRATEGIES",
     "check_selection",
     "fit_skin_model",
-    "skin_mask",
     "lower_face_mask",
     "RoiMoments",
     "roi_moments",
@@ -97,32 +96,43 @@ class SkinModel:
 
 @dataclass(frozen=True)
 class RgbTrace:
-    """Per-frame mean RGB over the selected pixels, at the video frame rate."""
+    """Per-frame statistics of the selected pixels, at the video frame rate.
+
+    ``means`` (n, 3) is each frame's mean RGB; ``correlations`` (n, 3, 3)
+    is each frame's pixel correlation matrix ``C = V'V / N`` over its N
+    selected pixels ``V``, which SSR decomposes.
+    """
 
     means: np.ndarray
+    correlations: np.ndarray
     fs: float
     pixel_counts: np.ndarray
     fallback_frames: tuple[int, ...] = ()
 
     def __post_init__(self):
         means = np.array(self.means, dtype=np.float64)
+        correlations = np.array(self.correlations, dtype=np.float64)
         counts = np.array(self.pixel_counts, dtype=np.int64)
         if means.ndim != 2 or means.shape[1] != 3 or means.shape[0] == 0:
             raise ValueError("means must be shaped (n_frames, 3) with n_frames >= 1")
+        if correlations.shape != (means.shape[0], 3, 3):
+            raise ValueError("correlations must be shaped (n_frames, 3, 3)")
         if counts.shape != (means.shape[0],):
             raise ValueError("pixel_counts must hold one count per frame")
         if np.any(counts < 1):
             raise ValueError("every frame must contribute at least one pixel")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("trace means must be finite")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(correlations))):
+            raise ValueError("trace means and correlations must be finite")
         if means.min() < 0.0 or means.max() > 255.0:
             raise ValueError("trace means must stay within [0, 255]")
         fs = float(self.fs)
         if not np.isfinite(fs) or fs <= 0:
             raise ValueError(f"frame rate must be finite and positive, got {self.fs!r}")
         means.setflags(write=False)
+        correlations.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "means", means)
+        object.__setattr__(self, "correlations", correlations)
         object.__setattr__(self, "pixel_counts", counts)
         object.__setattr__(self, "fs", fs)
         object.__setattr__(self, "fallback_frames", tuple(int(i) for i in self.fallback_frames))
@@ -194,20 +204,12 @@ def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> S
     return SkinModel(mean=mean, cov=cov, tau=tau, regularized=regularized)
 
 
-def skin_mask(frame: np.ndarray, model: SkinModel) -> np.ndarray:
+def _skin_select(planes: np.ndarray, model: SkinModel) -> np.ndarray:
     """Boolean mask of pixels whose peak-normalized skin likelihood >= tau.
 
-    Normalizing the Gaussian to its peak turns the threshold into a squared
-    Mahalanobis limit of -2 ln(tau); the boundary is kept.
-    """
-    frame = np.asarray(frame)
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise ValueError("frame must be shaped (h, w, 3)")
-    return _skin_select(_planes(frame), model)
-
-
-def _skin_select(planes: np.ndarray, model: SkinModel) -> np.ndarray:
-    """The skin test of :func:`skin_mask` on channel planes (3, ...).
+    ``planes`` holds RGB values as channel planes (3, ...). Normalizing the
+    Gaussian to its peak turns the threshold into a squared Mahalanobis
+    limit of -2 ln(tau); the boundary is kept.
 
     The reference distance is ``einsum("...i,ij,...j->...", delta, inv_cov,
     delta)``. The same four products summed in closed form are much faster
@@ -313,7 +315,7 @@ class RoiMoments(NamedTuple):
 
     counts: np.ndarray  # (n,) int64 pixels per frame
     sums: np.ndarray  # (n, 3) sum of RGB
-    second: np.ndarray | None  # (n, 3, 3) sum of RGB' RGB, when requested
+    second: np.ndarray  # (n, 3, 3) sum of RGB' RGB
     fallback_frames: tuple[int, ...]
 
 
@@ -357,9 +359,8 @@ def roi_moments(
     roi: RoiTrack,
     strategy: str = "bbox",
     model: SkinModel | None = None,
-    second: bool = False,
 ) -> RoiMoments:
-    """Pixel counts, RGB sums and optionally RGB' RGB sums of every frame.
+    """Pixel counts, RGB sums and RGB' RGB sums of every frame.
 
     One vectorized pass over chunks of frames that share a ROI entry; the
     selection per strategy and the full-box fallback are those of
@@ -368,7 +369,7 @@ def roi_moments(
     n = seq.n_frames
     counts = np.empty(n, dtype=np.int64)
     sums = np.empty((n, 3))
-    products = np.empty((n, 3, 3)) if second else None
+    products = np.empty((n, 3, 3))
     fallbacks: list[int] = []
     for start, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
         stop = start + len(x)
@@ -379,8 +380,7 @@ def roi_moments(
             counts[start:stop] = mask.sum(axis=1)
             weighted = x * mask[:, None, :]
         sums[start:stop] = weighted.sum(axis=2)
-        if second:
-            products[start:stop] = weighted @ x.transpose(0, 2, 1)
+        products[start:stop] = weighted @ x.transpose(0, 2, 1)
         fallbacks.extend(np.flatnonzero(fallback) + start)
     return RoiMoments(counts, sums, products, tuple(int(i) for i in fallbacks))
 
@@ -398,12 +398,13 @@ def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", m
 
 
 def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
-    """Average the selected pixels of every frame into an RGB trace."""
+    """Average the selected pixels, and their products, of every frame into an RGB trace."""
     moments = roi_moments(seq, roi, strategy, model)
     if moments.fallback_frames:
         log.info("ROI fallback on %d/%d frames", len(moments.fallback_frames), seq.n_frames)
     return RgbTrace(
         means=moments.sums / moments.counts[:, None],
+        correlations=moments.second / moments.counts[:, None, None],
         fs=seq.fps_float,
         pixel_counts=moments.counts,
         fallback_frames=moments.fallback_frames,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
-from .roi import check_selection
+from .roi import RgbTrace, check_selection
 from .signals import PulseSignal, hann_overlap_add, window_length, window_starts
 
 __all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs", "ssr_pulse"]
@@ -102,31 +102,26 @@ def frame_eigen(pixels) -> FrameEigen:
     return FrameEigen(eigenvalues=lam[0], eigenvectors=vec[0])
 
 
-def ssr_pulse(correlations, params: SsrParams = SsrParams(), fps: float = None, fallback_fraction: float = 0.0) -> PulseSignal:
-    """Extract the pulse from per-frame skin pixel correlation matrices.
+def ssr_pulse(trace: RgbTrace, params: SsrParams = SsrParams()) -> PulseSignal:
+    """Extract the pulse from the per-frame pixel correlations of a trace.
 
-    Parameters
-    ----------
-    correlations : (n, 3, 3) stack of ``C = V'V / N``, one per frame, over
-        that frame's (N, 3) skin pixels ``V``.
-    params : extractor tunables.
-    fps : video frame rate.
-    fallback_fraction : forwarded into the resulting PulseSignal.
+    ``trace.correlations`` holds one ``C = V'V / N`` per frame over that
+    frame's N >= 3 selected pixels ``V``; fewer pixels in any frame raise
+    :class:`DataError`. The pulse carries the trace's frame rate and
+    fallback fraction.
 
     Windows whose anchor frame has a second or third eigenvalue at or below
     ``degeneracy_eps`` times the first are skipped and logged; if every window
     is degenerate, :class:`DegenerateSubspaceError` is raised.
     """
-    if fps is None or not np.isfinite(fps) or fps <= 0:
-        raise ValueError(f"fps must be finite and positive, got {fps!r}")
-    correlations = np.asarray(correlations, dtype=np.float64)
-    if correlations.ndim != 3 or correlations.shape[1:] != (3, 3):
-        raise ValueError("correlations must be shaped (n, 3, 3)")
-    lams, vectors = correlation_eigens(correlations)
+    few = np.flatnonzero(trace.pixel_counts < 3)
+    if few.size:
+        raise DataError(f"need at least 3 pixels, got {trace.pixel_counts[few[0]]}")
+    lams, vectors = correlation_eigens(trace.correlations)
     n = len(lams)
     if n < 2:
         raise DataError(f"need at least 2 frames, got {n}")
-    length = window_length(fps if params.window_l is None else params.window_l, n)
+    length = window_length(trace.fs if params.window_l is None else params.window_l, n)
     u1 = np.ascontiguousarray(vectors[:, :, 0])  # (n, 3)
     starts = window_starts(n, length)
     blocks = []
@@ -157,13 +152,13 @@ def ssr_pulse(correlations, params: SsrParams = SsrParams(), fps: float = None, 
         )
     if skipped:
         log.warning("skipped %d/%d degenerate windows", skipped, len(starts))
-    assembled = hann_overlap_add(blocks, fps, offsets=offsets).samples
+    assembled = hann_overlap_add(blocks, trace.fs, offsets=offsets).samples
     out = np.zeros(n)
     out[:assembled.size] = assembled
     out -= out.mean()
     return PulseSignal(
         samples=out,
-        fs=float(fps),
+        fs=trace.fs,
         method="ssr",
-        fallback_fraction=fallback_fraction,
+        fallback_fraction=trace.fallback_fraction,
     )

@@ -489,7 +489,10 @@ def test_greedy_search_records_candidate_errors(protocol, small_dataset, registe
     )
     rows = result.trace[0]["evaluations"]
     assert rows[0]["objective_value"] is None
-    assert rows[0]["error"] == "DataError: only 0 of 2 sequences succeeded; aggregates need at least 2"
+    assert rows[0]["error"] == (
+        "DataError: only 0 of 2 sequences succeeded; aggregates need at least 2; "
+        "failed: seq000 (DataError: dead), seq001 (DataError: dead)"
+    )
     assert rows[1]["error"] is None
     assert result.best_params == {"bias": 0.0}
 

@@ -10,9 +10,16 @@ from rppgbench.roi import RgbTrace, mean_rgb_trace
 from rppgbench.signals import BandHz
 
 
-def trace_from_means(means, fs=20.0):
+def trace_from_means(means, fs=20.0, fallback_frames=()):
+    """The trace of frames whose pixels all share their frame's mean color."""
     means = np.asarray(means, dtype=np.float64)
-    return RgbTrace(means=means, fs=fs, pixel_counts=np.full(means.shape[0], 100))
+    return RgbTrace(
+        means=means,
+        correlations=means[:, :, None] * means[:, None, :],
+        fs=fs,
+        pixel_counts=np.full(means.shape[0], 100),
+        fallback_frames=fallback_frames,
+    )
 
 
 def synthetic_trace(hr_bpm=72.0, fs=20.0, duration_s=30.0, base=(180.0, 120.0, 100.0),
@@ -111,7 +118,5 @@ def test_fallback_fraction_carried_from_trace():
     means = np.tile([180.0, 120.0, 100.0], (64, 1))
     t = np.arange(64) / 20.0
     means[:, 1] += np.sin(2 * np.pi * 1.2 * t)
-    trace = RgbTrace(means=means, fs=20.0, pixel_counts=np.full(64, 9),
-                     fallback_frames=(3, 4))
-    pulse = chrom_pulse(trace)
+    pulse = chrom_pulse(trace_from_means(means, fallback_frames=(3, 4)))
     assert pulse.fallback_fraction == pytest.approx(2 / 64)

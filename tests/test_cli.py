@@ -750,6 +750,20 @@ def test_eval_with_null_sample_rate_in_sidecar_exits_2(corruptible_dataset, tmp_
     assert_data_error(code, err)
 
 
+def test_eval_names_why_each_sequence_failed(corruptible_dataset, tmp_path, capsys):
+    # One test sequence fails, so no report is written: the error line is
+    # the only place its reason can appear.
+    root = tmp_path / "ds"
+    shutil.copytree(corruptible_dataset, root)
+    (root / "seq001" / "gt.json").write_text('{"hr_bpm": true}', encoding="utf-8")
+    argv = ["eval", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--algo", "chrom"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert_data_error(code, err)
+    assert "only 1 of 2 sequences succeeded" in err
+    assert "seq001 (FormatError: " in err and "gt.json: bad hr_bpm value" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_search_with_scalar_grid_exits_2(small_dataset, tmp_path, capsys):
     # Also an empty grid, an empty candidate list, a string candidate list, a
     # list grid and a stage that is not an object.

@@ -152,9 +152,23 @@ def test_failed_feature_is_not_stored(protocol, small_dataset, monkeypatch):
     result = greedy_search(stages_of(stages), protocol, "licvpr", small_dataset, objective="neg_rmse")
     rows = result.trace[0]["evaluations"]
     assert [row["error"] is None for row in rows] == [False, True, False]
-    assert rows[0]["error"] == rows[2]["error"] == "DataError: only 0 of 2 sequences succeeded; aggregates need at least 2"
+    reason = "DataError: no background pixels left at frame 0: the ROI grown by 100 px covers the frame"
+    assert rows[0]["error"] == rows[2]["error"] == (
+        "DataError: only 0 of 2 sequences succeeded; aggregates need at least 2; "
+        f"failed: seq000 ({reason}), seq001 ({reason})"
+    )
     assert result.best_params["background_margin"] == 5
     assert calls == {100: 4, 5: 2}
+
+
+def test_chrom_and_ssr_share_one_pixel_pass(protocol, peaks_dataset, reads):
+    # CHROM's mean RGB and SSR's correlations are one feature per selection.
+    store = FeatureStore(peaks_dataset)
+    selection = {"strategy": "skin", "skin_tau": 0.3}
+    evaluate(protocol, "train", "chrom", peaks_dataset, params=selection, store=store)
+    shared = evaluate(protocol, "train", "ssr", peaks_dataset, params=selection, store=store)
+    assert reads["video"] == {"seq000": 1, "seq001": 1}
+    assert shared == evaluate(protocol, "train", "ssr", peaks_dataset, params=selection)
 
 
 def test_store_serves_one_dataset(protocol, small_dataset, tmp_path):

@@ -23,7 +23,6 @@ from rppgbench.io import (
     read_physio_csv,
     read_roi_track,
     read_rvid,
-    read_rvid_header,
     read_series_csv,
     write_ground_truth,
     write_physio_csv,
@@ -65,14 +64,14 @@ def test_rvid_round_trip_bytes(tmp_path):
 
 
 def test_rvid_header_parse_vga_sequence(tmp_path):
-    # 640x480 at 20 fps, 1200 frames: parsed from the header alone, without
-    # allocating the ~1.1 GB payload such a file would carry.
+    # 640x480 at 20 fps, 1200 frames: the header alone is parsed and sizes
+    # the ~1.1 GB payload, which is found missing without being allocated.
     p = tmp_path / "vga.rvid"
-    p.write_bytes(b"RVID1 640 480 20/1 1200\n")
-    width, height, fps, n_frames = read_rvid_header(p)
-    assert (width, height, n_frames) == (640, 480, 1200)
-    assert fps == Fraction(20, 1)
-    assert float(fps) == 20.0
+    header = b"RVID1 640 480 20/1 1200\n"
+    p.write_bytes(header)
+    with pytest.raises(FormatError, match=f"expected {640 * 480 * 3 * 1200} bytes, found 0") as err:
+        read_rvid(p)
+    assert err.value.offset == len(header)
 
 
 def test_rvid_truncated_payload_offset(tmp_path):
@@ -112,7 +111,7 @@ def test_rvid_dimension_overflow(tmp_path):
     p = tmp_path / "t.rvid"
     p.write_bytes(b"RVID1 99999999 4 20/1 1\n")
     with pytest.raises(FormatError, match="overflow"):
-        read_rvid_header(p)
+        read_rvid(p)
 
 
 def test_rvid_rational_fps(tmp_path):
@@ -219,6 +218,17 @@ def test_physio_sidecar_rate_must_be_a_number(tmp_path, rate):
     meta = {"subject_id": "s", "lighting": "studio", "sample_rate_hz": rate, "signal_type": "bvp"}
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(FormatError, match=f"{re.escape(str(meta_path))}: .*sample_rate_hz must be a number"):
+        read_physio_csv(csv_path, meta_path)
+
+
+@pytest.mark.parametrize("subject", [True, 5, None])
+def test_physio_sidecar_subject_must_be_a_string(tmp_path, subject):
+    csv_path = tmp_path / "bvp.csv"
+    write_series_csv([0.0, 0.5], [1.0, 2.0], csv_path)
+    meta_path = tmp_path / "m.json"
+    meta = {"subject_id": subject, "lighting": "studio", "sample_rate_hz": 2.0, "signal_type": "bvp"}
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=f"{re.escape(str(meta_path))}: .*subject_id must be a string"):
         read_physio_csv(csv_path, meta_path)
 
 

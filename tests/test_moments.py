@@ -19,12 +19,12 @@ from rppgbench.licvpr import background_trace
 from rppgbench.roi import (
     CHUNK_PIXELS,
     SkinModel,
+    _skin_select,
     fit_skin_model,
     iter_roi_pixels,
     lower_face_mask,
     mean_rgb_trace,
     roi_moments,
-    skin_mask,
 )
 from rppgbench.ssr import canonical_eigenvector_signs, correlation_eigens, frame_eigen
 
@@ -68,15 +68,18 @@ def oracle_frames(seq, roi, strategy, model):
 
 def assert_matches_oracle(seq, roi, strategy, model):
     expected = oracle_frames(seq, roi, strategy, model)
-    moments = roi_moments(seq, roi, strategy, model, second=True)
+    moments = roi_moments(seq, roi, strategy, model)
     counts = np.array([p.shape[0] for p, _ in expected])
     assert np.array_equal(moments.counts, counts)
     assert moments.fallback_frames == tuple(i for i, (_, fb) in enumerate(expected) if fb)
     means = np.stack([p.mean(axis=0) for p, _ in expected])
     assert np.array_equal(moments.sums / moments.counts[:, None], means)
-    assert np.array_equal(mean_rgb_trace(seq, roi, strategy, model).means, means)
     corr = np.stack([p.T @ p / p.shape[0] for p, _ in expected])
     assert np.array_equal(moments.second / moments.counts[:, None, None], corr)
+    trace = mean_rgb_trace(seq, roi, strategy, model)
+    assert np.array_equal(trace.means, means)
+    assert np.array_equal(trace.correlations, corr)
+    assert np.array_equal(trace.pixel_counts, counts)
     for (pixels, fallback), (want, want_fb) in zip(iter_roi_pixels(seq, roi, strategy, model), expected):
         assert fallback == want_fb
         assert np.array_equal(pixels, want)
@@ -194,7 +197,8 @@ def test_pixels_on_the_mahalanobis_limit(color, mean_r, mean_g, target, nudge):
     frames = np.broadcast_to(pixel, (3, 4, 5, 3)).copy()
     frames[1, 0, 0] = (color[0], min(color[1] + 1, 255), color[2])
     seq = FrameSequence(width=5, height=4, fps=Fraction(20), frames=frames, sequence_id="lim")
-    assert np.array_equal(skin_mask(frames[0], model), oracle_skin_mask(frames[0], model))
+    assert np.array_equal(_skin_select(np.moveaxis(frames[0].astype(np.float64), -1, 0), model),
+                          oracle_skin_mask(frames[0], model))
     assert_matches_oracle(seq, RoiTrack(frames=(0,), entries=(RoiBox(0, 0, 5, 4),)), "skin", model)
 
 
@@ -211,7 +215,7 @@ def test_runs_longer_than_one_chunk():
     frames = volume(3, n, 2, 2, 0.5)
     seq = FrameSequence(width=2, height=2, fps=Fraction(20), frames=frames, sequence_id="long")
     roi = RoiTrack(frames=(0, 7), entries=(RoiBox(0, 0, 2, 2), RoiBox(1, 1, 1, 1)))
-    moments = roi_moments(seq, roi, "bbox", second=True)
+    moments = roi_moments(seq, roi, "bbox")
     want = frames[7:, 1, 1].astype(np.float64)
     assert np.array_equal(moments.sums[7:], want)
     assert np.array_equal(moments.second[7:], want[:, :, None] * want[:, None, :])

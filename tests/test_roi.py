@@ -12,14 +12,19 @@ from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
 from rppgbench.roi import (
     RgbTrace,
     SkinModel,
+    _skin_select,
     fit_skin_model,
     lower_face_mask,
     mean_rgb_trace,
-    skin_mask,
 )
 from rppgbench.synth import SynthConfig, generate
 
 SKIN = np.array([180, 120, 100], dtype=np.uint8)
+
+
+def skin_mask(frame, model):
+    """The skin selection of a (h, w, 3) frame, as the moments pass makes it."""
+    return _skin_select(np.moveaxis(np.asarray(frame, dtype=np.float64), -1, 0), model)
 
 
 def uniform_frame(color, h=40, w=40):
@@ -316,10 +321,21 @@ def test_unknown_strategy_rejected():
 
 
 def test_rgb_trace_validation():
+    corr = np.zeros((3, 3, 3))
     with pytest.raises(ValueError):
-        RgbTrace(means=np.zeros((3, 3)) - 1.0, fs=20.0, pixel_counts=np.ones(3))
+        RgbTrace(means=np.zeros((3, 3)) - 1.0, correlations=corr, fs=20.0, pixel_counts=np.ones(3))
     with pytest.raises(ValueError):
-        RgbTrace(means=np.zeros((3, 3)), fs=20.0, pixel_counts=np.zeros(3))
-    trace = RgbTrace(means=np.full((4, 3), 9.0), fs=20.0, pixel_counts=np.ones(4))
+        RgbTrace(means=np.zeros((3, 3)), correlations=corr, fs=20.0, pixel_counts=np.zeros(3))
+    with pytest.raises(ValueError, match=r"\(n_frames, 3, 3\)"):
+        RgbTrace(means=np.zeros((3, 3)), correlations=np.zeros((3, 3)), fs=20.0, pixel_counts=np.ones(3))
+    with pytest.raises(ValueError, match="correlations must be finite"):
+        RgbTrace(means=np.zeros((3, 3)), correlations=corr + np.nan, fs=20.0, pixel_counts=np.ones(3))
+    with pytest.raises(ValueError, match="frame rate"):
+        RgbTrace(means=np.zeros((3, 3)), correlations=corr, fs=0.0, pixel_counts=np.ones(3))
+    trace = RgbTrace(
+        means=np.full((4, 3), 9.0), correlations=np.full((4, 3, 3), 81.0), fs=20.0, pixel_counts=np.ones(4)
+    )
     assert len(trace) == 4
     assert trace.channel(1) == pytest.approx(np.full(4, 9.0))
+    with pytest.raises(ValueError):
+        trace.correlations[0, 0, 0] = 0.0

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from rppgbench.errors import DegenerateSubspaceError, NumericDegeneracyError
+from rppgbench.errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from rppgbench.hr import estimate_hr_spectral
-from rppgbench.roi import iter_roi_pixels
+from rppgbench.roi import RgbTrace, mean_rgb_trace
 from rppgbench.signals import BandHz
 from rppgbench.synth import SynthConfig, generate
 from rppgbench.ssr import (
@@ -55,9 +55,15 @@ def correlation(pixels):
     return pixels.T @ pixels / pixels.shape[0]
 
 
-def correlations(pixel_sets):
-    """The (n, 3, 3) input of ssr_pulse: one C = V'V / N per frame's pixels."""
-    return np.stack([correlation(p) for p in pixel_sets])
+def trace_of(pixel_sets, fs, fallback_frames=()):
+    """The RgbTrace of per-frame pixel sets: one C = V'V / N per frame."""
+    return RgbTrace(
+        means=np.stack([np.mean(p, axis=0) for p in pixel_sets]),
+        correlations=np.stack([correlation(p) for p in pixel_sets]),
+        fs=fs,
+        pixel_counts=[len(p) for p in pixel_sets],
+        fallback_frames=fallback_frames,
+    )
 
 
 def random_pixels(rng, n=100):
@@ -168,7 +174,7 @@ def make_frames(rng, n_frames, pulse=None, n_pixels=120):
 def test_identical_frames_give_flat_pulse():
     rng = np.random.default_rng(11)
     frame = make_frames(rng, 1)[0]
-    pulse = ssr_pulse(correlations([frame] * 40), SsrParams(window_l=20), fps=20.0)
+    pulse = ssr_pulse(trace_of([frame] * 40, 20.0), SsrParams(window_l=20))
     assert len(pulse) == 40
     assert pulse.fs == 20.0
     assert pulse.method == "ssr"
@@ -178,7 +184,7 @@ def test_identical_frames_give_flat_pulse():
 def test_rank_one_frames_raise_degenerate_subspace():
     frames = [np.full((10, 3), 100.0 + i) for i in range(20)]
     with pytest.raises(DegenerateSubspaceError, match="degenerate"):
-        ssr_pulse(correlations(frames), SsrParams(window_l=10), fps=10.0)
+        ssr_pulse(trace_of(frames, 10.0), SsrParams(window_l=10))
 
 
 def test_pixel_order_invariance():
@@ -188,8 +194,8 @@ def test_pixel_order_invariance():
     perm_rng = np.random.default_rng(99)
     for f in frames:
         shuffled.append(f[perm_rng.permutation(len(f))])
-    a = ssr_pulse(correlations(frames), SsrParams(window_l=10), fps=10.0)
-    b = ssr_pulse(correlations(shuffled), SsrParams(window_l=10), fps=10.0)
+    a = ssr_pulse(trace_of(frames, 10.0), SsrParams(window_l=10))
+    b = ssr_pulse(trace_of(shuffled, 10.0), SsrParams(window_l=10))
     scale = max(1.0, np.abs(a.samples).max())
     assert b.samples == pytest.approx(a.samples, abs=1e-9 * scale)
 
@@ -198,8 +204,8 @@ def test_global_intensity_scale_invariance():
     rng = np.random.default_rng(17)
     t = np.arange(60) / 20.0
     frames = make_frames(rng, 60, pulse=1.5 * np.sin(2 * np.pi * 1.2 * t))
-    a = ssr_pulse(correlations(frames), fps=20.0)
-    b = ssr_pulse(correlations([0.4 * f for f in frames]), fps=20.0)
+    a = ssr_pulse(trace_of(frames, 20.0))
+    b = ssr_pulse(trace_of([0.4 * f for f in frames], 20.0))
     scale = max(1.0, np.abs(a.samples).max())
     assert b.samples == pytest.approx(a.samples, abs=1e-9 * scale)
 
@@ -207,7 +213,7 @@ def test_global_intensity_scale_invariance():
 def test_output_length_covers_awkward_frame_counts():
     rng = np.random.default_rng(19)
     frames = make_frames(rng, 53, n_pixels=40)
-    pulse = ssr_pulse(correlations(frames), SsrParams(window_l=20), fps=20.0)
+    pulse = ssr_pulse(trace_of(frames, 20.0), SsrParams(window_l=20))
     assert len(pulse) == 53
     assert pulse.samples.mean() == pytest.approx(0.0, abs=1e-9)
 
@@ -217,7 +223,7 @@ def test_recovers_modulation_frequency():
     fps = 20.0
     t = np.arange(600) / fps
     frames = make_frames(rng, 600, pulse=2.0 * np.sin(2 * np.pi * 1.2 * t))
-    pulse = ssr_pulse(correlations(frames), fps=fps)
+    pulse = ssr_pulse(trace_of(frames, fps))
     est = estimate_hr_spectral(pulse, BandHz(0.67, 4.0))
     assert est.bpm == pytest.approx(72.0, abs=0.6)
 
@@ -226,15 +232,13 @@ def test_noise_free_frames_are_degenerate(clean_sequence):
     # Without spatial noise every frame is a single color: the minor
     # eigenvalues vanish and there is no subspace to track rotation against.
     seq, _, roi, _ = clean_sequence
-    frames = [p for p, _ in iter_roi_pixels(seq, roi, "bbox")]
     with pytest.raises(DegenerateSubspaceError):
-        ssr_pulse(correlations(frames), fps=seq.fps_float)
+        ssr_pulse(mean_rgb_trace(seq, roi, "bbox"))
 
 
 def test_end_to_end_on_synthetic_sequence():
     seq, _, roi, gt = generate(SynthConfig(duration_s=30.0, seed=3))
-    frames = [p for p, _ in iter_roi_pixels(seq, roi, "bbox")]
-    pulse = ssr_pulse(correlations(frames), fps=seq.fps_float)
+    pulse = ssr_pulse(mean_rgb_trace(seq, roi, "bbox"))
     est = estimate_hr_spectral(pulse, BandHz(0.67, 4.0))
     assert est.bpm == pytest.approx(gt.bpm, abs=0.6)
 
@@ -242,25 +246,24 @@ def test_end_to_end_on_synthetic_sequence():
 def test_fallback_fraction_passthrough():
     rng = np.random.default_rng(29)
     frames = make_frames(rng, 20)
-    pulse = ssr_pulse(correlations(frames), SsrParams(window_l=10), fps=10.0, fallback_fraction=0.25)
+    pulse = ssr_pulse(trace_of(frames, 10.0, fallback_frames=(0, 4, 9, 13, 17)), SsrParams(window_l=10))
     assert pulse.fallback_fraction == 0.25
+    assert pulse.fs == 10.0
 
 
 def test_input_validation():
     rng = np.random.default_rng(31)
     frames = make_frames(rng, 12)
-    with pytest.raises(ValueError, match="fps"):
-        ssr_pulse(correlations(frames), fps=0.0)
-    with pytest.raises(ValueError, match="fps"):
-        ssr_pulse(correlations(frames), fps=None)
     with pytest.raises(ValueError, match="even"):
-        ssr_pulse(correlations(frames), SsrParams(window_l=5), fps=10.0)
-    with pytest.raises(ValueError, match="exceeds"):
-        ssr_pulse(correlations(frames), SsrParams(window_l=20), fps=10.0)
-    with pytest.raises(ValueError, match="at least 2 frames"):
-        ssr_pulse(correlations(frames[:1]), fps=10.0)
-    with pytest.raises(ValueError, match=r"\(n, 3, 3\)"):
-        ssr_pulse(np.stack(frames), fps=10.0)
+        ssr_pulse(trace_of(frames, 10.0), SsrParams(window_l=5))
+    with pytest.raises(DataError, match="exceeds"):
+        ssr_pulse(trace_of(frames, 10.0), SsrParams(window_l=20))
+    with pytest.raises(DataError, match="at least 2 frames"):
+        ssr_pulse(trace_of(frames[:1], 10.0))
+    # The pixel count is checked before anything else, even the eigensolver.
+    few = frames[:5] + [np.zeros((2, 3))] + frames[6:]
+    with pytest.raises(DataError, match="need at least 3 pixels, got 2"):
+        ssr_pulse(trace_of(few, 10.0))
 
 
 def test_params_validation():

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 
-import numpy as np
-
 from .chrom import ChromParams, chrom_pulse
 from .errors import EXPECTED_ERRORS, DataError, FormatError, UndefinedCorrelationError
 from .hr import HrEstimate, detect_peaks, estimate_hr_spectral, hr_from_peaks
@@ -49,7 +47,6 @@ __all__ = [
     "build_params",
     "read_bundle",
     "load_bundle",
-    "skin_model_for",
     "extract_pulse",
     "evaluate",
     "greedy_search",
@@ -151,20 +148,16 @@ def load_ground_truth(bundle: SequenceBundle) -> HrEstimate:
     return hr_from_peaks(detect_peaks(bvp), bvp.fs)
 
 
-def skin_model_for(bundle: SequenceBundle, strategy: str, tau: float):
-    """The skin model a strategy needs: fitted on frame 0 for ``skin``, else None."""
-    if strategy != "skin":
-        return None
-    return fit_skin_model(bundle.sequence.frames[0], bundle.roi.entry_for(0), tau)
-
-
 def _selection_key(strategy: str, skin_tau: float) -> tuple:
     """The pixels a selection keeps depend on ``skin_tau`` only under ``skin``."""
     return (strategy, skin_tau if strategy == "skin" else None)
 
 
 def _rgb_trace(bundle: SequenceBundle, strategy: str, skin_tau: float) -> RgbTrace:
-    model = skin_model_for(bundle, strategy, skin_tau)
+    """The selection's RGB trace; ``skin`` fits its model on frame 0."""
+    model = None
+    if strategy == "skin":
+        model = fit_skin_model(bundle.sequence.frames[0], bundle.roi.entry_for(0), skin_tau)
     return mean_rgb_trace(bundle.sequence, bundle.roi, strategy, model)
 
 
@@ -240,12 +233,7 @@ def pulse_chrom(features: SequenceFeatures, params: ChromParams) -> PulseSignal:
 
 def pulse_licvpr(features: SequenceFeatures, params: LiParams) -> PulseSignal:
     trace = features.rgb_trace(params.strategy, params.skin_tau)
-    green = Signal1D(trace.channel(1), trace.fs)
-    if params.rectify:
-        background = features.background(params.background_margin)
-    else:
-        background = Signal1D(np.zeros(len(green)), green.fs)
-    return licvpr_pulse(green, background, params)
+    return licvpr_pulse(trace, features.background(params.background_margin) if params.rectify else None, params)
 
 
 def pulse_ssr(features: SequenceFeatures, params: SsrParams) -> PulseSignal:

@@ -29,7 +29,7 @@ from .bench import (
 )
 from .errors import DataError, FormatError, NumericDegeneracyError
 from .hr import estimate_hr_spectral
-from .io import _read_json, load_protocol, read_series_csv, write_series_csv
+from .io import _check_even_steps, _read_json, load_protocol, read_series_csv, write_series_csv
 from .roi import STRATEGIES
 from .signals import BandHz, Signal1D
 from .synth import SynthConfig, build_dataset
@@ -204,13 +204,7 @@ def cmd_hr(args) -> int:
     t, values = read_series_csv(args.pulse_csv)
     if t.size < 2:
         raise DataError(f"{args.pulse_csv}: pulse CSV must contain at least 2 samples")
-    steps = np.diff(t)
-    step = np.median(steps)
-    uneven = np.flatnonzero(np.abs(steps - step) > step / 2)
-    if uneven.size:
-        k = uneven[0]
-        raise DataError(f"{args.pulse_csv}: row at t={t[k + 1]}: {steps[k]} s after the previous row, more than "
-                        f"half a step off the median step {step} s; samples must be evenly spaced")
+    _check_even_steps(args.pulse_csv, t, np.median(np.diff(t)), "the median step")
     fs = (t.size - 1) / (t[-1] - t[0])
     band = BandHz(args.band_lo, args.band_hi)
     if band.lo >= fs / 2:  # no file at this rate can hold the band: a usage error

@@ -277,6 +277,16 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(ts), np.asarray(vs)
 
 
+def _check_even_steps(path, t: np.ndarray, step: float, expected: str) -> None:
+    """Raise FormatError at the first timestamp more than half a step off ``step`` after its predecessor."""
+    steps = np.diff(t)
+    uneven = np.flatnonzero(np.abs(steps - step) > step / 2)
+    if uneven.size:
+        k = uneven[0]
+        raise FormatError(f"row at t={t[k + 1]}: {steps[k]} s after the previous row, more than half a step off "
+                          f"{expected} {step} s; samples must be evenly spaced", path=str(path))
+
+
 def write_series_csv(t, values, path) -> None:
     """Write a ``t,value`` CSV with full float precision (round-trip safe)."""
     t = np.asarray(t, dtype=np.float64)
@@ -301,10 +311,10 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
     for key in ("subject_id", "lighting", "sample_rate_hz", "signal_type"):
         if key not in meta:
             raise FormatError(f"sidecar missing key {key!r}", path=str(meta_path))
-    _, values = read_series_csv(path)
+    t, values = read_series_csv(path)
     try:
         _check_number("sample_rate_hz", meta["sample_rate_hz"], optional=False)
-        return PhysioSignal(
+        signal = PhysioSignal(
             kind=meta["signal_type"],
             fs=float(meta["sample_rate_hz"]),
             samples=values,
@@ -313,6 +323,8 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
         )
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid sidecar metadata: {exc}", path=str(meta_path)) from None
+    _check_even_steps(path, t, 1.0 / signal.fs, "1 / sample_rate_hz =")
+    return signal
 
 
 def write_physio_csv(sig: PhysioSignal, path, meta_path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .io import FrameSequence, RoiTrack
-from .roi import CHUNK_PIXELS, check_selection
+from .roi import CHUNK_PIXELS, RgbTrace, check_selection
 from .signals import (
     BandHz,
     PulseSignal,
@@ -151,21 +151,20 @@ def eliminate_motion_segments(s: Signal1D, segment_s: float, p: float) -> tuple[
     return Signal1D(out, s.fs), tuple(discarded)
 
 
-def licvpr_pulse(green: Signal1D, background_green: Signal1D, params: LiParams = LiParams()) -> PulseSignal:
-    """Extract the pulse from a skin green trace and a background green trace.
+def licvpr_pulse(trace: RgbTrace, background: Signal1D | None, params: LiParams = LiParams()) -> PulseSignal:
+    """Extract the pulse from the green channel of a skin RGB trace.
 
-    The two traces must be frame-aligned. With ``rectify=False`` the
-    background is ignored. Output length equals the post-elimination length.
+    ``background`` is the frame-aligned background green trace; it is read
+    only with ``rectify=True`` and may be None otherwise. Output length
+    equals the post-elimination length.
     """
-    if len(green) != len(background_green):
-        raise ValueError("green and background traces must be frame-aligned (equal length)")
-    if green.fs != background_green.fs:
-        raise ValueError("green and background traces must share a frame rate")
-    x = green
+    x = Signal1D(trace.channel(1), trace.fs)
     if params.rectify:
-        x = nlms_rectify(green, background_green, mu=params.mu, order=params.order)
-    seg_len = max(1, int(round(params.segment_s * green.fs)))
-    n_segments = int(np.ceil(len(green) / seg_len))
+        if background is None:
+            raise ValueError("rectify=True needs a background trace")
+        x = nlms_rectify(x, background, mu=params.mu, order=params.order)
+    seg_len = max(1, int(round(params.segment_s * trace.fs)))
+    n_segments = int(np.ceil(len(trace) / seg_len))
     x, discarded = eliminate_motion_segments(x, params.segment_s, params.discard_percentile)
     x = detrend_smoothness_priors(x, params.detrend_lambda)
     x = moving_average(x, params.ma_window)
@@ -175,7 +174,8 @@ def licvpr_pulse(green: Signal1D, background_green: Signal1D, params: LiParams =
         log.info("discarded %d/%d segments", len(discarded), n_segments)
     return PulseSignal(
         samples=samples,
-        fs=green.fs,
+        fs=trace.fs,
         method="licvpr",
+        fallback_fraction=trace.fallback_fraction,
         discarded_fraction=len(discarded) / n_segments,
     )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +18,6 @@ __all__ = [
     "check_selection",
     "fit_skin_model",
     "lower_face_mask",
-    "RoiMoments",
-    "roi_moments",
     "mean_rgb_trace",
     "iter_roi_pixels",
 ]
@@ -306,19 +303,6 @@ def lower_face_mask(landmarks: RoiPolygon, frame_width: int, frame_height: int) 
     return inside | on_edge
 
 
-class RoiMoments(NamedTuple):
-    """Per-frame moments of the selected pixels.
-
-    Sums of uint8 values and of their products are integers far below 2**53,
-    so they are exact in float64 and independent of summation order.
-    """
-
-    counts: np.ndarray  # (n,) int64 pixels per frame
-    sums: np.ndarray  # (n, 3) sum of RGB
-    second: np.ndarray  # (n, 3, 3) sum of RGB' RGB
-    fallback_frames: tuple[int, ...]
-
-
 def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: SkinModel | None):
     """Yield ``(start, x, mask, fallback)`` per chunk of frames.
 
@@ -354,17 +338,26 @@ def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: Sk
             yield a, x, mask, fallback
 
 
-def roi_moments(
-    seq: FrameSequence,
-    roi: RoiTrack,
-    strategy: str = "bbox",
-    model: SkinModel | None = None,
-) -> RoiMoments:
-    """Pixel counts, RGB sums and RGB' RGB sums of every frame.
+def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None):
+    """Yield ``(pixels, fallback)`` per frame, selecting pixels per strategy.
+
+    ``pixels`` is a float64 array of shape (N, 3); ``fallback`` is True when
+    the skin or polygon selection came up empty and the full box was used.
+    """
+    for _, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
+        for j in range(len(x)):
+            selected = x[j] if mask is None else x[j][:, mask[j]]
+            yield np.ascontiguousarray(selected.T), bool(fallback[j])
+
+
+def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
+    """Average the selected pixels, and their products, of every frame into an RGB trace.
 
     One vectorized pass over chunks of frames that share a ROI entry; the
     selection per strategy and the full-box fallback are those of
-    :func:`iter_roi_pixels`.
+    :func:`iter_roi_pixels`. Sums of uint8 values and of their products are
+    integers far below 2**53, so they are exact in float64 and independent
+    of summation order.
     """
     n = seq.n_frames
     counts = np.empty(n, dtype=np.int64)
@@ -382,30 +375,12 @@ def roi_moments(
         sums[start:stop] = weighted.sum(axis=2)
         products[start:stop] = weighted @ x.transpose(0, 2, 1)
         fallbacks.extend(np.flatnonzero(fallback) + start)
-    return RoiMoments(counts, sums, products, tuple(int(i) for i in fallbacks))
-
-
-def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None):
-    """Yield ``(pixels, fallback)`` per frame, selecting pixels per strategy.
-
-    ``pixels`` is a float64 array of shape (N, 3); ``fallback`` is True when
-    the skin or polygon selection came up empty and the full box was used.
-    """
-    for _, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
-        for j in range(len(x)):
-            selected = x[j] if mask is None else x[j][:, mask[j]]
-            yield np.ascontiguousarray(selected.T), bool(fallback[j])
-
-
-def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
-    """Average the selected pixels, and their products, of every frame into an RGB trace."""
-    moments = roi_moments(seq, roi, strategy, model)
-    if moments.fallback_frames:
-        log.info("ROI fallback on %d/%d frames", len(moments.fallback_frames), seq.n_frames)
+    if fallbacks:
+        log.info("ROI fallback on %d/%d frames", len(fallbacks), n)
     return RgbTrace(
-        means=moments.sums / moments.counts[:, None],
-        correlations=moments.second / moments.counts[:, None, None],
+        means=sums / counts[:, None],
+        correlations=products / counts[:, None, None],
         fs=seq.fps_float,
-        pixel_counts=moments.counts,
-        fallback_frames=moments.fallback_frames,
+        pixel_counts=counts,
+        fallback_frames=fallbacks,
     )

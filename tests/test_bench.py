@@ -13,6 +13,7 @@ from rppgbench.bench import (
     REFERENCE_RESULTS,
     EvalReport,
     SearchStage,
+    SequenceBundle,
     SequenceResult,
     build_params,
     emit_report,
@@ -28,6 +29,7 @@ from rppgbench.errors import DataError, FormatError
 from rppgbench.io import ProtocolEntry, ProtocolIndex, load_protocol
 from rppgbench.signals import BandHz
 from rppgbench.ssr import SsrParams
+from rppgbench.synth import SynthConfig, generate
 
 
 def perfect(features, params):
@@ -211,6 +213,20 @@ def test_extract_pulse_with_dict_params(small_dataset):
     assert len(pulse) == bundle.sequence.n_frames
     with pytest.raises(ValueError, match="unknown algorithm"):
         extract_pulse(bundle, "fft")
+
+
+def test_licvpr_reports_the_fallback_fraction_of_its_trace(tmp_path):
+    # Frames 100..119 turn the ROI gray: the skin model fitted on frame 0
+    # keeps none of their pixels, so those frames fall back to the full box.
+    result = generate(SynthConfig(duration_s=10.0, seed=5))
+    frames = result.sequence.frames.copy()
+    box = result.roi.entry_for(0).bbox()
+    frames[100:120, box.y:box.y + box.h, box.x:box.x + box.w] = 128
+    sequence = dataclasses.replace(result.sequence, frames=frames)
+    bundle = SequenceBundle(sequence=sequence, roi=result.roi, directory=tmp_path)
+    licvpr = extract_pulse(bundle, "licvpr", {"strategy": "skin"})
+    chrom = extract_pulse(bundle, "chrom", {"strategy": "skin"})
+    assert licvpr.fallback_fraction == chrom.fallback_fraction == 20 / 200
 
 
 # ---------------------------------------------------------------------------

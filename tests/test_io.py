@@ -194,6 +194,20 @@ def test_physio_round_trip_256hz(tmp_path):
     assert np.array_equal(back.samples, sig.samples)
 
 
+def test_physio_timestamps_must_agree_with_the_sidecar_rate(tmp_path):
+    # Rows 1/128 s apart under a 256 Hz sidecar: read at 256 Hz the beats
+    # would come twice as fast, so the file is rejected rather than misread.
+    t = np.arange(512) / 128.0
+    csv_path, meta_path = tmp_path / "bvp.csv", tmp_path / "bvp_meta.json"
+    write_series_csv(t, np.sin(2 * np.pi * 1.2 * t), csv_path)
+    meta = {"subject_id": "s", "lighting": "studio", "sample_rate_hz": 256, "signal_type": "bvp"}
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(csv_path))}: row at t=0.0078125: "):
+        read_physio_csv(csv_path, meta_path)
+    meta_path.write_text(json.dumps({**meta, "sample_rate_hz": 128}))
+    assert read_physio_csv(csv_path, meta_path).fs == 128.0
+
+
 def test_physio_missing_sidecar(tmp_path):
     csv_path = tmp_path / "bvp.csv"
     write_series_csv([0.0, 0.5], [1.0, 2.0], csv_path)

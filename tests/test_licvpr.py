@@ -10,7 +10,7 @@ from rppgbench.licvpr import (
     eliminate_motion_segments,
     licvpr_pulse,
 )
-from rppgbench.roi import mean_rgb_trace
+from rppgbench.roi import RgbTrace, mean_rgb_trace
 from rppgbench.signals import (
     BandHz,
     Signal1D,
@@ -21,11 +21,16 @@ from rppgbench.signals import (
 from rppgbench.synth import SynthConfig, generate
 
 
-def green_and_background(result, margin=10):
-    trace = mean_rgb_trace(result.sequence, result.roi, "mask")
-    green = Signal1D(trace.channel(1), trace.fs)
-    background = background_trace(result.sequence, result.roi, margin)
-    return green, background
+def gray_trace(levels, fs=20.0, fallback_frames=()):
+    """The trace of one gray pixel per frame at the given levels."""
+    means = np.repeat(np.asarray(levels, dtype=np.float64)[:, None], 3, axis=1)
+    return RgbTrace(
+        means=means,
+        correlations=means[:, :, None] * means[:, None, :],
+        fs=fs,
+        pixel_counts=np.ones(means.shape[0], dtype=np.int64),
+        fallback_frames=fallback_frames,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +141,8 @@ def test_pipeline_equals_plain_chain_when_disabled():
     fs = 20.0
     t = np.arange(600) / fs
     green = Signal1D(120.0 + np.sin(2 * np.pi * 1.2 * t) + 0.3 * rng.normal(size=600), fs)
-    background = Signal1D(np.full(600, 128.0), fs)
     params = LiParams(rectify=False, discard_percentile=100.0)
-    pulse = licvpr_pulse(green, background, params)
+    pulse = licvpr_pulse(gray_trace(green.samples, fs), None, params)
 
     chain = bandpass(
         moving_average(
@@ -153,15 +157,15 @@ def test_pipeline_equals_plain_chain_when_disabled():
 
 def test_zero_background_constant_green_gives_zero_pulse():
     fs = 20.0
-    green = Signal1D(np.full(400, 120.0), fs)
     background = Signal1D(np.zeros(400), fs)
-    pulse = licvpr_pulse(green, background)
+    pulse = licvpr_pulse(gray_trace(np.full(400, 120.0), fs), background)
     assert np.max(np.abs(pulse.samples)) <= 1e-9
 
 
 def test_end_to_end_72_bpm(clean_sequence):
-    green, background = green_and_background(clean_sequence)
-    pulse = licvpr_pulse(green, background)
+    trace = mean_rgb_trace(clean_sequence.sequence, clean_sequence.roi, "mask")
+    background = background_trace(clean_sequence.sequence, clean_sequence.roi, margin=10)
+    pulse = licvpr_pulse(trace, background)
     estimate = estimate_hr_spectral(pulse, BandHz(0.67, 4.0))
     assert estimate.bpm == pytest.approx(72.0, abs=0.6)
     assert pulse.method == "licvpr"
@@ -171,10 +175,8 @@ def test_discarded_fraction_reported():
     rng = np.random.default_rng(8)
     fs = 20.0
     samples = 120.0 + rng.normal(0, 0.2, size=400)
-    samples[200:220] += rng.normal(0, 60.0, size=20)
-    green = Signal1D(samples, fs)
-    background = Signal1D(np.full(400, 128.0), fs)
-    pulse = licvpr_pulse(green, background, LiParams(rectify=False, discard_percentile=90.0))
+    samples[200:220] += rng.normal(0, 40.0, size=20)  # stays inside [0, 255]
+    pulse = licvpr_pulse(gray_trace(samples, fs), None, LiParams(rectify=False, discard_percentile=90.0))
     # 20 one-second segments; the interpolated 90th percentile of their SDs
     # sits below the two largest, so exactly 2/20 segments go.
     assert pulse.discarded_fraction == pytest.approx(0.1, abs=1e-12)
@@ -182,10 +184,20 @@ def test_discarded_fraction_reported():
 
 
 def test_length_mismatch_rejected():
-    a = Signal1D(np.ones(10) * 120, 20.0)
     b = Signal1D(np.ones(9) * 128, 20.0)
     with pytest.raises(ValueError, match="length"):
-        licvpr_pulse(a, b)
+        licvpr_pulse(gray_trace(np.ones(10) * 120), b)
+
+
+def test_rectify_needs_a_background():
+    with pytest.raises(ValueError, match="background"):
+        licvpr_pulse(gray_trace(np.full(400, 120.0)), None)
+
+
+def test_fallback_fraction_carried_from_trace():
+    trace = gray_trace(120.0 + np.sin(np.arange(400) / 3.0), fallback_frames=(3, 4, 5, 6))
+    pulse = licvpr_pulse(trace, None, LiParams(rectify=False))
+    assert pulse.fallback_fraction == pytest.approx(4 / 400)
 
 
 def test_params_validation():

@@ -24,7 +24,6 @@ from rppgbench.roi import (
     iter_roi_pixels,
     lower_face_mask,
     mean_rgb_trace,
-    roi_moments,
 )
 from rppgbench.ssr import canonical_eigenvector_signs, correlation_eigens, frame_eigen
 
@@ -68,18 +67,14 @@ def oracle_frames(seq, roi, strategy, model):
 
 def assert_matches_oracle(seq, roi, strategy, model):
     expected = oracle_frames(seq, roi, strategy, model)
-    moments = roi_moments(seq, roi, strategy, model)
-    counts = np.array([p.shape[0] for p, _ in expected])
-    assert np.array_equal(moments.counts, counts)
-    assert moments.fallback_frames == tuple(i for i, (_, fb) in enumerate(expected) if fb)
-    means = np.stack([p.mean(axis=0) for p, _ in expected])
-    assert np.array_equal(moments.sums / moments.counts[:, None], means)
-    corr = np.stack([p.T @ p / p.shape[0] for p, _ in expected])
-    assert np.array_equal(moments.second / moments.counts[:, None, None], corr)
     trace = mean_rgb_trace(seq, roi, strategy, model)
+    counts = np.array([p.shape[0] for p, _ in expected])
+    assert np.array_equal(trace.pixel_counts, counts)
+    assert trace.fallback_frames == tuple(i for i, (_, fb) in enumerate(expected) if fb)
+    means = np.stack([p.mean(axis=0) for p, _ in expected])
+    corr = np.stack([p.T @ p / p.shape[0] for p, _ in expected])
     assert np.array_equal(trace.means, means)
     assert np.array_equal(trace.correlations, corr)
-    assert np.array_equal(trace.pixel_counts, counts)
     for (pixels, fallback), (want, want_fb) in zip(iter_roi_pixels(seq, roi, strategy, model), expected):
         assert fallback == want_fb
         assert np.array_equal(pixels, want)
@@ -215,11 +210,12 @@ def test_runs_longer_than_one_chunk():
     frames = volume(3, n, 2, 2, 0.5)
     seq = FrameSequence(width=2, height=2, fps=Fraction(20), frames=frames, sequence_id="long")
     roi = RoiTrack(frames=(0, 7), entries=(RoiBox(0, 0, 2, 2), RoiBox(1, 1, 1, 1)))
-    moments = roi_moments(seq, roi, "bbox")
+    trace = mean_rgb_trace(seq, roi, "bbox")
     want = frames[7:, 1, 1].astype(np.float64)
-    assert np.array_equal(moments.sums[7:], want)
-    assert np.array_equal(moments.second[7:], want[:, :, None] * want[:, None, :])
-    assert np.array_equal(moments.sums[:7], frames[:7].reshape(7, 4, 3).astype(np.float64).sum(axis=1))
+    assert np.array_equal(trace.pixel_counts, [4] * 7 + [1] * (n - 7))
+    assert np.array_equal(trace.means[7:], want)
+    assert np.array_equal(trace.correlations[7:], want[:, :, None] * want[:, None, :])
+    assert np.array_equal(trace.means[:7], frames[:7].reshape(7, 4, 3).astype(np.float64).mean(axis=1))
 
 
 @SETTINGS

@@ -29,7 +29,7 @@ from .io import (
 from .licvpr import LiParams, background_trace, licvpr_pulse
 from .roi import RgbTrace, fit_skin_model, mean_rgb_trace
 from .signals import BandHz, PulseSignal, Signal1D, pearson, rmse
-from .ssr import SsrParams, ssr_pulse
+from .ssr import SsrParams, ssr_pulse, trace_eigens
 from .synth import BUNDLE_FILES
 
 __all__ = [
@@ -161,10 +161,6 @@ def _rgb_trace(bundle: SequenceBundle, strategy: str, skin_tau: float) -> RgbTra
     return mean_rgb_trace(bundle.sequence, bundle.roi, strategy, model)
 
 
-def _background(bundle: SequenceBundle, margin: int) -> Signal1D:
-    return background_trace(bundle.sequence, bundle.roi, margin)
-
-
 class SequenceFeatures:
     """One sequence's features for one evaluation, each computed on first use.
 
@@ -192,30 +188,38 @@ class SequenceFeatures:
             self._bundle = self._load()
         return self._bundle
 
-    def _feature(self, key: tuple, compute, *args):
+    def _feature(self, key: tuple, compute):
         if key not in self._cache:
-            self._cache[key] = compute(self.bundle, *args)
+            self._cache[key] = compute()
         return self._cache[key]
 
     def truth(self) -> HrEstimate:
         # On a miss the bundle is read before the BVP, so a sequence whose
         # video and BVP are both bad fails on the video.
-        return self._feature(("truth",), load_ground_truth)
+        return self._feature(("truth",), lambda: load_ground_truth(self.bundle))
 
     def rgb_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
-        return self._feature(("rgb", *_selection_key(strategy, skin_tau)), _rgb_trace, strategy, skin_tau)
+        key = ("rgb", *_selection_key(strategy, skin_tau))
+        return self._feature(key, lambda: _rgb_trace(self.bundle, strategy, skin_tau))
+
+    def eigens(self, strategy: str, skin_tau: float) -> tuple:
+        """The selection's ``ssr.trace_eigens``: SSR's windows change, its eigen-decompositions do not."""
+        key = ("eigens", *_selection_key(strategy, skin_tau))
+        return self._feature(key, lambda: trace_eigens(self.rgb_trace(strategy, skin_tau)))
 
     def background(self, margin: int) -> Signal1D:
-        return self._feature(("background", margin), _background, margin)
+        key = ("background", margin)
+        return self._feature(key, lambda: background_trace(self.bundle.sequence, self.bundle.roi, margin))
 
 
 class FeatureStore:
     """The features of one dataset's sequences, keyed by sequence id.
 
     ``greedy_search`` shares one store between its candidates, so each
-    sequence's truth, RGB traces and background traces are computed once
-    per feature setting. The store holds no frames: a bundle read on a miss
-    lives only as long as the :class:`SequenceFeatures` that read it.
+    sequence's truth, RGB traces, SSR eigen-decompositions and background
+    traces are computed once per feature setting. The store holds no
+    frames: a bundle read on a miss lives only as long as the
+    :class:`SequenceFeatures` that read it.
     """
 
     def __init__(self, dataset_root):
@@ -237,7 +241,8 @@ def pulse_licvpr(features: SequenceFeatures, params: LiParams) -> PulseSignal:
 
 
 def pulse_ssr(features: SequenceFeatures, params: SsrParams) -> PulseSignal:
-    return ssr_pulse(features.rgb_trace(params.strategy, params.skin_tau), params)
+    selection = (params.strategy, params.skin_tau)
+    return ssr_pulse(features.rgb_trace(*selection), params, features.eigens(*selection))
 
 
 def _estimation_band(params) -> BandHz:
@@ -449,15 +454,8 @@ def evaluate(
         rho = pearson(estimates, truths)
     except UndefinedCorrelationError:
         rho = None
-    return EvalReport(
-        protocol=protocol.name,
-        algorithm=algorithm,
-        split=split,
-        params=dataclasses.asdict(params),
-        sequences=tuple(results),
-        rmse=rmse(estimates, truths),
-        pearson_rho=rho,
-    )
+    return EvalReport(protocol=protocol.name, algorithm=algorithm, split=split, params=dataclasses.asdict(params),
+                      sequences=tuple(results), rmse=rmse(estimates, truths), pearson_rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +563,7 @@ def greedy_search(
     trace: list[dict] = []
     n_evaluations = 0
     for stage, assignments in zip(stages, per_stage):
-        best_score = None
-        best_assignment = None
+        best_score = best_assignment = None
         rows = []
         for assignment in assignments:
             candidate = {**fixed, **assignment}
@@ -592,20 +589,9 @@ def greedy_search(
         if best_assignment is None:
             raise DataError(f"all candidates failed in search stage {stage.name!r}")
         fixed.update(best_assignment)
-        trace.append(
-            {
-                "stage": stage.name,
-                "evaluations": rows,
-                "selected": dict(best_assignment),
-                "objective_value": best_score,
-            }
-        )
-    return SearchResult(
-        best_params=fixed,
-        objective=objective,
-        trace=tuple(trace),
-        n_evaluations=n_evaluations,
-    )
+        trace.append({"stage": stage.name, "evaluations": rows, "selected": dict(best_assignment),
+                      "objective_value": best_score})
+    return SearchResult(best_params=fixed, objective=objective, trace=tuple(trace), n_evaluations=n_evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -683,15 +669,8 @@ def read_report(path) -> EvalReport:
                 if cells[0] in ("rmse", "pearson"):
                     trailer[cells[0]] = float(cells[1]) if cells[1] or cells[0] == "rmse" else None
                 else:
-                    rows.append(
-                        SequenceResult(
-                            sequence_id=cells[0],
-                            status=cells[1],
-                            estimated_bpm=float(cells[2]) if cells[2] else None,
-                            ground_truth_bpm=float(cells[3]) if cells[3] else None,
-                            detail=cells[4] if len(cells) > 4 else "",
-                        )
-                    )
+                    estimate, truth = (float(cell) if cell else None for cell in cells[2:4])
+                    rows.append(SequenceResult(cells[0], cells[1], estimate, truth, cells[4] if len(cells) > 4 else ""))
             except (IndexError, ValueError):
                 raise FormatError(f"row {reader.line_num}: short or unparsable report row", path=str(path)) from None
     if len(trailer) < 2:

@@ -1,9 +1,10 @@
 """Chrominance-projection pulse extraction from an RGB trace.
 
-Works on short overlapping windows: channels are normalized by their window
-mean, projected onto two fixed chrominance axes, band-limited, and combined
-with a ratio of standard deviations that cancels specular distortions. The
-windows are Hann-weighted and overlap-added back into one waveform.
+Works on short overlapping windows, all in one batch: channels are
+normalized by their window mean, projected onto two fixed chrominance axes,
+band-limited, and combined with a ratio of standard deviations that cancels
+specular distortions. The windows are Hann-weighted and overlap-added back
+into one waveform.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import NumericDegeneracyError
 from .roi import RgbTrace, check_selection
-from .signals import BandHz, PulseSignal, Signal1D, bandpass, hann_overlap_add, window_length, window_starts
+from .signals import BandHz, PulseSignal, bandpass_rows, hann_overlap_add, window_length, window_starts
 
 __all__ = ["ChromParams", "chrom_pulse"]
 
@@ -53,28 +56,24 @@ def chrom_pulse(trace: RgbTrace, params: ChromParams = ChromParams()) -> PulseSi
     fs = trace.fs
     length = window_length(params.window_s * fs, n, minimum=8)
     # The FIR must fit the analysis window; keep taps odd for an integer delay.
-    numtaps = min(params.numtaps, length - 1)
-    if numtaps % 2 == 0:
-        numtaps -= 1
+    numtaps = (min(params.numtaps, length - 1) - 1) // 2 * 2 + 1  # the largest odd count that fits
+    params.band.validate_for(fs)
     starts = window_starts(n, length)
-    blocks = []
-    for w_idx, start in enumerate(starts):
-        window = trace.means[start:start + length]
-        mu = window.mean(axis=0)
-        if (mu == 0).any():
-            raise NumericDegeneracyError(
-                f"zero channel mean in window {w_idx} (frames {start}..{start + length - 1})"
-            )
-        rn = window[:, 0] / mu[0]
-        gn = window[:, 1] / mu[1]
-        bn = window[:, 2] / mu[2]
-        x_chrom = 3.0 * rn - 2.0 * gn
-        y_chrom = 1.5 * rn + gn - 1.5 * bn
-        x_f = bandpass(Signal1D(x_chrom, fs), params.band, numtaps=numtaps).samples
-        y_f = bandpass(Signal1D(y_chrom, fs), params.band, numtaps=numtaps).samples
-        sy = y_f.std()
-        combined = x_f - (x_f.std() / sy) * y_f if sy > 0 else x_f
-        blocks.append(combined - combined.mean())
+    windows = np.lib.stride_tricks.sliding_window_view(trace.means, length, axis=0)[starts]  # (w, 3, length)
+    mu = windows.mean(axis=2)
+    bad = np.flatnonzero((mu == 0).any(axis=1))
+    if bad.size:
+        start = starts[bad[0]]
+        raise NumericDegeneracyError(
+            f"zero channel mean in window {bad[0]} (frames {start}..{start + length - 1})"
+        )
+    rn, gn, bn = (windows / mu[:, :, None]).transpose(1, 0, 2)
+    chroma = np.concatenate((3.0 * rn - 2.0 * gn, 1.5 * rn + gn - 1.5 * bn))
+    x_f, y_f = np.split(bandpass_rows(chroma, fs, params.band, numtaps), 2)
+    sy = y_f.std(axis=1)
+    ratio = np.divide(x_f.std(axis=1), sy, out=np.zeros_like(sy), where=sy > 0)
+    combined = x_f - ratio[:, None] * y_f
+    blocks = combined - combined.mean(axis=1, keepdims=True)
     assembled = hann_overlap_add(blocks, fs, offsets=starts).samples
     assembled = assembled - assembled.mean()
     return PulseSignal(

@@ -156,11 +156,7 @@ def cmd_synth(args) -> int:
         lo_s, sep, hi_s = args.hr_range.partition(":")
         if not sep:
             raise ValueError("--hr-range must look like LO:HI")
-        lo, hi = float(lo_s), float(hi_s)
-        if args.count > 1:
-            hrs = list(np.linspace(lo, hi, args.count))
-        else:
-            hrs = [lo]
+        hrs = list(np.linspace(float(lo_s), float(hi_s), args.count))  # one sequence gets LO
     else:
         hrs = [args.hr] * args.count
     splits = ["train"] * args.train_count + ["test"] * (args.count - args.train_count)
@@ -241,16 +237,8 @@ def cmd_search(args) -> int:
     protocol = load_protocol(args.protocol)
     stages = _load_stages(args.stages)
     defaults = _parse_overrides(args.overrides, args.algo)
-    result = greedy_search(
-        stages,
-        protocol,
-        args.algo,
-        args.root,
-        objective=args.objective,
-        defaults=defaults,
-        split=args.split,
-        jobs=args.jobs,
-    )
+    result = greedy_search(stages, protocol, args.algo, args.root, objective=args.objective, defaults=defaults,
+                           split=args.split, jobs=args.jobs)
     Path(args.out).write_text(json.dumps(result.to_jsonable(), indent=2) + "\n", encoding="utf-8")
     best = " ".join(f"{k}={v}" for k, v in sorted(result.best_params.items()))
     print(f"evaluations={result.n_evaluations} best: {best}")

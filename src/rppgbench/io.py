@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,16 +244,35 @@ class PhysioSignal(Signal1D):
         super().__post_init__()
 
 
+def _loadtxt_series(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """(t, values) of ``t,value`` data rows in one ``np.loadtxt`` call; None unless every row is valid.
+
+    ``loadtxt`` strips the separators \\x1c-\\x1f around a number, which ``float`` rejects.
+    """
+    if not any(line.strip() for line in lines) or re.search("[\x1c-\x1f]", "\n".join(lines)):
+        return None
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] == 2 and np.isfinite(rows).all() and (np.diff(rows[:, 0]) > 0).all():
+        return tuple(np.ascontiguousarray(rows.T))
+    return None
+
+
 def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column ``t,value`` CSV; returns (t, values).
 
     Timestamps must be strictly increasing and everything must be finite;
-    violations raise :class:`FormatError` naming the offending row.
+    violations raise :class:`FormatError` naming the offending row, which
+    the row loop finds when one ``np.loadtxt`` call cannot take every row.
     """
     path = Path(path)
     lines = _read_lines(path)
     if lines[0].strip() != "t,value":
         raise FormatError("first line must be the header 't,value'", path=str(path))
+    if (parsed := _loadtxt_series(lines[1:])) is not None:
+        return parsed
     ts: list[float] = []
     vs: list[float] = []
     for row_no, line in enumerate(lines[1:], start=2):
@@ -262,11 +282,10 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
         if len(cells) != 2:
             raise FormatError(f"row {row_no}: expected 2 columns, got {len(cells)}", path=str(path))
         try:
-            t = float(cells[0])
-            v = float(cells[1])
+            t, v = float(cells[0]), float(cells[1])
         except ValueError:
             raise FormatError(f"row {row_no}: unparsable number", path=str(path)) from None
-        if math.isnan(t) or math.isnan(v) or math.isinf(t) or math.isinf(v):
+        if not (math.isfinite(t) and math.isfinite(v)):
             raise FormatError(f"row {row_no}: non-finite value", path=str(path))
         if ts and t <= ts[-1]:
             raise FormatError(f"row {row_no}: timestamps must be strictly increasing", path=str(path))

@@ -21,6 +21,7 @@ __all__ = [
     "PulseSignal",
     "moving_average",
     "bandpass",
+    "bandpass_rows",
     "detrend_smoothness_priors",
     "nlms_rectify",
     "pearson",
@@ -140,24 +141,29 @@ def _bandpass_taps(numtaps: int, lo: float, hi: float, fs: float) -> np.ndarray:
     return _frozen_copy(firwin(numtaps, [lo, hi], pass_zero=False, window="hamming", fs=fs))
 
 
-def bandpass(s: Signal1D, band: BandHz, numtaps: int = 127) -> Signal1D:
-    """Zero-phase FIR band-pass filter (Hamming-windowed sinc).
+def bandpass_rows(rows: np.ndarray, fs: float, band: BandHz, numtaps: int = 127) -> np.ndarray:
+    """Zero-phase FIR band-pass filter (Hamming-windowed sinc) of each row of a 2-D array.
 
     The linear-phase filter is applied once and its integer group delay
-    removed, so pass-band components come out with no phase shift. The signal
-    is extended by reflection before filtering, which keeps the output the
-    same length as the input.
+    removed, so pass-band components come out with no phase shift. Each row
+    is extended by reflection before filtering, which keeps it the same
+    length. Rows are convolved one by one, so a row's output does not depend
+    on the rows filtered with it.
     """
-    band.validate_for(s.fs)
+    band.validate_for(fs)
     numtaps = int(numtaps)
     if numtaps < 3 or numtaps % 2 == 0:
         raise ValueError(f"numtaps must be an odd integer >= 3, got {numtaps}")
-    taps = _bandpass_taps(numtaps, band.lo, band.hi, s.fs)
+    taps = _bandpass_taps(numtaps, band.lo, band.hi, fs)
     delay = (numtaps - 1) // 2
-    mode = "reflect" if len(s) > 1 else "edge"
-    padded = np.pad(s.samples, delay, mode=mode)
-    out = np.convolve(padded, taps, mode="valid")
-    return Signal1D(out, s.fs)
+    mode = "reflect" if rows.shape[1] > 1 else "edge"
+    padded = np.pad(rows, ((0, 0), (delay, delay)), mode=mode)
+    return np.array([np.convolve(row, taps, mode="valid") for row in padded])
+
+
+def bandpass(s: Signal1D, band: BandHz, numtaps: int = 127) -> Signal1D:
+    """:func:`bandpass_rows` of one signal."""
+    return Signal1D(bandpass_rows(s.samples[None], s.fs, band, numtaps)[0], s.fs)
 
 
 def detrend_smoothness_priors(s: Signal1D, lam: float) -> Signal1D:
@@ -307,27 +313,19 @@ def hann_overlap_add(blocks, fs: float, offsets=None) -> Signal1D:
     every interior sample. Explicit integer ``offsets`` may be passed instead
     (used for a trailing block anchored at the end of a signal).
     """
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-    if not blocks:
-        raise ValueError("need at least one block")
-    length = blocks[0].size
+    blocks = np.asarray(blocks, dtype=np.float64)  # ragged blocks raise ValueError
+    if blocks.ndim != 2 or len(blocks) == 0:
+        raise ValueError("need at least one block, all 1-D and equally long")
+    length = blocks.shape[1]
     if length < 2 or length % 2 != 0:
         raise ValueError(f"block length must be even and >= 2, got {length}")
-    for b in blocks:
-        if b.ndim != 1 or b.size != length:
-            raise ValueError("all blocks must be 1-D and equally long")
-    hop = length // 2
-    if offsets is None:
-        offsets = [i * hop for i in range(len(blocks))]
-    else:
-        offsets = [int(o) for o in offsets]
-        if len(offsets) != len(blocks):
-            raise ValueError("offsets must match blocks one to one")
-        if any(o < 0 for o in offsets):
-            raise ValueError("offsets must be non-negative")
+    offsets = [i * (length // 2) for i in range(len(blocks))] if offsets is None else [int(o) for o in offsets]
+    if len(offsets) != len(blocks):
+        raise ValueError("offsets must match blocks one to one")
+    if min(offsets) < 0:
+        raise ValueError("offsets must be non-negative")
     window = _hann_periodic(length)
-    total = max(offsets) + length
-    out = np.zeros(total)
+    out = np.zeros(max(offsets) + length)
     for off, b in zip(offsets, blocks):
         out[off:off + length] += window * b
     return Signal1D(out, fs)

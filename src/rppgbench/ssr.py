@@ -17,7 +17,8 @@ from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from .roi import RgbTrace, check_selection
 from .signals import PulseSignal, hann_overlap_add, window_length, window_starts
 
-__all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs", "ssr_pulse"]
+__all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs",
+           "trace_eigens", "ssr_pulse"]
 
 log = logging.getLogger(__name__)
 
@@ -78,9 +79,10 @@ def canonical_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
 def correlation_eigens(correlations) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decompose a stack of (n, 3, 3) pixel correlation matrices at once.
 
-    Returns eigenvalues (n, 3) sorted descending and clamped at 0, and the
-    matching eigenvectors (n, 3, 3) as columns with canonical signs; frame
-    ``i`` equals :func:`frame_eigen` of the pixels behind ``correlations[i]``.
+    Returns read-only eigenvalues (n, 3) sorted descending and clamped at 0,
+    and the matching eigenvectors (n, 3, 3) as columns with canonical signs;
+    frame ``i`` equals :func:`frame_eigen` of the pixels behind
+    ``correlations[i]``.
     """
     lam, vec = np.linalg.eigh(correlations)
     lam = lam[:, ::-1]
@@ -88,7 +90,10 @@ def correlation_eigens(correlations) -> tuple[np.ndarray, np.ndarray]:
     if np.any(lam[:, 0] <= 0):
         raise NumericDegeneracyError("pixel correlation matrix has no positive eigenvalue")
     lam = np.maximum(lam, 0.0)  # clamp eigh round-off on a PSD matrix
-    return lam, canonical_eigenvector_signs(vec)
+    vec = canonical_eigenvector_signs(vec)
+    lam.setflags(write=False)
+    vec.setflags(write=False)
+    return lam, vec
 
 
 def frame_eigen(pixels) -> FrameEigen:
@@ -102,22 +107,30 @@ def frame_eigen(pixels) -> FrameEigen:
     return FrameEigen(eigenvalues=lam[0], eigenvectors=vec[0])
 
 
-def ssr_pulse(trace: RgbTrace, params: SsrParams = SsrParams()) -> PulseSignal:
-    """Extract the pulse from the per-frame pixel correlations of a trace.
+def trace_eigens(trace: RgbTrace) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`correlation_eigens` of a trace's correlations.
 
     ``trace.correlations`` holds one ``C = V'V / N`` per frame over that
     frame's N >= 3 selected pixels ``V``; fewer pixels in any frame raise
-    :class:`DataError`. The pulse carries the trace's frame rate and
-    fallback fraction.
+    :class:`DataError`.
+    """
+    few = np.flatnonzero(trace.pixel_counts < 3)
+    if few.size:
+        raise DataError(f"need at least 3 pixels, got {trace.pixel_counts[few[0]]}")
+    return correlation_eigens(trace.correlations)
+
+
+def ssr_pulse(trace: RgbTrace, params: SsrParams = SsrParams(), eigens=None) -> PulseSignal:
+    """Extract the pulse from the per-frame pixel correlations of a trace.
+
+    ``eigens`` defaults to ``trace_eigens(trace)``. The pulse carries the
+    trace's frame rate and fallback fraction.
 
     Windows whose anchor frame has a second or third eigenvalue at or below
     ``degeneracy_eps`` times the first are skipped and logged; if every window
     is degenerate, :class:`DegenerateSubspaceError` is raised.
     """
-    few = np.flatnonzero(trace.pixel_counts < 3)
-    if few.size:
-        raise DataError(f"need at least 3 pixels, got {trace.pixel_counts[few[0]]}")
-    lams, vectors = correlation_eigens(trace.correlations)
+    lams, vectors = trace_eigens(trace) if eigens is None else eigens
     n = len(lams)
     if n < 2:
         raise DataError(f"need at least 2 frames, got {n}")

@@ -1,13 +1,18 @@
 """Chrominance pulse extraction: projections, windowing, end-to-end HR."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.signal import firwin
 
 from rppgbench.chrom import ChromParams, chrom_pulse, window_starts
-from rppgbench.errors import NumericDegeneracyError
+from rppgbench.errors import DataError, NumericDegeneracyError
 from rppgbench.hr import estimate_hr_spectral
 from rppgbench.roi import RgbTrace, mean_rgb_trace
-from rppgbench.signals import BandHz
+from rppgbench.signals import BandHz, PulseSignal, hann_overlap_add, window_length
 
 
 def trace_from_means(means, fs=20.0, fallback_frames=()):
@@ -20,6 +25,47 @@ def trace_from_means(means, fs=20.0, fallback_frames=()):
         pixel_counts=np.full(means.shape[0], 100),
         fallback_frames=fallback_frames,
     )
+
+
+@functools.cache
+def firwin_taps(numtaps, lo, hi, fs):
+    return firwin(numtaps, [lo, hi], pass_zero=False, window="hamming", fs=fs)
+
+
+def chrom_window_loop(trace, params=ChromParams()):
+    """CHROM one window at a time, each axis filtered on its own (the pre-batching code)."""
+    n = len(trace)
+    fs = trace.fs
+    length = window_length(params.window_s * fs, n, minimum=8)
+    numtaps = min(params.numtaps, length - 1)
+    if numtaps % 2 == 0:
+        numtaps -= 1
+    delay = (numtaps - 1) // 2
+
+    def bandpass(x):
+        params.band.validate_for(fs)
+        taps = firwin_taps(numtaps, params.band.lo, params.band.hi, fs)
+        return np.convolve(np.pad(x, delay, mode="reflect"), taps, mode="valid")
+
+    starts = window_starts(n, length)
+    blocks = []
+    for w_idx, start in enumerate(starts):
+        window = trace.means[start:start + length]
+        mu = window.mean(axis=0)
+        if (mu == 0).any():
+            raise NumericDegeneracyError(
+                f"zero channel mean in window {w_idx} (frames {start}..{start + length - 1})"
+            )
+        rn = window[:, 0] / mu[0]
+        gn = window[:, 1] / mu[1]
+        bn = window[:, 2] / mu[2]
+        x_f = bandpass(3.0 * rn - 2.0 * gn)
+        y_f = bandpass(1.5 * rn + gn - 1.5 * bn)
+        sy = y_f.std()
+        combined = x_f - (x_f.std() / sy) * y_f if sy > 0 else x_f
+        blocks.append(combined - combined.mean())
+    assembled = hann_overlap_add(blocks, fs, offsets=starts).samples
+    return PulseSignal(assembled - assembled.mean(), fs, "chrom", trace.fallback_fraction)
 
 
 def synthetic_trace(hr_bpm=72.0, fs=20.0, duration_s=30.0, base=(180.0, 120.0, 100.0),
@@ -120,3 +166,81 @@ def test_fallback_fraction_carried_from_trace():
     means[:, 1] += np.sin(2 * np.pi * 1.2 * t)
     pulse = chrom_pulse(trace_from_means(means, fallback_frames=(3, 4)))
     assert pulse.fallback_fraction == pytest.approx(2 / 64)
+
+
+def outcome(extract, trace, params):
+    """The pulse samples, or the type and message of the exception raised."""
+    try:
+        return extract(trace, params).samples
+    except (DataError, NumericDegeneracyError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(trace, params):
+    batched = outcome(chrom_pulse, trace, params)
+    looped = outcome(chrom_window_loop, trace, params)
+    if isinstance(looped, tuple):
+        assert batched == looped
+    else:
+        assert isinstance(batched, np.ndarray) and np.array_equal(batched, looped)
+
+
+@st.composite
+def chrom_cases(draw, dead_channel=False):
+    """A random trace with its frame rate, and CHROM parameters whose band fits below Nyquist."""
+    fs = draw(st.floats(15.0, 30.0))
+    n = draw(st.integers(40, 1300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = rng.uniform(1.0, 255.0, (n, 3)) if draw(st.booleans()) else (
+        np.array([180.0, 120.0, 100.0]) + rng.normal(0.0, 2.0, (n, 3))
+    )
+    if dead_channel:
+        first = draw(st.integers(0, n - 1))
+        means[first:draw(st.integers(first + 1, n)), draw(st.integers(0, 2))] = 0.0
+    band_lo = draw(st.floats(0.3, 2.0))
+    params = ChromParams(
+        window_s=draw(st.sampled_from([0.8, 1.6, 3.2]) | st.floats(0.5, 4.0)),
+        band_lo=band_lo,
+        band_hi=draw(st.floats(band_lo + 0.1, 7.0)),
+        # Even values and values above ``length - 1`` exercise the clamp.
+        numtaps=draw(st.integers(3, 160)),
+    )
+    return trace_from_means(means, fs), params
+
+
+ORACLE = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@ORACLE
+@given(chrom_cases())
+def test_batched_windows_equal_the_window_loop(case):
+    trace, params = case
+    assert_same_outcome(trace, params)
+
+
+@ORACLE
+@given(chrom_cases(dead_channel=True))
+def test_dead_channel_raises_like_the_window_loop(case):
+    trace, params = case
+    assert_same_outcome(trace, params)
+
+
+@ORACLE
+@given(chrom_cases(), st.floats(7.5, 20.0))
+def test_band_above_nyquist_raises_like_the_window_loop(case, band_hi):
+    trace, params = case
+    assert_same_outcome(trace, ChromParams(window_s=params.window_s, band_lo=params.band_lo, band_hi=band_hi))
+
+
+@pytest.mark.parametrize("window_s, band", [(0.8, (0.67, 4.0)), (1.6, (0.5, 3.0)), (3.2, (0.67, 4.0))])
+def test_search_grid_equals_the_window_loop(window_s, band):
+    trace = synthetic_trace(duration_s=60.0)
+    params = ChromParams(window_s=window_s, band_lo=band[0], band_hi=band[1])
+    assert np.array_equal(chrom_pulse(trace, params).samples, chrom_window_loop(trace, params).samples)
+
+
+def test_band_is_checked_before_the_windows():
+    means = np.tile([180.0, 120.0, 100.0], (64, 1))
+    means[32:, 1] = 0.0
+    with pytest.raises(DataError, match="Nyquist"):
+        chrom_pulse(trace_from_means(means), ChromParams(band_hi=10.0))

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rppgbench import bench
+from rppgbench import bench, ssr
 from rppgbench.bench import ALGORITHMS, FeatureStore, SearchStage, SequenceBundle, evaluate, greedy_search
 from rppgbench.io import FrameSequence, load_protocol
+from rppgbench.ssr import SsrParams
 
 #: Small grids per algorithm: pulse-only stages first, then a feature stage.
 STAGES = {
@@ -174,3 +175,29 @@ def test_chrom_and_ssr_share_one_pixel_pass(protocol, peaks_dataset, reads):
 def test_store_serves_one_dataset(protocol, small_dataset, tmp_path):
     with pytest.raises(ValueError, match="feature store"):
         evaluate(protocol, "train", "chrom", small_dataset, store=FeatureStore(tmp_path))
+
+
+def test_ssr_window_candidates_share_one_eigen_decomposition(protocol, small_dataset, monkeypatch):
+    calls = Counter()
+    original = ssr.correlation_eigens
+
+    def counting(correlations):
+        calls[len(correlations)] += 1
+        return original(correlations)
+
+    monkeypatch.setattr(ssr, "correlation_eigens", counting)
+    result = greedy_search(
+        stages_of([{"grid": {"window_l": [16, 20]}}]), protocol, "ssr", small_dataset, objective="neg_rmse"
+    )
+    assert [row["error"] for row in result.trace[0]["evaluations"]] == [None, None]
+    # One batched eigh per train sequence, not one per sequence and candidate.
+    assert sum(calls.values()) == 2
+
+
+def test_store_served_eigens_give_the_fresh_pulse(small_dataset):
+    features = FeatureStore(small_dataset).sequence("seq000")
+    bench.pulse_ssr(features, SsrParams(window_l=16))
+    params = SsrParams(window_l=20)
+    served = bench.pulse_ssr(features, params)
+    fresh = bench.pulse_ssr(FeatureStore(small_dataset).sequence("seq000"), params)
+    assert served.samples.tobytes() == fresh.samples.tobytes()

@@ -1,14 +1,17 @@
 """File format round-trips and rejection paths."""
 
 import json
+import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rppgbench import io
 from rppgbench.errors import FormatError
 from rppgbench.io import (
     FrameSequence,
@@ -157,6 +160,92 @@ def test_series_csv_round_trips_any_finite_rows(tmp_path, rows):
     write_series_csv(t, v, p)
     t2, v2 = read_series_csv(p)
     assert np.array_equal(t, t2) and np.array_equal(v, v2)
+
+
+def series_row_loop(path):
+    """``read_series_csv`` one row at a time (the parser before the one-call parse)."""
+    path = Path(path)
+    lines = io._read_lines(path)
+    if lines[0].strip() != "t,value":
+        raise FormatError("first line must be the header 't,value'", path=str(path))
+    ts: list[float] = []
+    vs: list[float] = []
+    for row_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise FormatError(f"row {row_no}: expected 2 columns, got {len(cells)}", path=str(path))
+        try:
+            t = float(cells[0])
+            v = float(cells[1])
+        except ValueError:
+            raise FormatError(f"row {row_no}: unparsable number", path=str(path)) from None
+        if math.isnan(t) or math.isnan(v) or math.isinf(t) or math.isinf(v):
+            raise FormatError(f"row {row_no}: non-finite value", path=str(path))
+        if ts and t <= ts[-1]:
+            raise FormatError(f"row {row_no}: timestamps must be strictly increasing", path=str(path))
+        ts.append(t)
+        vs.append(v)
+    if not ts:
+        raise FormatError("empty data section", path=str(path))
+    return np.asarray(ts), np.asarray(vs)
+
+
+#: Edits of a series file: every ASCII character, and tokens near the parser's edge cases.
+EDITS = st.sampled_from([chr(i) for i in range(128)]) | st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "1_0", "0x10", "1.5d3", "\r\n", "\n\n", " \n", ",,", "1,2,3", "\x1c", "\t"]
+)
+
+
+@st.composite
+def series_texts(draw):
+    """A ``t,value`` file as written by ``write_series_csv``, then edited 0 to 3 times after its header."""
+    rows = draw(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40, unique_by=lambda r: r[0]))
+    text = "t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in sorted(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(len("t,value\n"), len(text)))
+        end = at + draw(st.integers(0, 3))
+        text = text[:at] + draw(EDITS | st.just("")) + text[end:]
+    return text
+
+
+def assert_parses_like_the_row_loop(path):
+    """Equal arrays from both parsers, or the same FormatError message."""
+    try:
+        expected = series_row_loop(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            read_series_csv(path)
+        assert str(info.value) == str(exc)
+    else:
+        t, v = read_series_csv(path)
+        assert np.array_equal(t, expected[0]) and np.array_equal(v, expected[1])
+        assert t.dtype == v.dtype == np.float64
+
+
+@settings(ROUND_TRIP, max_examples=300)
+@pytest.mark.filterwarnings("error")
+@given(text=series_texts())
+def test_series_csv_parse_equals_the_row_loop(tmp_path, text):
+    p = tmp_path / "s.csv"
+    p.write_bytes(text.encode("ascii"))
+    assert_parses_like_the_row_loop(p)
+
+
+def test_valid_series_csv_skips_the_row_loop(tmp_path):
+    t = np.arange(5121) / 256.0
+    p = tmp_path / "s.csv"
+    write_series_csv(t, np.sin(t), p)
+    assert io._loadtxt_series(io._read_lines(p)[1:]) is not None
+
+
+@pytest.mark.parametrize("line", ["\x1c0.5,2.0", "0.5,2.0\x1f", "0.5 ,2.0", "0.5,2.0,", "nan,1.0", "0.5,inf", " "])
+def test_series_csv_rows_loadtxt_reads_differently(tmp_path, line):
+    # loadtxt strips \x1c-\x1f around a number and float() does not.
+    p = tmp_path / "s.csv"
+    p.write_text(f"t,value\n0.0,1.0\n{line}\n")
+    assert_parses_like_the_row_loop(p)
 
 
 def test_series_csv_rejects_non_monotonic(tmp_path):

@@ -241,8 +241,8 @@ def test_valid_series_csv_skips_the_row_loop(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["\x1c0.5,2.0", "0.5,2.0\x1f", "0.5 ,2.0", "0.5,2.0,", "nan,1.0", "0.5,inf", " "])
-def test_series_csv_rows_loadtxt_reads_differently(tmp_path, line):
-    # loadtxt strips \x1c-\x1f around a number and float() does not.
+def test_series_csv_edge_rows_parse_like_the_row_loop(tmp_path, line):
+    # \x1c-\x1f: loadtxt strips them around a number, float() rejects them.
     p = tmp_path / "s.csv"
     p.write_text(f"t,value\n0.0,1.0\n{line}\n")
     assert_parses_like_the_row_loop(p)

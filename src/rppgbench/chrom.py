@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericDegeneracyError
-from .roi import RgbTrace, check_selection
+from .roi import RgbTrace, check_params
 from .signals import BandHz, PulseSignal, bandpass_rows, hann_overlap_add, window_length, window_starts
 
 __all__ = ["ChromParams", "chrom_pulse"]
@@ -33,12 +33,12 @@ class ChromParams:
     numtaps: int = 127
 
     def __post_init__(self):
+        check_params(self)
         if self.window_s <= 0:
             raise ValueError(f"window_s must be positive, got {self.window_s}")
         if self.numtaps < 3:
             raise ValueError(f"numtaps must be at least 3, got {self.numtaps}")
         self.band  # BandHz checks the edges
-        check_selection(self.strategy, self.skin_tau)
 
     @cached_property
     def band(self) -> BandHz:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .io import FrameSequence, RoiTrack
-from .roi import CHUNK_PIXELS, RgbTrace, check_selection
+from .roi import CHUNK_PIXELS, RgbTrace, check_params
 from .signals import (
     BandHz,
     PulseSignal,
@@ -53,6 +53,7 @@ class LiParams:
     skin_tau: float = 0.3
 
     def __post_init__(self):
+        check_params(self)
         if not 0.0 < self.mu <= 2.0:
             raise ValueError(f"mu must lie in (0, 2], got {self.mu}")
         if self.order < 1:
@@ -71,7 +72,6 @@ class LiParams:
         if self.background_margin < 0:
             raise ValueError(f"background_margin must be non-negative, got {self.background_margin}")
         self.band  # BandHz checks the edges
-        check_selection(self.strategy, self.skin_tau)
 
     @cached_property
     def band(self) -> BandHz:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -15,7 +15,7 @@ __all__ = [
     "SkinModel",
     "RgbTrace",
     "STRATEGIES",
-    "check_selection",
+    "check_params",
     "fit_skin_model",
     "lower_face_mask",
     "mean_rgb_trace",
@@ -43,11 +43,15 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
-def check_selection(strategy: str, skin_tau: float) -> None:
-    """Reject a pixel strategy or skin threshold that no run can use."""
-    _check_strategy(strategy)
-    if not 0.0 < skin_tau < 1.0:
-        raise ValueError(f"skin_tau must lie in (0, 1), got {skin_tau}")
+def check_params(params) -> None:
+    """Reject extractor parameters no run can use: NaN or infinite floats, a bad strategy or skin threshold."""
+    bad = [f"{f.name}={v}" for f in fields(params)
+           if isinstance(v := getattr(params, f.name), float) and not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"parameters must be finite, got {', '.join(bad)}")
+    _check_strategy(params.strategy)
+    if not 0.0 < params.skin_tau < 1.0:
+        raise ValueError(f"skin_tau must lie in (0, 1), got {params.skin_tau}")
 
 
 @dataclass(frozen=True)

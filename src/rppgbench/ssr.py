@@ -4,6 +4,7 @@ Each frame's skin pixels define a 3x3 correlation matrix whose leading
 eigenvector follows the momentary skin color. Projecting it onto the two
 minor eigenvectors of an anchor frame measures the rotation accumulated over
 a short window; the scaled projections are recombined into a pulse sample.
+As in CHROM, all windows are handled in one batch and Hann overlap-added.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
-from .roi import RgbTrace, check_selection
+from .roi import RgbTrace, check_params
 from .signals import PulseSignal, hann_overlap_add, window_length, window_starts
 
 __all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs",
@@ -33,9 +34,9 @@ class SsrParams:
     degeneracy_eps: float = 1e-12
 
     def __post_init__(self):
+        check_params(self)
         if self.window_l is not None and (not isinstance(self.window_l, int) or self.window_l < 2 or self.window_l % 2):
             raise ValueError(f"window_l must be an integer, even (50% overlap) and >= 2, got {self.window_l!r}")
-        check_selection(self.strategy, self.skin_tau)
         if self.degeneracy_eps <= 0:
             raise ValueError(f"degeneracy_eps must be positive, got {self.degeneracy_eps}")
 
@@ -135,37 +136,28 @@ def ssr_pulse(trace: RgbTrace, params: SsrParams = SsrParams(), eigens=None) -> 
     if n < 2:
         raise DataError(f"need at least 2 frames, got {n}")
     length = window_length(trace.fs if params.window_l is None else params.window_l, n)
-    u1 = np.ascontiguousarray(vectors[:, :, 0])  # (n, 3)
-    starts = window_starts(n, length)
-    blocks = []
-    offsets = []
-    skipped = 0
-    for start in starts:
-        lam_anchor = lams[start]
-        if min(lam_anchor[1], lam_anchor[2]) <= params.degeneracy_eps * lam_anchor[0]:
-            skipped += 1
-            continue
-        u2a = vectors[start][:, 1]
-        u3a = vectors[start][:, 2]
-        lam_t = lams[start:start + length]
-        u1_t = u1[start:start + length]
-        r1 = u1_t @ u2a
-        r2 = u1_t @ u3a
-        s1 = np.sqrt(lam_t[:, 0] / lam_anchor[1]) * r1
-        s2 = np.sqrt(lam_t[:, 0] / lam_anchor[2]) * r2
-        sr = s1[:, None] * u2a[None, :] + s2[:, None] * u3a[None, :]  # (length, 3)
-        sd1 = sr[:, 0].std()
-        sd2 = sr[:, 1].std()
-        pulse = sr[:, 0] - (sd1 / sd2) * sr[:, 1] if sd2 > 0 else sr[:, 0]
-        blocks.append(pulse - pulse.mean())
-        offsets.append(start)
-    if not blocks:
-        raise DegenerateSubspaceError(
-            f"all {len(starts)} windows have a degenerate anchor subspace"
-        )
-    if skipped:
-        log.warning("skipped %d/%d degenerate windows", skipped, len(starts))
-    assembled = hann_overlap_add(blocks, trace.fs, offsets=offsets).samples
+    starts = np.asarray(window_starts(n, length))
+    anchors = lams[starts]
+    degenerate = np.minimum(anchors[:, 1], anchors[:, 2]) <= params.degeneracy_eps * anchors[:, 0]
+    if degenerate.all():
+        raise DegenerateSubspaceError(f"all {len(starts)} windows have a degenerate anchor subspace")
+    if degenerate.any():
+        log.warning("skipped %d/%d degenerate windows", np.count_nonzero(degenerate), len(starts))
+    starts, anchors = starts[~degenerate], anchors[~degenerate]
+    frames = starts[:, None] + np.arange(length)  # (w, length)
+    u1 = vectors[frames, :, 0]  # (w, length, 3)
+    u2, u3 = vectors[starts, :, 1], vectors[starts, :, 2]  # the anchors' minor axes, (w, 3)
+    lam1 = lams[frames, 0]
+    # One gemv per window; s1 and s2 are the scaled rotations onto u2 and u3.
+    s1 = np.sqrt(lam1 / anchors[:, 1:2]) * np.matmul(u1, u2[:, :, None])[:, :, 0]
+    s2 = np.sqrt(lam1 / anchors[:, 2:3]) * np.matmul(u1, u3[:, :, None])[:, :, 0]
+    sr0 = s1 * u2[:, 0:1] + s2 * u3[:, 0:1]  # the rotation's R and G channels, (w, length)
+    sr1 = s1 * u2[:, 1:2] + s2 * u3[:, 1:2]
+    sd2 = sr1.std(axis=1)
+    ratio = np.divide(sr0.std(axis=1), sd2, out=np.zeros_like(sd2), where=sd2 > 0)
+    pulse = np.where(sd2[:, None] > 0, sr0 - ratio[:, None] * sr1, sr0)  # keeps the sign of a zero sr0
+    blocks = pulse - pulse.mean(axis=1, keepdims=True)
+    assembled = hann_overlap_add(blocks, trace.fs, offsets=starts).samples
     out = np.zeros(n)
     out[:assembled.size] = assembled
     out -= out.mean()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import shutil
 
@@ -27,6 +28,7 @@ from rppgbench.bench import (
 from rppgbench.chrom import ChromParams
 from rppgbench.errors import DataError, FormatError
 from rppgbench.io import ProtocolEntry, ProtocolIndex, load_protocol
+from rppgbench.licvpr import LiParams
 from rppgbench.signals import BandHz
 from rppgbench.ssr import SsrParams
 from rppgbench.synth import SynthConfig, generate
@@ -317,6 +319,25 @@ def test_build_params_keeps_big_integers_exact():
 def test_params_reject_values_no_run_accepts(algorithm, overrides, match):
     with pytest.raises(ValueError, match=match):
         build_params(algorithm, overrides)
+
+
+@pytest.mark.parametrize(
+    ("cls", "fields", "named"),
+    [
+        (ChromParams, {"window_s": math.inf}, "window_s=inf"),
+        (ChromParams, {"window_s": math.nan}, "window_s=nan"),
+        (ChromParams, {"numtaps": math.inf}, "numtaps=inf"),
+        (LiParams, {"segment_s": math.inf}, "segment_s=inf"),
+        (LiParams, {"detrend_lambda": math.nan}, "detrend_lambda=nan"),
+        (LiParams, {"mu": np.float64(-math.inf), "skin_tau": math.nan}, "mu=-inf, skin_tau=nan"),
+        (SsrParams, {"degeneracy_eps": math.nan}, "degeneracy_eps=nan"),
+    ],
+)
+def test_params_reject_non_finite_floats(cls, fields, named):
+    # Built directly, as a library caller would; the CLI's coercion rejects these earlier.
+    with pytest.raises(ValueError, match=re.escape(f"parameters must be finite, got {named}")) as info:
+        cls(**fields)
+    assert not isinstance(info.value, DataError)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Subspace-rotation extractor: eigen-decomposition against a Jacobi oracle,
-degeneracy handling, and the invariances the pulse output must satisfy."""
+batched windows against the per-window loop, degeneracy handling, and the
+invariances the pulse output must satisfy."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rppgbench.errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from rppgbench.hr import estimate_hr_spectral
 from rppgbench.roi import RgbTrace, mean_rgb_trace
-from rppgbench.signals import BandHz
+from rppgbench.signals import BandHz, PulseSignal, hann_overlap_add, window_length, window_starts
 from rppgbench.synth import SynthConfig, generate
 from rppgbench.ssr import (
     FrameEigen,
@@ -17,6 +21,7 @@ from rppgbench.ssr import (
     canonical_eigenvector_signs,
     frame_eigen,
     ssr_pulse,
+    trace_eigens,
 )
 
 
@@ -273,3 +278,126 @@ def test_params_validation():
         SsrParams(skin_tau=0.0)
     with pytest.raises(ValueError, match="degeneracy_eps"):
         SsrParams(degeneracy_eps=0.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: SSR one window at a time (the pre-batching code)
+# ---------------------------------------------------------------------------
+
+oracle_log = logging.getLogger("ssr_window_loop")
+
+
+def ssr_window_loop(trace, params=SsrParams(), eigens=None):
+    """SSR one window at a time, each anchor checked and projected on its own."""
+    lams, vectors = trace_eigens(trace) if eigens is None else eigens
+    n = len(lams)
+    if n < 2:
+        raise DataError(f"need at least 2 frames, got {n}")
+    length = window_length(trace.fs if params.window_l is None else params.window_l, n)
+    u1 = np.ascontiguousarray(vectors[:, :, 0])
+    starts = window_starts(n, length)
+    blocks = []
+    offsets = []
+    skipped = 0
+    for start in starts:
+        lam_anchor = lams[start]
+        if min(lam_anchor[1], lam_anchor[2]) <= params.degeneracy_eps * lam_anchor[0]:
+            skipped += 1
+            continue
+        u2a = vectors[start][:, 1]
+        u3a = vectors[start][:, 2]
+        lam_t = lams[start:start + length]
+        u1_t = u1[start:start + length]
+        s1 = np.sqrt(lam_t[:, 0] / lam_anchor[1]) * (u1_t @ u2a)
+        s2 = np.sqrt(lam_t[:, 0] / lam_anchor[2]) * (u1_t @ u3a)
+        sr = s1[:, None] * u2a[None, :] + s2[:, None] * u3a[None, :]  # (length, 3)
+        sd1 = sr[:, 0].std()
+        sd2 = sr[:, 1].std()
+        pulse = sr[:, 0] - (sd1 / sd2) * sr[:, 1] if sd2 > 0 else sr[:, 0]
+        blocks.append(pulse - pulse.mean())
+        offsets.append(start)
+    if not blocks:
+        raise DegenerateSubspaceError(f"all {len(starts)} windows have a degenerate anchor subspace")
+    if skipped:
+        oracle_log.warning("skipped %d/%d degenerate windows", skipped, len(starts))
+    assembled = hann_overlap_add(blocks, trace.fs, offsets=offsets).samples
+    out = np.zeros(n)
+    out[:assembled.size] = assembled
+    out -= out.mean()
+    return PulseSignal(out, trace.fs, "ssr", trace.fallback_fraction)
+
+
+@st.composite
+def ssr_cases(draw, rank_one=st.sampled_from(["none", "some", "all"])):
+    """A trace of small random pixel clouds, some frames a single color, and SSR parameters."""
+    fs = draw(st.floats(15.0, 30.0))
+    n = draw(st.integers(2, 1300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.uniform(60.0, 200.0, 3)
+    pixels = np.clip(base + rng.normal(0.0, draw(st.floats(0.5, 8.0)), (n, 8, 3)), 0.0, 255.0)
+    kind = draw(rank_one)
+    flat = rng.random(n) < (draw(st.floats(0.0, 1.0)) if kind == "some" else float(kind == "all"))
+    # A frame whose pixels all share one color has a rank-1 correlation matrix.
+    pixels[flat] = pixels[flat].mean(axis=1, keepdims=True)
+    trace = RgbTrace(
+        means=pixels.mean(axis=1),
+        correlations=np.einsum("npi,npj->nij", pixels, pixels) / pixels.shape[1],
+        fs=fs,
+        pixel_counts=np.full(n, pixels.shape[1]),
+    )
+    params = SsrParams(
+        window_l=draw(st.none() | st.integers(1, 30).map(lambda k: 2 * k)),
+        degeneracy_eps=draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-5, 1e-4])),
+    )
+    return trace, params
+
+
+def ssr_outcome(extract, trace, params, eigens, caplog, logger):
+    """The pulse samples or the exception's type and message, and the warnings ``logger`` logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger=logger):
+        try:
+            result = extract(trace, params, eigens).samples
+        except (DataError, NumericDegeneracyError) as exc:
+            result = type(exc), str(exc)
+    return result, [r.getMessage() for r in caplog.records if r.name == logger]
+
+
+def assert_ssr_same_outcome(trace, params, caplog, eigens=None):
+    batched, batched_log = ssr_outcome(ssr_pulse, trace, params, eigens, caplog, "rppgbench.ssr")
+    looped, looped_log = ssr_outcome(ssr_window_loop, trace, params, eigens, caplog, oracle_log.name)
+    assert batched_log == looped_log
+    if isinstance(looped, tuple):
+        assert batched == looped
+    else:
+        assert isinstance(batched, np.ndarray) and np.array_equal(batched, looped)
+        assert batched.tobytes() == looped.tobytes()  # down to the sign of each zero
+
+
+ORACLE = settings(max_examples=80, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+@ORACLE
+@given(case=ssr_cases())
+def test_batched_windows_equal_the_window_loop(case, caplog):
+    trace, params = case
+    assert_ssr_same_outcome(trace, params, caplog)
+
+
+@ORACLE
+@given(case=ssr_cases(rank_one=st.just("all")))
+def test_rank_one_anchors_raise_like_the_window_loop(case, caplog):
+    trace, params = case
+    assert_ssr_same_outcome(trace, params, caplog)
+
+
+def test_anchor_exactly_at_the_bound_is_skipped_like_the_window_loop(caplog):
+    rng = np.random.default_rng(41)
+    trace = trace_of(make_frames(rng, 40), 20.0)
+    lams, vectors = trace_eigens(trace)
+    lams = lams.copy()
+    lams[10] = [2.0, 1e-6, 0.5]  # min(lam2, lam3) == degeneracy_eps * lam1
+    params = SsrParams(window_l=20, degeneracy_eps=5e-7)
+    assert_ssr_same_outcome(trace, params, caplog, eigens=(lams, vectors))
+    assert caplog.records[-1].getMessage() == "skipped 1/3 degenerate windows"

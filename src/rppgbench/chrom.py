@@ -1,10 +1,10 @@
 """Chrominance-projection pulse extraction from an RGB trace.
 
 Works on short overlapping windows, all in one batch: channels are
-normalized by their window mean, projected onto two fixed chrominance axes,
-band-limited, and combined with a ratio of standard deviations that cancels
-specular distortions. The windows are Hann-weighted and overlap-added back
-into one waveform.
+normalized by their window mean, projected onto two fixed chrominance axes
+and band-limited. The alpha-tuned overlap-add shared with SSR combines the
+two with a ratio of standard deviations that cancels specular distortions,
+and Hann overlap-adds the windows back into one waveform.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericDegeneracyError
 from .roi import RgbTrace, check_params
-from .signals import BandHz, PulseSignal, bandpass_rows, hann_overlap_add, window_length, window_starts
+from .signals import BandHz, PulseSignal, alpha_overlap_add, bandpass_rows, window_length, window_starts
 
 __all__ = ["ChromParams", "chrom_pulse"]
 
@@ -70,15 +70,4 @@ def chrom_pulse(trace: RgbTrace, params: ChromParams = ChromParams()) -> PulseSi
     rn, gn, bn = (windows / mu[:, :, None]).transpose(1, 0, 2)
     chroma = np.concatenate((3.0 * rn - 2.0 * gn, 1.5 * rn + gn - 1.5 * bn))
     x_f, y_f = np.split(bandpass_rows(chroma, fs, params.band, numtaps), 2)
-    sy = y_f.std(axis=1)
-    ratio = np.divide(x_f.std(axis=1), sy, out=np.zeros_like(sy), where=sy > 0)
-    combined = x_f - ratio[:, None] * y_f
-    blocks = combined - combined.mean(axis=1, keepdims=True)
-    assembled = hann_overlap_add(blocks, fs, offsets=starts).samples
-    assembled = assembled - assembled.mean()
-    return PulseSignal(
-        samples=assembled,
-        fs=fs,
-        method="chrom",
-        fallback_fraction=trace.fallback_fraction,
-    )
+    return PulseSignal(alpha_overlap_add(x_f, y_f, starts, n, fs), fs, "chrom", trace.fallback_fraction)

@@ -67,6 +67,8 @@ class LiParams:
             )
         if self.detrend_lambda < 0:
             raise ValueError(f"detrend_lambda must be non-negative, got {self.detrend_lambda}")
+        if self.detrend_lambda * self.detrend_lambda == np.inf:  # detrending weighs by the square
+            raise ValueError(f"detrend_lambda={self.detrend_lambda} is too large: its square overflows")
         if self.ma_window < 1 or self.ma_window % 2 == 0:
             raise ValueError(f"ma_window must be a positive odd integer, got {self.ma_window}")
         if self.background_margin < 0:
@@ -108,24 +110,23 @@ def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Sig
     return Signal1D(out, seq.fps_float)
 
 
-def eliminate_motion_segments(s: Signal1D, segment_s: float, p: float) -> tuple[Signal1D, tuple[int, ...]]:
+def eliminate_motion_segments(s: Signal1D, segment_s: float, p: float) -> tuple[Signal1D, tuple[int, ...], int]:
     """Drop segments whose SD exceeds the p-th percentile of all segment SDs.
 
     The signal is cut into consecutive segments of ``segment_s`` seconds (the
     last one may be shorter). Discarding uses a strict comparison, so ``p=100``
-    keeps everything. Survivors separated by a gap are level-shifted so their
-    head mean continues the predecessor's tail mean.
+    keeps everything. After each gap the whole run of survivors is level-shifted
+    so the run's head mean continues the predecessor's tail mean.
 
-    Returns the concatenated survivors and the indices of dropped segments.
+    Returns the concatenated survivors, the dropped indices and the segment count.
     """
     if segment_s <= 0:
         raise ValueError(f"segment_s must be positive, got {segment_s}")
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile must lie in (0, 100], got {p}")
-    seg_len = max(1, int(round(segment_s * s.fs)))
     n = len(s)
-    bounds = list(range(0, n, seg_len))
-    segments = [s.samples[b:b + seg_len] for b in bounds]
+    seg_len = max(1, int(round(min(segment_s * s.fs, n))))  # capped: a huge segment_s would overflow int()
+    segments = [s.samples[b:b + seg_len] for b in range(0, n, seg_len)]
     if len(segments) < 2:
         raise DataError(
             f"need at least 2 segments, got {len(segments)} "
@@ -136,19 +137,17 @@ def eliminate_motion_segments(s: Signal1D, segment_s: float, p: float) -> tuple[
     match_len = max(1, int(round(REJOIN_MATCH_S * s.fs)))
     kept: list[np.ndarray] = []
     discarded: list[int] = []
-    previous_kept_idx = None
+    shift = 0.0
     for idx, segment in enumerate(segments):
         if sds[idx] > threshold:
             discarded.append(idx)
             continue
-        if kept and previous_kept_idx != idx - 1:
-            tail = kept[-1][-match_len:].mean()
-            head = segment[:match_len].mean()
-            segment = segment + (tail - head)
-        kept.append(segment)
-        previous_kept_idx = idx
-    out = np.concatenate(kept)
-    return Signal1D(out, s.fs), tuple(discarded)
+        if kept and discarded and discarded[-1] == idx - 1:
+            shift = kept[-1][-match_len:].mean() - segment[:match_len].mean()
+        kept.append(segment + shift)
+    if discarded:
+        log.info("discarded %d/%d segments", len(discarded), len(segments))
+    return Signal1D(np.concatenate(kept), s.fs), tuple(discarded), len(segments)
 
 
 def licvpr_pulse(trace: RgbTrace, background: Signal1D | None, params: LiParams = LiParams()) -> PulseSignal:
@@ -158,20 +157,16 @@ def licvpr_pulse(trace: RgbTrace, background: Signal1D | None, params: LiParams 
     only with ``rectify=True`` and may be None otherwise. Output length
     equals the post-elimination length.
     """
-    x = Signal1D(trace.channel(1), trace.fs)
+    x = Signal1D(trace.means[:, 1], trace.fs)
     if params.rectify:
         if background is None:
             raise ValueError("rectify=True needs a background trace")
         x = nlms_rectify(x, background, mu=params.mu, order=params.order)
-    seg_len = max(1, int(round(params.segment_s * trace.fs)))
-    n_segments = int(np.ceil(len(trace) / seg_len))
-    x, discarded = eliminate_motion_segments(x, params.segment_s, params.discard_percentile)
+    x, discarded, n_segments = eliminate_motion_segments(x, params.segment_s, params.discard_percentile)
     x = detrend_smoothness_priors(x, params.detrend_lambda)
     x = moving_average(x, params.ma_window)
     x = bandpass(x, params.band)
     samples = x.samples - x.samples.mean()
-    if discarded:
-        log.info("discarded %d/%d segments", len(discarded), n_segments)
     return PulseSignal(
         samples=samples,
         fs=trace.fs,

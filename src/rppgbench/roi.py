@@ -15,6 +15,7 @@ __all__ = [
     "SkinModel",
     "RgbTrace",
     "STRATEGIES",
+    "check_finite",
     "check_params",
     "fit_skin_model",
     "lower_face_mask",
@@ -43,12 +44,18 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
-def check_params(params) -> None:
-    """Reject extractor parameters no run can use: NaN or infinite floats, a bad strategy or skin threshold."""
-    bad = [f"{f.name}={v}" for f in fields(params)
-           if isinstance(v := getattr(params, f.name), float) and not np.isfinite(v)]
+def check_finite(params) -> None:
+    """Reject a dataclass with a NaN or infinite float field, alone or in a tuple, naming each such field."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    bad = [f"{k}={v}" for k, v in values.items()
+           if any(isinstance(x, float) and not np.isfinite(x) for x in (v if isinstance(v, tuple) else (v,)))]
     if bad:
         raise ValueError(f"parameters must be finite, got {', '.join(bad)}")
+
+
+def check_params(params) -> None:
+    """Reject extractor parameters no run can use: NaN or infinite floats, a bad strategy or skin threshold."""
+    check_finite(params)
     _check_strategy(params.strategy)
     if not 0.0 < params.skin_tau < 1.0:
         raise ValueError(f"skin_tau must lie in (0, 1), got {params.skin_tau}")
@@ -144,9 +151,6 @@ class RgbTrace:
     @property
     def fallback_fraction(self) -> float:
         return len(self.fallback_frames) / self.means.shape[0]
-
-    def channel(self, idx: int) -> np.ndarray:
-        return self.means[:, idx]
 
 
 def _planes(pixels) -> np.ndarray:

@@ -29,6 +29,7 @@ __all__ = [
     "window_length",
     "window_starts",
     "hann_overlap_add",
+    "alpha_overlap_add",
 ]
 
 #: Denominator regularizer of the normalized LMS update.
@@ -281,6 +282,8 @@ def window_length(frames: float, n: int, minimum: int = 2) -> int:
 
     Raises :class:`DataError` when the length is under ``minimum`` or over the ``n``-sample trace.
     """
+    if frames == np.inf:  # a finite window times the frame rate can overflow
+        raise DataError(f"window of {frames} frames exceeds the {n}-frame trace")
     length = int(round(frames))
     length = max(length + length % 2, 2)
     if length < minimum:
@@ -329,3 +332,18 @@ def hann_overlap_add(blocks, fs: float, offsets=None) -> Signal1D:
     for off, b in zip(offsets, blocks):
         out[off:off + length] += window * b
     return Signal1D(out, fs)
+
+
+def alpha_overlap_add(a: np.ndarray, b: np.ndarray, starts, n: int, fs: float) -> np.ndarray:
+    """Hann overlap-add into ``n`` samples each window's ``a - (std a / std b) b``, or ``a`` where ``std b`` is 0.
+
+    Rows of ``a`` and ``b`` (w, length) are the windows starting at ``starts``;
+    each window and the result are made zero-mean.
+    """
+    sb = b.std(axis=1)
+    ratio = np.divide(a.std(axis=1), sb, out=np.zeros_like(sb), where=sb > 0)
+    tuned = a - ratio[:, None] * b
+    assembled = hann_overlap_add(tuned - tuned.mean(axis=1, keepdims=True), fs, offsets=starts).samples
+    out = np.zeros(n)
+    out[:assembled.size] = assembled
+    return out - out.mean()

@@ -4,7 +4,7 @@ Each frame's skin pixels define a 3x3 correlation matrix whose leading
 eigenvector follows the momentary skin color. Projecting it onto the two
 minor eigenvectors of an anchor frame measures the rotation accumulated over
 a short window; the scaled projections are recombined into a pulse sample.
-As in CHROM, all windows are handled in one batch and Hann overlap-added.
+As in CHROM, all windows are handled in one batch and alpha-tuned overlap-added.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from .roi import RgbTrace, check_params
-from .signals import PulseSignal, hann_overlap_add, window_length, window_starts
+from .signals import PulseSignal, alpha_overlap_add, window_length, window_starts
 
 __all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs",
            "trace_eigens", "ssr_pulse"]
@@ -153,17 +153,4 @@ def ssr_pulse(trace: RgbTrace, params: SsrParams = SsrParams(), eigens=None) -> 
     s2 = np.sqrt(lam1 / anchors[:, 2:3]) * np.matmul(u1, u3[:, :, None])[:, :, 0]
     sr0 = s1 * u2[:, 0:1] + s2 * u3[:, 0:1]  # the rotation's R and G channels, (w, length)
     sr1 = s1 * u2[:, 1:2] + s2 * u3[:, 1:2]
-    sd2 = sr1.std(axis=1)
-    ratio = np.divide(sr0.std(axis=1), sd2, out=np.zeros_like(sd2), where=sd2 > 0)
-    pulse = np.where(sd2[:, None] > 0, sr0 - ratio[:, None] * sr1, sr0)  # keeps the sign of a zero sr0
-    blocks = pulse - pulse.mean(axis=1, keepdims=True)
-    assembled = hann_overlap_add(blocks, trace.fs, offsets=starts).samples
-    out = np.zeros(n)
-    out[:assembled.size] = assembled
-    out -= out.mean()
-    return PulseSignal(
-        samples=out,
-        fs=trace.fs,
-        method="ssr",
-        fallback_fraction=trace.fallback_fraction,
-    )
+    return PulseSignal(alpha_overlap_add(sr0, sr1, starts, n, trace.fs), trace.fs, "ssr", trace.fallback_fraction)

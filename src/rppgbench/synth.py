@@ -30,6 +30,7 @@ from .io import (
     write_roi_track,
     write_rvid,
 )
+from .roi import check_finite
 
 __all__ = ["SynthConfig", "SynthResult", "generate", "write_bundle", "build_dataset", "BUNDLE_FILES"]
 
@@ -65,6 +66,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("frame dimensions must be positive")
         if self.fps <= 0:

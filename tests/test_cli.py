@@ -440,6 +440,51 @@ def test_search_with_bad_default_exits_1(small_dataset, tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "algo", "override", "code", "needle"),
+    [
+        ("pulse", "chrom", "window_s=1e308", EXIT_DATA, "window of inf frames exceeds"),
+        ("pulse", "licvpr", "segment_s=1e308", EXIT_DATA, "need at least 2 segments, got 1"),
+        ("pulse", "licvpr", "detrend_lambda=1e200", EXIT_USAGE, "detrend_lambda=1e+200"),
+        ("eval", "chrom", "window_s=1e308", EXIT_DATA, "seq002 (DataError: window of inf frames exceeds"),
+        ("search", "chrom", "window_s=1e308", EXIT_OK, ""),
+    ],
+)
+def test_huge_finite_parameters_end_in_error_lines(small_dataset, tmp_path, capsys, command, algo, override, code,
+                                                  needle):
+    key, _, value = override.partition("=")
+    bundle = small_dataset / "seq002"
+    if command == "pulse":
+        argv = ["pulse", str(bundle / "video.rvid"), "--roi", str(bundle / "roi.csv"), "--set", override]
+    else:
+        argv = [command, "--root", str(small_dataset), "--protocol", str(small_dataset / "protocol.csv")]
+    if command == "eval":
+        argv += ["--set", override]
+    if command == "search":
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([{"grid": {key: [1.0, float(value)]}}]), encoding="utf-8")
+        argv += ["--stages", str(stages)]
+    out = tmp_path / ("s.json" if command == "search" else "r.json")
+    code_got, _, err = run(capsys, *argv, "--algo", algo, "--out", str(out))
+    assert code_got == code, err
+    assert needle in err and "Traceback" not in err
+    if command == "search":
+        failed = json.loads(out.read_text(encoding="utf-8"))["trace"][0]["evaluations"][1]
+        assert failed["objective_value"] is None and "window of inf frames exceeds" in failed["error"]
+
+
+@pytest.mark.parametrize(
+    ("option", "value", "field"),
+    [("--duration", "inf", "duration_s=inf"), ("--noise-sd", "nan", "noise_sd=nan"),
+     ("--drift-amp", "nan", "illum_drift=(0.0, nan)")],
+)
+def test_synth_rejects_non_finite_numbers(tmp_path, capsys, option, value, field):
+    code, _, err = run(capsys, "synth", "--out", str(tmp_path / "d"), option, value)
+    assert code == EXIT_USAGE
+    assert err == f"error: parameters must be finite, got {field}\n"
+    assert not (tmp_path / "d").exists()
+
+
 def test_whole_float_and_null_window_overrides(synth_bundle, tmp_path, capsys):
     # At 20 fps the default (null) window is 20 frames.
     outputs = []

@@ -1,5 +1,7 @@
 """Green-channel pipeline: background reference, segment elimination, HR."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def test_background_tracks_drift_frequency():
 
 def test_constant_signal_discards_nothing():
     s = Signal1D(np.full(100, 3.0), 20.0)
-    out, discarded = eliminate_motion_segments(s, 1.0, 95.0)
+    out, discarded, _ = eliminate_motion_segments(s, 1.0, 95.0)
     assert discarded == ()
     assert np.array_equal(out.samples, s.samples)
 
@@ -78,7 +80,7 @@ def test_spike_segment_is_discarded():
     segments = [rng.normal(0.0, 1.0, size=20) for _ in range(10)]
     segments[6] = rng.normal(0.0, 100.0, size=20)  # motion burst
     s = Signal1D(np.concatenate(segments), fs)
-    out, discarded = eliminate_motion_segments(s, 1.0, 90.0)
+    out, discarded, _ = eliminate_motion_segments(s, 1.0, 90.0)
     assert discarded == (6,)
     assert len(out) == 180
 
@@ -86,7 +88,7 @@ def test_spike_segment_is_discarded():
 def test_percentile_100_keeps_everything():
     rng = np.random.default_rng(22)
     s = Signal1D(rng.normal(size=200) * np.linspace(1, 5, 200), 20.0)
-    out, discarded = eliminate_motion_segments(s, 1.0, 100.0)
+    out, discarded, _ = eliminate_motion_segments(s, 1.0, 100.0)
     assert discarded == ()
     assert np.array_equal(out.samples, s.samples)
 
@@ -99,7 +101,7 @@ def test_survivors_keep_their_order():
     segments[2] = rng.normal(0.0, 80.0, size=seg_len)
     segments[7] = rng.normal(0.0, 80.0, size=seg_len)
     s = Signal1D(np.concatenate(segments), fs)
-    out, discarded = eliminate_motion_segments(s, 1.0, 80.0)
+    out, discarded, _ = eliminate_motion_segments(s, 1.0, 80.0)
     assert set(discarded) >= {2, 7}
     survivors = [i for i in range(12) if i not in discarded]
     assert len(out) == seg_len * len(survivors)
@@ -117,10 +119,22 @@ def test_rejoined_segments_are_level_matched():
     burst = np.random.default_rng(2).normal(0, 50.0, size=20)
     quiet_high = np.full(20, 8.0)
     s = Signal1D(np.concatenate([quiet_low, burst, quiet_high]), fs)
-    out, discarded = eliminate_motion_segments(s, 1.0, 60.0)
+    out, discarded, _ = eliminate_motion_segments(s, 1.0, 60.0)
     assert discarded == (1,)
     # The 8.0-level segment is shifted down onto the predecessor's tail mean.
     assert np.max(np.abs(out.samples - 0.0)) <= 1e-12
+
+
+def test_shift_carries_through_the_run_after_a_gap(caplog):
+    levels = [0.0, 0.0, None, 100.0, 100.0]
+    noise = np.random.default_rng(3).normal(0.0, 5.0, size=10)
+    s = Signal1D(np.concatenate([noise if v is None else np.full(10, v) for v in levels]), 10.0)
+    with caplog.at_level(logging.INFO, logger="rppgbench.licvpr"):
+        out, discarded, n_segments = eliminate_motion_segments(s, 1.0, 75.0)
+    assert (discarded, n_segments) == ((2,), 5)
+    # Both 100-level survivors move onto the 0 level, not only the first.
+    assert np.array_equal(out.samples, np.zeros(40))
+    assert caplog.messages == ["discarded 1/5 segments"]
 
 
 def test_too_few_segments_rejected():

@@ -336,6 +336,6 @@ def test_rgb_trace_validation():
         means=np.full((4, 3), 9.0), correlations=np.full((4, 3, 3), 81.0), fs=20.0, pixel_counts=np.ones(4)
     )
     assert len(trace) == 4
-    assert trace.channel(1) == pytest.approx(np.full(4, 9.0))
+    assert trace.means[:, 1] == pytest.approx(np.full(4, 9.0))
     with pytest.raises(ValueError):
         trace.correlations[0, 0, 0] = 0.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rppgbench.errors import DataError, UndefinedCorrelationError
@@ -11,6 +11,7 @@ from rppgbench.signals import (
     BandHz,
     PulseSignal,
     Signal1D,
+    alpha_overlap_add,
     bandpass,
     detrend_smoothness_priors,
     hann_overlap_add,
@@ -503,6 +504,43 @@ def test_overlap_add_argument_validation():
         hann_overlap_add([np.ones(8), np.ones(8)], 20.0, offsets=[0])
     with pytest.raises(ValueError):
         hann_overlap_add([np.ones(8)], 20.0, offsets=[-2])
+
+
+def alpha_overlap_add_loop(a, b, starts, n):
+    """The alpha-tuned overlap-add one window at a time, with its own periodic Hann."""
+    length = a.shape[1]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    out = np.zeros(n)
+    for a_row, b_row, start in zip(a, b, starts):
+        sb = b_row.std()
+        ratio = a_row.std() / sb if sb > 0 else 0.0
+        row = a_row - ratio * b_row
+        out[start:start + length] += window * (row - row.mean())
+    return out - out.mean()
+
+
+@st.composite
+def alpha_cases(draw):
+    length = 2 * draw(st.integers(1, 8))
+    w = draw(st.integers(1, 5))
+    starts = draw(st.lists(st.integers(0, 3 * length), min_size=w, max_size=w))
+    n = max(starts) + length + draw(st.integers(0, 4))  # windows may end short of n
+    row = st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3), min_size=length, max_size=length)
+    constant = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 2.0]).map(lambda c: [c] * length)  # std exactly 0
+    a = np.array(draw(st.lists(row, min_size=w, max_size=w)))
+    b = np.array(draw(st.lists(row | constant, min_size=w, max_size=w)))
+    return a, b, starts, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha_cases())
+@example((np.array([[-0.0, 1.0, -0.0, 2.0]]), np.array([[-2.0] * 4]), [0], 7))
+@example((np.array([[1.0, -0.0, 3.0, 5.0], [-0.0, -0.0, -0.0, -0.0]]), np.array([[-1.0] * 4, [4.0, 1.0, 0.0, 2.0]]),
+          [0, 2], 9))
+def test_alpha_overlap_add_matches_window_loop(case):
+    a, b, starts, n = case
+    got = alpha_overlap_add(a, b, np.array(starts), n, 20.0)
+    assert got.tobytes() == alpha_overlap_add_loop(a, b, starts, n).tobytes()
 
 
 # ---------------------------------------------------------------------------

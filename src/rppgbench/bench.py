@@ -119,13 +119,10 @@ class SequenceBundle:
     directory: Path
 
 
-def read_bundle(video, roi, sequence_id: str | None = None) -> SequenceBundle:
-    """Read a video and its ROI track; the bundle's directory is the video's.
-
-    ``sequence_id`` defaults to the video's file stem.
-    """
+def read_bundle(video, roi) -> SequenceBundle:
+    """Read a video and its ROI track; the bundle's directory is the video's."""
     video = Path(video)
-    sequence = read_rvid(video, sequence_id=sequence_id)
+    sequence = read_rvid(video)
     track = read_roi_track(roi, sequence.width, sequence.height)
     return SequenceBundle(sequence=sequence, roi=track, directory=video.parent)
 
@@ -133,7 +130,7 @@ def read_bundle(video, roi, sequence_id: str | None = None) -> SequenceBundle:
 def load_bundle(dataset_root, sequence_id: str) -> SequenceBundle:
     """Read the bundle stored under ``dataset_root / sequence_id``."""
     directory = Path(dataset_root) / sequence_id
-    return read_bundle(directory / BUNDLE_FILES["video"], directory / BUNDLE_FILES["roi"], sequence_id)
+    return read_bundle(directory / BUNDLE_FILES["video"], directory / BUNDLE_FILES["roi"])
 
 
 def load_ground_truth(bundle: SequenceBundle) -> HrEstimate:

@@ -70,4 +70,4 @@ def chrom_pulse(trace: RgbTrace, params: ChromParams = ChromParams()) -> PulseSi
     rn, gn, bn = (windows / mu[:, :, None]).transpose(1, 0, 2)
     chroma = np.concatenate((3.0 * rn - 2.0 * gn, 1.5 * rn + gn - 1.5 * bn))
     x_f, y_f = np.split(bandpass_rows(chroma, fs, params.band, numtaps), 2)
-    return PulseSignal(alpha_overlap_add(x_f, y_f, starts, n, fs), fs, "chrom", trace.fallback_fraction)
+    return PulseSignal(alpha_overlap_add(x_f, y_f, starts, n, fs), fs, trace.fallback_fraction)

@@ -118,7 +118,6 @@ class FrameSequence:
     height: int
     fps: Fraction
     frames: np.ndarray
-    sequence_id: str = ""
 
     def __post_init__(self):
         if not isinstance(self.fps, Fraction):
@@ -143,10 +142,6 @@ class FrameSequence:
     @property
     def n_frames(self) -> int:
         return int(self.frames.shape[0])
-
-    @property
-    def fps_float(self) -> float:
-        return float(self.fps)
 
 
 def _parse_rvid_header(data: bytes, path: str) -> tuple[int, int, Fraction, int, int]:
@@ -175,7 +170,7 @@ def _parse_rvid_header(data: bytes, path: str) -> tuple[int, int, Fraction, int,
     return width, height, fps, n_frames, nl + 1
 
 
-def read_rvid(path, sequence_id: str | None = None) -> FrameSequence:
+def read_rvid(path) -> FrameSequence:
     """Read an ``.rvid`` file into a FrameSequence.
 
     The payload must contain exactly ``n * h * w * 3`` bytes; a short or long
@@ -206,7 +201,6 @@ def read_rvid(path, sequence_id: str | None = None) -> FrameSequence:
         height=height,
         fps=fps,
         frames=frames,
-        sequence_id=sequence_id if sequence_id is not None else path.stem,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .io import FrameSequence, RoiTrack
-from .roi import CHUNK_PIXELS, RgbTrace, check_params
+from .roi import RgbTrace, check_params
 from .signals import (
     BandHz,
     PulseSignal,
@@ -89,7 +89,6 @@ def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Sig
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
     out = np.empty(seq.n_frames)
-    step = max(1, CHUNK_PIXELS // (seq.width * seq.height))
     for start, stop, entry in roi.runs(seq.n_frames):
         box = entry.bbox()
         x0 = max(box.x - margin, 0)
@@ -101,13 +100,13 @@ def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Sig
             raise DataError(
                 f"no background pixels left at frame {start}: the ROI grown by {margin} px covers the frame"
             )
-        for a in range(start, stop, step):
-            # Integer-valued float64 sums are exact, so chunking changes no bit.
-            green = seq.frames[a:min(a + step, stop), :, :, 1].astype(np.float64)
-            total = green.sum(axis=(1, 2))
-            inner = green[:, y0:y1, x0:x1].sum(axis=(1, 2))
-            out[a:a + len(green)] = (total - inner) / n_outside
-    return Signal1D(out, seq.fps_float)
+        # numpy casts the uint8 view to float64 in small buffers; integer-valued
+        # float64 sums are exact, so the summation order changes no bit.
+        green = seq.frames[start:stop, :, :, 1]
+        total = green.sum(axis=(1, 2), dtype=np.float64)
+        inner = green[:, y0:y1, x0:x1].sum(axis=(1, 2), dtype=np.float64)
+        out[start:stop] = (total - inner) / n_outside
+    return Signal1D(out, float(seq.fps))
 
 
 def eliminate_motion_segments(s: Signal1D, segment_s: float, p: float) -> tuple[Signal1D, tuple[int, ...], int]:
@@ -170,7 +169,6 @@ def licvpr_pulse(trace: RgbTrace, background: Signal1D | None, params: LiParams 
     return PulseSignal(
         samples=samples,
         fs=trace.fs,
-        method="licvpr",
         fallback_fraction=trace.fallback_fraction,
         discarded_fraction=len(discarded) / n_segments,
     )

@@ -388,7 +388,7 @@ def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", mo
     return RgbTrace(
         means=sums / counts[:, None],
         correlations=products / counts[:, None, None],
-        fs=seq.fps_float,
+        fs=float(seq.fps),
         pixel_counts=counts,
         fallback_frames=fallbacks,
     )

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.signal import firwin
 
-from .errors import DataError, UndefinedCorrelationError
+from .errors import DataError, NumericDegeneracyError, UndefinedCorrelationError
 
 __all__ = [
     "Signal1D",
@@ -86,6 +86,8 @@ class BandHz:
             raise DataError(
                 f"band [{self.lo}, {self.hi}] Hz does not fit below Nyquist at fs={fs}"
             )
+        if self.lo / (fs / 2) == 0.0:  # the filter design works in fractions of Nyquist
+            raise NumericDegeneracyError(f"band edge {self.lo} Hz underflows as a fraction of Nyquist at fs={fs}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ class PulseSignal(Signal1D):
     segments dropped by motion elimination (zero for methods without it).
     """
 
-    method: str
     fallback_fraction: float = 0.0
     discarded_fraction: float = 0.0
 
@@ -173,7 +174,8 @@ def detrend_smoothness_priors(s: Signal1D, lam: float) -> Signal1D:
     The trend is the solution of ``(I + lam^2 D2' D2) z = s`` where ``D2`` is
     the second-difference operator; the detrended signal is ``s - z``. The
     system is pentadiagonal and is solved with a banded Cholesky solver, so
-    cost and memory stay linear in the signal length.
+    cost and memory stay linear in the signal length. A ``lam`` so large that
+    the system overflows or cannot be factored raises NumericDegeneracyError.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0:
@@ -190,9 +192,13 @@ def detrend_smoothness_priors(s: Signal1D, lam: float) -> Signal1D:
     rows = np.ones(n - 2)
     ab = np.zeros((3, n))
     ab[0, 2:] = lam2
-    ab[1, 1:] = lam2 * np.convolve(rows, [-2.0, -2.0])
-    ab[2, :] = 1.0 + lam2 * np.convolve(rows, [1.0, 4.0, 1.0])
-    trend = solveh_banded(ab, s.samples, lower=False)
+    with np.errstate(over="ignore"):  # an overflowed band fails the solver's finiteness check
+        ab[1, 1:] = lam2 * np.convolve(rows, [-2.0, -2.0])
+        ab[2, :] = 1.0 + lam2 * np.convolve(rows, [1.0, 4.0, 1.0])
+    try:
+        trend = solveh_banded(ab, s.samples, lower=False)
+    except ValueError as exc:  # an infinite band, or LinAlgError: not positive definite
+        raise NumericDegeneracyError(f"detrending {n} samples with lambda={lam}: {exc}") from None
     return Signal1D(s.samples - trend, s.fs)
 
 
@@ -204,7 +210,7 @@ def nlms_rectify(target: Signal1D, reference: Signal1D, mu: float = 1.0, order: 
     target : signal to clean (e.g. the skin green trace).
     reference : interference recording of equal length and rate.
     mu : adaptation step size in (0, 2].
-    order : number of filter taps.
+    order : number of filter taps, at most the signal length (else DataError).
 
     Returns the running prediction error, which converges onto the part of the
     target that the reference cannot explain. An all-zero reference leaves the
@@ -220,6 +226,8 @@ def nlms_rectify(target: Signal1D, reference: Signal1D, mu: float = 1.0, order: 
         raise ValueError(f"mu must lie in (0, 2], got {mu}")
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
+    if order > len(target):
+        raise DataError(f"NLMS order {order} exceeds the signal length {len(target)}")
     t = target.samples
     r = reference.samples
     if order == 1:

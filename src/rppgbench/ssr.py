@@ -18,7 +18,7 @@ from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from .roi import RgbTrace, check_params
 from .signals import PulseSignal, alpha_overlap_add, window_length, window_starts
 
-__all__ = ["SsrParams", "FrameEigen", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs",
+__all__ = ["SsrParams", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs",
            "trace_eigens", "ssr_pulse"]
 
 log = logging.getLogger(__name__)
@@ -39,29 +39,6 @@ class SsrParams:
             raise ValueError(f"window_l must be an integer, even (50% overlap) and >= 2, got {self.window_l!r}")
         if self.degeneracy_eps <= 0:
             raise ValueError(f"degeneracy_eps must be positive, got {self.degeneracy_eps}")
-
-
-@dataclass(frozen=True)
-class FrameEigen:
-    """Eigen-decomposition of one frame's pixel correlation matrix.
-
-    ``eigenvalues`` are sorted descending; ``eigenvectors`` holds the matching
-    orthonormal vectors as columns, each flipped so its first nonzero
-    component is positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=np.float64)
-        vec = np.array(self.eigenvectors, dtype=np.float64)
-        if lam.shape != (3,) or vec.shape != (3, 3):
-            raise ValueError("expected 3 eigenvalues and a 3x3 eigenvector matrix")
-        lam.setflags(write=False)
-        vec.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", vec)
 
 
 def canonical_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
@@ -97,15 +74,15 @@ def correlation_eigens(correlations) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def frame_eigen(pixels) -> FrameEigen:
-    """Eigen-decompose ``C = V'V / N`` for one frame's skin pixels (N, 3)."""
+def frame_eigen(pixels) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompose ``C = V'V / N`` for one frame's skin pixels (N, 3): row 0 of :func:`correlation_eigens`."""
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim != 2 or pixels.shape[1] != 3:
         raise ValueError("pixels must be shaped (N, 3)")
     if pixels.shape[0] < 3:
         raise ValueError(f"need at least 3 pixels, got {pixels.shape[0]}")
     lam, vec = correlation_eigens((pixels.T @ pixels / pixels.shape[0])[None])
-    return FrameEigen(eigenvalues=lam[0], eigenvectors=vec[0])
+    return lam[0], vec[0]
 
 
 def trace_eigens(trace: RgbTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -153,4 +130,4 @@ def ssr_pulse(trace: RgbTrace, params: SsrParams = SsrParams(), eigens=None) -> 
     s2 = np.sqrt(lam1 / anchors[:, 2:3]) * np.matmul(u1, u3[:, :, None])[:, :, 0]
     sr0 = s1 * u2[:, 0:1] + s2 * u3[:, 0:1]  # the rotation's R and G channels, (w, length)
     sr1 = s1 * u2[:, 1:2] + s2 * u3[:, 1:2]
-    return PulseSignal(alpha_overlap_add(sr0, sr1, starts, n, trace.fs), trace.fs, "ssr", trace.fallback_fraction)
+    return PulseSignal(alpha_overlap_add(sr0, sr1, starts, n, trace.fs), trace.fs, trace.fallback_fraction)

@@ -96,7 +96,7 @@ class SynthResult(NamedTuple):
     ground_truth: HrEstimate
 
 
-def generate(config: SynthConfig, sequence_id: str | None = None, subject_id: str | None = None) -> SynthResult:
+def generate(config: SynthConfig, subject_id: str | None = None) -> SynthResult:
     """Render a synthetic sequence; identical config gives identical bytes.
 
     Raises ValueError when more than ``CLIP_LIMIT`` of the pixel values would
@@ -106,8 +106,6 @@ def generate(config: SynthConfig, sequence_id: str | None = None, subject_id: st
     n = config.n_frames
     if n < 1:
         raise ValueError("duration and fps give an empty sequence")
-    if sequence_id is None:
-        sequence_id = f"synth{config.seed:05d}"
     if subject_id is None:
         subject_id = f"subj{config.seed:05d}"
     rng = np.random.default_rng(config.seed)
@@ -142,7 +140,6 @@ def generate(config: SynthConfig, sequence_id: str | None = None, subject_id: st
         height=config.height,
         fps=Fraction(config.fps),
         frames=frames,
-        sequence_id=sequence_id,
     )
     n_bvp = int(round(config.duration_s * BVP_RATE_HZ))
     t_bvp = np.arange(n_bvp) / BVP_RATE_HZ
@@ -191,7 +188,7 @@ def build_dataset(
         config = replace(base_config, hr_bpm=float(hr), seed=base_seed + i)
         sid = f"seq{i:03d}"
         subject = f"subj{i:03d}"
-        result = generate(config, sequence_id=sid, subject_id=subject)
+        result = generate(config, subject_id=subject)
         write_bundle(result, root / sid)
         condition = "studio" if config.illum_drift[1] == 0 else "natural"
         entries.append(ProtocolEntry(sequence_id=sid, split=split, condition=condition, subject_id=subject))

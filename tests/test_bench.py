@@ -93,7 +93,7 @@ def test_subject_overlap_across_splits_rejected():
 
 def test_failures_are_isolated_per_sequence(protocol, small_dataset, register_stub):
     def flaky(features, params):
-        if features.bundle.sequence.sequence_id == "seq003":
+        if features.bundle.directory.name == "seq003":
             raise DataError("boom")
         return features.truth().bpm
 
@@ -111,7 +111,7 @@ def test_failures_are_isolated_per_sequence(protocol, small_dataset, register_st
 
 def test_fewer_than_two_successes_is_undefined(protocol, small_dataset, register_stub):
     def mostly_broken(features, params):
-        if features.bundle.sequence.sequence_id != "seq002":
+        if features.bundle.directory.name != "seq002":
             raise DataError("no signal")
         return 60.0
 
@@ -211,7 +211,6 @@ def test_ground_truth_falls_back_to_bvp_beats(small_dataset, tmp_path):
 def test_extract_pulse_with_dict_params(small_dataset):
     bundle = load_bundle(small_dataset, "seq002")
     pulse = extract_pulse(bundle, "chrom", {"window_s": 3.2, "strategy": "bbox"})
-    assert pulse.method == "chrom"
     assert len(pulse) == bundle.sequence.n_frames
     with pytest.raises(ValueError, match="unknown algorithm"):
         extract_pulse(bundle, "fft")

@@ -65,7 +65,7 @@ def chrom_window_loop(trace, params=ChromParams()):
         combined = x_f - (x_f.std() / sy) * y_f if sy > 0 else x_f
         blocks.append(combined - combined.mean())
     assembled = hann_overlap_add(blocks, fs, offsets=starts).samples
-    return PulseSignal(assembled - assembled.mean(), fs, "chrom", trace.fallback_fraction)
+    return PulseSignal(assembled - assembled.mean(), fs, trace.fallback_fraction)
 
 
 def synthetic_trace(hr_bpm=72.0, fs=20.0, duration_s=30.0, base=(180.0, 120.0, 100.0),
@@ -81,7 +81,6 @@ def test_constant_trace_gives_zero_pulse():
     pulse = chrom_pulse(trace)
     assert np.max(np.abs(pulse.samples)) <= 1e-9
     assert len(pulse) == 120
-    assert pulse.method == "chrom"
 
 
 def test_scale_invariance():

@@ -474,6 +474,40 @@ def test_huge_finite_parameters_end_in_error_lines(small_dataset, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    ("algo", "override", "code", "needle"),
+    [
+        ("licvpr", "detrend_lambda=1e8", EXIT_NUMERIC, "samples with lambda=100000000.0: "),
+        ("licvpr", "detrend_lambda=6e153", EXIT_NUMERIC, "samples with lambda=6e+153: "),
+        ("licvpr", "order=1000000000000", EXIT_DATA, "NLMS order 1000000000000 exceeds the signal length 400"),
+        ("chrom", "band_lo=5e-324", EXIT_NUMERIC, "band edge 5e-324 Hz underflows"),
+    ],
+)
+def test_accepted_parameters_that_cannot_run_exit_2_or_3(small_dataset, capsys, tmp_path, algo, override, code, needle):
+    bundle = small_dataset / "seq002"
+    argv = ["pulse", str(bundle / "video.rvid"), "--roi", str(bundle / "roi.csv"), "--algo", algo, "--set", override]
+    code_got, _, err = run(capsys, *argv, "--out", str(tmp_path / "p.csv"))
+    assert code_got == code, err
+    assert needle in err and "Traceback" not in err
+
+
+def test_unsolvable_detrend_fails_each_sequence_in_eval_and_a_row_in_search(small_dataset, tmp_path, capsys):
+    argv = ["--root", str(small_dataset), "--protocol", str(small_dataset / "protocol.csv"), "--algo", "licvpr"]
+    code, _, err = run(capsys, "eval", *argv, "--set", "detrend_lambda=1e8", "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_DATA, err
+    assert "only 0 of 4 sequences succeeded" in err and "Traceback" not in err
+    for sid in ("seq002", "seq003", "seq004", "seq005"):
+        assert f"{sid} (NumericDegeneracyError: detrending " in err
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([{"grid": {"detrend_lambda": [300.0, 1e8]}}]), encoding="utf-8")
+    out = tmp_path / "s.json"
+    code, _, err = run(capsys, "search", *argv, "--stages", str(stages), "--out", str(out))
+    assert code == EXIT_OK, err
+    kept, failed = json.loads(out.read_text(encoding="utf-8"))["trace"][0]["evaluations"]
+    assert kept["error"] is None
+    assert failed["objective_value"] is None and "(NumericDegeneracyError: detrending " in failed["error"]
+
+
+@pytest.mark.parametrize(
     ("option", "value", "field"),
     [("--duration", "inf", "duration_s=inf"), ("--noise-sd", "nan", "noise_sd=nan"),
      ("--drift-amp", "nan", "illum_drift=(0.0, nan)")],

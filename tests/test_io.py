@@ -44,7 +44,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def make_sequence(n=2, w=4, h=4, seed=0):
     rng = np.random.default_rng(seed)
     frames = rng.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
-    return FrameSequence(width=w, height=h, fps=Fraction(20, 1), frames=frames, sequence_id="t")
+    return FrameSequence(width=w, height=h, fps=Fraction(20, 1), frames=frames)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_rvid_dimension_overflow(tmp_path):
 def test_rvid_rational_fps(tmp_path):
     seq = FrameSequence(
         width=2, height=2, fps=Fraction(30000, 1001),
-        frames=np.zeros((3, 2, 2, 3), dtype=np.uint8), sequence_id="ntsc",
+        frames=np.zeros((3, 2, 2, 3), dtype=np.uint8),
     )
     p = tmp_path / "n.rvid"
     write_rvid(seq, p)
@@ -129,11 +129,11 @@ def test_rvid_rational_fps(tmp_path):
 
 def test_frame_sequence_validation():
     with pytest.raises(ValueError):
-        FrameSequence(width=4, height=4, fps=Fraction(20), frames=np.zeros((0, 4, 4, 3), np.uint8), sequence_id="x")
+        FrameSequence(width=4, height=4, fps=Fraction(20), frames=np.zeros((0, 4, 4, 3), np.uint8))
     with pytest.raises(ValueError):
-        FrameSequence(width=4, height=4, fps=Fraction(0), frames=np.zeros((1, 4, 4, 3), np.uint8), sequence_id="x")
+        FrameSequence(width=4, height=4, fps=Fraction(0), frames=np.zeros((1, 4, 4, 3), np.uint8))
     with pytest.raises(ValueError):
-        FrameSequence(width=4, height=4, fps=Fraction(20), frames=np.zeros((1, 4, 5, 3), np.uint8), sequence_id="x")
+        FrameSequence(width=4, height=4, fps=Fraction(20), frames=np.zeros((1, 4, 5, 3), np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
@@ -126,7 +126,7 @@ def cases(draw, strategy):
     h = draw(st.integers(2, 14))
     w = draw(st.integers(2, 14))
     frames = volume(draw(st.integers(0, 2**32 - 1)), n, h, w, draw(st.sampled_from([0.0, 0.5, 0.9])))
-    seq = FrameSequence(width=w, height=h, fps=Fraction(20), frames=frames, sequence_id="p")
+    seq = FrameSequence(width=w, height=h, fps=Fraction(20), frames=frames)
     starts = sorted(draw(st.sets(st.integers(1, n + 3), max_size=4)))
     entries = []
     for _ in range(1 + len(starts)):
@@ -191,7 +191,7 @@ def test_pixels_on_the_mahalanobis_limit(color, mean_r, mean_g, target, nudge):
     assert abs(model.mahalanobis_limit() - d2) <= 1e-9 * d2
     frames = np.broadcast_to(pixel, (3, 4, 5, 3)).copy()
     frames[1, 0, 0] = (color[0], min(color[1] + 1, 255), color[2])
-    seq = FrameSequence(width=5, height=4, fps=Fraction(20), frames=frames, sequence_id="lim")
+    seq = FrameSequence(width=5, height=4, fps=Fraction(20), frames=frames)
     assert np.array_equal(_skin_select(np.moveaxis(frames[0].astype(np.float64), -1, 0), model),
                           oracle_skin_mask(frames[0], model))
     assert_matches_oracle(seq, RoiTrack(frames=(0,), entries=(RoiBox(0, 0, 5, 4),)), "skin", model)
@@ -208,7 +208,7 @@ def test_runs_longer_than_one_chunk():
     # A 1x1 box puts CHUNK_PIXELS frames in a chunk; cross that boundary.
     n = CHUNK_PIXELS + 5
     frames = volume(3, n, 2, 2, 0.5)
-    seq = FrameSequence(width=2, height=2, fps=Fraction(20), frames=frames, sequence_id="long")
+    seq = FrameSequence(width=2, height=2, fps=Fraction(20), frames=frames)
     roi = RoiTrack(frames=(0, 7), entries=(RoiBox(0, 0, 2, 2), RoiBox(1, 1, 1, 1)))
     trace = mean_rgb_trace(seq, roi, "bbox")
     want = frames[7:, 1, 1].astype(np.float64)
@@ -220,6 +220,9 @@ def test_runs_longer_than_one_chunk():
 
 @SETTINGS
 @given(cases("bbox"), st.integers(0, 6))
+# Two ROI runs of 700 and 600 frames of 8x8 px, each more than CHUNK_PIXELS pixels.
+@example((FrameSequence(width=8, height=8, fps=Fraction(20), frames=volume(11, 1300, 8, 8, 0.5)),
+          RoiTrack(frames=(0, 700), entries=(RoiBox(2, 2, 3, 3), RoiBox(1, 3, 4, 2)))), 2)
 def test_background_trace_matches_oracle(case, margin):
     seq, roi = case
     want = []
@@ -264,9 +267,9 @@ def test_batched_eigen_matches_frame_eigen(seed, n, zero_channels):
     stack = np.stack([p.T @ p / p.shape[0] for p in pixel_sets])
     lams, vectors = correlation_eigens(stack)
     for i, pixels in enumerate(pixel_sets):
-        single = frame_eigen(pixels)
-        assert np.array_equal(lams[i], single.eigenvalues)
-        assert np.array_equal(vectors[i], single.eigenvectors)
+        lam, vec = frame_eigen(pixels)
+        assert np.array_equal(lams[i], lam)
+        assert np.array_equal(vectors[i], vec)
 
 
 @SETTINGS

@@ -205,7 +205,7 @@ def constant_sequence(color, n=5, w=24, h=24):
     frames = np.broadcast_to(
         np.asarray(color, dtype=np.uint8), (n, h, w, 3)
     ).copy()
-    return FrameSequence(width=w, height=h, fps=Fraction(20), frames=frames, sequence_id="c")
+    return FrameSequence(width=w, height=h, fps=Fraction(20), frames=frames)
 
 
 def test_constant_sequence_all_strategies_agree():
@@ -236,7 +236,7 @@ def test_trace_invariant_to_pixel_ordering():
 
     def one(frame):
         seq = FrameSequence(width=16, height=16, fps=Fraction(20),
-                            frames=frame[None], sequence_id="x")
+                            frames=frame[None])
         return mean_rgb_trace(seq, track, "bbox").means[0]
 
     assert one(frame) == pytest.approx(one(shuffled), abs=1e-12)

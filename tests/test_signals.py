@@ -1,11 +1,13 @@
 """Core signal operations against brute-force oracles and pinned values."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rppgbench.errors import DataError, UndefinedCorrelationError
+from rppgbench.errors import DataError, NumericDegeneracyError, UndefinedCorrelationError
 from rppgbench.signals import (
     NLMS_EPS,
     BandHz,
@@ -133,22 +135,24 @@ def test_band_validation():
         BandHz(-1.0, 4.0)
     with pytest.raises(ValueError):
         BandHz(0.67, 4.0).validate_for(8.0)  # hi == Nyquist
+    BandHz(1e-322, 4.0).validate_for(20.0)
+    with pytest.raises(NumericDegeneracyError, match="band edge 1e-323 Hz underflows"):
+        BandHz(1e-323, 4.0).validate_for(20.0)  # 1e-323 / 10 rounds to 0
 
 
 def test_pulse_signal_rejects_nonzero_mean():
     with pytest.raises(ValueError):
-        PulseSignal(np.ones(16), 20.0, "chrom")
-    p = PulseSignal(np.array([1.0, -1.0, 0.5, -0.5]), 20.0, "chrom")
-    assert p.method == "chrom"
+        PulseSignal(np.ones(16), 20.0)
+    p = PulseSignal(np.array([1.0, -1.0, 0.5, -0.5]), 20.0)
     assert p.fallback_fraction == 0.0
 
 
 def test_pulse_signal_keeps_signal_validation():
     with pytest.raises(ValueError, match="finite"):
-        PulseSignal(np.array([1.0, -1.0, np.inf, 0.0]), 20.0, "chrom")
+        PulseSignal(np.array([1.0, -1.0, np.inf, 0.0]), 20.0)
     for fs in (0.0, -20.0):
         with pytest.raises(ValueError, match="sampling rate"):
-            PulseSignal(np.array([1.0, -1.0]), fs, "chrom")
+            PulseSignal(np.array([1.0, -1.0]), fs)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +320,13 @@ def test_detrend_rejects_negative_lambda():
         detrend_smoothness_priors(Signal1D(np.arange(10.0), 20.0), -1.0)
 
 
+@pytest.mark.parametrize("lam", [1e8, 6e153])  # the Cholesky fails; the band overflows
+def test_unsolvable_detrend_is_numeric_degeneracy(lam):
+    s = Signal1D(np.random.default_rng(4).normal(size=200), 20.0)
+    with pytest.raises(NumericDegeneracyError, match=re.escape(f"detrending 200 samples with lambda={lam}: ")):
+        detrend_smoothness_priors(s, lam)
+
+
 # ---------------------------------------------------------------------------
 # NLMS rectification
 # ---------------------------------------------------------------------------
@@ -389,6 +400,10 @@ def test_nlms_argument_validation():
         nlms_rectify(a, d, mu=2.5)
     with pytest.raises(ValueError):
         nlms_rectify(a, d, order=0)
+    nlms_rectify(a, d, order=10)
+    for order in (11, 10**12):  # checked before any order-sized array exists
+        with pytest.raises(DataError, match=f"NLMS order {order} exceeds the signal length 10"):
+            nlms_rectify(a, d, order=order)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from rppgbench.roi import RgbTrace, mean_rgb_trace
 from rppgbench.signals import BandHz, PulseSignal, hann_overlap_add, window_length, window_starts
 from rppgbench.synth import SynthConfig, generate
 from rppgbench.ssr import (
-    FrameEigen,
     SsrParams,
     canonical_eigenvector_signs,
     frame_eigen,
@@ -82,18 +81,18 @@ def random_pixels(rng, n=100):
 def test_uniform_color_is_rank_one():
     c = 120.0
     pixels = np.full((50, 3), c)
-    eig = frame_eigen(pixels)
-    assert eig.eigenvalues == pytest.approx([3 * c * c, 0.0, 0.0], abs=1e-9 * 3 * c * c)
-    u1 = eig.eigenvectors[:, 0]
+    lam, vec = frame_eigen(pixels)
+    assert lam == pytest.approx([3 * c * c, 0.0, 0.0], abs=1e-9 * 3 * c * c)
+    u1 = vec[:, 0]
     assert u1 == pytest.approx(np.full(3, 1 / math.sqrt(3)), abs=1e-12)
 
 
 def test_isotropic_pixels_have_equal_eigenvalues():
     a = 30.0
     pixels = a * np.eye(3)  # one pure-channel pixel each
-    eig = frame_eigen(pixels)
-    assert eig.eigenvalues == pytest.approx(np.full(3, a * a / 3), rel=1e-12)
-    assert eig.eigenvectors.T @ eig.eigenvectors == pytest.approx(np.eye(3), abs=1e-12)
+    lam, vec = frame_eigen(pixels)
+    assert lam == pytest.approx(np.full(3, a * a / 3), rel=1e-12)
+    assert vec.T @ vec == pytest.approx(np.eye(3), abs=1e-12)
 
 
 def test_frame_eigen_matches_jacobi_oracle():
@@ -101,15 +100,14 @@ def test_frame_eigen_matches_jacobi_oracle():
     for _ in range(200):
         pixels = random_pixels(rng)
         corr = correlation(pixels)
-        eig = frame_eigen(pixels)
+        lam, v = frame_eigen(pixels)
         lam_o, vec_o = jacobi_eigh(corr)
         scale = lam_o[0]
-        assert eig.eigenvalues == pytest.approx(lam_o, abs=1e-9 * scale)
-        assert eig.eigenvalues[0] >= eig.eigenvalues[1] >= eig.eigenvalues[2] >= 0
+        assert lam == pytest.approx(lam_o, abs=1e-9 * scale)
+        assert lam[0] >= lam[1] >= lam[2] >= 0
         # Basis-independent checks: orthonormality and exact reconstruction.
-        v = eig.eigenvectors
         assert v.T @ v == pytest.approx(np.eye(3), abs=1e-12)
-        recon = v @ np.diag(eig.eigenvalues) @ v.T
+        recon = v @ np.diag(lam) @ v.T
         assert recon == pytest.approx(corr, abs=1e-9 * scale)
         # Where the spectrum is well separated the vectors must align too.
         gaps = np.diff(lam_o[::-1]) / scale
@@ -148,16 +146,16 @@ def test_frame_eigen_is_deterministic():
     pixels = random_pixels(rng)
     a = frame_eigen(pixels)
     b = frame_eigen(pixels.copy())
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_frame_eigen_result_is_read_only():
-    eig = frame_eigen(random_pixels(np.random.default_rng(0)))
+    lam, vec = frame_eigen(random_pixels(np.random.default_rng(0)))
     with pytest.raises(ValueError):
-        eig.eigenvalues[0] = 0.0
+        lam[0] = 0.0
     with pytest.raises(ValueError):
-        FrameEigen(eigenvalues=np.ones(2), eigenvectors=np.eye(3))
+        vec[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,6 @@ def test_identical_frames_give_flat_pulse():
     pulse = ssr_pulse(trace_of([frame] * 40, 20.0), SsrParams(window_l=20))
     assert len(pulse) == 40
     assert pulse.fs == 20.0
-    assert pulse.method == "ssr"
     assert np.abs(pulse.samples).max() <= 1e-9
 
 
@@ -324,7 +321,7 @@ def ssr_window_loop(trace, params=SsrParams(), eigens=None):
     out = np.zeros(n)
     out[:assembled.size] = assembled
     out -= out.mean()
-    return PulseSignal(out, trace.fs, "ssr", trace.fallback_fraction)
+    return PulseSignal(out, trace.fs, trace.fallback_fraction)
 
 
 @st.composite

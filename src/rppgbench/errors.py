@@ -7,9 +7,9 @@ the frame or unfit for its strategy, a band above Nyquist, fewer than two
 successful sequences, subjects in both splits, a search stage with no
 successful candidate). The CLI exits 2. A :class:`NumericDegeneracyError` is
 well-formed input with degenerate numerics (a zero channel mean, a
-detrending system that overflows or cannot be factored, a band edge that
-underflows); the CLI exits 3. Any other ``ValueError`` is a bad argument and
-exits 1. Per-sequence and per-candidate isolation records only
+detrending system too ill-conditioned to solve, a pulse with no in-band
+power, a band edge that underflows); the CLI exits 3. Any other
+``ValueError`` is a bad argument and exits 1. Per-sequence and per-candidate isolation records only
 :data:`EXPECTED_ERRORS`; anything else is a bug and propagates.
 """
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from .errors import DataError, InsufficientPeaksError
+from .errors import DataError, InsufficientPeaksError, NumericDegeneracyError
 from .signals import BandHz
 
 __all__ = [
@@ -52,7 +52,8 @@ def estimate_hr_spectral(pulse, band: BandHz) -> HrEstimate:
     The mean-removed signal is zero-padded to the smallest power of two that
     is at least ``max(NFFT_MIN, 8 * len)``, which bounds the bin spacing well
     below physiological differences. The band is clamped to Nyquist; if
-    nothing of it survives the clamp, DataError is raised.
+    nothing of it survives the clamp, DataError is raised. A pulse with no
+    power in the band (all zero, say) raises NumericDegeneracyError.
     """
     samples = np.asarray(pulse.samples, dtype=np.float64)
     fs = float(pulse.fs)
@@ -74,6 +75,8 @@ def estimate_hr_spectral(pulse, band: BandHz) -> HrEstimate:
     if not np.any(in_band):
         raise DataError("no spectral bins fall inside the requested band")
     band_power = power[in_band]
+    if not band_power.any():  # e.g. an all-zero pulse: every bin would tie
+        raise NumericDegeneracyError(f"the pulse has no power in the band [{lo}, {hi}] Hz")
     band_freqs = freqs[in_band]
     k = int(np.argmax(band_power))
     low_confidence = bool(band_power[k] < 2.0 * np.median(band_power))
@@ -105,8 +108,62 @@ def detect_peaks(s, min_dist_s: float = 0.3, min_prominence_sd: float = 0.5) -> 
         return np.empty(0, dtype=np.intp)
     distance = max(1.0, min_dist_s * float(s.fs))
     prominence = min_prominence_sd * sd
-    peaks, _ = find_peaks(x, distance=distance, prominence=prominence or None)
-    return peaks.astype(np.intp)
+    return _find_peaks(x, distance, prominence or None)
+
+
+def _find_peaks(x: np.ndarray, distance: float, prominence: float | None) -> np.ndarray:
+    """``scipy.signal.find_peaks(x, distance=distance, prominence=prominence)[0]`` for finite ``x``.
+
+    scipy 1.17's rules in its order: the midpoint ``(start + end) // 2`` of
+    each strict local maximum (a plateau counts once); then, highest first in
+    ``np.argsort`` order (so ties break as in scipy), each kept peak drops the
+    others closer than ``ceil(distance)``; then the prominence floor.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))  # runs of equal samples
+    ends = np.append(starts[1:], x.size) - 1
+    run = x[starts]
+    top = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    keep = [True] * peaks.size
+    span = math.ceil(min(distance, x.size))  # any longer span drops the same peaks
+    if span > 1:
+        lo = np.searchsorted(peaks, peaks - span, side="right").tolist()
+        hi = np.searchsorted(peaks, peaks + span).tolist()
+        for j in np.argsort(x[peaks])[::-1].tolist():
+            if keep[j]:
+                keep[lo[j]:j] = [False] * (j - lo[j])
+                keep[j + 1:hi[j]] = [False] * (hi[j] - j - 1)
+    keep = np.array(keep, dtype=bool)
+    if prominence is not None:
+        keep &= prominence <= _prominences(x, peaks)
+    return peaks[keep]
+
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """``scipy.signal.peak_prominences(x, peaks)[0]`` for all the strict local maxima ``peaks`` of ``x``.
+
+    A peak's prominence is its height above the higher of the two minima that
+    walks away from it reach before ``x`` rises strictly above it. Between
+    neighbouring maxima ``x`` falls to one valley and rises again, so a walk
+    covers exactly the valleys up to the nearest higher maximum.
+    """
+    valleys = np.minimum.reduceat(x, np.append(0, peaks)).tolist()  # [before peak 0, ..., after the last]
+    heights = x[peaks].tolist()
+    left = _walk_minima(heights, valleys[:-1])
+    right = _walk_minima(heights[::-1], valleys[:0:-1])[::-1]
+    return x[peaks] - np.maximum(left, right)
+
+
+def _walk_minima(heights: list, valleys: list) -> list:
+    """Per maximum, the lowest valley back to the nearest strictly higher maximum (or the start)."""
+    out = []
+    stack = []  # (height, lowest valley back to the next entry), heights strictly falling
+    for h, v in zip(heights, valleys):
+        while stack and stack[-1][0] <= h:
+            v = min(v, stack.pop()[1])
+        stack.append((h, v))
+        out.append(v)
+    return out
 
 
 def hr_from_peaks(indices, fs: float) -> HrEstimate:

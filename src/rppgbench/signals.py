@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.signal import firwin
 
 from .errors import DataError, NumericDegeneracyError, UndefinedCorrelationError
 
@@ -139,8 +138,17 @@ def moving_average(s: Signal1D, window_len: int) -> Signal1D:
 
 @functools.lru_cache(maxsize=64)
 def _bandpass_taps(numtaps: int, lo: float, hi: float, fs: float) -> np.ndarray:
-    """Hamming-windowed band-pass taps, designed once per (numtaps, band, fs)."""
-    return _frozen_copy(firwin(numtaps, [lo, hi], pass_zero=False, window="hamming", fs=fs))
+    """Hamming-windowed band-pass taps, designed once per (numtaps, band, fs).
+
+    Bit for bit ``scipy.signal.firwin(numtaps, [lo, hi], pass_zero=False,
+    window="hamming", fs=fs)``: scipy 1.17's operations in its order, with its
+    general-cosine Hamming window (``np.hamming`` rounds differently).
+    """
+    left, right = np.array([lo, hi]) / (0.5 * fs)
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    h = right * np.sinc(right * m) - left * np.sinc(left * m)
+    h *= 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
+    return _frozen_copy(h / np.sum(h * np.cos(np.pi * m * (0.5 * (left + right)))))
 
 
 def bandpass_rows(rows: np.ndarray, fs: float, band: BandHz, numtaps: int = 127) -> np.ndarray:
@@ -175,7 +183,9 @@ def detrend_smoothness_priors(s: Signal1D, lam: float) -> Signal1D:
     the second-difference operator; the detrended signal is ``s - z``. The
     system is pentadiagonal and is solved with a banded Cholesky solver, so
     cost and memory stay linear in the signal length. A ``lam`` so large that
-    the system overflows or cannot be factored raises NumericDegeneracyError.
+    no digit of the solution is certain (``16 lam^2 eps >= 1``, about
+    ``lam >= 1.7e7``) raises NumericDegeneracyError, as does a system that
+    cannot be factored.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0:
@@ -185,6 +195,10 @@ def detrend_smoothness_priors(s: Signal1D, lam: float) -> Signal1D:
         raise DataError(f"detrending needs at least 3 samples, got {n}")
     if lam == 0.0:
         return Signal1D(np.zeros(n), s.fs)
+    if 16.0 * lam * lam * np.finfo(float).eps >= 1.0:  # the condition number is below 1 + 16 lam^2
+        raise NumericDegeneracyError(
+            f"detrending {n} samples with lambda={lam}: the system is too ill-conditioned for float64"
+        )
     # Upper bands of I + lam^2 D2'D2. Each of the n - 2 rows [1, -2, 1] of D2
     # adds its outer product, whose bands 2, 1 and 0 hold [1], [-2, -2] and
     # [1, 4, 1]; summing the shifted copies is a convolution with ones.
@@ -192,12 +206,11 @@ def detrend_smoothness_priors(s: Signal1D, lam: float) -> Signal1D:
     rows = np.ones(n - 2)
     ab = np.zeros((3, n))
     ab[0, 2:] = lam2
-    with np.errstate(over="ignore"):  # an overflowed band fails the solver's finiteness check
-        ab[1, 1:] = lam2 * np.convolve(rows, [-2.0, -2.0])
-        ab[2, :] = 1.0 + lam2 * np.convolve(rows, [1.0, 4.0, 1.0])
+    ab[1, 1:] = lam2 * np.convolve(rows, [-2.0, -2.0])
+    ab[2, :] = 1.0 + lam2 * np.convolve(rows, [1.0, 4.0, 1.0])
     try:
         trend = solveh_banded(ab, s.samples, lower=False)
-    except ValueError as exc:  # an infinite band, or LinAlgError: not positive definite
+    except np.linalg.LinAlgError as exc:  # not positive definite after rounding
         raise NumericDegeneracyError(f"detrending {n} samples with lambda={lam}: {exc}") from None
     return Signal1D(s.samples - trend, s.fs)
 

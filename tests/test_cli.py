@@ -507,6 +507,32 @@ def test_unsolvable_detrend_fails_each_sequence_in_eval_and_a_row_in_search(smal
     assert failed["objective_value"] is None and "(NumericDegeneracyError: detrending " in failed["error"]
 
 
+def test_flat_pulse_fails_each_sequence_in_eval_and_a_row_in_search(small_dataset, tmp_path, capsys):
+    # detrend_lambda=0 detrends the whole green trace away: an all-zero pulse has no heart rate
+    argv = ["--root", str(small_dataset), "--protocol", str(small_dataset / "protocol.csv"), "--algo", "licvpr"]
+    code, _, err = run(capsys, "eval", *argv, "--set", "detrend_lambda=0", "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_DATA, err
+    assert "only 0 of 4 sequences succeeded" in err and "Traceback" not in err
+    for sid in ("seq002", "seq003", "seq004", "seq005"):
+        assert f"{sid} (NumericDegeneracyError: the pulse has no power in the band " in err
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([{"grid": {"detrend_lambda": [300.0, 0.0]}}]), encoding="utf-8")
+    out = tmp_path / "s.json"
+    code, _, err = run(capsys, "search", *argv, "--stages", str(stages), "--out", str(out))
+    assert code == EXIT_OK, err
+    kept, failed = json.loads(out.read_text(encoding="utf-8"))["trace"][0]["evaluations"]
+    assert kept["error"] is None
+    assert failed["objective_value"] is None and "(NumericDegeneracyError: the pulse has no power" in failed["error"]
+
+
+def test_hr_on_all_zero_pulse_exits_3(tmp_path, capsys):
+    pulse_csv = tmp_path / "p.csv"
+    pulse_csv.write_text("t,value\n" + "".join(f"{i / 20!r},0.0\n" for i in range(200)), encoding="ascii")
+    code, _, err = run(capsys, "hr", str(pulse_csv))
+    assert code == EXIT_NUMERIC
+    assert "no power in the band" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     ("option", "value", "field"),
     [("--duration", "inf", "duration_s=inf"), ("--noise-sd", "nan", "noise_sd=nan"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rppgbench.errors import InsufficientPeaksError
+from rppgbench.errors import InsufficientPeaksError, NumericDegeneracyError
 from rppgbench.hr import (
     HrEstimate,
     detect_peaks,
@@ -62,6 +62,13 @@ def test_flat_spectrum_is_flagged_low_confidence():
 
     confident = estimate_hr_spectral(tone(72.0), WIDE)
     assert not confident.low_confidence
+
+
+@pytest.mark.parametrize("value", [0.0, 3.5])
+def test_pulse_without_in_band_power_is_numeric_degeneracy(value):
+    # Every bin ties at zero; the all-zero pulse once read 40.43 bpm, the band's lowest bin.
+    with pytest.raises(NumericDegeneracyError, match=r"the pulse has no power in the band \[0\.6"):
+        estimate_hr_spectral(Signal1D(np.full(200, value), 20.0), WIDE)
 
 
 def test_band_clamped_to_nyquist():

@@ -327,6 +327,18 @@ def test_unsolvable_detrend_is_numeric_degeneracy(lam):
         detrend_smoothness_priors(s, lam)
 
 
+@pytest.mark.parametrize("lam", [2.0**24, 4e7, 1e100])  # the Cholesky passes, but 16 lam^2 eps >= 1
+def test_ill_conditioned_detrend_is_numeric_degeneracy(lam):
+    s = Signal1D(np.random.default_rng(0).normal(100.0, 10.0, size=200), 20.0)
+    with pytest.raises(NumericDegeneracyError, match=re.escape(f"detrending 200 samples with lambda={lam}: ")):
+        detrend_smoothness_priors(s, lam)
+
+
+def test_detrend_just_below_the_conditioning_limit_solves():
+    s = Signal1D(np.random.default_rng(0).normal(100.0, 10.0, size=200), 20.0)
+    assert np.all(np.isfinite(detrend_smoothness_priors(s, np.nextafter(2.0**24, 0.0)).samples))
+
+
 # ---------------------------------------------------------------------------
 # NLMS rectification
 # ---------------------------------------------------------------------------

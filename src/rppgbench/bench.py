@@ -138,10 +138,10 @@ def load_ground_truth(bundle: SequenceBundle) -> HrEstimate:
     gt_path = bundle.directory / BUNDLE_FILES["ground_truth"]
     if gt_path.exists():
         return read_ground_truth(gt_path)
-    bvp = read_physio_csv(
-        bundle.directory / BUNDLE_FILES["physio"],
-        bundle.directory / BUNDLE_FILES["physio_meta"],
-    )
+    meta_path = bundle.directory / BUNDLE_FILES["physio_meta"]
+    bvp = read_physio_csv(bundle.directory / BUNDLE_FILES["physio"], meta_path)
+    if bvp.kind != "bvp":
+        raise FormatError(f"signal_type is {bvp.kind!r}; ground truth needs a 'bvp' recording", path=str(meta_path))
     return hr_from_peaks(detect_peaks(bvp), bvp.fs)
 
 
@@ -355,6 +355,8 @@ class SequenceResult:
             raise ValueError(f"status must be 'ok' or 'failed', got {self.status!r}")
         _check_number("estimated_bpm", self.estimated_bpm)
         _check_number("ground_truth_bpm", self.ground_truth_bpm)
+        if (self.estimated_bpm is None, self.ground_truth_bpm is None) != (self.status == "failed",) * 2:
+            raise ValueError(f"status {self.status!r} needs {'no' if self.status == 'failed' else 'both'} bpm values")
 
 
 @dataclass(frozen=True)
@@ -669,7 +671,7 @@ def read_report(path) -> EvalReport:
                     estimate, truth = (float(cell) if cell else None for cell in cells[2:4])
                     rows.append(SequenceResult(cells[0], cells[1], estimate, truth, cells[4] if len(cells) > 4 else ""))
             except (IndexError, ValueError):
-                raise FormatError(f"row {reader.line_num}: short or unparsable report row", path=str(path)) from None
+                raise FormatError(f"row {reader.line_num}: short or invalid report row", path=str(path)) from None
     if len(trailer) < 2:
         raise FormatError("missing rmse/pearson trailer rows", path=str(path))
     return EvalReport("", "", "", {}, tuple(rows), trailer["rmse"], trailer["pearson"])

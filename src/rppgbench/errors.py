@@ -1,15 +1,16 @@
 """The package's error taxonomy: which failure is whose.
 
 A :class:`DataError` (a ``ValueError``) is input that cannot be processed: a
-file that breaks its format (:class:`FormatError`), or content the run
-cannot use (too short for a window, a spectrum or the NLMS taps, a ROI off
-the frame or unfit for its strategy, a band above Nyquist, fewer than two
-successful sequences, subjects in both splits, a search stage with no
-successful candidate). The CLI exits 2. A :class:`NumericDegeneracyError` is
-well-formed input with degenerate numerics (a zero channel mean, a
-detrending system too ill-conditioned to solve, a pulse with no in-band
-power, a band edge that underflows); the CLI exits 3. Any other
-``ValueError`` is a bad argument and exits 1. Per-sequence and per-candidate isolation records only
+file that breaks its format (:class:`FormatError`, or a ``bvp_meta.json``
+whose ``signal_type`` is not ``"bvp"``), or content the run cannot use (too
+short for a window, a spectrum or the NLMS taps, a ROI off the frame or unfit
+for its strategy, a band above Nyquist, fewer than two successful sequences,
+subjects in both splits, a search stage with no successful candidate). The CLI
+exits 2. A :class:`NumericDegeneracyError` is well-formed input with
+degenerate numerics (a zero channel mean, a detrending system too
+ill-conditioned to solve, a pulse with no in-band power, a band edge that
+underflows); the CLI exits 3. Any other ``ValueError`` is a bad argument and
+exits 1. Per-sequence and per-candidate isolation records only
 :data:`EXPECTED_ERRORS`; anything else is a bug and propagates.
 """
 

@@ -94,12 +94,13 @@ def detect_peaks(s, min_dist_s: float = 0.3, min_prominence_sd: float = 0.5) -> 
 
     Peaks must be at least ``min_dist_s`` seconds apart (conflicts resolved
     greedily by descending height) and have topographic prominence of at
-    least ``min_prominence_sd`` standard deviations of the signal.
+    least ``min_prominence_sd`` standard deviations of the signal. Both floors
+    must be non-negative numbers; a negative or NaN floor raises ValueError.
     """
     min_dist_s = float(min_dist_s)
     min_prominence_sd = float(min_prominence_sd)
-    if min_dist_s < 0 or min_prominence_sd < 0:
-        raise ValueError("spacing and prominence floors must be non-negative")
+    if not (min_dist_s >= 0 and min_prominence_sd >= 0):
+        raise ValueError("spacing and prominence floors must be non-negative numbers")
     x = np.asarray(s.samples, dtype=np.float64)
     if x.size < 3:
         raise DataError(f"peak detection needs at least 3 samples, got {x.size}")

@@ -237,64 +237,44 @@ def _skin_select(planes: np.ndarray, model: SkinModel) -> np.ndarray:
     return keep
 
 
-def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-
-    def on_segment(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    for d, a, b, c in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
-        if d == 0 and on_segment(a, b, c):
-            return True
-    return False
-
-
 def _check_simple_polygon(points) -> None:
-    k = len(points)
-    for i in range(k):
-        a1 = points[i]
-        a2 = points[(i + 1) % k]
-        for j in range(i + 1, k):
-            # Skip edges sharing a vertex (consecutive, or first/last pair).
-            if j == i or (j + 1) % k == i or (i + 1) % k == j:
-                continue
-            b1 = points[j]
-            b2 = points[(j + 1) % k]
-            if _segments_properly_intersect(a1, a2, b1, b2):
-                raise DataError("landmark polygon must be simple (non self-intersecting)")
+    """Reject a polygon in which two edges that share no vertex cross or touch.
+
+    Edge i runs from vertex i to vertex i + 1, the last one closing the
+    polygon. One array pass per edge tests it against the later edges that
+    share none of its vertices, with four orientation products: the edges
+    cross when each has one end strictly left of the other and one not, and
+    touch when an end is collinear with the other edge and inside its box.
+    """
+    start = np.asarray(points).T
+    end = np.roll(start, -1, axis=1)
+    k = start.shape[1]
+    for i in range(k - 2):
+        p1, p2 = start[:, i:i + 1], end[:, i:i + 1]
+        p3, p4 = start[:, i + 2:k - (i == 0)], end[:, i + 2:k - (i == 0)]  # edge 0 meets edge k - 1
+        tests = ((p3, p4, p1), (p3, p4, p2), (p1, p2, p3), (p1, p2, p4))
+        d = [(b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) for a, b, c in tests]
+        hit = ((d[0] > 0) != (d[1] > 0)) & ((d[2] > 0) != (d[3] > 0))
+        for orient, (a, b, c) in zip(d, tests):
+            hit |= (orient == 0) & (np.minimum(a, b) <= c).all(axis=0) & (c <= np.maximum(a, b)).all(axis=0)
+        if hit.any():
+            raise DataError("landmark polygon must be simple (non self-intersecting)")
 
 
-def lower_face_mask(landmarks: RoiPolygon, frame_width: int, frame_height: int) -> np.ndarray:
-    """Rasterize a landmark polygon into a boolean mask.
+def lower_face_mask(landmarks: RoiPolygon) -> np.ndarray:
+    """Rasterize a landmark polygon into a boolean mask over its box ``landmarks.bbox()``.
 
     A pixel belongs to the mask when its center satisfies the even-odd rule,
     with centers that fall exactly on an edge counted inside. The polygon must
-    be simple.
+    be simple. No pixel center outside the box meets either rule.
     """
     points = landmarks.points
-    if frame_width <= 0 or frame_height <= 0:
-        raise ValueError("frame dimensions must be positive")
     _check_simple_polygon(points)
-    cx = np.arange(frame_width) + 0.5
-    cy = np.arange(frame_height) + 0.5
-    gx, gy = np.meshgrid(cx, cy)
-    inside = np.zeros((frame_height, frame_width), dtype=bool)
+    box = landmarks.bbox()
+    gx, gy = np.meshgrid(np.arange(box.x, box.x + box.w) + 0.5, np.arange(box.y, box.y + box.h) + 0.5)
+    inside = np.zeros((box.h, box.w), dtype=bool)
     on_edge = np.zeros_like(inside)
-    k = len(points)
-    for i in range(k):
-        x1, y1 = points[i]
-        x2, y2 = points[(i + 1) % k]
+    for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
         crosses = (y1 > gy) != (y2 > gy)
         if np.any(crosses):
             x_int = x1 + (gy - y1) * (x2 - x1) / (y2 - y1)
@@ -329,7 +309,7 @@ def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: Sk
         if strategy == "mask":
             if not isinstance(entry, RoiPolygon):
                 raise DataError("strategy 'mask' requires landmark ROI entries")
-            polygon = lower_face_mask(entry, seq.width, seq.height)[box.y:box.y + box.h, box.x:box.x + box.w]
+            polygon = lower_face_mask(entry)
         step = max(1, CHUNK_PIXELS // (box.w * box.h))
         for a in range(start, stop, step):
             block = seq.frames[a:min(a + step, stop), box.y:box.y + box.h, box.x:box.x + box.w]

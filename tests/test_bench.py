@@ -208,6 +208,17 @@ def test_ground_truth_falls_back_to_bvp_beats(small_dataset, tmp_path):
     assert truth.bpm == pytest.approx(60.0, abs=1.0)
 
 
+def test_ground_truth_is_not_counted_from_a_non_bvp_recording(small_dataset, tmp_path):
+    copy = tmp_path / "seq002"
+    shutil.copytree(small_dataset / "seq002", copy)
+    (copy / "gt.json").unlink()
+    meta = copy / "bvp_meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text(encoding="utf-8")), "signal_type": "respiration"}),
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{meta}: signal_type is 'respiration'")):
+        load_ground_truth(load_bundle(tmp_path, "seq002"))
+
+
 def test_extract_pulse_with_dict_params(small_dataset):
     bundle = load_bundle(small_dataset, "seq002")
     pulse = extract_pulse(bundle, "chrom", {"window_s": 3.2, "strategy": "bbox"})
@@ -418,7 +429,11 @@ def test_report_format_guards(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ["s1,ok", "s1,ok,fast,61.0,", "s1,bogus,60.0,61.0,", "rmse", "pearson,high"],
+    [
+        "s1,ok", "s1,ok,fast,61.0,", "s1,bogus,60.0,61.0,", "rmse", "pearson,high",
+        # A status that disagrees with its numbers: "ok" needs both, "failed" neither.
+        "s1,ok,,,", "s1,ok,60.0,,", "s1,failed,60.0,61.0,boom", "s1,failed,,61.0,boom",
+    ],
 )
 def test_report_rows_that_do_not_parse_name_the_row(tmp_path, row):
     path = tmp_path / "report.csv"
@@ -454,8 +469,10 @@ def test_malformed_json_report_names_the_path(tmp_path, corrupt):
         lambda payload: {**payload, "rmse": "x"},
         lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "status": "bogus"}]},
         lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "estimated_bpm": "fast"}]},
+        lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "ground_truth_bpm": None}]},
+        lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "status": "failed"}]},
     ],
-    ids=["rmse-string", "unknown-status", "estimate-string"],
+    ids=["rmse-string", "unknown-status", "estimate-string", "ok-without-truth", "failed-with-numbers"],
 )
 def test_json_report_values_are_checked(tmp_path, corrupt):
     report = EvalReport("p", "a", "test", {}, (SequenceResult("s1", "ok", 60.0, 61.0),), 1.0, None)

@@ -789,9 +789,12 @@ def _corrupt(data: bytes, op: str, pos: int, payload: bytes) -> bytes:
         [
             ("pulse", "seq001/video.rvid"),
             ("pulse", "seq001/roi.csv"),
+            ("eval", "seq001/video.rvid"),
+            ("eval", "seq001/roi.csv"),
             ("eval", "seq001/bvp.csv"),
             ("eval", "seq001/bvp_meta.json"),
             ("eval", "protocol.csv"),
+            ("search", "seq001/video.rvid"),
         ]
     ),
     algo=st.sampled_from(["chrom", "licvpr", "ssr"]),
@@ -811,8 +814,14 @@ def test_corrupted_input_never_exits_1_or_raises(corruptible_dataset, tmp_path, 
     if command == "pulse":
         argv = ["pulse", str(root / "seq001/video.rvid"), "--roi", str(root / "seq001/roi.csv")]
     else:
-        argv = ["eval", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--jobs", "1"]
-    code, _, err = run(capsys, *argv, "--algo", algo, "--out", str(tmp_path / "out.csv"))
+        argv = [command, "--root", str(root), "--protocol", str(root / "protocol.csv"), "--jobs", "1"]
+    if command == "search":
+        # One stage on the test split, which holds the corrupted sequence.
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([{"grid": {"skin_tau": [0.3, 0.5]}}]), encoding="utf-8")
+        argv += ["--stages", str(stages), "--split", "test"]
+    out = tmp_path / ("out.json" if command == "search" else "out.csv")
+    code, _, err = run(capsys, *argv, "--algo", algo, "--out", str(out))
     assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC), err
     assert "Traceback" not in err
     if code != EXIT_OK:

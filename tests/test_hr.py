@@ -145,6 +145,10 @@ def test_detect_peaks_validation():
     s = Signal1D(np.sin(np.arange(100)), 10.0)
     with pytest.raises(ValueError, match="non-negative"):
         detect_peaks(s, min_dist_s=-0.1)
+    # NaN floors: nan <= prominence keeps no peak, and max(1.0, nan) reads as a 1-sample spacing.
+    for floors in ({"min_dist_s": float("nan")}, {"min_prominence_sd": float("nan")}):
+        with pytest.raises(ValueError, match="non-negative"):
+            detect_peaks(s, **floors)
     with pytest.raises(ValueError, match="at least 3"):
         detect_peaks(Signal1D(np.array([1.0, 2.0]), 10.0))
 

@@ -58,7 +58,7 @@ def oracle_frames(seq, roi, strategy, model):
         elif strategy == "skin":
             mask = oracle_skin_mask(sub, model)
         else:
-            mask = lower_face_mask(entry, seq.width, seq.height)[box.y:box.y + box.h, box.x:box.x + box.w]
+            mask = lower_face_mask(entry)
         fallback = not mask.any()
         pixels = sub.reshape(-1, 3) if fallback else sub[mask]
         out.append((pixels.astype(np.float64), fallback))

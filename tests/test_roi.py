@@ -1,17 +1,21 @@
 """Skin model, polygon rasterization, and trace extraction."""
 
+import math
 import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from rppgbench.errors import DataError
 from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
 from rppgbench.roi import (
     RgbTrace,
     SkinModel,
+    _check_simple_polygon,
     _skin_select,
     fit_skin_model,
     lower_face_mask,
@@ -161,39 +165,183 @@ def test_zero_intensity_pixels_map_to_achromatic_point():
 
 def test_square_of_side_ten_covers_hundred_pixels():
     square = [(2, 3), (12, 3), (12, 13), (2, 13)]
-    mask = lower_face_mask(RoiPolygon(square), 20, 20)
+    mask = lower_face_mask(RoiPolygon(square))
+    assert mask.shape == (10, 10)
     assert int(mask.sum()) == 100
-    assert mask[3:13, 2:12].all()
 
 
 def test_polygon_needs_four_points():
     with pytest.raises(ValueError, match="4"):
-        lower_face_mask(RoiPolygon([(0, 0), (5, 0), (5, 5)]), 10, 10)
+        lower_face_mask(RoiPolygon([(0, 0), (5, 0), (5, 5)]))
 
 
 def test_self_intersecting_polygon_rejected():
     bowtie = [(0, 0), (10, 10), (10, 0), (0, 10)]
     with pytest.raises(ValueError, match="simple"):
-        lower_face_mask(RoiPolygon(bowtie), 20, 20)
+        lower_face_mask(RoiPolygon(bowtie))
 
 
 def test_synth_roi_polygon_equals_skin_rect():
     config = SynthConfig(duration_s=1.0)
     result = generate(config)
     entry = result.roi.entry_for(0)
-    mask = lower_face_mask(entry, config.width, config.height)
-    x, y, w, h = config.skin_rect
-    want = np.zeros((config.height, config.width), dtype=bool)
-    want[y:y + h, x:x + w] = True
-    assert np.array_equal(mask, want)
+    mask = lower_face_mask(entry)
+    assert entry.bbox() == RoiBox(*config.skin_rect)
+    assert mask.shape == (config.skin_rect[3], config.skin_rect[2]) and mask.all()
 
 
 def test_edge_centers_count_as_inside():
     # Half-integer vertices put pixel centers exactly on the boundary.
     square = [(0.5, 0.5), (4.5, 0.5), (4.5, 4.5), (0.5, 4.5)]
-    mask = lower_face_mask(RoiPolygon(square), 8, 8)
+    mask = lower_face_mask(RoiPolygon(square))
+    assert mask.shape == (5, 5)
     assert mask[0, 0] and mask[4, 4] and mask[0, 4] and mask[4, 0]
     assert int(mask.sum()) == 25
+
+
+# The frame-sized rasteriser and the pairwise simple-polygon check that
+# ``lower_face_mask`` and ``_check_simple_polygon`` replaced, kept as oracles:
+# the box mask must equal this mask cropped to the polygon's box, and the
+# vectorized check must give the same verdict.
+
+
+def segments_properly_intersect_reference(p1, p2, p3, p4) -> bool:
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(p3, p4, p1)
+    d2 = orient(p3, p4, p2)
+    d3 = orient(p1, p2, p3)
+    d4 = orient(p1, p2, p4)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return True
+
+    def on_segment(a, b, c):
+        return (
+            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    for d, a, b, c in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
+        if d == 0 and on_segment(a, b, c):
+            return True
+    return False
+
+
+def is_simple_reference(points) -> bool:
+    k = len(points)
+    for i in range(k):
+        a1 = points[i]
+        a2 = points[(i + 1) % k]
+        for j in range(i + 1, k):
+            # Skip edges sharing a vertex (consecutive, or first/last pair).
+            if j == i or (j + 1) % k == i or (i + 1) % k == j:
+                continue
+            b1 = points[j]
+            b2 = points[(j + 1) % k]
+            if segments_properly_intersect_reference(a1, a2, b1, b2):
+                return False
+    return True
+
+
+def frame_mask_reference(points, frame_width, frame_height) -> np.ndarray:
+    cx = np.arange(frame_width) + 0.5
+    cy = np.arange(frame_height) + 0.5
+    gx, gy = np.meshgrid(cx, cy)
+    inside = np.zeros((frame_height, frame_width), dtype=bool)
+    on_edge = np.zeros_like(inside)
+    k = len(points)
+    for i in range(k):
+        x1, y1 = points[i]
+        x2, y2 = points[(i + 1) % k]
+        crosses = (y1 > gy) != (y2 > gy)
+        if np.any(crosses):
+            x_int = x1 + (gy - y1) * (x2 - x1) / (y2 - y1)
+            inside ^= crosses & (gx < x_int)
+        ex, ey = x2 - x1, y2 - y1
+        seg_len2 = ex * ex + ey * ey
+        if seg_len2 == 0:
+            continue
+        t = ((gx - x1) * ex + (gy - y1) * ey) / seg_len2
+        t = np.clip(t, 0.0, 1.0)
+        dist2 = (gx - (x1 + t * ex)) ** 2 + (gy - (y1 + t * ey)) ** 2
+        on_edge |= dist2 <= 1e-18
+    return inside | on_edge
+
+
+def _snapped(draw, points):
+    """The points as drawn, or snapped to the half-integer or the integer grid."""
+    step = draw(st.sampled_from([None, 0.5, 1.0]))
+    return points if step is None else [(round(x / step) * step, round(y / step) * step) for x, y in points]
+
+
+def _edited(draw, points):
+    """The points, sometimes with one vertex repeated (next to itself or elsewhere)
+    or with an edge's midpoint inserted as a collinear vertex."""
+    edit = draw(st.sampled_from(["none", "repeat-next", "repeat-elsewhere", "midpoint"]))
+    i = draw(st.integers(0, len(points) - 1))
+    points = list(points)
+    if edit == "repeat-next":
+        points.insert(i, points[i])
+    elif edit == "repeat-elsewhere":
+        points.insert(draw(st.integers(0, len(points))), points[i])
+    elif edit == "midpoint":
+        (x1, y1), (x2, y2) = points[i], points[(i + 1) % len(points)]
+        points.insert(i + 1, ((x1 + x2) / 2, (y1 + y2) / 2))
+    return points
+
+
+@st.composite
+def star_polygons(draw):
+    """Mostly simple polygons: 4-10 vertices at increasing angles around a centre, inside [0, 40]^2."""
+    k = draw(st.integers(4, 10))
+    cx, cy = draw(st.floats(9.0, 31.0)), draw(st.floats(9.0, 31.0))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True), min_size=k, max_size=k)))
+    radii = draw(st.lists(st.floats(0.2, 8.5), min_size=k, max_size=k))
+    points = [(cx + r * math.cos(a), cy + r * math.sin(a)) for a, r in zip(angles, radii)]
+    return _edited(draw, _snapped(draw, points))
+
+
+@st.composite
+def any_polygons(draw):
+    """4-9 vertices anywhere in [0, 12]^2: crossings, touches, collinear runs and repeats are common."""
+    coord = st.integers(0, 24).map(lambda v: v / 2) | st.floats(0.0, 12.0)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=4, max_size=9))
+    return _edited(draw, _snapped(draw, points))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(points=star_polygons())
+@example(points=[(0.5, 0.5), (4.5, 0.5), (4.5, 4.5), (0.5, 4.5)])
+@example(points=[(2.0, 3.0), (12.0, 3.0), (12.0, 3.0), (12.0, 13.0), (2.0, 13.0)])
+@example(points=[(1.25, 1.0), (9.5, 2.75), (7.0, 8.5), (4.0, 5.0), (2.5, 9.0)])
+def test_box_mask_equals_the_cropped_frame_mask(points):
+    polygon = RoiPolygon(points)
+    box = polygon.bbox()
+    if not is_simple_reference(polygon.points):
+        with pytest.raises(DataError, match="simple"):
+            lower_face_mask(polygon)
+        return
+    frame = frame_mask_reference(polygon.points, box.x + box.w + 2, box.y + box.h + 2)
+    cropped = frame[box.y:box.y + box.h, box.x:box.x + box.w]
+    assert np.array_equal(lower_face_mask(polygon), cropped)
+    assert int(cropped.sum()) == int(frame.sum())
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=any_polygons() | star_polygons())
+@example(points=[(0.0, 0.0), (10.0, 10.0), (10.0, 0.0), (0.0, 10.0)])  # bowtie
+@example(points=[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (2.0, 0.0), (0.0, 4.0)])  # a vertex on a far edge
+@example(points=[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (5.0, 2.0)])  # the closing edge crosses
+@example(points=[(0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])  # a repeated vertex
+@example(points=[(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])  # a collinear vertex
+def test_simple_polygon_verdict_equals_the_pairwise_check(points):
+    points = RoiPolygon(points).points
+    if is_simple_reference(points):
+        _check_simple_polygon(points)
+    else:
+        with pytest.raises(DataError, match="simple"):
+            _check_simple_polygon(points)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .bench import (
 from .errors import DataError, FormatError, NumericDegeneracyError
 from .hr import estimate_hr_spectral
 from .io import _check_even_steps, _read_json, load_protocol, read_series_csv, write_series_csv
-from .roi import STRATEGIES
+from .roi import STRATEGIES, check_selection
 from .signals import BandHz, Signal1D
 from .synth import SynthConfig, build_dataset
 
@@ -174,6 +174,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    check_selection(args.strategy, args.tau)
     trace = SequenceFeatures.of(read_bundle(args.video, args.roi)).rgb_trace(args.strategy, args.tau)
     out = Path(args.out) if args.out else Path(args.video).parent / "trace.csv"
     fallback = set(trace.fallback_frames)

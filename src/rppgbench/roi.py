@@ -17,6 +17,7 @@ __all__ = [
     "STRATEGIES",
     "check_finite",
     "check_params",
+    "check_selection",
     "fit_skin_model",
     "lower_face_mask",
     "mean_rgb_trace",
@@ -33,10 +34,6 @@ _COV_EIG_FLOOR = 1e-12
 #: Pixels per chunk of the moments pass (32 frames of a 32x32 ROI): the
 #: float64 temporaries stay near a megabyte whatever the frame size.
 CHUNK_PIXELS = 32 * 32 * 32
-#: Half-width, relative to the summed magnitudes of its terms, of the band
-#: around the Mahalanobis limit in which the closed-form distance is checked
-#: again with the reference einsum. The two differ by a few ulps of that sum.
-_RECHECK_REL = 1e-12
 
 
 def _check_strategy(strategy: str) -> None:
@@ -53,26 +50,30 @@ def check_finite(params) -> None:
         raise ValueError(f"parameters must be finite, got {', '.join(bad)}")
 
 
+def check_selection(strategy: str, skin_tau: float) -> None:
+    """Reject a selection no run can use: an unknown strategy, or a skin threshold outside (0, 1)."""
+    _check_strategy(strategy)
+    if not 0.0 < skin_tau < 1.0:
+        raise ValueError(f"skin_tau must lie in (0, 1), got {skin_tau}")
+
+
 def check_params(params) -> None:
-    """Reject extractor parameters no run can use: NaN or infinite floats, a bad strategy or skin threshold."""
+    """Reject extractor parameters no run can use: NaN or infinite floats, or a bad selection."""
     check_finite(params)
-    _check_strategy(params.strategy)
-    if not 0.0 < params.skin_tau < 1.0:
-        raise ValueError(f"skin_tau must lie in (0, 1), got {params.skin_tau}")
+    check_selection(params.strategy, params.skin_tau)
 
 
 @dataclass(frozen=True)
 class SkinModel:
     """A Gaussian skin model in normalized (r, g) chromaticity space.
 
-    ``regularized`` records that the fitted covariance was degenerate and a
-    ridge of ``COV_RIDGE`` was added to make it invertible.
+    ``cov`` must be symmetric positive definite, else ValueError;
+    :func:`fit_skin_model` adds a ridge of ``COV_RIDGE`` to a degenerate one.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     tau: float
-    regularized: bool = False
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=np.float64)
@@ -81,6 +82,8 @@ class SkinModel:
             raise ValueError("mean must be shaped (2,) and cov (2, 2)")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("model parameters must be finite")
+        if not (np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov).min() > 0.0):
+            raise ValueError(f"cov must be symmetric positive definite, got {cov.tolist()}")
         tau = float(self.tau)
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must lie strictly inside (0, 1), got {tau}")
@@ -153,11 +156,6 @@ class RgbTrace:
         return len(self.fallback_frames) / self.means.shape[0]
 
 
-def _planes(pixels) -> np.ndarray:
-    """(..., 3) RGB values as float64 channel planes (3, ...)."""
-    return np.moveaxis(np.asarray(pixels, dtype=np.float64), -1, 0)
-
-
 def _chromaticity(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized (r, g) chromaticity of channel planes (3, ...).
 
@@ -199,14 +197,12 @@ def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> S
     if seed.x < 0 or seed.y < 0 or seed.x + seed.w > width or seed.y + seed.h > height:
         raise DataError(f"skin seed {seed} of ROI {box} lies outside the {width}x{height} frame")
     seed_pixels = frame[seed.y:seed.y + seed.h, seed.x:seed.x + seed.w].reshape(-1, 3)
-    chrom = np.stack(_chromaticity(_planes(seed_pixels)), axis=-1)
+    chrom = np.stack(_chromaticity(seed_pixels.T.astype(np.float64)), axis=-1)
     mean = chrom.mean(axis=0)
     cov = np.cov(chrom, rowvar=False, ddof=1)
-    regularized = False
     if np.linalg.eigvalsh(cov).min() < _COV_EIG_FLOOR:
         cov = cov + COV_RIDGE * np.eye(2)
-        regularized = True
-    return SkinModel(mean=mean, cov=cov, tau=tau, regularized=regularized)
+    return SkinModel(mean=mean, cov=cov, tau=tau)
 
 
 def _skin_select(planes: np.ndarray, model: SkinModel) -> np.ndarray:
@@ -215,26 +211,14 @@ def _skin_select(planes: np.ndarray, model: SkinModel) -> np.ndarray:
     ``planes`` holds RGB values as channel planes (3, ...). Normalizing the
     Gaussian to its peak turns the threshold into a squared Mahalanobis
     limit of -2 ln(tau); the boundary is kept.
-
-    The reference distance is ``einsum("...i,ij,...j->...", delta, inv_cov,
-    delta)``. The same four products summed in closed form are much faster
-    and land within a few ulps of it; pixels that close to the limit are
-    decided by the reference, so the mask equals the reference bit for bit.
     """
     r, g = _chromaticity(planes)
     dr = r - model.mean[0]
     dg = g - model.mean[1]
     q = model.inv_cov
+    # delta' Q delta as its four products in row order, every step rounded alike on any build.
     d2 = dr * q[0, 0] * dr + dr * q[0, 1] * dg + dg * q[1, 0] * dr + dg * q[1, 1] * dg
-    limit = model.mahalanobis_limit()
-    keep = d2 <= limit
-    if d2.size:
-        terms = np.abs(q).max() * (np.abs(dr).max() + np.abs(dg).max()) ** 2
-        near = np.abs(d2 - limit) <= _RECHECK_REL * terms
-        if near.any():
-            ref = np.stack([dr[near], dg[near]], axis=-1)
-            keep[near] = np.einsum("...i,ij,...j->...", ref, q, ref) <= limit
-    return keep
+    return d2 <= model.mahalanobis_limit()
 
 
 def _check_simple_polygon(points) -> None:
@@ -295,9 +279,9 @@ def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: Sk
     """Yield ``(start, x, mask, fallback)`` per chunk of frames.
 
     ``x`` holds the ROI box of frames ``start..start+c-1`` as float64
-    channel rows (c, 3, P), P pixels in row-major order; ``mask`` is None
-    (whole box) or a (c, P) selection in which frames whose selection came
-    up empty (``fallback``) keep the whole box.
+    channel rows (c, 3, P), P pixels in row-major order; ``mask`` is the
+    (c, P) skin test or the run's region (whole box or polygon), in which
+    frames whose selection came up empty (``fallback``) keep the whole box.
     """
     _check_strategy(strategy)
     for start, stop, entry in roi.runs(seq.n_frames):
@@ -309,18 +293,18 @@ def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: Sk
         if strategy == "mask":
             if not isinstance(entry, RoiPolygon):
                 raise DataError("strategy 'mask' requires landmark ROI entries")
-            polygon = lower_face_mask(entry)
+            region = lower_face_mask(entry).reshape(-1)
+        else:
+            region = np.ones(box.h * box.w, dtype=bool)
         step = max(1, CHUNK_PIXELS // (box.w * box.h))
         for a in range(start, stop, step):
             block = seq.frames[a:min(a + step, stop), box.y:box.y + box.h, box.x:box.x + box.w]
             x = np.ascontiguousarray(block.transpose(0, 3, 1, 2), dtype=np.float64).reshape(len(block), 3, -1)
-            if strategy == "bbox":
-                mask = None
-            elif strategy == "skin":
+            if strategy == "skin":
                 mask = _skin_select(x.transpose(1, 0, 2), model)
             else:
-                mask = np.broadcast_to(polygon.reshape(-1), (len(x), x.shape[2]))
-            fallback = np.zeros(len(x), dtype=bool) if mask is None else ~mask.any(axis=1)
+                mask = np.broadcast_to(region, (len(x), region.size))
+            fallback = ~mask.any(axis=1)
             if fallback.any():
                 mask = mask | fallback[:, None]
             yield a, x, mask, fallback
@@ -334,8 +318,7 @@ def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", m
     """
     for _, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
         for j in range(len(x)):
-            selected = x[j] if mask is None else x[j][:, mask[j]]
-            yield np.ascontiguousarray(selected.T), bool(fallback[j])
+            yield np.ascontiguousarray(x[j][:, mask[j]].T), bool(fallback[j])
 
 
 def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
@@ -354,12 +337,8 @@ def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", mo
     fallbacks: list[int] = []
     for start, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
         stop = start + len(x)
-        if mask is None:
-            counts[start:stop] = x.shape[2]
-            weighted = x
-        else:
-            counts[start:stop] = mask.sum(axis=1)
-            weighted = x * mask[:, None, :]
+        counts[start:stop] = mask.sum(axis=1)
+        weighted = x * mask[:, None, :]
         sums[start:stop] = weighted.sum(axis=2)
         products[start:stop] = weighted @ x.transpose(0, 2, 1)
         fallbacks.extend(np.flatnonzero(fallback) + start)

@@ -278,6 +278,20 @@ def test_trace_with_off_frame_polygon_exits_2(synth_bundle, tmp_path, capsys):
     assert str(roi) in err and "row 1" in err and "exceeds the 64x64 frame" in err
 
 
+@pytest.mark.parametrize("strategy", ["bbox", "skin", "mask"])
+@pytest.mark.parametrize("tau", ["5", "nan", "0", "1"])
+def test_trace_tau_outside_the_unit_interval_exits_1(synth_bundle, tmp_path, capsys, strategy, tau):
+    # Checked as `pulse --set skin_tau=...` checks it, also where the strategy does not read it.
+    out = tmp_path / "trace.csv"
+    code, _, err = run(
+        capsys, "trace", str(synth_bundle / "video.rvid"), "--roi", str(synth_bundle / "roi.csv"),
+        "--strategy", strategy, "--tau", tau, "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert f"skin_tau must lie in (0, 1), got {float(tau)}" in err
+    assert not out.exists()
+
+
 def test_trace_with_roi_starting_after_frame_0_exits_2(synth_bundle, tmp_path, capsys):
     roi = tmp_path / "roi.csv"
     roi.write_text("3,16,16,32,32\n", encoding="ascii")

@@ -18,6 +18,7 @@ from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
 from rppgbench.licvpr import background_trace
 from rppgbench.roi import (
     CHUNK_PIXELS,
+    COV_RIDGE,
     SkinModel,
     _skin_select,
     fit_skin_model,
@@ -153,12 +154,32 @@ def test_mask_moments_match_oracle(case):
     assert_matches_oracle(*case, "mask", None)
 
 
+@st.composite
+def skin_gaussians(draw):
+    """(mean, cov) of a drawn chromaticity Gaussian.
+
+    The mean is any chromaticity; the covariance has a scale from 1e-6 to
+    1e-1, unequal spreads and any correlation, or is a rank-one matrix
+    plus the ridge that ``fit_skin_model`` adds to a degenerate fit.
+    """
+    r = draw(st.floats(0.0, 1.0))
+    mean = np.array([r, draw(st.floats(0.0, 1.0 - r))])
+    scale = 10.0 ** draw(st.floats(-6.0, -1.0))
+    a, b = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    if draw(st.booleans()):
+        return mean, scale * np.outer((a, b), (a, b)) + COV_RIDGE * np.eye(2)
+    off = draw(st.floats(-0.99, 0.99)) * a * b * scale
+    return mean, np.array([[a * a * scale, off], [off, b * b * scale]])
+
+
 @SETTINGS
-@given(cases("skin"), st.sampled_from([0.05, 0.3, 0.9, 0.999]))
-def test_skin_moments_match_oracle(case, tau):
+@given(cases("skin"), st.sampled_from([0.05, 0.3, 0.9, 0.999]), st.none() | skin_gaussians())
+def test_skin_moments_match_oracle(case, tau, gaussian):
     seq, roi = case
     first = roi.entry_for(0).bbox()
-    if first.w * first.h >= 100:
+    if gaussian is not None:
+        model = SkinModel(mean=gaussian[0], cov=gaussian[1], tau=tau)
+    elif first.w * first.h >= 100:
         model = fit_skin_model(seq.frames[0], first, tau)
     else:
         model = SkinModel(mean=np.array([0.45, 0.3]), cov=np.array([[4e-4, 1e-4], [1e-4, 3e-4]]), tau=tau)

@@ -49,7 +49,6 @@ def chromaticity(color):
 def test_fit_on_uniform_roi_is_regularized_at_true_mean():
     frame = uniform_frame(SKIN)
     model = fit_skin_model(frame, RoiBox(0, 0, 40, 40), tau=0.3)
-    assert model.regularized
     assert model.mean == pytest.approx(chromaticity(SKIN), abs=1e-12)
     assert model.cov == pytest.approx(1e-6 * np.eye(2), abs=1e-9)
 
@@ -84,6 +83,10 @@ def test_model_validation():
         SkinModel(mean=np.zeros(2), cov=np.eye(2), tau=1.0)
     with pytest.raises(ValueError):
         SkinModel(mean=np.zeros(3), cov=np.eye(2), tau=0.3)
+    for cov in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.5], [0.4, 1.0]]):
+        # singular, indefinite, asymmetric
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            SkinModel(mean=np.zeros(2), cov=np.array(cov), tau=0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class SequenceBundle:
 
 
 def read_bundle(video, roi) -> SequenceBundle:
-    """Read a video and its ROI track; the bundle's directory is the video's."""
+    """Open a video (see :func:`read_rvid`) and read its ROI track; the bundle's directory is the video's."""
     video = Path(video)
     sequence = read_rvid(video)
     track = read_roi_track(roi, sequence.width, sequence.height)
@@ -154,7 +154,7 @@ def _rgb_trace(bundle: SequenceBundle, strategy: str, skin_tau: float) -> RgbTra
     """The selection's RGB trace; ``skin`` fits its model on frame 0."""
     model = None
     if strategy == "skin":
-        model = fit_skin_model(bundle.sequence.frames[0], bundle.roi.entry_for(0), skin_tau)
+        model = fit_skin_model(bundle.sequence.read(0, 1)[0], bundle.roi.entry_for(0), skin_tau)
     return mean_rgb_trace(bundle.sequence, bundle.roi, strategy, model)
 
 
@@ -162,10 +162,13 @@ class SequenceFeatures:
     """One sequence's features for one evaluation, each computed on first use.
 
     A feature is looked up in ``cache`` (a :class:`FeatureStore`'s entry for
-    the sequence, or a private dict); on a miss the bundle is read once, held
-    by this object only, and the computed feature is stored. A feature that
+    the sequence, or a private dict); on a miss the bundle is opened once and
+    held by this object only, and the computed feature is stored. The bundle
+    holds no frames: each feature that needs pixels reads them in blocks, in
+    one pass over the video file (see :meth:`FrameSequence.reader`), so the
+    file must not change while the sequence is evaluated. A feature that
     raises is not stored, so the next evaluation recomputes it and fails the
-    same way. Dropping this object releases the bundle.
+    same way.
     """
 
     def __init__(self, cache: dict, load):
@@ -215,8 +218,10 @@ class FeatureStore:
     ``greedy_search`` shares one store between its candidates, so each
     sequence's truth, RGB traces, SSR eigen-decompositions and background
     traces are computed once per feature setting. The store holds no
-    frames: a bundle read on a miss lives only as long as the
-    :class:`SequenceFeatures` that read it.
+    frames, and no feature computation holds a whole video: a pass reads a
+    few frames at a time from the file, which must not change while the
+    store serves its sequence. A bundle opened on a miss lives only as long
+    as the :class:`SequenceFeatures` that opened it.
     """
 
     def __init__(self, dataset_root):

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from bisect import bisect_right
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -112,12 +114,25 @@ def _check_number(name: str, value, optional: bool = True) -> None:
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """An in-memory RGB24 video: frames shaped (n, height, width, 3), uint8."""
+    """An RGB24 video of ``n_frames`` frames shaped (height, width, 3), uint8.
+
+    Pixels are reached a block of frames at a time, through :meth:`reader`
+    (one pass of many blocks) or :meth:`read` (one block). An in-memory
+    sequence holds ``frames`` (n, height, width, 3) and slices it. A sequence
+    from :func:`read_rvid` holds no pixels: it keeps its file's ``path`` and
+    the ``offset`` of the payload, and each pass reads only the blocks it asks
+    for, so a whole video is never in memory. The file must not change while
+    the sequence is evaluated; a payload found short raises
+    :class:`FormatError`.
+    """
 
     width: int
     height: int
     fps: Fraction
-    frames: np.ndarray
+    frames: np.ndarray | None = None
+    n_frames: int | None = None
+    path: str | None = None
+    offset: int = 0
 
     def __post_init__(self):
         if not isinstance(self.fps, Fraction):
@@ -127,21 +142,68 @@ class FrameSequence:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("frame dimensions must be positive")
         frames = self.frames
-        expected = (frames.shape[0], self.height, self.width, 3)
-        if frames.ndim != 4 or frames.shape != expected:
-            raise ValueError(
-                f"frames must be shaped (n, {self.height}, {self.width}, 3), got {frames.shape}"
-            )
-        if frames.shape[0] < 1:
+        if (frames is None) == (self.path is None):
+            raise ValueError("a sequence holds either frames or the path of its file")
+        if frames is None:
+            if self.n_frames is None or self.offset < 0:
+                raise ValueError("a file-backed sequence needs n_frames and a non-negative offset")
+        else:
+            expected = (frames.shape[0], self.height, self.width, 3)
+            if frames.ndim != 4 or frames.shape != expected:
+                raise ValueError(
+                    f"frames must be shaped (n, {self.height}, {self.width}, 3), got {frames.shape}"
+                )
+            if frames.dtype != np.uint8:
+                raise ValueError(f"frames must be uint8, got {frames.dtype}")
+            if self.n_frames not in (None, frames.shape[0]):
+                raise ValueError(f"n_frames={self.n_frames} but frames holds {frames.shape[0]}")
+            if frames.flags.writeable:
+                frames.setflags(write=False)
+            object.__setattr__(self, "n_frames", int(frames.shape[0]))
+        if self.n_frames < 1:
             raise ValueError("a sequence needs at least one frame")
-        if frames.dtype != np.uint8:
-            raise ValueError(f"frames must be uint8, got {frames.dtype}")
-        if frames.flags.writeable:
-            frames.setflags(write=False)
 
-    @property
-    def n_frames(self) -> int:
-        return int(self.frames.shape[0])
+    @contextmanager
+    def reader(self):
+        """One pass over the frames: yields ``read(start, stop)``.
+
+        ``read`` returns frames ``start`` to ``stop - 1`` as a read-only
+        uint8 array (stop - start, height, width, 3). In memory it is a view
+        of ``frames``. From a file, the pass opens it once and reads each
+        block at its position into one buffer, which the pass's next ``read``
+        overwrites, and closes the file when the pass ends; a block the file
+        no longer holds raises FormatError at the offset where the payload
+        stops. Passes share no file offset, so threads may run them at once.
+        """
+        frame_bytes = self.height * self.width * 3
+        buffer = np.empty(0, dtype=np.uint8)
+        with open(self.path, "rb") if self.frames is None else nullcontext() as fh:
+            def read(start: int, stop: int) -> np.ndarray:
+                nonlocal buffer
+                if not 0 <= start <= stop <= self.n_frames:
+                    raise ValueError(f"frames {start}:{stop} outside the sequence's {self.n_frames}")
+                if fh is None:
+                    return self.frames[start:stop]
+                size = (stop - start) * frame_bytes
+                if buffer.size < size:
+                    buffer = np.empty(size, dtype=np.uint8)
+                position = self.offset + start * frame_bytes
+                fh.seek(position)
+                found = fh.readinto(buffer[:size])
+                if found < size:
+                    end = position + found
+                    raise FormatError(f"payload truncated after open, at offset {end}: expected {self.n_frames * frame_bytes}"
+                                      f" bytes, found {end - self.offset}", path=self.path, offset=end)
+                block = buffer[:size].reshape(stop - start, self.height, self.width, 3)
+                block.flags.writeable = False
+                return block
+
+            yield read
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Frames ``start`` to ``stop - 1``, read in a pass of their own (see :meth:`reader`)."""
+        with self.reader() as read:
+            return read(start, stop)
 
 
 def _parse_rvid_header(data: bytes, path: str) -> tuple[int, int, Fraction, int, int]:
@@ -171,17 +233,22 @@ def _parse_rvid_header(data: bytes, path: str) -> tuple[int, int, Fraction, int,
 
 
 def read_rvid(path) -> FrameSequence:
-    """Read an ``.rvid`` file into a FrameSequence.
+    """Open an ``.rvid`` file as a FrameSequence that reads its frames in blocks.
 
-    The payload must contain exactly ``n * h * w * 3`` bytes; a short or long
-    payload raises :class:`FormatError` whose ``offset`` points at the byte
-    where the payload stops matching the header.
+    Only the header is read here. The payload must contain exactly
+    ``n * h * w * 3`` bytes; a short or long payload raises
+    :class:`FormatError` whose ``offset`` points at the byte where the
+    payload stops matching the header. The frames are read later, a block
+    at a time (see :meth:`FrameSequence.reader`), so the file must not
+    change while the sequence is in use.
     """
     path = Path(path)
-    data = path.read_bytes()
-    width, height, fps, n_frames, body_off = _parse_rvid_header(data, str(path))
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_SCAN)
+        file_len = os.fstat(fh.fileno()).st_size
+    width, height, fps, n_frames, body_off = _parse_rvid_header(head, str(path))
     expected = n_frames * height * width * 3
-    body_len = len(data) - body_off
+    body_len = file_len - body_off
     if body_len < expected:
         raise FormatError(
             f"payload truncated: expected {expected} bytes, found {body_len}",
@@ -194,26 +261,25 @@ def read_rvid(path) -> FrameSequence:
             path=str(path),
             offset=body_off + expected,
         )
-    frames = np.frombuffer(data, dtype=np.uint8, count=expected, offset=body_off)
-    frames = frames.reshape(n_frames, height, width, 3)
-    return FrameSequence(
-        width=width,
-        height=height,
-        fps=fps,
-        frames=frames,
-    )
+    return FrameSequence(width=width, height=height, fps=fps, n_frames=n_frames, path=str(path), offset=body_off)
+
+
+#: Bytes of frames that a streaming pass, such as :func:`write_rvid`, reads per block (at least one frame).
+BLOCK_BYTES = 1 << 18
 
 
 def write_rvid(seq: FrameSequence, path) -> None:
-    """Write a FrameSequence; reading it back is byte-identical."""
+    """Write a FrameSequence, a block of frames at a time; reading it back is byte-identical."""
     path = Path(path)
     header = (
         f"{RVID_MAGIC} {seq.width} {seq.height} "
         f"{seq.fps.numerator}/{seq.fps.denominator} {seq.n_frames}\n"
     )
-    with open(path, "wb") as fh:
+    step = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
+    with open(path, "wb") as fh, seq.reader() as read:
         fh.write(header.encode("ascii"))
-        fh.write(seq.frames.tobytes())
+        for start in range(0, seq.n_frames, step):
+            fh.write(read(start, min(start + step, seq.n_frames)).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .io import FrameSequence, RoiTrack
+from .io import BLOCK_BYTES, FrameSequence, RoiTrack
 from .roi import RgbTrace, check_params
 from .signals import (
     BandHz,
@@ -83,29 +83,33 @@ class LiParams:
 def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Signal1D:
     """Mean green value of everything outside the ROI box grown by ``margin``.
 
+    One pass over ``seq``, reading blocks of about ``io.BLOCK_BYTES``.
     Raises DataError when the grown box swallows the whole frame on some
     frame (no background pixels remain).
     """
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
     out = np.empty(seq.n_frames)
-    for start, stop, entry in roi.runs(seq.n_frames):
-        box = entry.bbox()
-        x0 = max(box.x - margin, 0)
-        y0 = max(box.y - margin, 0)
-        x1 = min(box.x + box.w + margin, seq.width)
-        y1 = min(box.y + box.h + margin, seq.height)
-        n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
-        if n_outside <= 0:
-            raise DataError(
-                f"no background pixels left at frame {start}: the ROI grown by {margin} px covers the frame"
-            )
-        # numpy casts the uint8 view to float64 in small buffers; integer-valued
-        # float64 sums are exact, so the summation order changes no bit.
-        green = seq.frames[start:stop, :, :, 1]
-        total = green.sum(axis=(1, 2), dtype=np.float64)
-        inner = green[:, y0:y1, x0:x1].sum(axis=(1, 2), dtype=np.float64)
-        out[start:stop] = (total - inner) / n_outside
+    step = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
+    with seq.reader() as read:
+        for start, stop, entry in roi.runs(seq.n_frames):
+            box = entry.bbox()
+            x0 = max(box.x - margin, 0)
+            y0 = max(box.y - margin, 0)
+            x1 = min(box.x + box.w + margin, seq.width)
+            y1 = min(box.y + box.h + margin, seq.height)
+            n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
+            if n_outside <= 0:
+                raise DataError(
+                    f"no background pixels left at frame {start}: the ROI grown by {margin} px covers the frame"
+                )
+            for a in range(start, stop, step):
+                # Exact integer sums: the difference converts to float64 exactly,
+                # so the quotient does not depend on the summation order.
+                green = read(a, min(a + step, stop))[:, :, :, 1]
+                total = green.sum(axis=(1, 2), dtype=np.int64)
+                inner = green[:, y0:y1, x0:x1].sum(axis=(1, 2), dtype=np.int64)
+                out[a:a + len(green)] = (total - inner) / n_outside
     return Signal1D(out, float(seq.fps))
 
 

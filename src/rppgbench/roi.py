@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -31,9 +32,12 @@ STRATEGIES = ("bbox", "skin", "mask")
 #: Ridge added to a degenerate chromaticity covariance.
 COV_RIDGE = 1e-6
 _COV_EIG_FLOOR = 1e-12
-#: Pixels per chunk of the moments pass (32 frames of a 32x32 ROI): the
-#: float64 temporaries stay near a megabyte whatever the frame size.
-CHUNK_PIXELS = 32 * 32 * 32
+#: Pixels per chunk of the moments pass (8 frames of a 32x32 ROI). A float64
+#: plane of a chunk is then 64 KiB, under glibc's default mmap threshold of
+#: 128 KiB. With 16 or 32 frames the chunk temporaries were mapped, or trimmed
+#: off the heap, and faulted in again on every chunk: about 100k minor faults
+#: per eval-small benchmark round, against under 2k with 8 frames.
+CHUNK_PIXELS = 32 * 32 * 8
 
 
 def _check_strategy(strategy: str) -> None:
@@ -67,7 +71,7 @@ def check_params(params) -> None:
 class SkinModel:
     """A Gaussian skin model in normalized (r, g) chromaticity space.
 
-    ``cov`` must be symmetric positive definite, else ValueError;
+    ``cov`` must be symmetric positive definite with a finite inverse, else ValueError;
     :func:`fit_skin_model` adds a ridge of ``COV_RIDGE`` to a degenerate one.
     """
 
@@ -82,8 +86,9 @@ class SkinModel:
             raise ValueError("mean must be shaped (2,) and cov (2, 2)")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("model parameters must be finite")
-        if not (np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov).min() > 0.0):
-            raise ValueError(f"cov must be symmetric positive definite, got {cov.tolist()}")
+        if not (np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov).min() > 0.0
+                and np.all(np.isfinite(np.linalg.inv(cov)))):
+            raise ValueError(f"cov must be symmetric positive definite with a finite inverse, got {cov.tolist()}")
         tau = float(self.tau)
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must lie strictly inside (0, 1), got {tau}")
@@ -259,55 +264,65 @@ def lower_face_mask(landmarks: RoiPolygon) -> np.ndarray:
     inside = np.zeros((box.h, box.w), dtype=bool)
     on_edge = np.zeros_like(inside)
     for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
-        crosses = (y1 > gy) != (y2 > gy)
+        # Only rows of the edge's own box grown by a pixel can cross the edge,
+        # and only centers in that box can lie within 1e-9 of it.
+        rows = slice(max(math.floor(min(y1, y2)) - box.y - 1, 0), math.ceil(max(y1, y2)) - box.y + 1)
+        cols = slice(max(math.floor(min(x1, x2)) - box.x - 1, 0), math.ceil(max(x1, x2)) - box.x + 1)
+        row_y = gy[rows]
+        crosses = (y1 > row_y) != (y2 > row_y)
         if np.any(crosses):
-            x_int = x1 + (gy - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= crosses & (gx < x_int)
+            x_int = x1 + (row_y - y1) * (x2 - x1) / (y2 - y1)
+            inside[rows] ^= crosses & (gx[rows] < x_int)
         # Boundary inclusion: distance of the center to the edge segment.
         ex, ey = x2 - x1, y2 - y1
         seg_len2 = ex * ex + ey * ey
         if seg_len2 == 0:
             continue
-        t = ((gx - x1) * ex + (gy - y1) * ey) / seg_len2
+        near_x, near_y = gx[rows, cols], gy[rows, cols]
+        t = ((near_x - x1) * ex + (near_y - y1) * ey) / seg_len2
         t = np.clip(t, 0.0, 1.0)
-        dist2 = (gx - (x1 + t * ex)) ** 2 + (gy - (y1 + t * ey)) ** 2
-        on_edge |= dist2 <= 1e-18
+        dist2 = (near_x - (x1 + t * ex)) ** 2 + (near_y - (y1 + t * ey)) ** 2
+        on_edge[rows, cols] |= dist2 <= 1e-18
     return inside | on_edge
 
 
 def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: SkinModel | None):
-    """Yield ``(start, x, mask, fallback)`` per chunk of frames.
+    """Yield ``(start, x, mask, fallback)`` per chunk of frames, in one pass over ``seq``.
 
     ``x`` holds the ROI box of frames ``start..start+c-1`` as float64
-    channel rows (c, 3, P), P pixels in row-major order; ``mask`` is the
-    (c, P) skin test or the run's region (whole box or polygon), in which
-    frames whose selection came up empty (``fallback``) keep the whole box.
+    channel rows (c, 3, P), P pixels in row-major order, in a buffer that
+    the next chunk overwrites; ``mask`` is the (c, P) skin test or the run's
+    region (whole box or polygon), in which frames whose selection came up
+    empty (``fallback``) keep the whole box.
     """
     _check_strategy(strategy)
-    for start, stop, entry in roi.runs(seq.n_frames):
-        box = entry.bbox()
-        if box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height:
-            raise DataError(f"ROI for frame {start} exceeds the frame bounds")
-        if strategy == "skin" and model is None:
-            raise ValueError("strategy 'skin' requires a fitted SkinModel")
-        if strategy == "mask":
-            if not isinstance(entry, RoiPolygon):
-                raise DataError("strategy 'mask' requires landmark ROI entries")
-            region = lower_face_mask(entry).reshape(-1)
-        else:
-            region = np.ones(box.h * box.w, dtype=bool)
-        step = max(1, CHUNK_PIXELS // (box.w * box.h))
-        for a in range(start, stop, step):
-            block = seq.frames[a:min(a + step, stop), box.y:box.y + box.h, box.x:box.x + box.w]
-            x = np.ascontiguousarray(block.transpose(0, 3, 1, 2), dtype=np.float64).reshape(len(block), 3, -1)
-            if strategy == "skin":
-                mask = _skin_select(x.transpose(1, 0, 2), model)
+    with seq.reader() as read:
+        for start, stop, entry in roi.runs(seq.n_frames):
+            box = entry.bbox()
+            if box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height:
+                raise DataError(f"ROI for frame {start} exceeds the frame bounds")
+            if strategy == "skin" and model is None:
+                raise ValueError("strategy 'skin' requires a fitted SkinModel")
+            if strategy == "mask":
+                if not isinstance(entry, RoiPolygon):
+                    raise DataError("strategy 'mask' requires landmark ROI entries")
+                region = lower_face_mask(entry).reshape(-1)
             else:
-                mask = np.broadcast_to(region, (len(x), region.size))
-            fallback = ~mask.any(axis=1)
-            if fallback.any():
-                mask = mask | fallback[:, None]
-            yield a, x, mask, fallback
+                region = np.ones(box.h * box.w, dtype=bool)
+            step = max(1, CHUNK_PIXELS // (box.w * box.h))
+            buffer = np.empty((min(step, stop - start), 3, box.h * box.w))
+            for a in range(start, stop, step):
+                block = read(a, min(a + step, stop))[:, box.y:box.y + box.h, box.x:box.x + box.w]
+                x = buffer[:len(block)]
+                np.copyto(x.reshape(len(block), 3, box.h, box.w), block.transpose(0, 3, 1, 2))
+                if strategy == "skin":
+                    mask = _skin_select(x.transpose(1, 0, 2), model)
+                else:
+                    mask = np.broadcast_to(region, (len(x), region.size))
+                fallback = ~mask.any(axis=1)
+                if fallback.any():
+                    mask = mask | fallback[:, None]
+                yield a, x, mask, fallback
 
 
 def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None):
@@ -324,7 +339,8 @@ def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", m
 def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
     """Average the selected pixels, and their products, of every frame into an RGB trace.
 
-    One vectorized pass over chunks of frames that share a ROI entry; the
+    One vectorized pass over chunks of frames that share a ROI entry, read
+    from ``seq`` a block at a time (see :meth:`FrameSequence.reader`); the
     selection per strategy and the full-box fallback are those of
     :func:`iter_roi_pixels`. Sums of uint8 values and of their products are
     integers far below 2**53, so they are exact in float64 and independent
@@ -334,16 +350,17 @@ def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", mo
     counts = np.empty(n, dtype=np.int64)
     sums = np.empty((n, 3))
     products = np.empty((n, 3, 3))
-    fallbacks: list[int] = []
+    fell_back = np.empty(n, dtype=bool)
     for start, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
         stop = start + len(x)
         counts[start:stop] = mask.sum(axis=1)
         weighted = x * mask[:, None, :]
         sums[start:stop] = weighted.sum(axis=2)
         products[start:stop] = weighted @ x.transpose(0, 2, 1)
-        fallbacks.extend(np.flatnonzero(fallback) + start)
-    if fallbacks:
-        log.info("ROI fallback on %d/%d frames", len(fallbacks), n)
+        fell_back[start:stop] = fallback
+    fallbacks = np.flatnonzero(fell_back)
+    if fallbacks.size:
+        log.info("ROI fallback on %d/%d frames", fallbacks.size, n)
     return RgbTrace(
         means=sums / counts[:, None],
         correlations=products / counts[:, None, None],

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rppgbench import bench
 from rppgbench.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from rppgbench.io import FrameSequence, write_rvid
 from rppgbench.synth import SynthConfig, build_dataset
@@ -852,6 +853,33 @@ def test_eval_isolates_a_video_too_slow_for_the_band(corruptible_dataset, tmp_pa
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
     assert_data_error(code, err)
     assert "only 1 of 2 sequences succeeded" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_records_a_video_truncated_after_open_as_failed(tmp_path, capsys, monkeypatch, jobs):
+    root = tmp_path / "ds"
+    pairs = [(66.0, "train"), (60.0, "test"), (72.0, "test"), (84.0, "test")]
+    build_dataset(root, pairs, base_config=SynthConfig(duration_s=6.0), base_seed=11)
+    video = root / "seq002" / "video.rvid"
+    end = video.stat().st_size - 100
+    read_rvid = bench.read_rvid
+
+    def read_then_truncate(path):
+        seq = read_rvid(path)
+        if path == video:
+            with open(video, "r+b") as fh:
+                fh.truncate(end)
+        return seq
+
+    monkeypatch.setattr(bench, "read_rvid", read_then_truncate)
+    out = tmp_path / "r.csv"
+    argv = ["eval", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--algo", "licvpr"]
+    code, _, err = run(capsys, *argv, "--out", str(out), "--jobs", jobs)
+    assert code == EXIT_OK, err
+    assert "Traceback" not in err
+    rows = {row.sequence_id: row for row in bench.read_report(out).sequences}
+    assert [rows[sid].status for sid in ("seq001", "seq002", "seq003")] == ["ok", "failed", "ok"]
+    assert rows["seq002"].detail.startswith(f"FormatError: {video}: payload truncated after open, at offset {end}: ")
 
 
 def test_licvpr_on_a_three_frame_video_exits_2(tmp_path, capsys):

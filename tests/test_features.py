@@ -3,6 +3,7 @@
 import gc
 import json
 import shutil
+import tracemalloc
 import types
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 
 from rppgbench import bench, ssr
 from rppgbench.bench import ALGORITHMS, FeatureStore, SearchStage, SequenceBundle, evaluate, greedy_search
-from rppgbench.io import FrameSequence, load_protocol
+from rppgbench.io import FrameSequence, RoiPolygon, RoiTrack, load_protocol, write_roi_track, write_rvid
+from rppgbench.roi import STRATEGIES
 from rppgbench.ssr import SsrParams
 
 #: Small grids per algorithm: pulse-only stages first, then a feature stage.
@@ -135,8 +137,38 @@ def test_store_holds_no_frames(protocol, small_dataset):
     assert not [obj for obj in held if isinstance(obj, (FrameSequence, SequenceBundle))]
     arrays = [obj for obj in held if isinstance(obj, np.ndarray)]
     assert arrays, "the store kept no feature"
-    video_bytes = bench.load_bundle(small_dataset, "seq000").sequence.frames.nbytes
+    seq = bench.load_bundle(small_dataset, "seq000").sequence
+    video_bytes = seq.n_frames * seq.height * seq.width * 3
     assert sum(a.nbytes for a in arrays) < video_bytes / 10
+
+
+def test_pixel_passes_hold_a_small_part_of_the_video(tmp_path):
+    # A 5 s, 320x240 video (23 MB of frames): a skin-coloured face square on
+    # gray, with noise, and a landmark octagon inside the square.
+    n, h, w = 100, 240, 320
+    frames = np.full((n, h, w, 3), 128, dtype=np.uint8)
+    frames[:, 60:180, 100:220] = (180, 120, 100)
+    frames += np.random.default_rng(0).integers(0, 4, size=frames.shape, dtype=np.uint8)
+    directory = tmp_path / "seq"
+    directory.mkdir()
+    write_rvid(FrameSequence(width=w, height=h, fps=20, frames=frames), directory / "video.rvid")
+    del frames
+    octagon = RoiPolygon(((130, 60), (190, 60), (220, 90), (220, 150), (190, 180), (130, 180), (100, 150), (100, 90)))
+    write_roi_track(RoiTrack(frames=(0,), entries=(octagon,)), directory / "roi.csv")
+    video_bytes = n * h * w * 3
+
+    tracemalloc.start()
+    try:
+        features = FeatureStore(tmp_path).sequence("seq")
+        features.bundle  # load_bundle
+        for strategy in STRATEGIES:  # skin fits its model on frame 0 first
+            trace = features.rgb_trace(strategy, 0.3)
+            assert trace.fallback_frames == ()
+        features.background(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < video_bytes / 4, f"peak {peak} B of a {video_bytes} B video"
 
 
 def test_failed_feature_is_not_stored(protocol, small_dataset, monkeypatch):

@@ -59,7 +59,8 @@ def test_rvid_round_trip_bytes(tmp_path):
     back = read_rvid(p)
     assert back.width == 4 and back.height == 4 and back.n_frames == 2
     assert back.fps == Fraction(20, 1)
-    assert np.array_equal(back.frames, seq.frames)
+    assert back.frames is None  # frames stay in the file until a pass reads them
+    assert np.array_equal(back.read(0, 2), seq.frames)
 
     q = tmp_path / "b.rvid"
     write_rvid(back, q)
@@ -88,6 +89,41 @@ def test_rvid_truncated_payload_offset(tmp_path):
         read_rvid(p)
     assert err.value.offset == header_len + 9 * 4 * 4 * 3
     assert "truncated" in str(err.value)
+
+
+def test_rvid_truncated_after_open_fails_the_pass(tmp_path):
+    seq = make_sequence(n=10)
+    p = tmp_path / "t.rvid"
+    write_rvid(seq, p)
+    back = read_rvid(p)
+    header_len = p.read_bytes().index(b"\n") + 1
+    end = header_len + 9 * 4 * 4 * 3 + 5  # the 10th frame cut short
+    with open(p, "r+b") as fh:
+        fh.truncate(end)
+    with back.reader() as read:
+        assert np.array_equal(read(0, 9), seq.frames[:9])
+        message = f"truncated after open, at offset {end}: expected {10 * 4 * 4 * 3} bytes, found {end - header_len}"
+        with pytest.raises(FormatError, match=message) as err:
+            read(8, 10)
+    assert err.value.path == str(p)
+    assert err.value.offset == end
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 9), spans=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=6))
+def test_rvid_blocks_equal_the_frames(tmp_path, n, spans):
+    seq = make_sequence(n=n, w=3, h=2, seed=n)
+    p = tmp_path / "b.rvid"
+    write_rvid(seq, p)
+    for source in (seq, read_rvid(p)):
+        with source.reader() as read:
+            for start, stop in spans:
+                if start <= stop <= n:
+                    block = read(start, stop)
+                    assert np.array_equal(block, seq.frames[start:stop]) and not block.flags.writeable
+                else:
+                    with pytest.raises(ValueError, match="outside"):
+                        read(start, stop)
 
 
 def test_rvid_trailing_data_offset(tmp_path):

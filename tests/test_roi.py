@@ -83,8 +83,8 @@ def test_model_validation():
         SkinModel(mean=np.zeros(2), cov=np.eye(2), tau=1.0)
     with pytest.raises(ValueError):
         SkinModel(mean=np.zeros(3), cov=np.eye(2), tau=0.3)
-    for cov in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.5], [0.4, 1.0]]):
-        # singular, indefinite, asymmetric
+    for cov in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.5], [0.4, 1.0]], 1e-310 * np.eye(2)):
+        # singular, indefinite, asymmetric, an inverse that overflows
         with pytest.raises(ValueError, match="symmetric positive definite"):
             SkinModel(mean=np.zeros(2), cov=np.array(cov), tau=0.3)
 
@@ -313,8 +313,17 @@ def any_polygons(draw):
     return _edited(draw, _snapped(draw, points))
 
 
+#: A 68-landmark ellipse, the size of a face tracker's outline, and the same
+#: snapped to the half-integer grid so that many pixel centers lie on edges.
+ELLIPSE_68 = [(30.0 + 25.3 * math.cos(2 * math.pi * i / 68), 25.0 + 18.7 * math.sin(2 * math.pi * i / 68))
+              for i in range(68)]
+ELLIPSE_68_SNAPPED = [(round(2 * x) / 2, round(2 * y) / 2) for x, y in ELLIPSE_68]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(points=star_polygons())
+@example(points=ELLIPSE_68)
+@example(points=ELLIPSE_68_SNAPPED)
 @example(points=[(0.5, 0.5), (4.5, 0.5), (4.5, 4.5), (0.5, 4.5)])
 @example(points=[(2.0, 3.0), (12.0, 3.0), (12.0, 3.0), (12.0, 13.0), (2.0, 13.0)])
 @example(points=[(1.25, 1.0), (9.5, 2.75), (7.0, 8.5), (4.0, 5.0), (2.5, 9.0)])

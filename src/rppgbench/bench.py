@@ -26,8 +26,8 @@ from .io import (
     read_roi_track,
     read_rvid,
 )
-from .licvpr import LiParams, background_trace, licvpr_pulse
-from .roi import RgbTrace, fit_skin_model, mean_rgb_trace
+from .licvpr import LiParams, licvpr_pulse
+from .roi import RgbTrace, pixel_features
 from .signals import BandHz, PulseSignal, Signal1D, pearson, rmse
 from .ssr import SsrParams, ssr_pulse, trace_eigens
 from .synth import BUNDLE_FILES
@@ -150,12 +150,18 @@ def _selection_key(strategy: str, skin_tau: float) -> tuple:
     return (strategy, skin_tau if strategy == "skin" else None)
 
 
-def _rgb_trace(bundle: SequenceBundle, strategy: str, skin_tau: float) -> RgbTrace:
-    """The selection's RGB trace; ``skin`` fits its model on frame 0."""
-    model = None
-    if strategy == "skin":
-        model = fit_skin_model(bundle.sequence.read(0, 1)[0], bundle.roi.entry_for(0), skin_tau)
-    return mean_rgb_trace(bundle.sequence, bundle.roi, strategy, model)
+def _pixel_keys(params) -> list:
+    """The :func:`~rppgbench.roi.pixel_features` keys a run with ``params`` reads.
+
+    Its selection's RGB trace, and the background trace when LiCVPR
+    rectifies; parameters that name no selection read no pixel feature.
+    """
+    if not hasattr(params, "strategy"):
+        return []
+    keys = [("rgb", *_selection_key(params.strategy, params.skin_tau))]
+    if getattr(params, "rectify", False):
+        keys.append(("background", params.background_margin))
+    return keys
 
 
 class SequenceFeatures:
@@ -164,22 +170,25 @@ class SequenceFeatures:
     A feature is looked up in ``cache`` (a :class:`FeatureStore`'s entry for
     the sequence, or a private dict); on a miss the bundle is opened once and
     held by this object only, and the computed feature is stored. The bundle
-    holds no frames: each feature that needs pixels reads them in blocks, in
-    one pass over the video file (see :meth:`FrameSequence.reader`), so the
-    file must not change while the sequence is evaluated. A feature that
-    raises is not stored, so the next evaluation recomputes it and fails the
-    same way.
+    holds no frames. A pixel feature that misses is computed in one pass over
+    the video file (see :func:`~rppgbench.roi.pixel_features`) together with
+    every feature of ``planned`` not yet stored, so the file must not change
+    while the sequence is evaluated. A feature that raises is not stored, so
+    the next evaluation recomputes it and fails the same way; within this
+    evaluation it raises again without another pass.
     """
 
-    def __init__(self, cache: dict, load):
+    def __init__(self, cache: dict, load, planned=()):
         self._cache = cache
         self._load = load
+        self._planned = planned
+        self._failed: dict = {}
         self._bundle = None
 
     @classmethod
-    def of(cls, bundle: SequenceBundle) -> "SequenceFeatures":
+    def of(cls, bundle: SequenceBundle, planned=()) -> "SequenceFeatures":
         """The features of a bundle already in memory, cached nowhere else."""
-        return cls({}, lambda: bundle)
+        return cls({}, lambda: bundle, planned)
 
     @property
     def bundle(self) -> SequenceBundle:
@@ -193,14 +202,25 @@ class SequenceFeatures:
             self._cache[key] = compute()
         return self._cache[key]
 
+    def _pixel_feature(self, key: tuple):
+        if key not in self._cache and key not in self._failed:
+            wanted = [key, *(k for k in self._planned if k not in self._cache and k not in self._failed)]
+            for k, outcome in pixel_features(self.bundle.sequence, self.bundle.roi, wanted).items():
+                if isinstance(outcome, Exception):
+                    self._failed[k] = outcome
+                else:
+                    self._cache[k] = outcome
+        if key in self._failed:
+            raise self._failed[key]
+        return self._cache[key]
+
     def truth(self) -> HrEstimate:
         # On a miss the bundle is read before the BVP, so a sequence whose
         # video and BVP are both bad fails on the video.
         return self._feature(("truth",), lambda: load_ground_truth(self.bundle))
 
     def rgb_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
-        key = ("rgb", *_selection_key(strategy, skin_tau))
-        return self._feature(key, lambda: _rgb_trace(self.bundle, strategy, skin_tau))
+        return self._pixel_feature(("rgb", *_selection_key(strategy, skin_tau)))
 
     def eigens(self, strategy: str, skin_tau: float) -> tuple:
         """The selection's ``ssr.trace_eigens``: SSR's windows change, its eigen-decompositions do not."""
@@ -208,8 +228,7 @@ class SequenceFeatures:
         return self._feature(key, lambda: trace_eigens(self.rgb_trace(strategy, skin_tau)))
 
     def background(self, margin: int) -> Signal1D:
-        key = ("background", margin)
-        return self._feature(key, lambda: background_trace(self.bundle.sequence, self.bundle.roi, margin))
+        return self._pixel_feature(("background", margin))
 
 
 class FeatureStore:
@@ -217,7 +236,9 @@ class FeatureStore:
 
     ``greedy_search`` shares one store between its candidates, so each
     sequence's truth, RGB traces, SSR eigen-decompositions and background
-    traces are computed once per feature setting. The store holds no
+    traces are computed once per feature setting. A run names the pixel
+    features it will read with :meth:`plan` before its first evaluation, and
+    the first pass over each sequence computes all of them. The store holds no
     frames, and no feature computation holds a whole video: a pass reads a
     few frames at a time from the file, which must not change while the
     store serves its sequence. A bundle opened on a miss lives only as long
@@ -227,10 +248,15 @@ class FeatureStore:
     def __init__(self, dataset_root):
         self.root = Path(dataset_root)
         self._sequences: dict[str, dict] = {}
+        self._planned: dict[tuple, None] = {}
+
+    def plan(self, keys) -> None:
+        """Add pixel-feature keys (see :func:`~rppgbench.roi.pixel_features`) that later passes compute too."""
+        self._planned.update(dict.fromkeys(keys))
 
     def sequence(self, sequence_id: str) -> SequenceFeatures:
         cache = self._sequences.setdefault(sequence_id, {})
-        return SequenceFeatures(cache, lambda: load_bundle(self.root, sequence_id))
+        return SequenceFeatures(cache, lambda: load_bundle(self.root, sequence_id), tuple(self._planned))
 
 
 def pulse_chrom(features: SequenceFeatures, params: ChromParams) -> PulseSignal:
@@ -275,7 +301,7 @@ ALGORITHMS = {
 def extract_pulse(bundle: SequenceBundle, algorithm: str, params=None) -> PulseSignal:
     """Run one algorithm's pulse extraction on a loaded bundle."""
     (_, pulse_fn, _), params = _resolve(algorithm, params)
-    return pulse_fn(SequenceFeatures.of(bundle), params)
+    return pulse_fn(SequenceFeatures.of(bundle, _pixel_keys(params)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +444,7 @@ def evaluate(
     elif store.root != dataset_root:
         raise ValueError(f"feature store of {store.root} cannot serve {dataset_root}")
     (_, _, runner), params = _resolve(algorithm, params)
+    store.plan(_pixel_keys(params))
     ordered = sorted(protocol.split_entries(split), key=lambda e: e.sequence_id)
 
     # Missing files are a dataset problem, not a per-sequence one: fail fast
@@ -510,25 +537,24 @@ class SearchResult:
         }
 
 
-def _coerced(algorithm: str, overrides: dict, keys) -> dict:
-    """``keys`` of the parameter object built from ``overrides``."""
-    params = build_params(algorithm, overrides)
-    return {key: getattr(params, key) for key in keys}
-
-
-def _stage_assignments(stages, algorithm: str, defaults: dict) -> tuple[dict, list]:
-    """The coerced defaults and each stage's grid combinations, built on them."""
+def _stage_assignments(stages, algorithm: str, defaults: dict) -> tuple[dict, list, list]:
+    """The coerced defaults, each stage's grid combinations built on them, and the pixel features they read."""
     keys = [key for stage in stages for key, _ in stage.grid]
     for key in keys:
         if keys.count(key) > 1:
             raise ValueError(f"parameter {key!r} appears in more than one stage")
-    fixed = _coerced(algorithm, defaults, defaults)
-    per_stage = []
+    params = build_params(algorithm, defaults)
+    fixed = {key: getattr(params, key) for key in defaults}
+    per_stage, planned = [], []
     for stage in stages:
         names = [key for key, _ in stage.grid]
-        combos = itertools.product(*(candidates for _, candidates in stage.grid))
-        per_stage.append([_coerced(algorithm, {**fixed, **dict(zip(names, c))}, names) for c in combos])
-    return fixed, per_stage
+        assignments = []
+        for combo in itertools.product(*(candidates for _, candidates in stage.grid)):
+            params = build_params(algorithm, {**fixed, **dict(zip(names, combo))})
+            assignments.append({key: getattr(params, key) for key in names})
+            planned += _pixel_keys(params)
+        per_stage.append(assignments)
+    return fixed, per_stage, planned
 
 
 def _failed_row(candidate: dict, exc: Exception) -> dict:
@@ -555,15 +581,18 @@ def greedy_search(
     result holds the coerced values under the keys given. A candidate that only
     earlier winners make invalid, or under ``pearson`` has an undefined
     correlation, is recorded as failed. One :class:`FeatureStore` serves every
-    candidate, so a stage that changes only pulse parameters reads no video.
+    candidate, so a stage that changes only pulse parameters reads no video,
+    and the first pass over each video computes every pixel feature that the
+    combinations read.
     """
     stages = list(stages)
     if not stages:
         raise ValueError("need at least one search stage")
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    fixed, per_stage = _stage_assignments(stages, algorithm, dict(defaults or {}))
+    fixed, per_stage, planned = _stage_assignments(stages, algorithm, dict(defaults or {}))
     store = FeatureStore(dataset_root)
+    store.plan(planned)
     trace: list[dict] = []
     n_evaluations = 0
     for stage, assignments in zip(stages, per_stage):

@@ -535,6 +535,30 @@ class RoiBox:
         return self
 
 
+def _check_simple_polygon(points) -> None:
+    """Reject a polygon in which two edges that share no vertex cross or touch.
+
+    Edge i runs from vertex i to vertex i + 1, the last one closing the
+    polygon. One array pass tests every pair of edges that share no vertex
+    with four orientation products: the edges cross when each has one end
+    strictly left of the other and one not, and touch when an end is
+    collinear with the other edge and inside its box.
+    """
+    start = np.asarray(points, dtype=np.float64)
+    end = np.roll(start, -1, axis=0)
+    k = len(start)
+    i, j = np.triu_indices(k, 2)
+    apart = (i > 0) | (j < k - 1)  # edge 0 meets edge k - 1
+    p1, p2, p3, p4 = start[i[apart]].T, end[i[apart]].T, start[j[apart]].T, end[j[apart]].T
+    tests = ((p3, p4, p1), (p3, p4, p2), (p1, p2, p3), (p1, p2, p4))
+    d = [(b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) for a, b, c in tests]
+    hit = ((d[0] > 0) != (d[1] > 0)) & ((d[2] > 0) != (d[3] > 0))
+    for orient, (a, b, c) in zip(d, tests):
+        hit |= (orient == 0) & (np.minimum(a, b) <= c).all(axis=0) & (c <= np.maximum(a, b)).all(axis=0)
+    if hit.any():
+        raise DataError("landmark polygon must be simple (non self-intersecting)")
+
+
 @dataclass(frozen=True)
 class RoiPolygon:
     """A landmark polygon with at least four vertices."""
@@ -546,6 +570,17 @@ class RoiPolygon:
         if len(pts) < 4:
             raise ValueError(f"a landmark polygon needs at least 4 points, got {len(pts)}")
         object.__setattr__(self, "points", pts)
+
+    def check_simple(self) -> None:
+        """Raise DataError unless the polygon is simple (see :func:`_check_simple_polygon`).
+
+        A polygon that passed is not checked again: :func:`read_roi_track`
+        checks each landmark row as it parses it, so the masks drawn from a
+        parsed track repeat no check.
+        """
+        if "_simple" not in vars(self):
+            _check_simple_polygon(self.points)
+            object.__setattr__(self, "_simple", True)
 
     def bbox(self) -> RoiBox:
         xs = [p[0] for p in self.points]
@@ -597,7 +632,8 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
 
     A row with 5 cells is ``frame,x,y,w,h``; a row with an odd cell count of
     at least 9 is ``frame`` followed by ``x,y`` landmark pairs, from frame 0
-    on. Boxes and the bounding boxes of polygons must lie inside the frame.
+    on. Boxes and the bounding boxes of polygons must lie inside the frame,
+    and polygons must be simple (:meth:`RoiPolygon.check_simple`).
     """
     path = Path(path)
     frames: list[int] = []
@@ -633,6 +669,7 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
             pts = tuple(zip(coords[0::2], coords[1::2]))
             try:
                 entry, kind = RoiPolygon(pts), "landmark bounding box"
+                entry.check_simple()
             except ValueError as exc:
                 raise FormatError(f"row {row_no}: {exc}", path=str(path)) from None
         else:

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .io import BLOCK_BYTES, FrameSequence, RoiTrack
-from .roi import RgbTrace, check_params
+from .io import FrameSequence, RoiTrack
+from .roi import RgbTrace, _one_feature, check_params, pixel_features
 from .signals import (
     BandHz,
     PulseSignal,
@@ -83,34 +83,11 @@ class LiParams:
 def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Signal1D:
     """Mean green value of everything outside the ROI box grown by ``margin``.
 
-    One pass over ``seq``, reading blocks of about ``io.BLOCK_BYTES``.
-    Raises DataError when the grown box swallows the whole frame on some
-    frame (no background pixels remain).
+    The one-feature call of :func:`~rppgbench.roi.pixel_features`. Raises
+    DataError when the grown box swallows the whole frame on some frame (no
+    background pixels remain).
     """
-    if margin < 0:
-        raise ValueError(f"margin must be non-negative, got {margin}")
-    out = np.empty(seq.n_frames)
-    step = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
-    with seq.reader() as read:
-        for start, stop, entry in roi.runs(seq.n_frames):
-            box = entry.bbox()
-            x0 = max(box.x - margin, 0)
-            y0 = max(box.y - margin, 0)
-            x1 = min(box.x + box.w + margin, seq.width)
-            y1 = min(box.y + box.h + margin, seq.height)
-            n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
-            if n_outside <= 0:
-                raise DataError(
-                    f"no background pixels left at frame {start}: the ROI grown by {margin} px covers the frame"
-                )
-            for a in range(start, stop, step):
-                # Exact integer sums: the difference converts to float64 exactly,
-                # so the quotient does not depend on the summation order.
-                green = read(a, min(a + step, stop))[:, :, :, 1]
-                total = green.sum(axis=(1, 2), dtype=np.int64)
-                inner = green[:, y0:y1, x0:x1].sum(axis=(1, 2), dtype=np.int64)
-                out[a:a + len(green)] = (total - inner) / n_outside
-    return Signal1D(out, float(seq.fps))
+    return _one_feature(pixel_features(seq, roi, [("background", margin)]))
 
 
 def eliminate_motion_segments(s: Signal1D, segment_s: float, p: float) -> tuple[Signal1D, tuple[int, ...], int]:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
-from .io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
+from .io import BLOCK_BYTES, FrameSequence, RoiBox, RoiPolygon, RoiTrack
+from .signals import Signal1D
 
 __all__ = [
     "SkinModel",
@@ -21,6 +22,7 @@ __all__ = [
     "check_selection",
     "fit_skin_model",
     "lower_face_mask",
+    "pixel_features",
     "mean_rgb_trace",
     "iter_roi_pixels",
 ]
@@ -210,44 +212,31 @@ def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> S
     return SkinModel(mean=mean, cov=cov, tau=tau)
 
 
-def _skin_select(planes: np.ndarray, model: SkinModel) -> np.ndarray:
+def _skin_select(planes: np.ndarray, model: SkinModel, limits=None) -> np.ndarray:
     """Boolean mask of pixels whose peak-normalized skin likelihood >= tau.
 
     ``planes`` holds RGB values as channel planes (3, ...). Normalizing the
     Gaussian to its peak turns the threshold into a squared Mahalanobis
-    limit of -2 ln(tau); the boundary is kept.
+    limit of -2 ln(tau); the boundary is kept. Given ``limits``, a list of
+    masks, one per squared-distance limit: the model's mean and covariance
+    do not depend on tau, so every limit reads one d^2.
     """
     r, g = _chromaticity(planes)
     dr = r - model.mean[0]
     dg = g - model.mean[1]
     q = model.inv_cov
-    # delta' Q delta as its four products in row order, every step rounded alike on any build.
-    d2 = dr * q[0, 0] * dr + dr * q[0, 1] * dg + dg * q[1, 0] * dr + dg * q[1, 1] * dg
-    return d2 <= model.mahalanobis_limit()
-
-
-def _check_simple_polygon(points) -> None:
-    """Reject a polygon in which two edges that share no vertex cross or touch.
-
-    Edge i runs from vertex i to vertex i + 1, the last one closing the
-    polygon. One array pass per edge tests it against the later edges that
-    share none of its vertices, with four orientation products: the edges
-    cross when each has one end strictly left of the other and one not, and
-    touch when an end is collinear with the other edge and inside its box.
-    """
-    start = np.asarray(points).T
-    end = np.roll(start, -1, axis=1)
-    k = start.shape[1]
-    for i in range(k - 2):
-        p1, p2 = start[:, i:i + 1], end[:, i:i + 1]
-        p3, p4 = start[:, i + 2:k - (i == 0)], end[:, i + 2:k - (i == 0)]  # edge 0 meets edge k - 1
-        tests = ((p3, p4, p1), (p3, p4, p2), (p1, p2, p3), (p1, p2, p4))
-        d = [(b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) for a, b, c in tests]
-        hit = ((d[0] > 0) != (d[1] > 0)) & ((d[2] > 0) != (d[3] > 0))
-        for orient, (a, b, c) in zip(d, tests):
-            hit |= (orient == 0) & (np.minimum(a, b) <= c).all(axis=0) & (c <= np.maximum(a, b)).all(axis=0)
-        if hit.any():
-            raise DataError("landmark polygon must be simple (non self-intersecting)")
+    # delta' Q delta as its four products in row order, every step rounded alike on any build:
+    # dr*q00*dr + dr*q01*dg + dg*q10*dr + dg*q11*dg, summed in place into one array.
+    d2 = dr * q[0, 0]
+    d2 *= dr
+    term = np.empty_like(d2)
+    for a, qab, b in ((dr, q[0, 1], dg), (dg, q[1, 0], dr), (dg, q[1, 1], dg)):
+        np.multiply(a, qab, out=term)
+        term *= b
+        d2 += term
+    if limits is None:
+        return d2 <= model.mahalanobis_limit()
+    return [d2 <= limit for limit in limits]
 
 
 def lower_face_mask(landmarks: RoiPolygon) -> np.ndarray:
@@ -255,10 +244,11 @@ def lower_face_mask(landmarks: RoiPolygon) -> np.ndarray:
 
     A pixel belongs to the mask when its center satisfies the even-odd rule,
     with centers that fall exactly on an edge counted inside. The polygon must
-    be simple. No pixel center outside the box meets either rule.
+    be simple (:meth:`RoiPolygon.check_simple`, which a polygon read from a
+    file has passed already). No pixel center outside the box meets either rule.
     """
+    landmarks.check_simple()
     points = landmarks.points
-    _check_simple_polygon(points)
     box = landmarks.bbox()
     gx, gy = np.meshgrid(np.arange(box.x, box.x + box.w) + 0.5, np.arange(box.y, box.y + box.h) + 0.5)
     inside = np.zeros((box.h, box.w), dtype=bool)
@@ -286,85 +276,179 @@ def lower_face_mask(landmarks: RoiPolygon) -> np.ndarray:
     return inside | on_edge
 
 
-def _selected_chunks(seq: FrameSequence, roi: RoiTrack, strategy: str, model: SkinModel | None):
-    """Yield ``(start, x, mask, fallback)`` per chunk of frames, in one pass over ``seq``.
+def _run_checks(seq: FrameSequence, start: int, entry, traces, greens, failed: dict) -> tuple[dict, dict]:
+    """The selection regions and background windows of a ROI run that starts at frame ``start``.
 
-    ``x`` holds the ROI box of frames ``start..start+c-1`` as float64
-    channel rows (c, 3, P), P pixels in row-major order, in a buffer that
-    the next chunk overwrites; ``mask`` is the (c, P) skin test or the run's
-    region (whole box or polygon), in which frames whose selection came up
-    empty (``fallback``) keep the whole box.
+    Each feature of ``traces`` and ``greens`` not in ``failed`` gets its own,
+    or its failure in ``failed``, checked in the order a pass of its own would
+    meet them.
     """
-    _check_strategy(strategy)
+    box = entry.bbox()
+    selections = [key for key in traces if key not in failed]
+    if selections and (box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height):
+        failed.update(dict.fromkeys(selections, DataError(f"ROI for frame {start} exceeds the frame bounds")))
+    regions = {}
+    for key in (key for key in selections if key not in failed):
+        if key[1] != "mask":
+            regions[key] = np.ones(box.h * box.w, dtype=bool)
+        elif not isinstance(entry, RoiPolygon):
+            failed[key] = DataError("strategy 'mask' requires landmark ROI entries")
+        else:
+            try:
+                regions[key] = lower_face_mask(entry).reshape(-1)
+            except DataError as exc:
+                failed[key] = exc.with_traceback(None)
+    windows = {}
+    for margin in (key[1] for key in greens if key not in failed):
+        x0, y0 = max(box.x - margin, 0), max(box.y - margin, 0)
+        x1, y1 = min(box.x + box.w + margin, seq.width), min(box.y + box.h + margin, seq.height)
+        n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
+        if n_outside <= 0:
+            failed[("background", margin)] = DataError(
+                f"no background pixels left at frame {start}: the ROI grown by {margin} px covers the frame")
+        else:
+            windows[("background", margin)] = (slice(y0, y1), slice(x0, x1), n_outside)
+    return regions, windows
+
+
+def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | None = None) -> dict:
+    """Compute every pixel feature named in ``keys`` in one pass over ``seq``.
+
+    A key is ``("rgb", strategy, skin_tau)`` for the :class:`RgbTrace` of a
+    selection, with ``skin_tau`` None unless the strategy is ``skin``, or
+    ``("background", margin)`` for the mean green value of everything outside
+    the ROI box grown by ``margin`` pixels, a :class:`Signal1D`. Returns each
+    key's feature, or the exception that failed it: a feature fails alone,
+    with the error a pass of its own would raise, and the others are still
+    computed. Bad arguments (an unknown strategy, a negative margin) and
+    failed reads raise.
+
+    The pass reads each block of frames once (see :meth:`FrameSequence.reader`),
+    copies each chunk of ``CHUNK_PIXELS`` ROI pixels to float64 once for every
+    selection, and takes the background sums from the same block. Every
+    strategy is a boolean mask over the ROI box: ``bbox`` all of it, ``mask``
+    the landmark polygon and ``skin`` the pixels within each ``skin_tau``'s
+    limit of the skin model, one d^2 per pixel serving every ``skin_tau``.
+    The model is ``model``, or the one :func:`fit_skin_model` fits on frame 0
+    of the first block. A frame whose selection comes up empty keeps the whole
+    box. Sums of uint8 values and of their products are integers far below
+    2**53, exact in float64 and independent of summation order.
+    """
+    keys = list(dict.fromkeys(keys))
+    for key in keys:
+        if key[0] == "rgb":
+            _check_strategy(key[1])
+        elif key[1] < 0:
+            raise ValueError(f"margin must be non-negative, got {key[1]}")
+    n = seq.n_frames
+    traces = {key: (np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty((n, 3, 3)), np.empty(n, dtype=bool))
+              for key in keys if key[0] == "rgb"}
+    greens = {key: np.empty(n) for key in keys if key[0] == "background"}
+    skins = [key for key in traces if key[1] == "skin"]
+    limits: dict = {}
+    failed: dict = {}
     with seq.reader() as read:
-        for start, stop, entry in roi.runs(seq.n_frames):
+        for start, stop, entry in roi.runs(n):
             box = entry.bbox()
-            if box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height:
-                raise DataError(f"ROI for frame {start} exceeds the frame bounds")
-            if strategy == "skin" and model is None:
-                raise ValueError("strategy 'skin' requires a fitted SkinModel")
-            if strategy == "mask":
-                if not isinstance(entry, RoiPolygon):
-                    raise DataError("strategy 'mask' requires landmark ROI entries")
-                region = lower_face_mask(entry).reshape(-1)
-            else:
-                region = np.ones(box.h * box.w, dtype=bool)
-            step = max(1, CHUNK_PIXELS // (box.w * box.h))
-            buffer = np.empty((min(step, stop - start), 3, box.h * box.w))
+            # Blocks of about BLOCK_BYTES, each a whole number of chunks of about CHUNK_PIXELS box pixels.
+            block_frames = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
+            chunk = max(1, min(CHUNK_PIXELS // (box.w * box.h), block_frames))
+            step = chunk * (block_frames // chunk)
+            block = read(start, min(start + step, stop))
+            if start == 0 and skins:
+                try:
+                    if model is None:
+                        model = fit_skin_model(block[0], entry, skins[0][2])
+                    limits = {key: replace(model, tau=key[2]).mahalanobis_limit() for key in skins}
+                except DataError as exc:
+                    failed.update(dict.fromkeys(skins, exc.with_traceback(None)))
+            regions, windows = _run_checks(seq, start, entry, traces, greens, failed)
+            if len(failed) == len(keys):
+                break
+            run_skins = [key for key in skins if key in regions]
+            run_limits = [limits[key] for key in run_skins]
+            buffer = np.empty((min(chunk, stop - start), 3, box.h * box.w))
             for a in range(start, stop, step):
-                block = read(a, min(a + step, stop))[:, box.y:box.y + box.h, box.x:box.x + box.w]
-                x = buffer[:len(block)]
-                np.copyto(x.reshape(len(block), 3, box.h, box.w), block.transpose(0, 3, 1, 2))
-                if strategy == "skin":
-                    mask = _skin_select(x.transpose(1, 0, 2), model)
-                else:
-                    mask = np.broadcast_to(region, (len(x), region.size))
-                fallback = ~mask.any(axis=1)
-                if fallback.any():
-                    mask = mask | fallback[:, None]
-                yield a, x, mask, fallback
+                if a > start:
+                    block = read(a, min(a + step, stop))
+                for f in range(a, a + len(block), chunk) if regions else ():
+                    frames = block[f - a:f - a + chunk]
+                    c = len(frames)
+                    x = buffer[:c]
+                    np.copyto(x.reshape(c, 3, box.h, box.w),
+                              frames[:, box.y:box.y + box.h, box.x:box.x + box.w].transpose(0, 3, 1, 2))
+                    if run_skins:
+                        selected = dict(zip(run_skins, _skin_select(x.transpose(1, 0, 2), model, run_limits)))
+                    for key, region in regions.items():
+                        mask = selected[key] if key[1] == "skin" else np.broadcast_to(region, (c, region.size))
+                        fallback = ~mask.any(axis=1)
+                        if fallback.any():
+                            mask = mask | fallback[:, None]
+                        counts, sums, products, fell_back = traces[key]
+                        counts[f:f + c] = mask.sum(axis=1)
+                        weighted = x * mask[:, None, :]
+                        sums[f:f + c] = weighted.sum(axis=2)
+                        products[f:f + c] = weighted @ x.transpose(0, 2, 1)
+                        fell_back[f:f + c] = fallback
+                if windows:
+                    green = block[:, :, :, 1]
+                    total = green.sum(axis=(1, 2), dtype=np.int64)
+                    for key, (rows, cols, n_outside) in windows.items():
+                        # The difference of exact integer sums converts to float64 exactly.
+                        inner = green[:, rows, cols].sum(axis=(1, 2), dtype=np.int64)
+                        greens[key][a:a + len(block)] = (total - inner) / n_outside
+    fs = float(seq.fps)
+    out = {}
+    for key in keys:
+        if key in failed:
+            out[key] = failed[key]
+        elif key in greens:
+            out[key] = Signal1D(greens[key], fs)
+        else:
+            counts, sums, products, fell_back = traces[key]
+            fallbacks = np.flatnonzero(fell_back)
+            if fallbacks.size:
+                log.info("ROI fallback on %d/%d frames", fallbacks.size, n)
+            out[key] = RgbTrace(means=sums / counts[:, None], correlations=products / counts[:, None, None], fs=fs,
+                                pixel_counts=counts, fallback_frames=fallbacks)
+    return out
 
 
-def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None):
-    """Yield ``(pixels, fallback)`` per frame, selecting pixels per strategy.
-
-    ``pixels`` is a float64 array of shape (N, 3); ``fallback`` is True when
-    the skin or polygon selection came up empty and the full box was used.
-    """
-    for _, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
-        for j in range(len(x)):
-            yield np.ascontiguousarray(x[j][:, mask[j]].T), bool(fallback[j])
+def _one_feature(outcomes: dict):
+    """The feature of a one-feature :func:`pixel_features` pass; raises the exception that failed it."""
+    (outcome,) = outcomes.values()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
     """Average the selected pixels, and their products, of every frame into an RGB trace.
 
-    One vectorized pass over chunks of frames that share a ROI entry, read
-    from ``seq`` a block at a time (see :meth:`FrameSequence.reader`); the
-    selection per strategy and the full-box fallback are those of
-    :func:`iter_roi_pixels`. Sums of uint8 values and of their products are
-    integers far below 2**53, so they are exact in float64 and independent
-    of summation order.
+    The one-feature call of :func:`pixel_features`: one vectorized pass over
+    ``seq`` under ``strategy``, with ``model`` (its tau too) under ``skin``.
     """
-    n = seq.n_frames
-    counts = np.empty(n, dtype=np.int64)
-    sums = np.empty((n, 3))
-    products = np.empty((n, 3, 3))
-    fell_back = np.empty(n, dtype=bool)
-    for start, x, mask, fallback in _selected_chunks(seq, roi, strategy, model):
-        stop = start + len(x)
-        counts[start:stop] = mask.sum(axis=1)
-        weighted = x * mask[:, None, :]
-        sums[start:stop] = weighted.sum(axis=2)
-        products[start:stop] = weighted @ x.transpose(0, 2, 1)
-        fell_back[start:stop] = fallback
-    fallbacks = np.flatnonzero(fell_back)
-    if fallbacks.size:
-        log.info("ROI fallback on %d/%d frames", fallbacks.size, n)
-    return RgbTrace(
-        means=sums / counts[:, None],
-        correlations=products / counts[:, None, None],
-        fs=float(seq.fps),
-        pixel_counts=counts,
-        fallback_frames=fallbacks,
-    )
+    if strategy == "skin" and model is None:
+        raise ValueError("strategy 'skin' requires a fitted SkinModel")
+    return _one_feature(pixel_features(seq, roi, [("rgb", strategy, model.tau if strategy == "skin" else None)], model))
+
+
+def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None):
+    """Yield ``(pixels, fallback)`` per frame: the frame's pixels that
+    :func:`mean_rgb_trace` averages, float64 (N, 3), and whether its selection
+    came up empty so that the whole box was used.
+
+    A frame-by-frame view for tests and tracing, not a pass of the pipeline;
+    it raises what :func:`mean_rgb_trace` raises, before the first frame.
+    """
+    mean_rgb_trace(seq, roi, strategy, model)
+    with seq.reader() as read:
+        for i in range(seq.n_frames):
+            entry = roi.entry_for(i)
+            box = entry.bbox()
+            pixels = read(i, i + 1)[0, box.y:box.y + box.h, box.x:box.x + box.w].astype(np.float64)
+            if strategy == "skin":
+                mask = _skin_select(np.moveaxis(pixels, -1, 0), model)
+            else:
+                mask = lower_face_mask(entry) if strategy == "mask" else np.ones((box.h, box.w), dtype=bool)
+            yield (pixels[mask] if mask.any() else pixels.reshape(-1, 3)), not mask.any()

@@ -772,6 +772,20 @@ def test_roi_unfit_for_the_strategy_exits_2(synth_bundle, tmp_path, capsys, roi_
     assert_data_error(code, err)
 
 
+@pytest.mark.parametrize("strategy", ["bbox", "skin", "mask"])
+def test_self_intersecting_polygon_exits_2_under_every_strategy(synth_bundle, tmp_path, capsys, strategy):
+    # A bow-tie is malformed landmark data whatever the strategy reads, so the
+    # ROI reader rejects it by file and row; bbox and skin once ran on it.
+    roi = tmp_path / "roi.csv"
+    roi.write_text("0,16,16,32,32\n5,16,16,48,48,16,48,48,16\n", encoding="ascii")
+    out = tmp_path / "trace.csv"
+    code, _, err = run(capsys, "trace", str(synth_bundle / "video.rvid"), "--roi", str(roi), "--strategy", strategy,
+                       "--out", str(out))
+    assert_data_error(code, err)
+    assert str(roi) in err and "row 2: landmark polygon must be simple (non self-intersecting)" in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def corruptible_dataset(tmp_path_factory):
     """Three 6 s bundles whose truth comes from the BVP (no gt.json)."""

@@ -13,7 +13,8 @@ import pytest
 
 from rppgbench import bench, ssr
 from rppgbench.bench import ALGORITHMS, FeatureStore, SearchStage, SequenceBundle, evaluate, greedy_search
-from rppgbench.io import FrameSequence, RoiPolygon, RoiTrack, load_protocol, write_roi_track, write_rvid
+from rppgbench.errors import DataError
+from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack, load_protocol, write_roi_track, write_rvid
 from rppgbench.roi import STRATEGIES
 from rppgbench.ssr import SsrParams
 
@@ -70,6 +71,21 @@ def reads(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """``(sequence directory, keys)`` of every pixel pass, in call order."""
+    calls = []
+    original = bench.pixel_features
+
+    def counting(seq, roi, keys, model=None):
+        keys = list(keys)
+        calls.append((Path(seq.path).parent.name, set(keys)))
+        return original(seq, roi, keys, model)
+
+    monkeypatch.setattr(bench, "pixel_features", counting)
+    return calls
+
+
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_search_objectives_equal_fresh_evaluations(protocol, small_dataset, algorithm):
     result = greedy_search(
@@ -100,19 +116,23 @@ def test_pulse_stages_read_each_file_once(protocol, peaks_dataset, reads):
 
 
 @pytest.mark.parametrize(
-    "algorithm, stages",
+    "algorithm, stages, keys",
     [
-        ("chrom", [{"grid": {"window_s": [1.6, 3.2]}}, {"grid": {"skin_tau": [0.3, 0.2]}}]),
-        ("licvpr", [{"grid": {"detrend_lambda": [100.0, 300.0]}}, {"grid": {"background_margin": [10, 5]}}]),
+        ("chrom", [{"grid": {"window_s": [1.6, 3.2]}}, {"grid": {"skin_tau": [0.3, 0.2]}}],
+         {("rgb", "skin", 0.3), ("rgb", "skin", 0.2)}),
+        ("licvpr", [{"grid": {"detrend_lambda": [100.0, 300.0]}}, {"grid": {"background_margin": [10, 5]}}],
+         {("rgb", "mask", None), ("background", 10), ("background", 5)}),
     ],
     ids=["skin_tau", "background_margin"],
 )
-def test_feature_stage_reads_each_video_again(protocol, peaks_dataset, reads, algorithm, stages):
-    # The defaults (skin_tau 0.3, background_margin 10) come first and hit;
-    # the second value is a new feature setting, so each video is read again.
+def test_feature_stage_reads_each_video_once(protocol, peaks_dataset, reads, passes, algorithm, stages, keys):
+    # The search plans the features of every combination before its first
+    # evaluation, so the first pass over each video computes the second
+    # feature setting too, and the feature stage reads no video.
     greedy_search(stages_of(stages), protocol, algorithm, peaks_dataset, objective="neg_rmse")
-    assert reads["video"] == {"seq000": 2, "seq001": 2}
+    assert reads["video"] == {"seq000": 1, "seq001": 1}
     assert reads["bvp"] == {"seq000": 1, "seq001": 1}
+    assert passes == [("seq000", keys), ("seq001", keys)]
 
 
 def _reachable(root):
@@ -171,15 +191,7 @@ def test_pixel_passes_hold_a_small_part_of_the_video(tmp_path):
     assert peak < video_bytes / 4, f"peak {peak} B of a {video_bytes} B video"
 
 
-def test_failed_feature_is_not_stored(protocol, small_dataset, monkeypatch):
-    calls = Counter()
-    original = bench.background_trace
-
-    def counting(seq, roi, margin):
-        calls[margin] += 1
-        return original(seq, roi, margin)
-
-    monkeypatch.setattr(bench, "background_trace", counting)
+def test_failed_feature_is_not_stored(protocol, small_dataset, passes):
     # A 100 px margin grows the 32 px face box past the 64x64 frame.
     stages = [{"grid": {"background_margin": [100, 5, 100]}}]
     result = greedy_search(stages_of(stages), protocol, "licvpr", small_dataset, objective="neg_rmse")
@@ -191,7 +203,53 @@ def test_failed_feature_is_not_stored(protocol, small_dataset, monkeypatch):
         f"failed: seq000 ({reason}), seq001 ({reason})"
     )
     assert result.best_params["background_margin"] == 5
-    assert calls == {100: 4, 5: 2}
+    # The first pass over each video computes every planned feature, and
+    # margin 100 fails alone; the third candidate computes only it again.
+    planned = {("rgb", "mask", None), ("background", 100), ("background", 5)}
+    assert passes == [("seq000", planned), ("seq001", planned),
+                      ("seq000", {("background", 100)}), ("seq001", {("background", 100)})]
+
+
+#: Every pixel feature a run may plan, and the messages of those that a ROI fails.
+PLANNED = (("rgb", "bbox", None), ("rgb", "skin", 0.3), ("rgb", "skin", 0.2), ("rgb", "mask", None),
+           ("background", 5), ("background", 100))
+SQUARE = RoiPolygon(((16, 16), (48, 16), (48, 48), (16, 48)))
+NO_BACKGROUND = "DataError: no background pixels left at frame 0: the ROI grown by 100 px covers the frame"
+
+
+@pytest.mark.parametrize(
+    "entry, failures",
+    [
+        (SQUARE, {}),
+        (RoiBox(16, 16, 32, 32), {("rgb", "mask", None): "DataError: strategy 'mask' requires landmark ROI entries"}),
+        (RoiPolygon(((20, 20), (29, 20), (29, 29), (20, 29))),
+         dict.fromkeys(PLANNED[1:3], "DataError: ROI must contain at least 100 pixels, got 81")),
+        # Off the frame: the skin fit fails first, as it ran before any pass.
+        (RoiPolygon(((60, 60), (69, 60), (69, 69), (60, 69))),
+         {**dict.fromkeys(PLANNED[:4], "DataError: ROI for frame 0 exceeds the frame bounds"),
+          **dict.fromkeys(PLANNED[1:3], "DataError: ROI must contain at least 100 pixels, got 81")}),
+    ],
+    ids=["none", "mask_over_box", "skin_under_100_px", "skin_fit_before_bounds"],
+)
+def test_a_failed_feature_fails_alone(passes, entry, failures, tmp_path):
+    frames = np.random.default_rng(5).integers(0, 256, size=(12, 64, 64, 3), dtype=np.uint8)
+    frames[:, 16:48, 16:48] = (180, 120, 100)
+    write_rvid(FrameSequence(width=64, height=64, fps=20, frames=frames), tmp_path / "video.rvid")
+    bundle = SequenceBundle(bench.read_rvid(tmp_path / "video.rvid"), RoiTrack((0,), (entry,)), tmp_path)
+    cache = {}
+    features = bench.SequenceFeatures(cache, lambda: bundle, PLANNED)
+    errors = {}
+    for key in PLANNED:
+        try:
+            if key[0] == "background":
+                features.background(key[1])
+            else:
+                features.rgb_trace(key[1], key[2])
+        except DataError as exc:
+            errors[key] = f"{type(exc).__name__}: {exc}"
+    assert errors == {**failures, ("background", 100): NO_BACKGROUND}
+    assert set(cache) == set(PLANNED) - set(errors)
+    assert passes == [(tmp_path.name, set(PLANNED))]
 
 
 def test_chrom_and_ssr_share_one_pixel_pass(protocol, peaks_dataset, reads):

@@ -521,7 +521,8 @@ def test_roi_rejects_out_of_bounds_polygon(tmp_path):
 
 
 def test_roi_landmark_row_of_nine_points(tmp_path):
-    coords = [(10 + i, 20 + (i % 3)) for i in range(9)]
+    # A zigzag of eight points closed through a ninth below it: a simple polygon.
+    coords = [(10 + i, 20 + (i % 3)) for i in range(8)] + [(14, 30)]
     flat = ",".join(f"{x},{y}" for x, y in coords)
     p = tmp_path / "roi.csv"
     p.write_text(f"0,{flat}\n")
@@ -577,7 +578,19 @@ def roi_entries(draw):
     # Points up to one pixel short of the far edge keep the bounding box in the frame.
     xs = st.floats(0.0, WIDTH - 1.0)
     ys = st.floats(0.0, HEIGHT - 1.0)
-    return RoiPolygon(tuple(draw(st.lists(st.tuples(xs, ys), min_size=4, max_size=9))))
+    points = draw(st.lists(st.tuples(xs, ys), min_size=4, max_size=9))
+    if draw(st.booleans()):  # in angle order around their mean: mostly a simple polygon
+        cx, cy = np.mean(points, axis=0)
+        points.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    return RoiPolygon(tuple(points))
+
+
+def _simple(entry) -> bool:
+    try:
+        io._check_simple_polygon(entry.points)
+    except ValueError:
+        return False
+    return True
 
 
 @ROUND_TRIP
@@ -590,7 +603,13 @@ def test_roi_track_round_trips_boxes_and_polygons(tmp_path, gaps, entries):
     track = RoiTrack(frames=frames, entries=tuple(entries[:len(frames)]))
     p = tmp_path / "roi.csv"
     write_roi_track(track, p)
-    assert read_roi_track(p, WIDTH, HEIGHT) == track
+    # A self-intersecting polygon is malformed data: the reader names its row.
+    bad = [row for row, e in enumerate(track.entries, start=1) if isinstance(e, RoiPolygon) and not _simple(e)]
+    if bad:
+        with pytest.raises(FormatError, match=f"row {bad[0]}: landmark polygon must be simple"):
+            read_roi_track(p, WIDTH, HEIGHT)
+    else:
+        assert read_roi_track(p, WIDTH, HEIGHT) == track
 
 
 def test_roi_track_writes_whole_and_half_coordinates_as_before(tmp_path):

@@ -2,19 +2,22 @@
 against per-frame oracles, bit for bit.
 
 The oracles below are the per-frame definitions: select each frame's pixels
-on its own (einsum skin test, polygon raster, full-box fallback), then
+on its own (skin test, polygon raster, full-box fallback), then
 average them and form ``V'V``. Every comparison is exact equality.
 """
 
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
+from rppgbench.errors import DataError
+from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack, read_rvid, write_rvid
 from rppgbench.licvpr import background_trace
 from rppgbench.roi import (
     CHUNK_PIXELS,
@@ -25,6 +28,7 @@ from rppgbench.roi import (
     iter_roi_pixels,
     lower_face_mask,
     mean_rgb_trace,
+    pixel_features,
 )
 from rppgbench.ssr import canonical_eigenvector_signs, correlation_eigens, frame_eigen
 
@@ -35,15 +39,21 @@ SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[Healt
 # per-frame oracles
 # ---------------------------------------------------------------------------
 
-def oracle_skin_mask(sub, model):
+def oracle_d2(sub, model):
     rgb = sub.astype(np.float64)
     total = rgb.sum(axis=-1)
     safe = np.where(total > 0, total, 1.0)
     r = np.where(total > 0, rgb[..., 0] / safe, 1.0 / 3.0)
     g = np.where(total > 0, rgb[..., 1] / safe, 1.0 / 3.0)
-    delta = np.stack([r, g], axis=-1) - model.mean
-    d2 = np.einsum("...i,ij,...j->...", delta, np.linalg.inv(model.cov), delta)
-    return d2 <= -2.0 * math.log(model.tau)
+    dr, dg = r - model.mean[0], g - model.mean[1]
+    q = np.linalg.inv(model.cov)
+    # delta' Q delta as its four products in row order, the order the package
+    # defines; einsum may add them in another, a last-place digit apart.
+    return dr * q[0, 0] * dr + dr * q[0, 1] * dg + dg * q[1, 0] * dr + dg * q[1, 1] * dg
+
+
+def oracle_skin_mask(sub, model):
+    return oracle_d2(sub, model) <= -2.0 * math.log(model.tau)
 
 
 def oracle_frames(seq, roi, strategy, model):
@@ -68,7 +78,13 @@ def oracle_frames(seq, roi, strategy, model):
 
 def assert_matches_oracle(seq, roi, strategy, model):
     expected = oracle_frames(seq, roi, strategy, model)
-    trace = mean_rgb_trace(seq, roi, strategy, model)
+    assert_trace_matches(mean_rgb_trace(seq, roi, strategy, model), expected)
+    for (pixels, fallback), (want, want_fb) in zip(iter_roi_pixels(seq, roi, strategy, model), expected):
+        assert fallback == want_fb
+        assert np.array_equal(pixels, want)
+
+
+def assert_trace_matches(trace, expected):
     counts = np.array([p.shape[0] for p, _ in expected])
     assert np.array_equal(trace.pixel_counts, counts)
     assert trace.fallback_frames == tuple(i for i, (_, fb) in enumerate(expected) if fb)
@@ -76,9 +92,6 @@ def assert_matches_oracle(seq, roi, strategy, model):
     corr = np.stack([p.T @ p / p.shape[0] for p, _ in expected])
     assert np.array_equal(trace.means, means)
     assert np.array_equal(trace.correlations, corr)
-    for (pixels, fallback), (want, want_fb) in zip(iter_roi_pixels(seq, roi, strategy, model), expected):
-        assert fallback == want_fb
-        assert np.array_equal(pixels, want)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +185,88 @@ def skin_gaussians(draw):
     return mean, np.array([[a * a * scale, off], [off, b * b * scale]])
 
 
+def tau_on_limit(d2):
+    """A tau whose limit -2 ln(tau), as the model and the oracle compute it, is ``d2`` exactly; else None."""
+    below = above = math.exp(-d2 / 2.0)
+    for _ in range(16):
+        for tau in (below, above):
+            if 0.0 < tau < 1.0 and SkinModel(np.zeros(2), np.eye(2), tau).mahalanobis_limit() == d2 == -2.0 * math.log(tau):
+                return tau
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+    return None
+
+
 @SETTINGS
-@given(cases("skin"), st.sampled_from([0.05, 0.3, 0.9, 0.999]), st.none() | skin_gaussians())
-def test_skin_moments_match_oracle(case, tau, gaussian):
+@given(cases("skin"), st.lists(st.integers(0, 2**16), min_size=1, max_size=3), st.none() | skin_gaussians())
+def test_skin_moments_match_oracle(case, picks, gaussian):
+    # Each tau puts a drawn pixel exactly on its limit: a d^2 summed in
+    # another order than the oracle's could move that pixel across. One pass
+    # serves every tau from one d^2, and must match the oracle for each.
     seq, roi = case
     first = roi.entry_for(0).bbox()
     if gaussian is not None:
-        model = SkinModel(mean=gaussian[0], cov=gaussian[1], tau=tau)
+        model = SkinModel(mean=gaussian[0], cov=gaussian[1], tau=0.5)
     elif first.w * first.h >= 100:
-        model = fit_skin_model(seq.frames[0], first, tau)
+        model = fit_skin_model(seq.frames[0], first, 0.5)
     else:
-        model = SkinModel(mean=np.array([0.45, 0.3]), cov=np.array([[4e-4, 1e-4], [1e-4, 3e-4]]), tau=tau)
-    assert_matches_oracle(seq, roi, "skin", model)
+        model = SkinModel(mean=np.array([0.45, 0.3]), cov=np.array([[4e-4, 1e-4], [1e-4, 3e-4]]), tau=0.5)
+    d2 = np.unique(np.concatenate([oracle_d2(seq.frames[i, b.y:b.y + b.h, b.x:b.x + b.w], model).ravel()
+                                   for i in range(seq.n_frames) for b in [roi.entry_for(i).bbox()]]))
+    d2 = d2[(d2 >= 1.0) & (d2 <= 1000.0)]  # -2 ln(tau) hits almost every such value exactly
+    assume(d2.size)
+    taus = []
+    for pick in picks:
+        tau = next((t for k in range(d2.size) if (t := tau_on_limit(float(d2[(pick + k) % d2.size])))), None)
+        assume(tau is not None)
+        taus.append(tau)
+    taus = list(dict.fromkeys(taus))
+    outcomes = pixel_features(seq, roi, [("rgb", "skin", tau) for tau in taus], model)
+    for tau in taus:
+        tuned = SkinModel(mean=model.mean, cov=model.cov, tau=tau)
+        assert_trace_matches(outcomes[("rgb", "skin", tau)], oracle_frames(seq, roi, "skin", tuned))
+        assert_matches_oracle(seq, roi, "skin", tuned)
+
+
+#: Blocks of 64 frames of 32x32 px, read as two chunks of a 16x16 box; two ROI runs.
+LONG_CASE = (FrameSequence(width=32, height=32, fps=Fraction(20), frames=volume(7, 300, 32, 32, 0.6)),
+             RoiTrack(frames=(0, 130), entries=(RoiPolygon(((4, 4), (20, 4), (20, 20), (4, 20))),
+                                                RoiPolygon(((8, 6), (26, 9), (22, 28), (6, 24))))))
+
+
+@SETTINGS
+@given(cases("bbox"), st.lists(st.sampled_from([0.05, 0.3, 0.9]), min_size=1, max_size=3, unique=True),
+       st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True), st.booleans())
+@example(LONG_CASE, [0.3, 0.2], [2, 5], True)
+@example(LONG_CASE, [0.05, 0.9], [0, 20], False)
+def test_one_pass_equals_the_one_feature_passes(case, taus, margins, on_disk):
+    # Boxes fail the mask, small boxes the skin fit and wide margins the
+    # background: each fails alone, as its own pass fails.
+    seq, roi = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if on_disk:
+            write_rvid(seq, Path(tmp) / "video.rvid")
+            seq = read_rvid(Path(tmp) / "video.rvid")
+        keys = [("rgb", "bbox", None), ("rgb", "mask", None), *(("rgb", "skin", tau) for tau in taus),
+                *(("background", margin) for margin in margins)]
+        outcomes = pixel_features(seq, roi, keys)
+        for key in keys:
+            try:
+                if key[0] == "background":
+                    want = background_trace(seq, roi, key[1])
+                elif key[1] == "skin":
+                    want = mean_rgb_trace(seq, roi, "skin", fit_skin_model(seq.read(0, 1)[0], roi.entry_for(0), key[2]))
+                else:
+                    want = mean_rgb_trace(seq, roi, key[1])
+            except DataError as exc:
+                assert (type(outcomes[key]), str(outcomes[key])) == (type(exc), str(exc)), key
+                continue
+            got = outcomes[key]
+            if key[0] == "background":
+                assert got.samples.tobytes() == want.samples.tobytes()
+            else:
+                for name in ("means", "correlations", "pixel_counts"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (key, name)
+                assert got.fallback_frames == want.fallback_frames
 
 
 @SETTINGS

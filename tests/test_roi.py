@@ -11,11 +11,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rppgbench.errors import DataError
-from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack
+from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack, _check_simple_polygon
 from rppgbench.roi import (
     RgbTrace,
     SkinModel,
-    _check_simple_polygon,
     _skin_select,
     fit_skin_model,
     lower_face_mask,

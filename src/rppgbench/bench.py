@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import itertools
@@ -173,16 +174,16 @@ class SequenceFeatures:
     holds no frames. A pixel feature that misses is computed in one pass over
     the video file (see :func:`~rppgbench.roi.pixel_features`) together with
     every feature of ``planned`` not yet stored, so the file must not change
-    while the sequence is evaluated. A feature that raises is not stored, so
-    the next evaluation recomputes it and fails the same way; within this
-    evaluation it raises again without another pass.
+    while the sequence is evaluated. A pixel feature that fails is stored as
+    its exception, without a traceback, and every later request for it, in
+    this evaluation or another through the same cache, raises a copy of it
+    (same type and message) without another pass.
     """
 
     def __init__(self, cache: dict, load, planned=()):
         self._cache = cache
         self._load = load
         self._planned = planned
-        self._failed: dict = {}
         self._bundle = None
 
     @classmethod
@@ -203,15 +204,11 @@ class SequenceFeatures:
         return self._cache[key]
 
     def _pixel_feature(self, key: tuple):
-        if key not in self._cache and key not in self._failed:
-            wanted = [key, *(k for k in self._planned if k not in self._cache and k not in self._failed)]
-            for k, outcome in pixel_features(self.bundle.sequence, self.bundle.roi, wanted).items():
-                if isinstance(outcome, Exception):
-                    self._failed[k] = outcome
-                else:
-                    self._cache[k] = outcome
-        if key in self._failed:
-            raise self._failed[key]
+        if key not in self._cache:
+            wanted = [key, *(k for k in self._planned if k not in self._cache)]
+            self._cache.update(pixel_features(self.bundle.sequence, self.bundle.roi, wanted))
+        if isinstance(self._cache[key], Exception):
+            raise copy.copy(self._cache[key])  # a copy, so no traceback attaches to the stored failure
         return self._cache[key]
 
     def truth(self) -> HrEstimate:
@@ -236,7 +233,8 @@ class FeatureStore:
 
     ``greedy_search`` shares one store between its candidates, so each
     sequence's truth, RGB traces, SSR eigen-decompositions and background
-    traces are computed once per feature setting. A run names the pixel
+    traces are computed once per feature setting, and a pixel feature that
+    fails is stored as its failure, so it fails once. A run names the pixel
     features it will read with :meth:`plan` before its first evaluation, and
     the first pass over each sequence computes all of them. The store holds no
     frames, and no feature computation holds a whole video: a pass reads a

@@ -20,7 +20,7 @@ import math
 import os
 import re
 from bisect import bisect_right
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -114,24 +114,21 @@ def _check_number(name: str, value, optional: bool = True) -> None:
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """An RGB24 video of ``n_frames`` frames shaped (height, width, 3), uint8.
+    """An RGB24 video of ``n_frames`` frames shaped (height, width, 3), uint8, in an ``.rvid`` file.
 
-    Pixels are reached a block of frames at a time, through :meth:`reader`
-    (one pass of many blocks) or :meth:`read` (one block). An in-memory
-    sequence holds ``frames`` (n, height, width, 3) and slices it. A sequence
-    from :func:`read_rvid` holds no pixels: it keeps its file's ``path`` and
-    the ``offset`` of the payload, and each pass reads only the blocks it asks
-    for, so a whole video is never in memory. The file must not change while
-    the sequence is evaluated; a payload found short raises
-    :class:`FormatError`.
+    The sequence holds no pixels: it keeps its file's ``path`` and the
+    ``offset`` of the payload (see :func:`read_rvid`), and reaches frames a
+    block at a time, through :meth:`reader` (one pass of many blocks) or
+    :meth:`read` (one block), so a whole video is never in memory. The file
+    must not change while the sequence is evaluated; a payload found short
+    raises :class:`FormatError`.
     """
 
     width: int
     height: int
     fps: Fraction
-    frames: np.ndarray | None = None
-    n_frames: int | None = None
-    path: str | None = None
+    n_frames: int
+    path: str
     offset: int = 0
 
     def __post_init__(self):
@@ -141,49 +138,28 @@ class FrameSequence:
             raise ValueError(f"fps must be positive, got {self.fps}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("frame dimensions must be positive")
-        frames = self.frames
-        if (frames is None) == (self.path is None):
-            raise ValueError("a sequence holds either frames or the path of its file")
-        if frames is None:
-            if self.n_frames is None or self.offset < 0:
-                raise ValueError("a file-backed sequence needs n_frames and a non-negative offset")
-        else:
-            expected = (frames.shape[0], self.height, self.width, 3)
-            if frames.ndim != 4 or frames.shape != expected:
-                raise ValueError(
-                    f"frames must be shaped (n, {self.height}, {self.width}, 3), got {frames.shape}"
-                )
-            if frames.dtype != np.uint8:
-                raise ValueError(f"frames must be uint8, got {frames.dtype}")
-            if self.n_frames not in (None, frames.shape[0]):
-                raise ValueError(f"n_frames={self.n_frames} but frames holds {frames.shape[0]}")
-            if frames.flags.writeable:
-                frames.setflags(write=False)
-            object.__setattr__(self, "n_frames", int(frames.shape[0]))
-        if self.n_frames < 1:
-            raise ValueError("a sequence needs at least one frame")
+        if self.n_frames < 1 or self.offset < 0:
+            raise ValueError("a sequence needs at least one frame and a non-negative payload offset")
 
     @contextmanager
     def reader(self):
         """One pass over the frames: yields ``read(start, stop)``.
 
         ``read`` returns frames ``start`` to ``stop - 1`` as a read-only
-        uint8 array (stop - start, height, width, 3). In memory it is a view
-        of ``frames``. From a file, the pass opens it once and reads each
-        block at its position into one buffer, which the pass's next ``read``
-        overwrites, and closes the file when the pass ends; a block the file
-        no longer holds raises FormatError at the offset where the payload
-        stops. Passes share no file offset, so threads may run them at once.
+        uint8 array (stop - start, height, width, 3). The pass opens the file
+        once and reads each block at its position into one buffer, which the
+        pass's next ``read`` overwrites, and closes the file when the pass
+        ends; a block the file no longer holds raises FormatError at the
+        offset where the payload stops. Passes share no file offset, so
+        threads may run them at once.
         """
         frame_bytes = self.height * self.width * 3
         buffer = np.empty(0, dtype=np.uint8)
-        with open(self.path, "rb") if self.frames is None else nullcontext() as fh:
+        with open(self.path, "rb") as fh:
             def read(start: int, stop: int) -> np.ndarray:
                 nonlocal buffer
                 if not 0 <= start <= stop <= self.n_frames:
                     raise ValueError(f"frames {start}:{stop} outside the sequence's {self.n_frames}")
-                if fh is None:
-                    return self.frames[start:stop]
                 size = (stop - start) * frame_bytes
                 if buffer.size < size:
                     buffer = np.empty(size, dtype=np.uint8)
@@ -264,22 +240,32 @@ def read_rvid(path) -> FrameSequence:
     return FrameSequence(width=width, height=height, fps=fps, n_frames=n_frames, path=str(path), offset=body_off)
 
 
-#: Bytes of frames that a streaming pass, such as :func:`write_rvid`, reads per block (at least one frame).
+#: Bytes of frames that a streaming pass, such as the generator's, handles per block (at least one frame).
 BLOCK_BYTES = 1 << 18
 
 
-def write_rvid(seq: FrameSequence, path) -> None:
-    """Write a FrameSequence, a block of frames at a time; reading it back is byte-identical."""
-    path = Path(path)
-    header = (
-        f"{RVID_MAGIC} {seq.width} {seq.height} "
-        f"{seq.fps.numerator}/{seq.fps.denominator} {seq.n_frames}\n"
-    )
-    step = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
-    with open(path, "wb") as fh, seq.reader() as read:
-        fh.write(header.encode("ascii"))
-        for start in range(0, seq.n_frames, step):
-            fh.write(read(start, min(start + step, seq.n_frames)).tobytes())
+def write_rvid(width: int, height: int, fps, n_frames: int, blocks, path) -> None:
+    """Write an ``.rvid`` file from its header fields (``fps`` an int or a Fraction) and uint8 blocks of frames.
+
+    Each block, shaped (k, height, width, 3), is written as it comes. A block of another shape or dtype, or
+    a frame total other than ``n_frames``, raises ValueError; whatever raises, here or in ``blocks``, leaves
+    no file at ``path``.
+    """
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(f"{RVID_MAGIC} {width} {height} {fps.numerator}/{fps.denominator} {n_frames}\n".encode("ascii"))
+            written = 0
+            for block in blocks:
+                if block.dtype != np.uint8 or block.shape[1:] != (height, width, 3):
+                    raise ValueError(f"blocks must be uint8 (k, {height}, {width}, 3), got {block.dtype} {block.shape}")
+                fh.write(block.tobytes())
+                written += len(block)
+            if written != n_frames:
+                raise ValueError(f"the blocks hold {written} frames, the header {n_frames}")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

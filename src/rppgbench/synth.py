@@ -4,12 +4,15 @@ A skin rectangle pulses sinusoidally on top of its base color; everything
 else is flat gray. Illumination drift (shared by skin and background) and
 per-pixel Gaussian noise are optional. The companion contact BVP is the same
 sinusoid sampled at 256 Hz.
+
+No whole video is held in memory: :func:`generate` describes a bundle, and
+:func:`write_bundle` renders its frames a block of about ``io.BLOCK_BYTES``
+at a time and streams them to ``video.rvid``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -17,8 +20,10 @@ import numpy as np
 
 from .hr import HrEstimate
 from .io import (
+    _MAX_DIM,
+    _MAX_FRAMES,
+    BLOCK_BYTES,
     SPLITS,
-    FrameSequence,
     PhysioSignal,
     ProtocolEntry,
     ProtocolIndex,
@@ -67,12 +72,12 @@ class SynthConfig:
 
     def __post_init__(self):
         check_finite(self)
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("frame dimensions must be positive")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
+        if not (0 < self.width <= _MAX_DIM and 0 < self.height <= _MAX_DIM):
+            raise ValueError(f"frame dimensions must lie in [1, {_MAX_DIM}], got {self.width}x{self.height}")
+        if not 0 < self.fps <= _MAX_FRAMES:
+            raise ValueError(f"fps must lie in [1, {_MAX_FRAMES}], got {self.fps}")
+        if not 0.5 < self.duration_s * self.fps <= _MAX_FRAMES + 0.5:  # so n_frames rounds to 1 to _MAX_FRAMES
+            raise ValueError(f"{self.duration_s} s at {self.fps} fps is not 1 to {_MAX_FRAMES} frames of an .rvid")
         if not 40.0 <= self.hr_bpm <= 240.0:
             raise ValueError(f"hr_bpm must lie in [40, 240], got {self.hr_bpm}")
         if self.noise_sd < 0:
@@ -90,76 +95,77 @@ class SynthConfig:
 
 
 class SynthResult(NamedTuple):
-    sequence: FrameSequence
+    """A bundle to write; :func:`write_bundle` renders its video from ``config``."""
+
+    config: SynthConfig
     bvp: PhysioSignal
     roi: RoiTrack
     ground_truth: HrEstimate
 
 
 def generate(config: SynthConfig, subject_id: str | None = None) -> SynthResult:
-    """Render a synthetic sequence; identical config gives identical bytes.
-
-    Raises ValueError when more than ``CLIP_LIMIT`` of the pixel values would
-    clip at 0 or 255, since clipping breaks the additive signal model the
-    generator promises.
-    """
-    n = config.n_frames
-    if n < 1:
-        raise ValueError("duration and fps give an empty sequence")
+    """Describe a synthetic sequence, frames aside; :func:`write_bundle` gives identical bytes for identical config."""
     if subject_id is None:
         subject_id = f"subj{config.seed:05d}"
-    rng = np.random.default_rng(config.seed)
-    t = np.arange(n) / config.fps
-    freq_hz = config.hr_bpm / 60.0
-    pulse = np.sin(2.0 * np.pi * freq_hz * t)
-    drift_freq, drift_amp = config.illum_drift
-    drift = drift_amp * np.sin(2.0 * np.pi * drift_freq * t) if drift_amp > 0 else np.zeros(n)
-
-    values = np.empty((n, config.height, config.width, 3))
-    values[...] = BACKGROUND_GRAY
-    x, y, w, h = config.skin_rect
-    base = np.asarray(config.skin_base_rgb, dtype=np.float64)
-    amp = np.asarray(config.pulse_amplitude, dtype=np.float64)
-    skin = base[None, :] + amp[None, :] * pulse[:, None]  # (n, 3)
-    values[:, y:y + h, x:x + w, :] = skin[:, None, None, :]
-    values += drift[:, None, None, None]
-    if config.noise_sd > 0:
-        values += rng.normal(0.0, config.noise_sd, size=values.shape)
-
-    quantized = np.rint(values)
-    clipped = np.count_nonzero((quantized < 0) | (quantized > 255))
-    if clipped > CLIP_LIMIT * quantized.size:
-        raise ValueError(
-            f"{clipped / quantized.size:.1%} of pixel values clip "
-            f"(limit {CLIP_LIMIT:.0%}); lower the amplitudes or move the base colors"
-        )
-    frames = np.clip(quantized, 0, 255).astype(np.uint8)
-
-    sequence = FrameSequence(
-        width=config.width,
-        height=config.height,
-        fps=Fraction(config.fps),
-        frames=frames,
-    )
     n_bvp = int(round(config.duration_s * BVP_RATE_HZ))
     t_bvp = np.arange(n_bvp) / BVP_RATE_HZ
     bvp = PhysioSignal(
         kind="bvp",
         fs=BVP_RATE_HZ,
-        samples=np.sin(2.0 * np.pi * freq_hz * t_bvp),
+        samples=np.sin(2.0 * np.pi * (config.hr_bpm / 60.0) * t_bvp),
         subject_id=subject_id,
-        lighting="studio" if drift_amp == 0 else "natural",
+        lighting="studio" if config.illum_drift[1] == 0 else "natural",
     )
+    x, y, w, h = config.skin_rect
     corners = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
     roi = RoiTrack(frames=(0,), entries=(RoiPolygon(corners),))
-    return SynthResult(sequence, bvp, roi, HrEstimate(bpm=config.hr_bpm, method="synthetic"))
+    return SynthResult(config, bvp, roi, HrEstimate(bpm=config.hr_bpm, method="synthetic"))
+
+
+def _frame_blocks(config: SynthConfig):
+    """Yield the video's frames in uint8 blocks of about ``BLOCK_BYTES``, the noise drawn in order from one generator.
+
+    After the last block, raises ValueError when more than ``CLIP_LIMIT`` of
+    the pixel values clip at 0 or 255, since clipping breaks the additive
+    signal model the generator promises.
+    """
+    n = config.n_frames
+    rng = np.random.default_rng(config.seed)
+    t = np.arange(n) / config.fps
+    pulse = np.sin(2.0 * np.pi * (config.hr_bpm / 60.0) * t)
+    drift_freq, drift_amp = config.illum_drift
+    drift = drift_amp * np.sin(2.0 * np.pi * drift_freq * t) if drift_amp > 0 else np.zeros(n)
+    x, y, w, h = config.skin_rect
+    base = np.asarray(config.skin_base_rgb, dtype=np.float64)
+    amp = np.asarray(config.pulse_amplitude, dtype=np.float64)
+    skin = base[None, :] + amp[None, :] * pulse[:, None]  # (n, 3)
+    step = max(1, BLOCK_BYTES // (config.width * config.height * 3))
+    clipped = 0
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        values = np.full((stop - start, config.height, config.width, 3), BACKGROUND_GRAY)
+        values[:, y:y + h, x:x + w, :] = skin[start:stop, None, None, :]
+        values += drift[start:stop, None, None, None]
+        if config.noise_sd > 0:
+            values += rng.normal(0.0, config.noise_sd, size=values.shape)
+        np.rint(values, out=values)
+        clipped += np.count_nonzero((values < 0) | (values > 255))
+        yield np.clip(values, 0, 255, out=values).astype(np.uint8)
+    total = n * config.height * config.width * 3
+    if clipped > CLIP_LIMIT * total:
+        raise ValueError(
+            f"{clipped / total:.1%} of pixel values clip "
+            f"(limit {CLIP_LIMIT:.0%}); lower the amplitudes or move the base colors"
+        )
 
 
 def write_bundle(result: SynthResult, out_dir) -> Path:
-    """Write the bundle files of one sequence into ``out_dir``."""
+    """Write the bundle files of one sequence into ``out_dir``; a video over ``CLIP_LIMIT`` leaves no video file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_rvid(result.sequence, out_dir / BUNDLE_FILES["video"])
+    config = result.config
+    write_rvid(config.width, config.height, config.fps, config.n_frames, _frame_blocks(config),
+               out_dir / BUNDLE_FILES["video"])
     write_roi_track(result.roi, out_dir / BUNDLE_FILES["roi"])
     write_physio_csv(result.bvp, out_dir / BUNDLE_FILES["physio"], out_dir / BUNDLE_FILES["physio_meta"])
     write_ground_truth(result.ground_truth.bpm, out_dir / BUNDLE_FILES["ground_truth"])

@@ -1,19 +1,42 @@
 """Shared fixtures: synthetic datasets reused across test modules.
 
 The big 60 s datasets are session-scoped so the end-to-end and acceptance
-tests pay the generation cost once.
+tests pay the generation cost once. ``rvid_sequence`` and ``synth_bundle``
+are plain functions, so that hypothesis strategies and module-level examples
+can call them too: ``from conftest import rvid_sequence``.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from rppgbench.bench import ALGORITHMS
-from rppgbench.synth import SynthConfig, build_dataset, generate
+from rppgbench.bench import ALGORITHMS, SequenceBundle, load_bundle
+from rppgbench.io import FrameSequence, read_rvid, write_rvid
+from rppgbench.synth import SynthConfig, build_dataset, generate, write_bundle
+
+#: Where the helpers below write; removed when the test session's interpreter exits.
+_FILES = tempfile.TemporaryDirectory(prefix="rppgbench-tests-")
+
+
+def rvid_sequence(frames: np.ndarray, fps=20) -> FrameSequence:
+    """uint8 ``frames`` (n, height, width, 3) written to a file of their own by ``write_rvid``, then ``read_rvid``."""
+    n, height, width, _ = frames.shape
+    fd, path = tempfile.mkstemp(suffix=".rvid", dir=_FILES.name)
+    os.close(fd)
+    write_rvid(width, height, fps, n, [frames], path)
+    return read_rvid(path)
+
+
+def synth_bundle(config: SynthConfig) -> SequenceBundle:
+    """``generate(config)`` written with ``write_bundle`` to a directory of its own and opened with ``load_bundle``."""
+    directory = write_bundle(generate(config), tempfile.mkdtemp(dir=_FILES.name))
+    return load_bundle(directory.parent, directory.name)
 
 # ``pytest --hypothesis-profile=ci`` draws the same examples on every run, so a
 # property test fails CI only when the code changes, never by the draw.
@@ -66,9 +89,8 @@ def small_dataset(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def clean_sequence():
-    """One noise-free, drift-free 72 bpm sequence (in memory, 30 s)."""
-    config = SynthConfig(duration_s=30.0, noise_sd=0.0, seed=3)
-    return generate(config)
+    """The bundle of one noise-free, drift-free 72 bpm sequence (30 s)."""
+    return synth_bundle(SynthConfig(duration_s=30.0, noise_sd=0.0, seed=3))
 
 
 @dataclass(frozen=True)

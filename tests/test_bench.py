@@ -31,7 +31,9 @@ from rppgbench.io import ProtocolEntry, ProtocolIndex, load_protocol
 from rppgbench.licvpr import LiParams
 from rppgbench.signals import BandHz
 from rppgbench.ssr import SsrParams
-from rppgbench.synth import SynthConfig, generate
+from rppgbench.synth import SynthConfig
+
+from conftest import rvid_sequence, synth_bundle
 
 
 def perfect(features, params):
@@ -230,12 +232,11 @@ def test_extract_pulse_with_dict_params(small_dataset):
 def test_licvpr_reports_the_fallback_fraction_of_its_trace(tmp_path):
     # Frames 100..119 turn the ROI gray: the skin model fitted on frame 0
     # keeps none of their pixels, so those frames fall back to the full box.
-    result = generate(SynthConfig(duration_s=10.0, seed=5))
-    frames = result.sequence.frames.copy()
+    result = synth_bundle(SynthConfig(duration_s=10.0, seed=5))
+    frames = result.sequence.read(0, result.sequence.n_frames).copy()
     box = result.roi.entry_for(0).bbox()
     frames[100:120, box.y:box.y + box.h, box.x:box.x + box.w] = 128
-    sequence = dataclasses.replace(result.sequence, frames=frames)
-    bundle = SequenceBundle(sequence=sequence, roi=result.roi, directory=tmp_path)
+    bundle = SequenceBundle(sequence=rvid_sequence(frames), roi=result.roi, directory=tmp_path)
     licvpr = extract_pulse(bundle, "licvpr", {"strategy": "skin"})
     chrom = extract_pulse(bundle, "chrom", {"strategy": "skin"})
     assert licvpr.fallback_fraction == chrom.fallback_fraction == 20 / 200

@@ -3,7 +3,6 @@
 import json
 import os
 import shutil
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from rppgbench import bench
 from rppgbench.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
-from rppgbench.io import FrameSequence, write_rvid
+from rppgbench.io import write_rvid
 from rppgbench.synth import SynthConfig, build_dataset
 
 
@@ -560,6 +559,23 @@ def test_synth_rejects_non_finite_numbers(tmp_path, capsys, option, value, field
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize(
+    ("option", "value", "message"),
+    [
+        ("--duration", "1e308", "1e+308 s at 20 fps is not 1 to 4294967296 frames of an .rvid"),
+        ("--duration", "3e8", "300000000.0 s at 20 fps is not 1 to 4294967296 frames of an .rvid"),
+        ("--width", str((1 << 20) + 1), "frame dimensions must lie in [1, 1048576], got 1048577x64"),
+        ("--height", str(1 << 40), f"frame dimensions must lie in [1, 1048576], got 64x{1 << 40}"),
+    ],
+    ids=["duration_overflows", "frames_past_rvid_limit", "width_past_rvid_limit", "height_past_rvid_limit"],
+)
+def test_synth_rejects_videos_an_rvid_cannot_hold(tmp_path, capsys, option, value, message):
+    code, _, err = run(capsys, "synth", "--out", str(tmp_path / "d"), option, value)
+    assert code == EXIT_USAGE
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "d").exists()
+
+
 def test_whole_float_and_null_window_overrides(synth_bundle, tmp_path, capsys):
     # At 20 fps the default (null) window is 20 frames.
     outputs = []
@@ -602,10 +618,8 @@ def test_unknown_parameter_override_exits_1(synth_bundle, tmp_path, capsys):
 
 
 def test_black_video_is_numeric_degeneracy(tmp_path, capsys):
-    frames = np.zeros((60, 16, 16, 3), dtype=np.uint8)
-    seq = FrameSequence(width=16, height=16, fps=Fraction(20), frames=frames)
     video = tmp_path / "video.rvid"
-    write_rvid(seq, video)
+    write_rvid(16, 16, 20, 60, [np.zeros((60, 16, 16, 3), dtype=np.uint8)], video)
     roi = tmp_path / "roi.csv"
     roi.write_text("0,2,2,10,10\n", encoding="ascii")
     code, _, err = run(
@@ -899,7 +913,7 @@ def test_eval_records_a_video_truncated_after_open_as_failed(tmp_path, capsys, m
 def test_licvpr_on_a_three_frame_video_exits_2(tmp_path, capsys):
     frames = np.random.default_rng(0).integers(100, 160, size=(3, 64, 64, 3), dtype=np.uint8)
     video = tmp_path / "video.rvid"
-    write_rvid(FrameSequence(width=64, height=64, fps=Fraction(2), frames=frames), video)
+    write_rvid(64, 64, 2, 3, [frames], video)
     roi = tmp_path / "roi.csv"
     roi.write_text("0,16,16,32,32\n", encoding="ascii")
     code, _, err = run(

@@ -151,10 +151,17 @@ def _reachable(root):
 
 def test_store_holds_no_frames(protocol, small_dataset):
     store = FeatureStore(small_dataset)
+    # A 100 px margin grows the 32 px face box past the 64x64 frame: a planned
+    # feature that fails on every bundle, stored as its failure and raised again.
+    store.plan([("background", 100)])
     for algorithm in ALGORITHMS:
         evaluate(protocol, "train", algorithm, small_dataset, store=store)
+    with pytest.raises(DataError, match="only 0 of 2 sequences succeeded"):
+        evaluate(protocol, "train", "licvpr", small_dataset, params={"background_margin": 100}, store=store)
     held = list(_reachable(store))
     assert not [obj for obj in held if isinstance(obj, (FrameSequence, SequenceBundle))]
+    assert len([obj for obj in held if isinstance(obj, DataError)]) == 2, "each train bundle stores its failure"
+    assert not [obj for obj in held if isinstance(obj, (types.TracebackType, types.FrameType))]
     arrays = [obj for obj in held if isinstance(obj, np.ndarray)]
     assert arrays, "the store kept no feature"
     seq = bench.load_bundle(small_dataset, "seq000").sequence
@@ -171,7 +178,7 @@ def test_pixel_passes_hold_a_small_part_of_the_video(tmp_path):
     frames += np.random.default_rng(0).integers(0, 4, size=frames.shape, dtype=np.uint8)
     directory = tmp_path / "seq"
     directory.mkdir()
-    write_rvid(FrameSequence(width=w, height=h, fps=20, frames=frames), directory / "video.rvid")
+    write_rvid(w, h, 20, n, [frames], directory / "video.rvid")
     del frames
     octagon = RoiPolygon(((130, 60), (190, 60), (220, 90), (220, 150), (190, 180), (130, 180), (100, 150), (100, 90)))
     write_roi_track(RoiTrack(frames=(0,), entries=(octagon,)), directory / "roi.csv")
@@ -191,7 +198,7 @@ def test_pixel_passes_hold_a_small_part_of_the_video(tmp_path):
     assert peak < video_bytes / 4, f"peak {peak} B of a {video_bytes} B video"
 
 
-def test_failed_feature_is_not_stored(protocol, small_dataset, passes):
+def test_failed_feature_is_stored_as_its_failure(protocol, small_dataset, passes):
     # A 100 px margin grows the 32 px face box past the 64x64 frame.
     stages = [{"grid": {"background_margin": [100, 5, 100]}}]
     result = greedy_search(stages_of(stages), protocol, "licvpr", small_dataset, objective="neg_rmse")
@@ -204,10 +211,9 @@ def test_failed_feature_is_not_stored(protocol, small_dataset, passes):
     )
     assert result.best_params["background_margin"] == 5
     # The first pass over each video computes every planned feature, and
-    # margin 100 fails alone; the third candidate computes only it again.
+    # margin 100 fails alone; the third candidate reads its stored failure.
     planned = {("rgb", "mask", None), ("background", 100), ("background", 5)}
-    assert passes == [("seq000", planned), ("seq001", planned),
-                      ("seq000", {("background", 100)}), ("seq001", {("background", 100)})]
+    assert passes == [("seq000", planned), ("seq001", planned)]
 
 
 #: Every pixel feature a run may plan, and the messages of those that a ROI fails.
@@ -234,21 +240,28 @@ NO_BACKGROUND = "DataError: no background pixels left at frame 0: the ROI grown 
 def test_a_failed_feature_fails_alone(passes, entry, failures, tmp_path):
     frames = np.random.default_rng(5).integers(0, 256, size=(12, 64, 64, 3), dtype=np.uint8)
     frames[:, 16:48, 16:48] = (180, 120, 100)
-    write_rvid(FrameSequence(width=64, height=64, fps=20, frames=frames), tmp_path / "video.rvid")
+    write_rvid(64, 64, 20, len(frames), [frames], tmp_path / "video.rvid")
     bundle = SequenceBundle(bench.read_rvid(tmp_path / "video.rvid"), RoiTrack((0,), (entry,)), tmp_path)
     cache = {}
     features = bench.SequenceFeatures(cache, lambda: bundle, PLANNED)
+
+    def request(key):
+        return features.background(key[1]) if key[0] == "background" else features.rgb_trace(key[1], key[2])
+
     errors = {}
     for key in PLANNED:
         try:
-            if key[0] == "background":
-                features.background(key[1])
-            else:
-                features.rgb_trace(key[1], key[2])
+            request(key)
         except DataError as exc:
             errors[key] = f"{type(exc).__name__}: {exc}"
     assert errors == {**failures, ("background", 100): NO_BACKGROUND}
-    assert set(cache) == set(PLANNED) - set(errors)
+    # Each failure is stored beside the features, and raised again without another pass.
+    assert set(cache) == set(PLANNED)
+    assert {key for key, value in cache.items() if isinstance(value, DataError)} == set(errors)
+    for key, error in errors.items():
+        with pytest.raises(DataError) as again:
+            request(key)
+        assert f"{type(again.value).__name__}: {again.value}" == error
     assert passes == [(tmp_path.name, set(PLANNED))]
 
 

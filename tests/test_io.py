@@ -41,10 +41,13 @@ ROUND_TRIP = settings(max_examples=60, deadline=None, suppress_health_check=[Hea
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def make_sequence(n=2, w=4, h=4, seed=0):
-    rng = np.random.default_rng(seed)
-    frames = rng.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
-    return FrameSequence(width=w, height=h, fps=Fraction(20, 1), frames=frames)
+def make_frames(n=2, w=4, h=4, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
+
+
+def write_frames(frames, path, fps=Fraction(20)):
+    n, h, w, _ = frames.shape
+    write_rvid(w, h, fps, n, [frames], path)
 
 
 # ---------------------------------------------------------------------------
@@ -53,18 +56,47 @@ def make_sequence(n=2, w=4, h=4, seed=0):
 
 
 def test_rvid_round_trip_bytes(tmp_path):
-    seq = make_sequence()
+    frames = make_frames(n=3)
     p = tmp_path / "a.rvid"
-    write_rvid(seq, p)
+    write_rvid(4, 4, 20, 3, [frames[:2], frames[2:]], p)  # any split into blocks
     back = read_rvid(p)
-    assert back.width == 4 and back.height == 4 and back.n_frames == 2
+    assert back.width == 4 and back.height == 4 and back.n_frames == 3
     assert back.fps == Fraction(20, 1)
-    assert back.frames is None  # frames stay in the file until a pass reads them
-    assert np.array_equal(back.read(0, 2), seq.frames)
+    assert np.array_equal(back.read(0, 3), frames)
 
     q = tmp_path / "b.rvid"
-    write_rvid(back, q)
+    with back.reader() as read:
+        write_rvid(back.width, back.height, back.fps, back.n_frames, (read(i, i + 1) for i in range(3)), q)
     assert q.read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([np.zeros((2, 4, 4, 3), np.uint8)], "the blocks hold 2 frames, the header 3"),
+        ([np.zeros((2, 4, 4, 3), np.uint8)] * 2, "the blocks hold 4 frames, the header 3"),
+        ([np.zeros((3, 4, 5, 3), np.uint8)], r"blocks must be uint8 \(k, 4, 4, 3\), got uint8 \(3, 4, 5, 3\)"),
+        ([np.zeros((3, 4, 4, 3), np.float64)], r"blocks must be uint8 \(k, 4, 4, 3\), got float64"),
+        ([np.zeros((4, 4, 3), np.uint8)], r"got uint8 \(4, 4, 3\)"),
+    ],
+    ids=["too_few", "too_many", "shape", "dtype", "not_a_block"],
+)
+def test_write_rvid_rejects_bad_blocks_and_leaves_no_file(tmp_path, blocks, message):
+    p = tmp_path / "a.rvid"
+    p.write_bytes(b"an older file")
+    with pytest.raises(ValueError, match=message):
+        write_rvid(4, 4, 20, 3, blocks, p)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_rvid_leaves_no_file_when_the_blocks_raise(tmp_path):
+    def blocks():
+        yield np.zeros((1, 4, 4, 3), np.uint8)
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        write_rvid(4, 4, 20, 2, blocks(), tmp_path / "a.rvid")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rvid_header_parse_vga_sequence(tmp_path):
@@ -79,9 +111,8 @@ def test_rvid_header_parse_vga_sequence(tmp_path):
 
 
 def test_rvid_truncated_payload_offset(tmp_path):
-    seq = make_sequence(n=10)
     p = tmp_path / "t.rvid"
-    write_rvid(seq, p)
+    write_frames(make_frames(n=10), p)
     data = p.read_bytes()
     header_len = data.index(b"\n") + 1
     p.write_bytes(data[: header_len + 9 * 4 * 4 * 3])  # drop the 10th frame
@@ -92,16 +123,16 @@ def test_rvid_truncated_payload_offset(tmp_path):
 
 
 def test_rvid_truncated_after_open_fails_the_pass(tmp_path):
-    seq = make_sequence(n=10)
+    frames = make_frames(n=10)
     p = tmp_path / "t.rvid"
-    write_rvid(seq, p)
+    write_frames(frames, p)
     back = read_rvid(p)
     header_len = p.read_bytes().index(b"\n") + 1
     end = header_len + 9 * 4 * 4 * 3 + 5  # the 10th frame cut short
     with open(p, "r+b") as fh:
         fh.truncate(end)
     with back.reader() as read:
-        assert np.array_equal(read(0, 9), seq.frames[:9])
+        assert np.array_equal(read(0, 9), frames[:9])
         message = f"truncated after open, at offset {end}: expected {10 * 4 * 4 * 3} bytes, found {end - header_len}"
         with pytest.raises(FormatError, match=message) as err:
             read(8, 10)
@@ -112,24 +143,22 @@ def test_rvid_truncated_after_open_fails_the_pass(tmp_path):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=st.integers(1, 9), spans=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=6))
 def test_rvid_blocks_equal_the_frames(tmp_path, n, spans):
-    seq = make_sequence(n=n, w=3, h=2, seed=n)
+    frames = make_frames(n=n, w=3, h=2, seed=n)
     p = tmp_path / "b.rvid"
-    write_rvid(seq, p)
-    for source in (seq, read_rvid(p)):
-        with source.reader() as read:
-            for start, stop in spans:
-                if start <= stop <= n:
-                    block = read(start, stop)
-                    assert np.array_equal(block, seq.frames[start:stop]) and not block.flags.writeable
-                else:
-                    with pytest.raises(ValueError, match="outside"):
-                        read(start, stop)
+    write_frames(frames, p)
+    with read_rvid(p).reader() as read:
+        for start, stop in spans:
+            if start <= stop <= n:
+                block = read(start, stop)
+                assert np.array_equal(block, frames[start:stop]) and not block.flags.writeable
+            else:
+                with pytest.raises(ValueError, match="outside"):
+                    read(start, stop)
 
 
 def test_rvid_trailing_data_offset(tmp_path):
-    seq = make_sequence(n=2)
     p = tmp_path / "t.rvid"
-    write_rvid(seq, p)
+    write_frames(make_frames(n=2), p)
     data = p.read_bytes()
     p.write_bytes(data + b"\x00\x00")
     header_len = data.index(b"\n") + 1
@@ -154,22 +183,20 @@ def test_rvid_dimension_overflow(tmp_path):
 
 
 def test_rvid_rational_fps(tmp_path):
-    seq = FrameSequence(
-        width=2, height=2, fps=Fraction(30000, 1001),
-        frames=np.zeros((3, 2, 2, 3), dtype=np.uint8),
-    )
     p = tmp_path / "n.rvid"
-    write_rvid(seq, p)
+    write_frames(np.zeros((3, 2, 2, 3), dtype=np.uint8), p, fps=Fraction(30000, 1001))
     assert read_rvid(p).fps == Fraction(30000, 1001)
 
 
 def test_frame_sequence_validation():
-    with pytest.raises(ValueError):
-        FrameSequence(width=4, height=4, fps=Fraction(20), frames=np.zeros((0, 4, 4, 3), np.uint8))
-    with pytest.raises(ValueError):
-        FrameSequence(width=4, height=4, fps=Fraction(0), frames=np.zeros((1, 4, 4, 3), np.uint8))
-    with pytest.raises(ValueError):
-        FrameSequence(width=4, height=4, fps=Fraction(20), frames=np.zeros((1, 4, 5, 3), np.uint8))
+    with pytest.raises(ValueError, match="at least one frame"):
+        FrameSequence(width=4, height=4, fps=Fraction(20), n_frames=0, path="a.rvid")
+    with pytest.raises(ValueError, match="non-negative payload offset"):
+        FrameSequence(width=4, height=4, fps=Fraction(20), n_frames=1, path="a.rvid", offset=-1)
+    with pytest.raises(ValueError, match="fps"):
+        FrameSequence(width=4, height=4, fps=Fraction(0), n_frames=1, path="a.rvid")
+    with pytest.raises(ValueError, match="dimensions"):
+        FrameSequence(width=0, height=4, fps=Fraction(20), n_frames=1, path="a.rvid")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from rppgbench.signals import (
     detrend_smoothness_priors,
     moving_average,
 )
-from rppgbench.synth import SynthConfig, generate
+from rppgbench.synth import SynthConfig
+
+from conftest import synth_bundle
 
 
 def gray_trace(levels, fs=20.0, fallback_frames=()):
@@ -41,20 +43,19 @@ def gray_trace(levels, fs=20.0, fallback_frames=()):
 
 
 def test_background_is_gray_level():
-    result = generate(SynthConfig(duration_s=3.0, noise_sd=1.0, seed=9))
+    result = synth_bundle(SynthConfig(duration_s=3.0, noise_sd=1.0, seed=9))
     background = background_trace(result.sequence, result.roi, margin=10)
     assert np.all(np.abs(background.samples - 128.0) < 1.0)
 
 
 def test_background_margin_too_large():
-    result = generate(SynthConfig(duration_s=1.0))
+    result = synth_bundle(SynthConfig(duration_s=1.0))
     with pytest.raises(ValueError, match="background"):
         background_trace(result.sequence, result.roi, margin=64)
 
 
 def test_background_tracks_drift_frequency():
-    config = SynthConfig(duration_s=30.0, noise_sd=0.5, illum_drift=(0.4, 5.0), seed=4)
-    result = generate(config)
+    result = synth_bundle(SynthConfig(duration_s=30.0, noise_sd=0.5, illum_drift=(0.4, 5.0), seed=4))
     background = background_trace(result.sequence, result.roi, margin=10)
     x = background.samples - background.samples.mean()
     spectrum = np.abs(np.fft.rfft(x))

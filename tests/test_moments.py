@@ -7,9 +7,6 @@ average them and form ``V'V``. Every comparison is exact equality.
 """
 
 import math
-import tempfile
-from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +14,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rppgbench.errors import DataError
-from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack, read_rvid, write_rvid
+from rppgbench.io import RoiBox, RoiPolygon, RoiTrack
 from rppgbench.licvpr import background_trace
 from rppgbench.roi import (
     CHUNK_PIXELS,
@@ -31,6 +28,8 @@ from rppgbench.roi import (
     pixel_features,
 )
 from rppgbench.ssr import canonical_eigenvector_signs, correlation_eigens, frame_eigen
+
+from conftest import rvid_sequence
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -59,10 +58,11 @@ def oracle_skin_mask(sub, model):
 def oracle_frames(seq, roi, strategy, model):
     """(pixels, fallback) per frame, selected one frame at a time."""
     out = []
+    frames = seq.read(0, seq.n_frames)
     for i in range(seq.n_frames):
         entry = roi.entry_for(i)
         box = entry.bbox()
-        frame = seq.frames[i]
+        frame = frames[i]
         sub = frame[box.y:box.y + box.h, box.x:box.x + box.w]
         if strategy == "bbox":
             mask = np.ones(sub.shape[:2], dtype=bool)
@@ -140,7 +140,7 @@ def cases(draw, strategy):
     h = draw(st.integers(2, 14))
     w = draw(st.integers(2, 14))
     frames = volume(draw(st.integers(0, 2**32 - 1)), n, h, w, draw(st.sampled_from([0.0, 0.5, 0.9])))
-    seq = FrameSequence(width=w, height=h, fps=Fraction(20), frames=frames)
+    seq = rvid_sequence(frames)
     starts = sorted(draw(st.sets(st.integers(1, n + 3), max_size=4)))
     entries = []
     for _ in range(1 + len(starts)):
@@ -204,13 +204,14 @@ def test_skin_moments_match_oracle(case, picks, gaussian):
     # serves every tau from one d^2, and must match the oracle for each.
     seq, roi = case
     first = roi.entry_for(0).bbox()
+    frames = seq.read(0, seq.n_frames)
     if gaussian is not None:
         model = SkinModel(mean=gaussian[0], cov=gaussian[1], tau=0.5)
     elif first.w * first.h >= 100:
-        model = fit_skin_model(seq.frames[0], first, 0.5)
+        model = fit_skin_model(frames[0], first, 0.5)
     else:
         model = SkinModel(mean=np.array([0.45, 0.3]), cov=np.array([[4e-4, 1e-4], [1e-4, 3e-4]]), tau=0.5)
-    d2 = np.unique(np.concatenate([oracle_d2(seq.frames[i, b.y:b.y + b.h, b.x:b.x + b.w], model).ravel()
+    d2 = np.unique(np.concatenate([oracle_d2(frames[i, b.y:b.y + b.h, b.x:b.x + b.w], model).ravel()
                                    for i in range(seq.n_frames) for b in [roi.entry_for(i).bbox()]]))
     d2 = d2[(d2 >= 1.0) & (d2 <= 1000.0)]  # -2 ln(tau) hits almost every such value exactly
     assume(d2.size)
@@ -228,45 +229,41 @@ def test_skin_moments_match_oracle(case, picks, gaussian):
 
 
 #: Blocks of 64 frames of 32x32 px, read as two chunks of a 16x16 box; two ROI runs.
-LONG_CASE = (FrameSequence(width=32, height=32, fps=Fraction(20), frames=volume(7, 300, 32, 32, 0.6)),
+LONG_CASE = (rvid_sequence(volume(7, 300, 32, 32, 0.6)),
              RoiTrack(frames=(0, 130), entries=(RoiPolygon(((4, 4), (20, 4), (20, 20), (4, 20))),
                                                 RoiPolygon(((8, 6), (26, 9), (22, 28), (6, 24))))))
 
 
 @SETTINGS
 @given(cases("bbox"), st.lists(st.sampled_from([0.05, 0.3, 0.9]), min_size=1, max_size=3, unique=True),
-       st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True), st.booleans())
-@example(LONG_CASE, [0.3, 0.2], [2, 5], True)
-@example(LONG_CASE, [0.05, 0.9], [0, 20], False)
-def test_one_pass_equals_the_one_feature_passes(case, taus, margins, on_disk):
+       st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
+@example(LONG_CASE, [0.3, 0.2], [2, 5])
+@example(LONG_CASE, [0.05, 0.9], [0, 20])
+def test_one_pass_equals_the_one_feature_passes(case, taus, margins):
     # Boxes fail the mask, small boxes the skin fit and wide margins the
     # background: each fails alone, as its own pass fails.
     seq, roi = case
-    with tempfile.TemporaryDirectory() as tmp:
-        if on_disk:
-            write_rvid(seq, Path(tmp) / "video.rvid")
-            seq = read_rvid(Path(tmp) / "video.rvid")
-        keys = [("rgb", "bbox", None), ("rgb", "mask", None), *(("rgb", "skin", tau) for tau in taus),
-                *(("background", margin) for margin in margins)]
-        outcomes = pixel_features(seq, roi, keys)
-        for key in keys:
-            try:
-                if key[0] == "background":
-                    want = background_trace(seq, roi, key[1])
-                elif key[1] == "skin":
-                    want = mean_rgb_trace(seq, roi, "skin", fit_skin_model(seq.read(0, 1)[0], roi.entry_for(0), key[2]))
-                else:
-                    want = mean_rgb_trace(seq, roi, key[1])
-            except DataError as exc:
-                assert (type(outcomes[key]), str(outcomes[key])) == (type(exc), str(exc)), key
-                continue
-            got = outcomes[key]
+    keys = [("rgb", "bbox", None), ("rgb", "mask", None), *(("rgb", "skin", tau) for tau in taus),
+            *(("background", margin) for margin in margins)]
+    outcomes = pixel_features(seq, roi, keys)
+    for key in keys:
+        try:
             if key[0] == "background":
-                assert got.samples.tobytes() == want.samples.tobytes()
+                want = background_trace(seq, roi, key[1])
+            elif key[1] == "skin":
+                want = mean_rgb_trace(seq, roi, "skin", fit_skin_model(seq.read(0, 1)[0], roi.entry_for(0), key[2]))
             else:
-                for name in ("means", "correlations", "pixel_counts"):
-                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (key, name)
-                assert got.fallback_frames == want.fallback_frames
+                want = mean_rgb_trace(seq, roi, key[1])
+        except DataError as exc:
+            assert (type(outcomes[key]), str(outcomes[key])) == (type(exc), str(exc)), key
+            continue
+        got = outcomes[key]
+        if key[0] == "background":
+            assert got.samples.tobytes() == want.samples.tobytes()
+        else:
+            for name in ("means", "correlations", "pixel_counts"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (key, name)
+            assert got.fallback_frames == want.fallback_frames
 
 
 @SETTINGS
@@ -295,7 +292,7 @@ def test_pixels_on_the_mahalanobis_limit(color, mean_r, mean_g, target, nudge):
     assert abs(model.mahalanobis_limit() - d2) <= 1e-9 * d2
     frames = np.broadcast_to(pixel, (3, 4, 5, 3)).copy()
     frames[1, 0, 0] = (color[0], min(color[1] + 1, 255), color[2])
-    seq = FrameSequence(width=5, height=4, fps=Fraction(20), frames=frames)
+    seq = rvid_sequence(frames)
     assert np.array_equal(_skin_select(np.moveaxis(frames[0].astype(np.float64), -1, 0), model),
                           oracle_skin_mask(frames[0], model))
     assert_matches_oracle(seq, RoiTrack(frames=(0,), entries=(RoiBox(0, 0, 5, 4),)), "skin", model)
@@ -312,7 +309,7 @@ def test_runs_longer_than_one_chunk():
     # A 1x1 box puts CHUNK_PIXELS frames in a chunk; cross that boundary.
     n = CHUNK_PIXELS + 5
     frames = volume(3, n, 2, 2, 0.5)
-    seq = FrameSequence(width=2, height=2, fps=Fraction(20), frames=frames)
+    seq = rvid_sequence(frames)
     roi = RoiTrack(frames=(0, 7), entries=(RoiBox(0, 0, 2, 2), RoiBox(1, 1, 1, 1)))
     trace = mean_rgb_trace(seq, roi, "bbox")
     want = frames[7:, 1, 1].astype(np.float64)
@@ -325,16 +322,17 @@ def test_runs_longer_than_one_chunk():
 @SETTINGS
 @given(cases("bbox"), st.integers(0, 6))
 # Two ROI runs of 700 and 600 frames of 8x8 px, each more than CHUNK_PIXELS pixels.
-@example((FrameSequence(width=8, height=8, fps=Fraction(20), frames=volume(11, 1300, 8, 8, 0.5)),
+@example((rvid_sequence(volume(11, 1300, 8, 8, 0.5)),
           RoiTrack(frames=(0, 700), entries=(RoiBox(2, 2, 3, 3), RoiBox(1, 3, 4, 2)))), 2)
 def test_background_trace_matches_oracle(case, margin):
     seq, roi = case
+    frames = seq.read(0, seq.n_frames)
     want = []
     for i in range(seq.n_frames):
         box = roi.entry_for(i).bbox()
         x0, y0 = max(box.x - margin, 0), max(box.y - margin, 0)
         x1, y1 = min(box.x + box.w + margin, seq.width), min(box.y + box.h + margin, seq.height)
-        green = seq.frames[i, :, :, 1].astype(np.float64)
+        green = frames[i, :, :, 1].astype(np.float64)
         n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
         if n_outside <= 0:
             with pytest.raises(ValueError, match=f"no background pixels left at frame {i}:"):

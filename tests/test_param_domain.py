@@ -2,7 +2,7 @@
 
 One property test per params class draws overrides over the class's accepted
 domain and runs ``extract_pulse`` then ``estimate_hr_spectral`` on a short
-in-memory bundle; either may raise only one of ``EXPECTED_ERRORS``. Integer
+synthetic bundle; either may raise only one of ``EXPECTED_ERRORS``. Integer
 draws stay within a few times the trace length, so no example asks for real
 memory; the ``@example`` cases pin values that once escaped as a bare
 ``ValueError`` or a ``MemoryError``.
@@ -11,7 +11,6 @@ memory; the ``@example`` cases pin values that once escaped as a bare
 import functools
 import math
 import sys
-from pathlib import Path
 
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -20,7 +19,9 @@ from rppgbench.bench import DEFAULT_ESTIMATION_BAND, SequenceBundle, build_param
 from rppgbench.errors import EXPECTED_ERRORS
 from rppgbench.hr import estimate_hr_spectral
 from rppgbench.roi import STRATEGIES
-from rppgbench.synth import SynthConfig, generate
+from rppgbench.synth import SynthConfig
+
+from conftest import synth_bundle
 
 CONFIG = SynthConfig(duration_s=8.0, seed=11)
 N = CONFIG.n_frames
@@ -38,8 +39,7 @@ COMMON = {
 
 @functools.cache
 def short_bundle() -> SequenceBundle:
-    result = generate(CONFIG)
-    return SequenceBundle(sequence=result.sequence, roi=result.roi, directory=Path("."))  # no file is read
+    return synth_bundle(CONFIG)
 
 
 def check(algorithm: str, overrides: dict) -> None:

@@ -3,7 +3,6 @@
 import math
 import re
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rppgbench.errors import DataError
-from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack, _check_simple_polygon
+from rppgbench.io import RoiBox, RoiPolygon, RoiTrack, _check_simple_polygon
 from rppgbench.roi import (
     RgbTrace,
     SkinModel,
@@ -21,6 +20,8 @@ from rppgbench.roi import (
     mean_rgb_trace,
 )
 from rppgbench.synth import SynthConfig, generate
+
+from conftest import rvid_sequence, synth_bundle
 
 SKIN = np.array([180, 120, 100], dtype=np.uint8)
 
@@ -127,8 +128,7 @@ def test_mask_monotone_in_tau():
 
 def test_classifier_on_synthetic_frames():
     config = SynthConfig(duration_s=2.0, noise_sd=0.0, seed=5)
-    result = generate(config)
-    frame = result.sequence.frames[0]
+    frame = synth_bundle(config).sequence.read(0, 1)[0]
     x, y, w, h = config.skin_rect
     model = fit_skin_model(frame, RoiBox(x, y, w, h), tau=0.3)
     mask = skin_mask(frame, model)
@@ -145,8 +145,7 @@ def test_classifier_keep_rate_on_noisy_pixels_is_one_minus_tau():
     # degrees of freedom, so the peak-normalized likelihood rule keeps a
     # fraction of exactly 1 - tau in expectation.
     config = SynthConfig(duration_s=2.0, noise_sd=1.0, seed=5)
-    result = generate(config)
-    frame = result.sequence.frames[0]
+    frame = synth_bundle(config).sequence.read(0, 1)[0]
     x, y, w, h = config.skin_rect
     tau = 0.3
     model = fit_skin_model(frame, RoiBox(x, y, w, h), tau=tau)
@@ -364,7 +363,7 @@ def constant_sequence(color, n=5, w=24, h=24):
     frames = np.broadcast_to(
         np.asarray(color, dtype=np.uint8), (n, h, w, 3)
     ).copy()
-    return FrameSequence(width=w, height=h, fps=Fraction(20), frames=frames)
+    return rvid_sequence(frames)
 
 
 def test_constant_sequence_all_strategies_agree():
@@ -372,7 +371,7 @@ def test_constant_sequence_all_strategies_agree():
     box_track = RoiTrack(frames=(0,), entries=(RoiBox(2, 2, 20, 20),))
     poly = RoiPolygon(((2, 2), (22, 2), (22, 22), (2, 22)))
     poly_track = RoiTrack(frames=(0,), entries=(poly,))
-    model = fit_skin_model(seq.frames[0], RoiBox(2, 2, 20, 20), tau=0.3)
+    model = fit_skin_model(seq.read(0, 1)[0], RoiBox(2, 2, 20, 20), tau=0.3)
 
     t_bbox = mean_rgb_trace(seq, box_track, "bbox")
     t_skin = mean_rgb_trace(seq, box_track, "skin", model)
@@ -394,8 +393,7 @@ def test_trace_invariant_to_pixel_ordering():
     track = RoiTrack(frames=(0,), entries=(RoiBox(0, 0, 16, 16),))
 
     def one(frame):
-        seq = FrameSequence(width=16, height=16, fps=Fraction(20),
-                            frames=frame[None])
+        seq = rvid_sequence(frame[None])
         return mean_rgb_trace(seq, track, "bbox").means[0]
 
     assert one(frame) == pytest.approx(one(shuffled), abs=1e-12)
@@ -405,12 +403,13 @@ def test_skin_strategy_matches_ground_truth_rect_oracle():
     # Noise-free bundle geometry: the ROI is the skin rectangle itself, so
     # the skin strategy must agree with averaging exactly those pixels.
     config = SynthConfig(duration_s=5.0, noise_sd=0.0, seed=2)
-    result = generate(config)
+    result = synth_bundle(config)
     seq = result.sequence
+    frames = seq.read(0, seq.n_frames)
     x, y, w, h = config.skin_rect
-    model = fit_skin_model(seq.frames[0], result.roi.entry_for(0), tau=0.3)
+    model = fit_skin_model(frames[0], result.roi.entry_for(0), tau=0.3)
     trace = mean_rgb_trace(seq, result.roi, "skin", model)
-    oracle = seq.frames[:, y:y + h, x:x + w, :].reshape(seq.n_frames, -1, 3).mean(axis=1)
+    oracle = frames[:, y:y + h, x:x + w, :].reshape(seq.n_frames, -1, 3).mean(axis=1)
     assert np.max(np.abs(trace.means - oracle)) <= 0.5
 
 
@@ -419,15 +418,15 @@ def test_skin_strategy_rejects_background_ring():
     # a genuine covariance to work with and must keep the trace on the skin
     # tone instead of averaging in the gray ring.
     config = SynthConfig(duration_s=5.0, noise_sd=2.0, seed=2)
-    result = generate(config)
-    seq = result.sequence
+    seq = synth_bundle(config).sequence
+    frames = seq.read(0, seq.n_frames)
     x, y, w, h = config.skin_rect
     pad = 8
     box = RoiBox(x - pad, y - pad, w + 2 * pad, h + 2 * pad)
     track = RoiTrack(frames=(0,), entries=(box,))
-    model = fit_skin_model(seq.frames[0], box, tau=0.3)
+    model = fit_skin_model(frames[0], box, tau=0.3)
     trace = mean_rgb_trace(seq, track, "skin", model)
-    oracle = seq.frames[:, y:y + h, x:x + w, :].reshape(seq.n_frames, -1, 3).mean(axis=1)
+    oracle = frames[:, y:y + h, x:x + w, :].reshape(seq.n_frames, -1, 3).mean(axis=1)
     assert np.max(np.abs(trace.means - oracle)) <= 1.0
     # a plain box average over the padded ROI would sit far off the skin tone
     assert abs(mean_rgb_trace(seq, track, "bbox").means[0, 0] - oracle[0, 0]) > 10.0

@@ -14,7 +14,7 @@ from rppgbench.errors import DataError, DegenerateSubspaceError, NumericDegenera
 from rppgbench.hr import estimate_hr_spectral
 from rppgbench.roi import RgbTrace, mean_rgb_trace
 from rppgbench.signals import BandHz, PulseSignal, hann_overlap_add, window_length, window_starts
-from rppgbench.synth import SynthConfig, generate
+from rppgbench.synth import SynthConfig
 from rppgbench.ssr import (
     SsrParams,
     canonical_eigenvector_signs,
@@ -22,6 +22,8 @@ from rppgbench.ssr import (
     ssr_pulse,
     trace_eigens,
 )
+
+from conftest import synth_bundle
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +235,16 @@ def test_recovers_modulation_frequency():
 def test_noise_free_frames_are_degenerate(clean_sequence):
     # Without spatial noise every frame is a single color: the minor
     # eigenvalues vanish and there is no subspace to track rotation against.
-    seq, _, roi, _ = clean_sequence
     with pytest.raises(DegenerateSubspaceError):
-        ssr_pulse(mean_rgb_trace(seq, roi, "bbox"))
+        ssr_pulse(mean_rgb_trace(clean_sequence.sequence, clean_sequence.roi, "bbox"))
 
 
 def test_end_to_end_on_synthetic_sequence():
-    seq, _, roi, gt = generate(SynthConfig(duration_s=30.0, seed=3))
-    pulse = ssr_pulse(mean_rgb_trace(seq, roi, "bbox"))
+    config = SynthConfig(duration_s=30.0, seed=3)
+    bundle = synth_bundle(config)
+    pulse = ssr_pulse(mean_rgb_trace(bundle.sequence, bundle.roi, "bbox"))
     est = estimate_hr_spectral(pulse, BandHz(0.67, 4.0))
-    assert est.bpm == pytest.approx(gt.bpm, abs=0.6)
+    assert est.bpm == pytest.approx(config.hr_bpm, abs=0.6)
 
 
 def test_fallback_fraction_passthrough():

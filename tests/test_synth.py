@@ -1,10 +1,22 @@
-"""Synthetic generator: determinism, signal model fidelity, bundle layout."""
+"""Synthetic generator: determinism, signal model fidelity, bundle layout, streamed frames."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rppgbench.io import RoiPolygon, load_protocol, read_ground_truth, read_rvid
-from rppgbench.synth import BUNDLE_FILES, SynthConfig, build_dataset, generate, write_bundle
+from rppgbench.synth import (
+    BACKGROUND_GRAY,
+    BUNDLE_FILES,
+    CLIP_LIMIT,
+    SynthConfig,
+    build_dataset,
+    generate,
+    write_bundle,
+)
+
+from conftest import synth_bundle
 
 
 def skin_region(frames, rect):
@@ -12,11 +24,94 @@ def skin_region(frames, rect):
     return frames[:, y:y + h, x:x + w, :]
 
 
+def frames_of(config):
+    """The frames of ``generate(config)``, written by ``write_bundle`` and read back whole."""
+    seq = synth_bundle(config).sequence
+    return seq.read(0, seq.n_frames)
+
+
+def whole_array_frames(config):
+    """``(frames, over the clip limit)`` as the generator once rendered them: one array of the whole video."""
+    n = config.n_frames
+    rng = np.random.default_rng(config.seed)
+    t = np.arange(n) / config.fps
+    freq_hz = config.hr_bpm / 60.0
+    pulse = np.sin(2.0 * np.pi * freq_hz * t)
+    drift_freq, drift_amp = config.illum_drift
+    drift = drift_amp * np.sin(2.0 * np.pi * drift_freq * t) if drift_amp > 0 else np.zeros(n)
+
+    values = np.empty((n, config.height, config.width, 3))
+    values[...] = BACKGROUND_GRAY
+    x, y, w, h = config.skin_rect
+    base = np.asarray(config.skin_base_rgb, dtype=np.float64)
+    amp = np.asarray(config.pulse_amplitude, dtype=np.float64)
+    skin = base[None, :] + amp[None, :] * pulse[:, None]  # (n, 3)
+    values[:, y:y + h, x:x + w, :] = skin[:, None, None, :]
+    values += drift[:, None, None, None]
+    if config.noise_sd > 0:
+        values += rng.normal(0.0, config.noise_sd, size=values.shape)
+
+    quantized = np.rint(values)
+    clipped = np.count_nonzero((quantized < 0) | (quantized > 255))
+    return np.clip(quantized, 0, 255).astype(np.uint8), clipped > CLIP_LIMIT * quantized.size
+
+
+@pytest.mark.parametrize(
+    "config, clips",
+    [
+        # 66 frames in blocks of 21, with noise and drift.
+        (SynthConfig(duration_s=3.3, noise_sd=2.0, illum_drift=(0.4, 5.0), seed=11), None),
+        # 40 frames, fewer than one block of 81.
+        (SynthConfig(width=37, height=29, fps=17, duration_s=2.35, noise_sd=3.0, skin_rect=(5, 4, 20, 17), seed=2),
+         None),
+        # 41 frames in blocks of 4, drift and no noise.
+        (SynthConfig(width=160, height=120, duration_s=2.05, noise_sd=0.0, illum_drift=(0.2, 3.0),
+                     skin_rect=(40, 30, 60, 50), seed=3), None),
+        # One frame per block.
+        (SynthConfig(width=320, height=240, duration_s=0.35, noise_sd=1.0, skin_rect=(100, 60, 120, 120), seed=4),
+         None),
+        # Some values clip, within the limit; then past it.
+        (SynthConfig(duration_s=2.1, skin_base_rgb=(251.0, 120.0, 100.0), skin_rect=(16, 16, 6, 6), noise_sd=2.0),
+         "within_limit"),
+        (SynthConfig(duration_s=2.1, skin_base_rgb=(252.0, 120.0, 100.0), pulse_amplitude=(6.0, 1.0, 0.5),
+                     noise_sd=0.0), "past_limit"),
+    ],
+    ids=["drift_noise", "one_short_block", "drift_no_noise", "frame_blocks", "clips_within_limit", "clips_past_limit"],
+)
+def test_streamed_frames_equal_the_whole_array(tmp_path, config, clips):
+    want, over_limit = whole_array_frames(config)
+    assert over_limit == (clips == "past_limit")
+    assert (want == 255).any() == (clips is not None)
+    result = generate(config)
+    if over_limit:
+        with pytest.raises(ValueError, match="clip"):
+            write_bundle(result, tmp_path)
+        assert not (tmp_path / BUNDLE_FILES["video"]).exists()
+        return
+    write_bundle(result, tmp_path)
+    seq = read_rvid(tmp_path / BUNDLE_FILES["video"])
+    assert seq.read(0, seq.n_frames).tobytes() == want.tobytes()
+
+
+def test_write_bundle_holds_a_small_part_of_the_video(tmp_path):
+    # 5 s of 320x240 with noise and drift: 23 MB of frames, rendered a block at a time.
+    config = SynthConfig(width=320, height=240, duration_s=5.0, noise_sd=2.0, illum_drift=(0.1, 6.0),
+                         skin_rect=(100, 60, 120, 120))
+    video_bytes = config.n_frames * config.height * config.width * 3
+    tracemalloc.start()
+    try:
+        write_bundle(generate(config), tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / BUNDLE_FILES["video"]).stat().st_size > video_bytes
+    assert peak < video_bytes / 4, f"peak {peak} B of a {video_bytes} B video"
+
+
 def test_generate_is_deterministic_bytewise(tmp_path):
     config = SynthConfig(duration_s=5.0, seed=42)
     a = generate(config)
     b = generate(config)
-    assert np.array_equal(a.sequence.frames, b.sequence.frames)
     write_bundle(a, tmp_path / "a")
     write_bundle(b, tmp_path / "b")
     for name in BUNDLE_FILES.values():
@@ -25,16 +120,14 @@ def test_generate_is_deterministic_bytewise(tmp_path):
 
 def test_no_noise_no_pulse_gives_constant_skin():
     config = SynthConfig(duration_s=4.0, noise_sd=0.0, pulse_amplitude=(0.0, 0.0, 0.0))
-    result = generate(config)
-    skin = skin_region(result.sequence.frames, config.skin_rect)
+    skin = skin_region(frames_of(config), config.skin_rect)
     assert np.all(skin == skin[0])
 
 
 def test_mean_green_trace_peaks_at_pulse_frequency():
     config = SynthConfig(duration_s=20.0, hr_bpm=72.0, noise_sd=0.0,
                          pulse_amplitude=(0.4, 1.0, 0.6))
-    result = generate(config)
-    green = skin_region(result.sequence.frames, config.skin_rect)[..., 1]
+    green = skin_region(frames_of(config), config.skin_rect)[..., 1]
     trace = green.reshape(green.shape[0], -1).mean(axis=1)
     trace = trace - trace.mean()
     spectrum = np.abs(np.fft.rfft(trace))
@@ -44,8 +137,7 @@ def test_mean_green_trace_peaks_at_pulse_frequency():
 
 def test_noise_free_trace_matches_model():
     config = SynthConfig(duration_s=10.0, noise_sd=0.0)
-    result = generate(config)
-    skin = skin_region(result.sequence.frames, config.skin_rect).astype(np.float64)
+    skin = skin_region(frames_of(config), config.skin_rect).astype(np.float64)
     n_px = skin.shape[1] * skin.shape[2]
     t = np.arange(config.n_frames) / config.fps
     pulse = np.sin(2 * np.pi * (config.hr_bpm / 60.0) * t)
@@ -81,11 +173,13 @@ def test_roi_is_skin_rect_polygon():
     assert entry.points == ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
 
 
-def test_clipping_beyond_one_percent_rejected():
+def test_clipping_beyond_one_percent_rejected(tmp_path):
     config = SynthConfig(duration_s=2.0, skin_base_rgb=(252.0, 120.0, 100.0),
                          pulse_amplitude=(6.0, 1.0, 0.5), noise_sd=0.0)
+    result = generate(config)  # holds no frames: they clip as write_bundle renders them
     with pytest.raises(ValueError, match="clip"):
-        generate(config)
+        write_bundle(result, tmp_path)
+    assert not (tmp_path / BUNDLE_FILES["video"]).exists()
 
 
 def test_config_validation():
@@ -97,6 +191,18 @@ def test_config_validation():
         SynthConfig(skin_rect=(60, 60, 10, 10))  # spills out of the 64x64 frame
     with pytest.raises(ValueError):
         SynthConfig(fps=0)
+    # Frame counts and sides that an .rvid cannot hold.
+    with pytest.raises(ValueError, match="frames of an .rvid"):
+        SynthConfig(duration_s=1e308)
+    with pytest.raises(ValueError, match="frames of an .rvid"):
+        SynthConfig(duration_s=(1 << 32) / 20 + 1.0)
+    with pytest.raises(ValueError, match="frames of an .rvid"):
+        SynthConfig(duration_s=0.02)  # rounds to no frame
+    with pytest.raises(ValueError, match="fps must lie in"):
+        SynthConfig(fps=10**400)
+    with pytest.raises(ValueError, match="frame dimensions must lie in"):
+        SynthConfig(width=(1 << 20) + 1)
+    assert SynthConfig(duration_s=(1 << 32) / 20).n_frames == 1 << 32
 
 
 def test_drift_sets_natural_lighting():

@@ -70,9 +70,10 @@ def whole_array_frames(config):
         # One frame per block.
         (SynthConfig(width=320, height=240, duration_s=0.35, noise_sd=1.0, skin_rect=(100, 60, 120, 120), seed=4),
          None),
-        # Some values clip, within the limit; then past it.
-        (SynthConfig(duration_s=2.1, skin_base_rgb=(251.0, 120.0, 100.0), skin_rect=(16, 16, 6, 6), noise_sd=2.0),
-         "within_limit"),
+        # Some values clip, within the limit over the video though past it in the two middle blocks of 21
+        # frames, where the drift lifts the skin's red over 255; then past the limit.
+        (SynthConfig(duration_s=4.2, skin_base_rgb=(250.0, 120.0, 100.0), skin_rect=(16, 16, 12, 12),
+                     pulse_amplitude=(0.0, 1.0, 0.5), noise_sd=0.0, illum_drift=(0.125, 10.0)), "within_limit"),
         (SynthConfig(duration_s=2.1, skin_base_rgb=(252.0, 120.0, 100.0), pulse_amplitude=(6.0, 1.0, 0.5),
                      noise_sd=0.0), "past_limit"),
     ],

@@ -520,6 +520,9 @@ class RoiBox:
     def bbox(self) -> "RoiBox":
         return self
 
+    def within(self, width: int, height: int) -> bool:
+        return self.x >= 0 and self.y >= 0 and self.x + self.w <= width and self.y + self.h <= height
+
 
 def _check_simple_polygon(points) -> None:
     """Reject a polygon in which two edges that share no vertex cross or touch.
@@ -547,7 +550,7 @@ def _check_simple_polygon(points) -> None:
 
 @dataclass(frozen=True)
 class RoiPolygon:
-    """A landmark polygon with at least four vertices."""
+    """A landmark polygon of at least four vertices (else ValueError), simple by construction (else DataError)."""
 
     points: tuple[tuple[float, float], ...]
 
@@ -555,18 +558,8 @@ class RoiPolygon:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         if len(pts) < 4:
             raise ValueError(f"a landmark polygon needs at least 4 points, got {len(pts)}")
+        _check_simple_polygon(pts)
         object.__setattr__(self, "points", pts)
-
-    def check_simple(self) -> None:
-        """Raise DataError unless the polygon is simple (see :func:`_check_simple_polygon`).
-
-        A polygon that passed is not checked again: :func:`read_roi_track`
-        checks each landmark row as it parses it, so the masks drawn from a
-        parsed track repeat no check.
-        """
-        if "_simple" not in vars(self):
-            _check_simple_polygon(self.points)
-            object.__setattr__(self, "_simple", True)
 
     def bbox(self) -> RoiBox:
         xs = [p[0] for p in self.points]
@@ -619,7 +612,7 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
     A row with 5 cells is ``frame,x,y,w,h``; a row with an odd cell count of
     at least 9 is ``frame`` followed by ``x,y`` landmark pairs, from frame 0
     on. Boxes and the bounding boxes of polygons must lie inside the frame,
-    and polygons must be simple (:meth:`RoiPolygon.check_simple`).
+    and polygons must be simple (see :class:`RoiPolygon`).
     """
     path = Path(path)
     frames: list[int] = []
@@ -655,7 +648,6 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
             pts = tuple(zip(coords[0::2], coords[1::2]))
             try:
                 entry, kind = RoiPolygon(pts), "landmark bounding box"
-                entry.check_simple()
             except ValueError as exc:
                 raise FormatError(f"row {row_no}: {exc}", path=str(path)) from None
         else:
@@ -665,7 +657,7 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
                 path=str(path),
             )
         b = entry.bbox()
-        if b.x < 0 or b.y < 0 or b.x + b.w > frame_width or b.y + b.h > frame_height:
+        if not b.within(frame_width, frame_height):
             raise FormatError(
                 f"row {row_no}: {kind} ({b.x},{b.y},{b.w},{b.h}) exceeds the "
                 f"{frame_width}x{frame_height} frame",

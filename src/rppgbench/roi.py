@@ -177,6 +177,18 @@ def _chromaticity(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, g
 
 
+def _skin_seed(box: RoiBox, width: int, height: int) -> RoiBox:
+    """The seed box of a skin fit (see :func:`fit_skin_model`); DataError under 100 ROI pixels or off the frame."""
+    if box.w * box.h < 100:
+        raise DataError(f"ROI must contain at least 100 pixels, got {box.w * box.h}")
+    seed_w = max(1, box.w // 2)
+    seed_h = max(1, box.h // 2)
+    seed = RoiBox(box.x + (box.w - seed_w) // 2, box.y + (box.h - seed_h) // 2, seed_w, seed_h)
+    if not seed.within(width, height):
+        raise DataError(f"skin seed {seed} of ROI {box} lies outside the {width}x{height} frame")
+    return seed
+
+
 def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> SkinModel:
     """Fit the chromaticity Gaussian on the central quarter of a ROI.
 
@@ -191,18 +203,10 @@ def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> S
     half the height of the ROI (a quarter of its area), which reliably sits
     on skin when the ROI is a face box.
     """
-    box = roi.bbox()
     frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ValueError("frame must be shaped (h, w, 3)")
-    if box.w * box.h < 100:
-        raise DataError(f"ROI must contain at least 100 pixels, got {box.w * box.h}")
-    seed_w = max(1, box.w // 2)
-    seed_h = max(1, box.h // 2)
-    seed = RoiBox(box.x + (box.w - seed_w) // 2, box.y + (box.h - seed_h) // 2, seed_w, seed_h)
-    height, width = frame.shape[:2]
-    if seed.x < 0 or seed.y < 0 or seed.x + seed.w > width or seed.y + seed.h > height:
-        raise DataError(f"skin seed {seed} of ROI {box} lies outside the {width}x{height} frame")
+    seed = _skin_seed(roi.bbox(), frame.shape[1], frame.shape[0])
     seed_pixels = frame[seed.y:seed.y + seed.h, seed.x:seed.x + seed.w].reshape(-1, 3)
     chrom = np.stack(_chromaticity(seed_pixels.T.astype(np.float64)), axis=-1)
     mean = chrom.mean(axis=0)
@@ -242,12 +246,10 @@ def _skin_select(planes: np.ndarray, model: SkinModel, limits=None) -> np.ndarra
 def lower_face_mask(landmarks: RoiPolygon) -> np.ndarray:
     """Rasterize a landmark polygon into a boolean mask over its box ``landmarks.bbox()``.
 
-    A pixel belongs to the mask when its center satisfies the even-odd rule,
-    with centers that fall exactly on an edge counted inside. The polygon must
-    be simple (:meth:`RoiPolygon.check_simple`, which a polygon read from a
-    file has passed already). No pixel center outside the box meets either rule.
+    A pixel belongs to the mask when its center satisfies the even-odd rule, with centers on an edge
+    counted inside; no pixel center outside the box meets either rule. The polygon is simple by
+    construction (see :class:`RoiPolygon`), so nothing is checked here.
     """
-    landmarks.check_simple()
     points = landmarks.points
     box = landmarks.bbox()
     gx, gy = np.meshgrid(np.arange(box.x, box.x + box.w) + 0.5, np.arange(box.y, box.y + box.h) + 0.5)
@@ -276,39 +278,36 @@ def lower_face_mask(landmarks: RoiPolygon) -> np.ndarray:
     return inside | on_edge
 
 
-def _run_checks(seq: FrameSequence, start: int, entry, traces, greens, failed: dict) -> tuple[dict, dict]:
-    """The selection regions and background windows of a ROI run that starts at frame ``start``.
+def _background_window(box: RoiBox, margin: int, width: int, height: int) -> tuple[slice, slice, int]:
+    """Rows and columns of ``box`` grown by ``margin`` px and clipped to the frame, and the pixel count outside them."""
+    x0, y0 = max(box.x - margin, 0), max(box.y - margin, 0)
+    x1, y1 = min(box.x + box.w + margin, width), min(box.y + box.h + margin, height)
+    return slice(y0, y1), slice(x0, x1), width * height - (x1 - x0) * (y1 - y0)
 
-    Each feature of ``traces`` and ``greens`` not in ``failed`` gets its own,
-    or its failure in ``failed``, checked in the order a pass of its own would
-    meet them.
-    """
-    box = entry.bbox()
-    selections = [key for key in traces if key not in failed]
-    if selections and (box.x < 0 or box.y < 0 or box.x + box.w > seq.width or box.y + box.h > seq.height):
-        failed.update(dict.fromkeys(selections, DataError(f"ROI for frame {start} exceeds the frame bounds")))
-    regions = {}
-    for key in (key for key in selections if key not in failed):
-        if key[1] != "mask":
-            regions[key] = np.ones(box.h * box.w, dtype=bool)
-        elif not isinstance(entry, RoiPolygon):
-            failed[key] = DataError("strategy 'mask' requires landmark ROI entries")
-        else:
-            try:
-                regions[key] = lower_face_mask(entry).reshape(-1)
-            except DataError as exc:
-                failed[key] = exc.with_traceback(None)
-    windows = {}
-    for margin in (key[1] for key in greens if key not in failed):
-        x0, y0 = max(box.x - margin, 0), max(box.y - margin, 0)
-        x1, y1 = min(box.x + box.w + margin, seq.width), min(box.y + box.h + margin, seq.height)
-        n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
-        if n_outside <= 0:
-            failed[("background", margin)] = DataError(
-                f"no background pixels left at frame {start}: the ROI grown by {margin} px covers the frame")
-        else:
-            windows[("background", margin)] = (slice(y0, y1), slice(x0, x1), n_outside)
-    return regions, windows
+
+def _failure(key, seq: FrameSequence, roi: RoiTrack, fit: bool) -> DataError | None:
+    """The error a :func:`pixel_features` pass of ``key`` alone would raise, or None: the skin fit's on
+    frame 0 (when ``fit``), then each ROI run's bounds check, then its landmark check. A bad key raises."""
+    if key[0] == "rgb":
+        _check_strategy(key[1])
+    elif key[1] < 0:
+        raise ValueError(f"margin must be non-negative, got {key[1]}")
+    if key[1] == "skin" and fit:
+        try:
+            _skin_seed(roi.entries[0].bbox(), seq.width, seq.height)
+        except DataError as exc:
+            return exc.with_traceback(None)
+    for start, _, entry in roi.runs(seq.n_frames):
+        box = entry.bbox()
+        if key[0] == "background":
+            if _background_window(box, key[1], seq.width, seq.height)[2] <= 0:
+                return DataError(f"no background pixels left at frame {start}: "
+                                 f"the ROI grown by {key[1]} px covers the frame")
+        elif not box.within(seq.width, seq.height):
+            return DataError(f"ROI for frame {start} exceeds the frame bounds")
+        elif key[1] == "mask" and not isinstance(entry, RoiPolygon):
+            return DataError("strategy 'mask' requires landmark ROI entries")
+    return None
 
 
 def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | None = None) -> dict:
@@ -319,9 +318,10 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
     ``("background", margin)`` for the mean green value of everything outside
     the ROI box grown by ``margin`` pixels, a :class:`Signal1D`. Returns each
     key's feature, or the exception that failed it: a feature fails alone,
-    with the error a pass of its own would raise, and the others are still
-    computed. Bad arguments (an unknown strategy, a negative margin) and
-    failed reads raise.
+    with the error a pass of its own would raise, decided from the ROI track
+    and the frame size before the pass (see :func:`_failure`), which computes
+    only the others and reads no block when every key fails. Bad arguments
+    (an unknown strategy, a negative margin) and failed reads raise.
 
     The pass reads each block of frames once (see :meth:`FrameSequence.reader`),
     copies each chunk of ``CHUNK_PIXELS`` ROI pixels to float64 once for every
@@ -329,56 +329,44 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
     strategy is a boolean mask over the ROI box: ``bbox`` all of it, ``mask``
     the landmark polygon and ``skin`` the pixels within each ``skin_tau``'s
     limit of the skin model, one d^2 per pixel serving every ``skin_tau``.
-    The model is ``model``, or the one :func:`fit_skin_model` fits on frame 0
-    of the first block. A frame whose selection comes up empty keeps the whole
-    box. Sums of uint8 values and of their products are integers far below
-    2**53, exact in float64 and independent of summation order.
+    The model is ``model``, or the one :func:`fit_skin_model` fits on frame 0,
+    read for it before the first block. A frame whose selection comes up empty
+    keeps the whole box. Sums of uint8 values and of their products are
+    integers far below 2**53, exact in float64 and independent of summation order.
     """
     keys = list(dict.fromkeys(keys))
-    for key in keys:
-        if key[0] == "rgb":
-            _check_strategy(key[1])
-        elif key[1] < 0:
-            raise ValueError(f"margin must be non-negative, got {key[1]}")
     n = seq.n_frames
+    out = {key: _failure(key, seq, roi, model is None) for key in keys}
     traces = {key: (np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty((n, 3, 3)), np.empty(n, dtype=bool))
-              for key in keys if key[0] == "rgb"}
-    greens = {key: np.empty(n) for key in keys if key[0] == "background"}
+              for key in keys if key[0] == "rgb" and out[key] is None}
+    greens = {key: np.empty(n) for key in keys if key[0] == "background" and out[key] is None}
     skins = [key for key in traces if key[1] == "skin"]
-    limits: dict = {}
-    failed: dict = {}
     with seq.reader() as read:
-        for start, stop, entry in roi.runs(n):
+        if skins and model is None:
+            model = fit_skin_model(read(0, 1)[0], roi.entries[0], skins[0][2])
+        limits = [replace(model, tau=key[2]).mahalanobis_limit() for key in skins]
+        for start, stop, entry in roi.runs(n) if traces or greens else ():
             box = entry.bbox()
             # Blocks of about BLOCK_BYTES, each a whole number of chunks of about CHUNK_PIXELS box pixels.
             block_frames = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
             chunk = max(1, min(CHUNK_PIXELS // (box.w * box.h), block_frames))
             step = chunk * (block_frames // chunk)
             block = read(start, min(start + step, stop))
-            if start == 0 and skins:
-                try:
-                    if model is None:
-                        model = fit_skin_model(block[0], entry, skins[0][2])
-                    limits = {key: replace(model, tau=key[2]).mahalanobis_limit() for key in skins}
-                except DataError as exc:
-                    failed.update(dict.fromkeys(skins, exc.with_traceback(None)))
-            regions, windows = _run_checks(seq, start, entry, traces, greens, failed)
-            if len(failed) == len(keys):
-                break
-            run_skins = [key for key in skins if key in regions]
-            run_limits = [limits[key] for key in run_skins]
+            whole = np.ones(box.h * box.w, dtype=bool)
+            regions = {key: lower_face_mask(entry).reshape(-1) if key[1] == "mask" else whole for key in traces}
+            windows = {key: _background_window(box, key[1], seq.width, seq.height) for key in greens}
             buffer = np.empty((min(chunk, stop - start), 3, box.h * box.w))
             for a in range(start, stop, step):
                 if a > start:
                     block = read(a, min(a + step, stop))
-                for f in range(a, a + len(block), chunk) if regions else ():
+                for f in range(a, a + len(block), chunk) if traces else ():
                     frames = block[f - a:f - a + chunk]
                     c = len(frames)
                     x = buffer[:c]
                     np.copyto(x.reshape(c, 3, box.h, box.w),
                               frames[:, box.y:box.y + box.h, box.x:box.x + box.w].transpose(0, 3, 1, 2))
-                    if run_skins:
-                        selected = dict(zip(run_skins, _skin_select(x.transpose(1, 0, 2), model, run_limits)))
+                    if skins:
+                        selected = dict(zip(skins, _skin_select(x.transpose(1, 0, 2), model, limits)))
                     for key, region in regions.items():
                         mask = selected[key] if key[1] == "skin" else np.broadcast_to(region, (c, region.size))
                         fallback = ~mask.any(axis=1)
@@ -397,20 +385,14 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
                         # The difference of exact integer sums converts to float64 exactly.
                         inner = green[:, rows, cols].sum(axis=(1, 2), dtype=np.int64)
                         greens[key][a:a + len(block)] = (total - inner) / n_outside
-    fs = float(seq.fps)
-    out = {}
-    for key in keys:
-        if key in failed:
-            out[key] = failed[key]
-        elif key in greens:
-            out[key] = Signal1D(greens[key], fs)
-        else:
-            counts, sums, products, fell_back = traces[key]
-            fallbacks = np.flatnonzero(fell_back)
-            if fallbacks.size:
-                log.info("ROI fallback on %d/%d frames", fallbacks.size, n)
-            out[key] = RgbTrace(means=sums / counts[:, None], correlations=products / counts[:, None, None], fs=fs,
-                                pixel_counts=counts, fallback_frames=fallbacks)
+    for key, green in greens.items():
+        out[key] = Signal1D(green, seq.fps)
+    for key, (counts, sums, products, fell_back) in traces.items():
+        fallbacks = np.flatnonzero(fell_back)
+        if fallbacks.size:
+            log.info("ROI fallback on %d/%d frames", fallbacks.size, n)
+        out[key] = RgbTrace(means=sums / counts[:, None], correlations=products / counts[:, None, None], fs=seq.fps,
+                            pixel_counts=counts, fallback_frames=fallbacks)
     return out
 
 

@@ -160,12 +160,18 @@ def _frame_blocks(config: SynthConfig):
 
 
 def write_bundle(result: SynthResult, out_dir) -> Path:
-    """Write the bundle files of one sequence into ``out_dir``; a video over ``CLIP_LIMIT`` leaves no video file."""
+    """Write one sequence's bundle files to ``out_dir``; a video over ``CLIP_LIMIT`` leaves no file, no new folder."""
     out_dir = Path(out_dir)
+    made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     config = result.config
-    write_rvid(config.width, config.height, config.fps, config.n_frames, _frame_blocks(config),
-               out_dir / BUNDLE_FILES["video"])
+    try:
+        write_rvid(config.width, config.height, config.fps, config.n_frames, _frame_blocks(config),
+                   out_dir / BUNDLE_FILES["video"])
+    except BaseException:
+        if made:
+            out_dir.rmdir()
+        raise
     write_roi_track(result.roi, out_dir / BUNDLE_FILES["roi"])
     write_physio_csv(result.bvp, out_dir / BUNDLE_FILES["physio"], out_dir / BUNDLE_FILES["physio_meta"])
     write_ground_truth(result.ground_truth.bpm, out_dir / BUNDLE_FILES["ground_truth"])

@@ -235,6 +235,15 @@ def test_synth_validation_errors(tmp_path, capsys):
     assert "LO:HI" in err
 
 
+def test_synth_over_the_clip_limit_leaves_no_bundle_directory(tmp_path, capsys):
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "synth", "--out", str(out), "--count", "2", "--train-count", "1",
+                       "--noise-sd", "60", "--duration", "1")
+    assert code == EXIT_USAGE
+    assert "of pixel values clip" in err
+    assert list(out.iterdir()) == []
+
+
 def test_eval_missing_sequence_exits_2(small_dataset, tmp_path, capsys):
     protocol = tmp_path / "protocol.csv"
     protocol.write_text(

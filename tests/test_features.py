@@ -234,8 +234,16 @@ NO_BACKGROUND = "DataError: no background pixels left at frame 0: the ROI grown 
         (RoiPolygon(((60, 60), (69, 60), (69, 69), (60, 69))),
          {**dict.fromkeys(PLANNED[:4], "DataError: ROI for frame 0 exceeds the frame bounds"),
           **dict.fromkeys(PLANNED[1:3], "DataError: ROI must contain at least 100 pixels, got 81")}),
+        # The skin seed (62, 62, 5, 5) crosses the frame's edge.
+        (RoiBox(60, 60, 10, 10),
+         {**dict.fromkeys(PLANNED[:4], "DataError: ROI for frame 0 exceeds the frame bounds"),
+          **dict.fromkeys(PLANNED[1:3], "DataError: skin seed RoiBox(x=62, y=62, w=5, h=5) of ROI "
+                                        "RoiBox(x=60, y=60, w=10, h=10) lies outside the 64x64 frame")}),
+        # The skin seed (57, 57, 6, 6) lies inside the frame, the box does not.
+        (RoiBox(54, 54, 12, 12), dict.fromkeys(PLANNED[:4], "DataError: ROI for frame 0 exceeds the frame bounds")),
     ],
-    ids=["none", "mask_over_box", "skin_under_100_px", "skin_fit_before_bounds"],
+    ids=["none", "mask_over_box", "skin_under_100_px", "skin_fit_before_bounds", "skin_seed_off_frame",
+         "skin_seed_inside_box_off_frame"],
 )
 def test_a_failed_feature_fails_alone(passes, entry, failures, tmp_path):
     frames = np.random.default_rng(5).integers(0, 256, size=(12, 64, 64, 3), dtype=np.uint8)

@@ -598,6 +598,7 @@ WIDTH, HEIGHT = 64, 48
 
 @st.composite
 def roi_entries(draw):
+    """A box inside the frame, or the points of a landmark polygon, simple or not."""
     if draw(st.booleans()):
         x = draw(st.integers(0, WIDTH - 1))
         y = draw(st.integers(0, HEIGHT - 1))
@@ -609,12 +610,12 @@ def roi_entries(draw):
     if draw(st.booleans()):  # in angle order around their mean: mostly a simple polygon
         cx, cy = np.mean(points, axis=0)
         points.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    return RoiPolygon(tuple(points))
+    return tuple(points)
 
 
-def _simple(entry) -> bool:
+def _simple(points) -> bool:
     try:
-        io._check_simple_polygon(entry.points)
+        io._check_simple_polygon(points)
     except ValueError:
         return False
     return True
@@ -627,15 +628,20 @@ def _simple(entry) -> bool:
 )
 def test_roi_track_round_trips_boxes_and_polygons(tmp_path, gaps, entries):
     frames = tuple(np.cumsum([0, *gaps]).tolist())
-    track = RoiTrack(frames=frames, entries=tuple(entries[:len(frames)]))
+    entries = entries[:len(frames)]
     p = tmp_path / "roi.csv"
-    write_roi_track(track, p)
-    # A self-intersecting polygon is malformed data: the reader names its row.
-    bad = [row for row, e in enumerate(track.entries, start=1) if isinstance(e, RoiPolygon) and not _simple(e)]
+    # A self-intersecting polygon is malformed data: no RoiPolygon holds one,
+    # so its row is written as text, and the reader names the row.
+    bad = [row for row, e in enumerate(entries, start=1) if not isinstance(e, RoiBox) and not _simple(e)]
     if bad:
+        rows = [f"{f},{e.x},{e.y},{e.w},{e.h}" if isinstance(e, RoiBox) else f"{f}," + ",".join(map(repr, sum(e, ())))
+                for f, e in zip(frames, entries)]
+        p.write_text("".join(row + "\n" for row in rows))
         with pytest.raises(FormatError, match=f"row {bad[0]}: landmark polygon must be simple"):
             read_roi_track(p, WIDTH, HEIGHT)
     else:
+        track = RoiTrack(frames, tuple(e if isinstance(e, RoiBox) else RoiPolygon(e) for e in entries))
+        write_roi_track(track, p)
         assert read_roi_track(p, WIDTH, HEIGHT) == track
 
 

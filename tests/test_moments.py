@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from rppgbench.errors import DataError
-from rppgbench.io import RoiBox, RoiPolygon, RoiTrack
+from rppgbench.errors import DataError, FormatError
+from rppgbench.io import RoiBox, RoiPolygon, RoiTrack, read_rvid, write_rvid
 from rppgbench.licvpr import background_trace
 from rppgbench.roi import (
     CHUNK_PIXELS,
@@ -264,6 +264,76 @@ def test_one_pass_equals_the_one_feature_passes(case, taus, margins):
             for name in ("means", "correlations", "pixel_counts"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (key, name)
             assert got.fallback_frames == want.fallback_frames
+
+
+def assert_same_outcome(got, want, key):
+    """Two outcomes of one key: the same failure type and message, or byte-equal features."""
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), key
+    elif key[0] == "background":
+        assert got.samples.tobytes() == want.samples.tobytes(), key
+    else:
+        for name in ("means", "correlations", "pixel_counts"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (key, name)
+        assert got.fallback_frames == want.fallback_frames, key
+
+
+@st.composite
+def straying_entries(draw, w, h):
+    """A box or a convex polygon near a ``w`` x ``h`` frame: inside it, across its edge or off it."""
+    cx, cy = draw(st.floats(-4.0, w + 4.0)), draw(st.floats(-4.0, h + 4.0))
+    rx, ry = draw(st.floats(1.0, w / 2 + 2)), draw(st.floats(1.0, h / 2 + 2))
+    if draw(st.booleans()):
+        return RoiBox(math.floor(cx - rx), math.floor(cy - ry), math.ceil(2 * rx), math.ceil(2 * ry))
+    k = draw(st.integers(4, 8))
+    angles = draw(st.floats(0.0, 2 * math.pi)) + 2 * math.pi * np.arange(k) / k
+    return RoiPolygon(tuple((cx + rx * math.cos(a), cy + ry * math.sin(a)) for a in angles))
+
+
+@st.composite
+def straying_tracks(draw):
+    """A sequence, and a track of one to three ROI runs that may leave the frame."""
+    n = draw(st.integers(1, 12))
+    h, w = draw(st.integers(10, 20)), draw(st.integers(10, 20))
+    seq = rvid_sequence(volume(draw(st.integers(0, 2**32 - 1)), n, h, w, 0.6))
+    starts = sorted(draw(st.sets(st.integers(1, n + 1), max_size=2)))
+    entries = tuple(draw(straying_entries(w, h)) for _ in range(1 + len(starts)))
+    return seq, RoiTrack(frames=(0, *starts), entries=entries)
+
+
+#: Every pixel feature a plan may name: margin 30 grows any box past these frames.
+ALL_KEYS = (("rgb", "bbox", None), ("rgb", "mask", None), ("rgb", "skin", 0.3), ("rgb", "skin", 0.2),
+            ("background", 0), ("background", 3), ("background", 30))
+
+
+@SETTINGS
+@given(straying_tracks(), st.lists(st.sampled_from(ALL_KEYS), min_size=1, unique=True))
+def test_each_feature_of_a_plan_fails_or_succeeds_as_alone(case, keys):
+    seq, roi = case
+    outcomes = pixel_features(seq, roi, keys)
+    assert list(outcomes) == keys
+    for key in keys:
+        assert_same_outcome(outcomes[key], pixel_features(seq, roi, [key])[key], key)
+
+
+def test_a_plan_that_fails_throughout_reads_no_block(tmp_path):
+    path = tmp_path / "video.rvid"
+    write_rvid(16, 16, 20, 6, [volume(4, 6, 16, 16, 0.6)], path)
+    seq = read_rvid(path)
+    # Off the frame from frame 3: every selection fails there, a box fails the
+    # mask from frame 0, and margin 20 covers the frame.
+    roi = RoiTrack(frames=(0, 3), entries=(RoiBox(2, 2, 12, 12), RoiBox(10, 10, 12, 12)))
+    keys = [("rgb", "bbox", None), ("rgb", "mask", None), ("rgb", "skin", 0.3), ("background", 20)]
+    whole = pixel_features(seq, roi, keys)
+    with open(path, "r+b") as fh:
+        fh.truncate(seq.offset)
+    outcomes = pixel_features(seq, roi, keys)
+    assert all(isinstance(outcome, DataError) for outcome in outcomes.values())
+    for key in keys:
+        assert_same_outcome(outcomes[key], whole[key], key)
+    # A feature that succeeds reads the payload, and finds it gone.
+    with pytest.raises(FormatError, match="payload truncated after open"):
+        pixel_features(seq, roi, [("background", 0)])
 
 
 @SETTINGS

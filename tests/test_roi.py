@@ -326,12 +326,13 @@ ELLIPSE_68_SNAPPED = [(round(2 * x) / 2, round(2 * y) / 2) for x, y in ELLIPSE_6
 @example(points=[(2.0, 3.0), (12.0, 3.0), (12.0, 3.0), (12.0, 13.0), (2.0, 13.0)])
 @example(points=[(1.25, 1.0), (9.5, 2.75), (7.0, 8.5), (4.0, 5.0), (2.5, 9.0)])
 def test_box_mask_equals_the_cropped_frame_mask(points):
+    points = [(float(x), float(y)) for x, y in points]
+    if not is_simple_reference(points):
+        with pytest.raises(DataError, match="simple"):
+            RoiPolygon(points)
+        return
     polygon = RoiPolygon(points)
     box = polygon.bbox()
-    if not is_simple_reference(polygon.points):
-        with pytest.raises(DataError, match="simple"):
-            lower_face_mask(polygon)
-        return
     frame = frame_mask_reference(polygon.points, box.x + box.w + 2, box.y + box.h + 2)
     cropped = frame[box.y:box.y + box.h, box.x:box.x + box.w]
     assert np.array_equal(lower_face_mask(polygon), cropped)
@@ -346,12 +347,15 @@ def test_box_mask_equals_the_cropped_frame_mask(points):
 @example(points=[(0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])  # a repeated vertex
 @example(points=[(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])  # a collinear vertex
 def test_simple_polygon_verdict_equals_the_pairwise_check(points):
-    points = RoiPolygon(points).points
+    points = tuple((float(x), float(y)) for x, y in points)
     if is_simple_reference(points):
         _check_simple_polygon(points)
+        assert RoiPolygon(points).points == points
     else:
         with pytest.raises(DataError, match="simple"):
             _check_simple_polygon(points)
+        with pytest.raises(DataError, match="simple"):
+            RoiPolygon(points)
 
 
 # ---------------------------------------------------------------------------

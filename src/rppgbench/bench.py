@@ -271,20 +271,15 @@ def pulse_ssr(features: SequenceFeatures, params: SsrParams) -> PulseSignal:
     return ssr_pulse(features.rgb_trace(*selection), params, features.eigens(*selection))
 
 
-def _estimation_band(params) -> BandHz:
-    return getattr(params, "band", DEFAULT_ESTIMATION_BAND)
+def _runner(pulse_fn):
+    """The bpm runner of ``pulse_fn``: the spectral HR of its pulse, in the params' band or the default one."""
+    def run(features: SequenceFeatures, params) -> float:
+        return estimate_hr_spectral(pulse_fn(features, params), getattr(params, "band", DEFAULT_ESTIMATION_BAND)).bpm
+
+    return run
 
 
-def run_chrom(features: SequenceFeatures, params: ChromParams) -> float:
-    return estimate_hr_spectral(pulse_chrom(features, params), _estimation_band(params)).bpm
-
-
-def run_licvpr(features: SequenceFeatures, params: LiParams) -> float:
-    return estimate_hr_spectral(pulse_licvpr(features, params), _estimation_band(params)).bpm
-
-
-def run_ssr(features: SequenceFeatures, params: SsrParams) -> float:
-    return estimate_hr_spectral(pulse_ssr(features, params), _estimation_band(params)).bpm
+run_chrom, run_licvpr, run_ssr = (_runner(f) for f in (pulse_chrom, pulse_licvpr, pulse_ssr))
 
 
 #: algorithm tag -> (parameter dataclass, pulse extractor, bpm runner); the

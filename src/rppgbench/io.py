@@ -19,7 +19,6 @@ import json
 import math
 import os
 import re
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,10 +117,9 @@ class FrameSequence:
 
     The sequence holds no pixels: it keeps its file's ``path`` and the
     ``offset`` of the payload (see :func:`read_rvid`), and reaches frames a
-    block at a time, through :meth:`reader` (one pass of many blocks) or
-    :meth:`read` (one block), so a whole video is never in memory. The file
-    must not change while the sequence is evaluated; a payload found short
-    raises :class:`FormatError`.
+    block at a time in passes of :meth:`reader`, so a whole video is never
+    in memory. The file must not change while the sequence is evaluated; a
+    payload found short raises :class:`FormatError`.
     """
 
     width: int
@@ -175,11 +173,6 @@ class FrameSequence:
                 return block
 
             yield read
-
-    def read(self, start: int, stop: int) -> np.ndarray:
-        """Frames ``start`` to ``stop - 1``, read in a pass of their own (see :meth:`reader`)."""
-        with self.reader() as read:
-            return read(start, stop)
 
 
 def _parse_rvid_header(data: bytes, path: str) -> tuple[int, int, Fraction, int, int]:
@@ -386,7 +379,9 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
             subject_id=meta["subject_id"],
             lighting=meta["lighting"],
         )
-    except (TypeError, ValueError) as exc:
+        if not math.isfinite(1.0 / signal.fs):
+            raise ValueError(f"1 / sample_rate_hz overflows for sample_rate_hz {signal.fs}")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"invalid sidecar metadata: {exc}", path=str(meta_path)) from None
     _check_even_steps(path, t, 1.0 / signal.fs, "1 / sample_rate_hz =")
     return signal
@@ -589,13 +584,6 @@ class RoiTrack:
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "entries", tuple(self.entries))
 
-    def entry_for(self, frame_idx: int):
-        """The entry at ``frame_idx``, inheriting the most recent earlier one."""
-        pos = bisect_right(self.frames, frame_idx) - 1
-        if pos < 0:
-            raise ValueError(f"frame {frame_idx} precedes the first ROI entry ({self.frames[0]})")
-        return self.entries[pos]
-
     def runs(self, n_frames: int):
         """Yield ``(start, stop, entry)`` for each stretch of frames below
         ``n_frames`` that shares one entry, in frame order."""
@@ -692,7 +680,7 @@ def read_ground_truth(path) -> HrEstimate:
     try:
         _check_number("hr_bpm", payload["hr_bpm"], optional=False)
         return HrEstimate(bpm=float(payload["hr_bpm"]), method="synthetic")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad hr_bpm value: {exc}", path=str(path)) from None
 
 

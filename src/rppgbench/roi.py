@@ -102,7 +102,7 @@ class SkinModel:
 
     def mahalanobis_limit(self) -> float:
         """Boundary squared distance: pixels with d^2 <= -2 ln(tau) are kept."""
-        return -2.0 * float(np.log(self.tau))
+        return -2.0 * math.log(self.tau)
 
     @cached_property
     def inv_cov(self) -> np.ndarray:
@@ -216,14 +216,13 @@ def fit_skin_model(frame: np.ndarray, roi: RoiBox | RoiPolygon, tau: float) -> S
     return SkinModel(mean=mean, cov=cov, tau=tau)
 
 
-def _skin_select(planes: np.ndarray, model: SkinModel, limits=None) -> np.ndarray:
-    """Boolean mask of pixels whose peak-normalized skin likelihood >= tau.
+def _skin_select(planes: np.ndarray, model: SkinModel, limits) -> list[np.ndarray]:
+    """Boolean masks of the pixels whose peak-normalized skin likelihood >= tau, one per limit in ``limits``.
 
     ``planes`` holds RGB values as channel planes (3, ...). Normalizing the
-    Gaussian to its peak turns the threshold into a squared Mahalanobis
-    limit of -2 ln(tau); the boundary is kept. Given ``limits``, a list of
-    masks, one per squared-distance limit: the model's mean and covariance
-    do not depend on tau, so every limit reads one d^2.
+    Gaussian to its peak turns a threshold tau into a squared Mahalanobis
+    limit of -2 ln(tau); the boundary is kept. The model's mean and
+    covariance do not depend on tau, so every limit reads one d^2.
     """
     r, g = _chromaticity(planes)
     dr = r - model.mean[0]
@@ -238,8 +237,6 @@ def _skin_select(planes: np.ndarray, model: SkinModel, limits=None) -> np.ndarra
         np.multiply(a, qab, out=term)
         term *= b
         d2 += term
-    if limits is None:
-        return d2 <= model.mahalanobis_limit()
     return [d2 <= limit for limit in limits]
 
 
@@ -404,15 +401,20 @@ def _one_feature(outcomes: dict):
     return outcome
 
 
+def _rgb_key(strategy: str, model: SkinModel | None) -> tuple:
+    """The :func:`pixel_features` key of one selection; ``skin`` needs a fitted ``model``, else ValueError."""
+    if strategy == "skin" and model is None:
+        raise ValueError("strategy 'skin' requires a fitted SkinModel")
+    return ("rgb", strategy, model.tau if strategy == "skin" else None)
+
+
 def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
     """Average the selected pixels, and their products, of every frame into an RGB trace.
 
     The one-feature call of :func:`pixel_features`: one vectorized pass over
     ``seq`` under ``strategy``, with ``model`` (its tau too) under ``skin``.
     """
-    if strategy == "skin" and model is None:
-        raise ValueError("strategy 'skin' requires a fitted SkinModel")
-    return _one_feature(pixel_features(seq, roi, [("rgb", strategy, model.tau if strategy == "skin" else None)], model))
+    return _one_feature(pixel_features(seq, roi, [_rgb_key(strategy, model)], model))
 
 
 def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None):
@@ -420,17 +422,20 @@ def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", m
     :func:`mean_rgb_trace` averages, float64 (N, 3), and whether its selection
     came up empty so that the whole box was used.
 
-    A frame-by-frame view for tests and tracing, not a pass of the pipeline;
-    it raises what :func:`mean_rgb_trace` raises, before the first frame.
+    A frame-by-frame view for tests and tracing, not a pass of the pipeline.
+    A selection that :func:`mean_rgb_trace` would fail raises its error before
+    the first frame, decided from the ROI track and the frame size without
+    reading a frame; a read error raises at the frame it stops.
     """
-    mean_rgb_trace(seq, roi, strategy, model)
+    failure = _failure(_rgb_key(strategy, model), seq, roi, False)
+    if failure is not None:
+        raise failure
     with seq.reader() as read:
-        for i in range(seq.n_frames):
-            entry = roi.entry_for(i)
+        for start, stop, entry in roi.runs(seq.n_frames):
             box = entry.bbox()
-            pixels = read(i, i + 1)[0, box.y:box.y + box.h, box.x:box.x + box.w].astype(np.float64)
-            if strategy == "skin":
-                mask = _skin_select(np.moveaxis(pixels, -1, 0), model)
-            else:
-                mask = lower_face_mask(entry) if strategy == "mask" else np.ones((box.h, box.w), dtype=bool)
-            yield (pixels[mask] if mask.any() else pixels.reshape(-1, 3)), not mask.any()
+            mask = lower_face_mask(entry) if strategy == "mask" else np.ones((box.h, box.w), dtype=bool)
+            for i in range(start, stop):
+                pixels = read(i, i + 1)[0, box.y:box.y + box.h, box.x:box.x + box.w].astype(np.float64)
+                if strategy == "skin":
+                    (mask,) = _skin_select(np.moveaxis(pixels, -1, 0), model, [model.mahalanobis_limit()])
+                yield (pixels[mask] if mask.any() else pixels.reshape(-1, 3)), not mask.any()

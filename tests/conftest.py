@@ -1,15 +1,17 @@
 """Shared fixtures: synthetic datasets reused across test modules.
 
 The big 60 s datasets are session-scoped so the end-to-end and acceptance
-tests pay the generation cost once. ``rvid_sequence`` and ``synth_bundle``
-are plain functions, so that hypothesis strategies and module-level examples
-can call them too: ``from conftest import rvid_sequence``.
+tests pay the generation cost once. ``rvid_sequence``, ``synth_bundle``,
+``read_frames`` and ``entry_at`` are plain functions, so that hypothesis
+strategies and module-level examples can call them too:
+``from conftest import rvid_sequence``.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import settings
 
 from rppgbench.bench import ALGORITHMS, SequenceBundle, load_bundle
-from rppgbench.io import FrameSequence, read_rvid, write_rvid
+from rppgbench.io import FrameSequence, RoiTrack, read_rvid, write_rvid
 from rppgbench.synth import SynthConfig, build_dataset, generate, write_bundle
 
 #: Where the helpers below write; removed when the test session's interpreter exits.
@@ -31,6 +33,17 @@ def rvid_sequence(frames: np.ndarray, fps=20) -> FrameSequence:
     os.close(fd)
     write_rvid(width, height, fps, n, [frames], path)
     return read_rvid(path)
+
+
+def read_frames(seq: FrameSequence, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Frames ``start`` to ``stop - 1`` of ``seq`` (all of them by default), read in one pass of ``seq.reader()``."""
+    with seq.reader() as read:
+        return read(start, seq.n_frames if stop is None else stop)
+
+
+def entry_at(track: RoiTrack, frame: int):
+    """The ROI entry of ``frame``, inherited from the most recent keyframe: a bisect oracle, independent of ``runs()``."""
+    return track.entries[bisect_right(track.frames, frame) - 1]
 
 
 def synth_bundle(config: SynthConfig) -> SequenceBundle:

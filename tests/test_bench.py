@@ -33,7 +33,7 @@ from rppgbench.signals import BandHz
 from rppgbench.ssr import SsrParams
 from rppgbench.synth import SynthConfig
 
-from conftest import rvid_sequence, synth_bundle
+from conftest import entry_at, read_frames, rvid_sequence, synth_bundle
 
 
 def perfect(features, params):
@@ -233,8 +233,8 @@ def test_licvpr_reports_the_fallback_fraction_of_its_trace(tmp_path):
     # Frames 100..119 turn the ROI gray: the skin model fitted on frame 0
     # keeps none of their pixels, so those frames fall back to the full box.
     result = synth_bundle(SynthConfig(duration_s=10.0, seed=5))
-    frames = result.sequence.read(0, result.sequence.n_frames).copy()
-    box = result.roi.entry_for(0).bbox()
+    frames = read_frames(result.sequence).copy()
+    box = entry_at(result.roi, 0).bbox()
     frames[100:120, box.y:box.y + box.h, box.x:box.x + box.w] = 128
     bundle = SequenceBundle(sequence=rvid_sequence(frames), roi=result.roi, directory=tmp_path)
     licvpr = extract_pulse(bundle, "licvpr", {"strategy": "skin"})

@@ -957,6 +957,26 @@ def test_eval_names_why_each_sequence_failed(corruptible_dataset, tmp_path, caps
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gt.json", "1" + "0" * 400),  # an integer no float can hold
+    ("bvp_meta.json", "1" + "0" * 400),
+    ("bvp_meta.json", "1e-320"),  # a rate whose step 1 / rate overflows
+], ids=["huge-hr", "huge-rate", "tiny-rate"])
+def test_eval_fails_a_sequence_whose_json_number_is_unusable(corruptible_dataset, tmp_path, capsys, name, value):
+    root = tmp_path / "ds"
+    shutil.copytree(corruptible_dataset, root)
+    path = root / "seq001" / name
+    if name == "gt.json":
+        path.write_text(f'{{"hr_bpm": {value}}}', encoding="utf-8")
+    else:
+        path.write_text(path.read_text(encoding="utf-8").replace("256.0", value), encoding="utf-8")
+    argv = ["eval", "--root", str(root), "--protocol", str(root / "protocol.csv"), "--algo", "chrom", "--jobs", "1"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert_data_error(code, err)
+    assert "only 1 of 2 sequences succeeded" in err
+    assert f"seq001 (FormatError: {path}: " in err
+
+
 def test_search_with_scalar_grid_exits_2(small_dataset, tmp_path, capsys):
     # Also an empty grid, an empty candidate list, a string candidate list, a
     # list grid and a stage that is not an object.

@@ -35,6 +35,7 @@ from rppgbench.io import (
     write_series_csv,
 )
 
+from conftest import entry_at, read_frames
 
 #: Hypothesis settings for the round-trips, which rewrite one file in tmp_path.
 ROUND_TRIP = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -62,7 +63,7 @@ def test_rvid_round_trip_bytes(tmp_path):
     back = read_rvid(p)
     assert back.width == 4 and back.height == 4 and back.n_frames == 3
     assert back.fps == Fraction(20, 1)
-    assert np.array_equal(back.read(0, 3), frames)
+    assert np.array_equal(read_frames(back, 0, 3), frames)
 
     q = tmp_path / "b.rvid"
     with back.reader() as read:
@@ -387,6 +388,17 @@ def test_physio_sidecar_rate_must_be_a_number(tmp_path, rate):
         read_physio_csv(csv_path, meta_path)
 
 
+def test_physio_sidecar_rate_must_have_a_finite_step(tmp_path):
+    # 1 / 1e-320 overflows to inf, which every row's step would pass as "even".
+    csv_path = tmp_path / "bvp.csv"
+    write_series_csv([0.0, 0.5], [1.0, 2.0], csv_path)
+    meta_path = tmp_path / "m.json"
+    meta = {"subject_id": "s", "lighting": "studio", "sample_rate_hz": 1e-320, "signal_type": "bvp"}
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=f"{re.escape(str(meta_path))}: .*1 / sample_rate_hz overflows"):
+        read_physio_csv(csv_path, meta_path)
+
+
 @pytest.mark.parametrize("subject", [True, 5, None])
 def test_physio_sidecar_subject_must_be_a_string(tmp_path, subject):
     csv_path = tmp_path / "bvp.csv"
@@ -522,7 +534,7 @@ def test_roi_single_row_inherits_forward(tmp_path):
     p.write_text("0,100,80,200,240\n")
     track = read_roi_track(p, 640, 480)
     for idx in (0, 1, 599, 1199):
-        assert track.entry_for(idx) == RoiBox(100, 80, 200, 240)
+        assert entry_at(track, idx) == RoiBox(100, 80, 200, 240)
 
 
 def test_roi_rejects_negative_width(tmp_path):
@@ -553,7 +565,7 @@ def test_roi_landmark_row_of_nine_points(tmp_path):
     flat = ",".join(f"{x},{y}" for x, y in coords)
     p = tmp_path / "roi.csv"
     p.write_text(f"0,{flat}\n")
-    entry = read_roi_track(p, 64, 64).entry_for(0)
+    entry = read_roi_track(p, 64, 64).entries[0]
     assert isinstance(entry, RoiPolygon)
     assert len(entry.points) == 9
 
@@ -670,7 +682,7 @@ def test_roi_track_runs_tile_the_frames_like_entry_for(frames, n_frames):
     assert [start for start, _, _ in runs] == [f for f in frames if f < n_frames]
     assert [stop for _, stop, _ in runs] == [start for start, _, _ in runs[1:]] + [n_frames]
     for start, stop, entry in runs:
-        assert all(track.entry_for(i) == entry for i in range(start, stop))
+        assert all(entry_at(track, i) == entry for i in range(start, stop))
 
 
 def test_roi_entry_before_first_frame_errors():

@@ -21,14 +21,15 @@ from rppgbench.roi import (
 )
 from rppgbench.synth import SynthConfig, generate
 
-from conftest import rvid_sequence, synth_bundle
+from conftest import entry_at, read_frames, rvid_sequence, synth_bundle
 
 SKIN = np.array([180, 120, 100], dtype=np.uint8)
 
 
 def skin_mask(frame, model):
     """The skin selection of a (h, w, 3) frame, as the moments pass makes it."""
-    return _skin_select(np.moveaxis(np.asarray(frame, dtype=np.float64), -1, 0), model)
+    (mask,) = _skin_select(np.moveaxis(np.asarray(frame, dtype=np.float64), -1, 0), model, [model.mahalanobis_limit()])
+    return mask
 
 
 def uniform_frame(color, h=40, w=40):
@@ -128,7 +129,7 @@ def test_mask_monotone_in_tau():
 
 def test_classifier_on_synthetic_frames():
     config = SynthConfig(duration_s=2.0, noise_sd=0.0, seed=5)
-    frame = synth_bundle(config).sequence.read(0, 1)[0]
+    frame = read_frames(synth_bundle(config).sequence, 0, 1)[0]
     x, y, w, h = config.skin_rect
     model = fit_skin_model(frame, RoiBox(x, y, w, h), tau=0.3)
     mask = skin_mask(frame, model)
@@ -145,7 +146,7 @@ def test_classifier_keep_rate_on_noisy_pixels_is_one_minus_tau():
     # degrees of freedom, so the peak-normalized likelihood rule keeps a
     # fraction of exactly 1 - tau in expectation.
     config = SynthConfig(duration_s=2.0, noise_sd=1.0, seed=5)
-    frame = synth_bundle(config).sequence.read(0, 1)[0]
+    frame = read_frames(synth_bundle(config).sequence, 0, 1)[0]
     x, y, w, h = config.skin_rect
     tau = 0.3
     model = fit_skin_model(frame, RoiBox(x, y, w, h), tau=tau)
@@ -185,7 +186,7 @@ def test_self_intersecting_polygon_rejected():
 def test_synth_roi_polygon_equals_skin_rect():
     config = SynthConfig(duration_s=1.0)
     result = generate(config)
-    entry = result.roi.entry_for(0)
+    entry = entry_at(result.roi, 0)
     mask = lower_face_mask(entry)
     assert entry.bbox() == RoiBox(*config.skin_rect)
     assert mask.shape == (config.skin_rect[3], config.skin_rect[2]) and mask.all()
@@ -375,7 +376,7 @@ def test_constant_sequence_all_strategies_agree():
     box_track = RoiTrack(frames=(0,), entries=(RoiBox(2, 2, 20, 20),))
     poly = RoiPolygon(((2, 2), (22, 2), (22, 22), (2, 22)))
     poly_track = RoiTrack(frames=(0,), entries=(poly,))
-    model = fit_skin_model(seq.read(0, 1)[0], RoiBox(2, 2, 20, 20), tau=0.3)
+    model = fit_skin_model(read_frames(seq, 0, 1)[0], RoiBox(2, 2, 20, 20), tau=0.3)
 
     t_bbox = mean_rgb_trace(seq, box_track, "bbox")
     t_skin = mean_rgb_trace(seq, box_track, "skin", model)
@@ -409,9 +410,9 @@ def test_skin_strategy_matches_ground_truth_rect_oracle():
     config = SynthConfig(duration_s=5.0, noise_sd=0.0, seed=2)
     result = synth_bundle(config)
     seq = result.sequence
-    frames = seq.read(0, seq.n_frames)
+    frames = read_frames(seq)
     x, y, w, h = config.skin_rect
-    model = fit_skin_model(frames[0], result.roi.entry_for(0), tau=0.3)
+    model = fit_skin_model(frames[0], entry_at(result.roi, 0), tau=0.3)
     trace = mean_rgb_trace(seq, result.roi, "skin", model)
     oracle = frames[:, y:y + h, x:x + w, :].reshape(seq.n_frames, -1, 3).mean(axis=1)
     assert np.max(np.abs(trace.means - oracle)) <= 0.5
@@ -423,7 +424,7 @@ def test_skin_strategy_rejects_background_ring():
     # tone instead of averaging in the gray ring.
     config = SynthConfig(duration_s=5.0, noise_sd=2.0, seed=2)
     seq = synth_bundle(config).sequence
-    frames = seq.read(0, seq.n_frames)
+    frames = read_frames(seq)
     x, y, w, h = config.skin_rect
     pad = 8
     box = RoiBox(x - pad, y - pad, w + 2 * pad, h + 2 * pad)

@@ -16,7 +16,7 @@ from rppgbench.synth import (
     write_bundle,
 )
 
-from conftest import synth_bundle
+from conftest import entry_at, read_frames, synth_bundle
 
 
 def skin_region(frames, rect):
@@ -27,7 +27,7 @@ def skin_region(frames, rect):
 def frames_of(config):
     """The frames of ``generate(config)``, written by ``write_bundle`` and read back whole."""
     seq = synth_bundle(config).sequence
-    return seq.read(0, seq.n_frames)
+    return read_frames(seq)
 
 
 def whole_array_frames(config):
@@ -91,7 +91,7 @@ def test_streamed_frames_equal_the_whole_array(tmp_path, config, clips):
         return
     write_bundle(result, tmp_path)
     seq = read_rvid(tmp_path / BUNDLE_FILES["video"])
-    assert seq.read(0, seq.n_frames).tobytes() == want.tobytes()
+    assert read_frames(seq).tobytes() == want.tobytes()
 
 
 def test_write_bundle_holds_a_small_part_of_the_video(tmp_path):
@@ -168,7 +168,7 @@ def test_bvp_is_256hz_same_sinusoid():
 def test_roi_is_skin_rect_polygon():
     config = SynthConfig(duration_s=1.0)
     result = generate(config)
-    entry = result.roi.entry_for(0)
+    entry = entry_at(result.roi, 0)
     assert isinstance(entry, RoiPolygon)
     x, y, w, h = config.skin_rect
     assert entry.points == ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
@@ -235,4 +235,4 @@ def test_build_dataset_seeds_differ_per_sequence(tmp_path):
     build_dataset(tmp_path, pairs, base_seed=3)
     a = read_rvid(tmp_path / "seq000" / "video.rvid")
     b = read_rvid(tmp_path / "seq001" / "video.rvid")
-    assert not np.array_equal(a.read(0, a.n_frames), b.read(0, b.n_frames))  # same HR, different noise
+    assert not np.array_equal(read_frames(a), read_frames(b))  # same HR, different noise

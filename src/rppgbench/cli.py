@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .bench import (
 )
 from .errors import DataError, FormatError, NumericDegeneracyError
 from .hr import estimate_hr_spectral
-from .io import _check_even_steps, _read_json, load_protocol, read_series_csv, write_series_csv
+from .io import _check_even_steps, _read_json, affinity_cpus, load_protocol, read_series_csv, write_series_csv
 from .roi import STRATEGIES, check_selection
 from .signals import BandHz, Signal1D
 from .synth import SynthConfig, build_dataset
@@ -77,8 +76,6 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rppgbench", description=__doc__.splitlines()[0])
-    # The CPUs this process may run on, where the platform can tell.
-    jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_synth = sub.add_parser("synth", help="generate synthetic sequence bundles")
@@ -127,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=("train", "test"), default="test")
     p_eval.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
     p_eval.add_argument("--out", required=True, help="report path (.csv or .json)")
-    p_eval.add_argument("--jobs", type=_positive_int, default=jobs)
+    p_eval.add_argument("--jobs", type=_positive_int, default=affinity_cpus())
     p_eval.set_defaults(func=cmd_eval)
 
     p_search = sub.add_parser("search", help="greedy stage-wise parameter search")
@@ -140,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                           help="fixed defaults applied to every candidate")
     p_search.add_argument("--out", required=True, help="output JSON (best params + trace)")
-    p_search.add_argument("--jobs", type=_positive_int, default=jobs)
+    p_search.add_argument("--jobs", type=_positive_int, default=affinity_cpus())
     p_search.set_defaults(func=cmd_search)
     return parser
 

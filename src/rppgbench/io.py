@@ -99,12 +99,21 @@ def _read_json(path):
         raise FormatError(f"not valid JSON: {exc}", path=str(path)) from None
 
 
-def _check_number(name: str, value, optional: bool = True) -> None:
-    """Raise ValueError unless ``value`` is an int or a float (a bool is neither), or None if optional."""
+def _check_number(name: str, value, optional: bool = True) -> float | None:
+    """``value`` as a float; ValueError unless a float or an int a float holds (a bool is neither), or None if optional."""
     if optional and value is None:
-        return
+        return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number{' or null' if optional else ''}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def affinity_cpus() -> int:
+    """The number of CPUs this process may run on, where the platform can tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +303,7 @@ def _loadtxt_series(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
         rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if rows.shape[1] == 2 and np.isfinite(rows).all() and (np.diff(rows[:, 0]) > 0).all():
+    if rows.shape[1] == 2 and np.isfinite(rows).all() and (rows[1:, 0] > rows[:-1, 0]).all():
         return tuple(np.ascontiguousarray(rows.T))
     return None
 
@@ -371,10 +380,9 @@ def read_physio_csv(path, meta_path) -> PhysioSignal:
             raise FormatError(f"sidecar missing key {key!r}", path=str(meta_path))
     t, values = read_series_csv(path)
     try:
-        _check_number("sample_rate_hz", meta["sample_rate_hz"], optional=False)
         signal = PhysioSignal(
             kind=meta["signal_type"],
-            fs=float(meta["sample_rate_hz"]),
+            fs=_check_number("sample_rate_hz", meta["sample_rate_hz"], optional=False),
             samples=values,
             subject_id=meta["subject_id"],
             lighting=meta["lighting"],
@@ -678,8 +686,7 @@ def read_ground_truth(path) -> HrEstimate:
     if not isinstance(payload, dict) or "hr_bpm" not in payload:
         raise FormatError("expected an object with an 'hr_bpm' key", path=str(path))
     try:
-        _check_number("hr_bpm", payload["hr_bpm"], optional=False)
-        return HrEstimate(bpm=float(payload["hr_bpm"]), method="synthetic")
+        return HrEstimate(bpm=_check_number("hr_bpm", payload["hr_bpm"], optional=False), method="synthetic")
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad hr_bpm value: {exc}", path=str(path)) from None
 

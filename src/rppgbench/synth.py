@@ -12,6 +12,7 @@ at a time and streams them to ``video.rvid``.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -29,6 +30,7 @@ from .io import (
     ProtocolIndex,
     RoiPolygon,
     RoiTrack,
+    affinity_cpus,
     write_ground_truth,
     write_physio_csv,
     write_protocol,
@@ -187,23 +189,27 @@ def build_dataset(
     """Generate one bundle per (hr, split) pair and write the protocol CSV.
 
     Sequences are named ``seq000``, ``seq001``, ... in pair order, each with
-    its own seed and subject id. The protocol is written only when both
-    splits have entries, since a protocol needs both to load; returns its
-    path, else None.
+    its own seed and subject id, so bundles are written concurrently with the
+    same bytes at any CPU count; a failure raises the first failing pair's
+    error and drops queued bundles. The protocol is written only when both
+    splits have entries, since it needs both to load; returns its path, else None.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     if base_seed is None:
         base_seed = base_config.seed
-    entries = []
-    for i, (hr, split) in enumerate(hr_split_pairs):
+
+    def build(i: int, pair: tuple[float, str]) -> ProtocolEntry:
+        hr, split = pair
         config = replace(base_config, hr_bpm=float(hr), seed=base_seed + i)
         sid = f"seq{i:03d}"
         subject = f"subj{i:03d}"
         result = generate(config, subject_id=subject)
         write_bundle(result, root / sid)
-        condition = "studio" if config.illum_drift[1] == 0 else "natural"
-        entries.append(ProtocolEntry(sequence_id=sid, split=split, condition=condition, subject_id=subject))
+        return ProtocolEntry(sequence_id=sid, split=split, condition=result.bvp.lighting, subject_id=subject)
+
+    with ThreadPoolExecutor(min(len(hr_split_pairs), affinity_cpus()) or 1) as pool:
+        entries = list(pool.map(build, range(len(hr_split_pairs)), hr_split_pairs))  # a failure cancels the queue
     if {e.split for e in entries} != set(SPLITS):
         return None
     path = root / "protocol.csv"

@@ -472,8 +472,12 @@ def test_malformed_json_report_names_the_path(tmp_path, corrupt):
         lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "estimated_bpm": "fast"}]},
         lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "ground_truth_bpm": None}]},
         lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "status": "failed"}]},
+        # Integers no float can hold: a CSV written from them would read back inf.
+        lambda payload: {**payload, "rmse": 10**400},
+        lambda payload: {**payload, "sequences": [{**payload["sequences"][0], "estimated_bpm": -10**400}]},
     ],
-    ids=["rmse-string", "unknown-status", "estimate-string", "ok-without-truth", "failed-with-numbers"],
+    ids=["rmse-string", "unknown-status", "estimate-string", "ok-without-truth", "failed-with-numbers",
+         "rmse-huge-int", "estimate-huge-int"],
 )
 def test_json_report_values_are_checked(tmp_path, corrupt):
     report = EvalReport("p", "a", "test", {}, (SequenceResult("s1", "ok", 60.0, 61.0),), 1.0, None)

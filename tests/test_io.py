@@ -711,6 +711,13 @@ def test_ground_truth_must_be_a_number(tmp_path, value):
         read_ground_truth(p)
 
 
+def test_ground_truth_rejects_an_int_no_float_can_hold(tmp_path):
+    p = tmp_path / "gt.json"
+    p.write_text('{"hr_bpm": 1' + "0" * 400 + "}")
+    with pytest.raises(FormatError, match=f"{re.escape(str(p))}: bad hr_bpm value: .*int too large to convert"):
+        read_ground_truth(p)
+
+
 def test_ground_truth_rejects_malformed(tmp_path):
     p = tmp_path / "gt.json"
     p.write_text("{\"rate\": 72}")

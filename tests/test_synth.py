@@ -1,11 +1,24 @@
-"""Synthetic generator: determinism, signal model fidelity, bundle layout, streamed frames."""
+"""Synthetic generator: determinism, signal model fidelity, bundle layout, streamed frames, concurrent builds."""
 
+import _thread
+import threading
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rppgbench.io import RoiPolygon, load_protocol, read_ground_truth, read_rvid
+from rppgbench import synth
+from rppgbench.io import (
+    ProtocolEntry,
+    ProtocolIndex,
+    RoiPolygon,
+    load_protocol,
+    read_ground_truth,
+    read_rvid,
+    write_protocol,
+)
 from rppgbench.synth import (
     BACKGROUND_GRAY,
     BUNDLE_FILES,
@@ -236,3 +249,87 @@ def test_build_dataset_seeds_differ_per_sequence(tmp_path):
     a = read_rvid(tmp_path / "seq000" / "video.rvid")
     b = read_rvid(tmp_path / "seq001" / "video.rvid")
     assert not np.array_equal(read_frames(a), read_frames(b))  # same HR, different noise
+
+
+def sequential_build(root, pairs, base_config, base_seed):
+    """The dataset ``build_dataset`` promises, written one bundle after another."""
+    entries = []
+    for i, (hr, split) in enumerate(pairs):
+        config = replace(base_config, hr_bpm=float(hr), seed=base_seed + i)
+        write_bundle(generate(config, subject_id=f"subj{i:03d}"), root / f"seq{i:03d}")
+        condition = "studio" if config.illum_drift[1] == 0 else "natural"
+        entries.append(ProtocolEntry(f"seq{i:03d}", split, condition, f"subj{i:03d}"))
+    write_protocol(ProtocolIndex(entries=tuple(entries), name="protocol"), root / "protocol.csv")
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_worker_count_cannot_change_the_bytes(tmp_path, monkeypatch, cpus):
+    pairs = [(60.0, "train"), (75.0, "train"), (90.0, "test"), (105.0, "test"), (120.0, "test")]
+    base = SynthConfig(duration_s=3.0, noise_sd=2.0, illum_drift=(0.3, 4.0))
+    sequential_build(tmp_path / "want", pairs, base, base_seed=17)
+    workers = []
+    pool = synth.ThreadPoolExecutor
+    monkeypatch.setattr(synth, "affinity_cpus", lambda: cpus)
+    monkeypatch.setattr(synth, "ThreadPoolExecutor", lambda n: workers.append(n) or pool(n))
+    assert build_dataset(tmp_path / "got", pairs, base_config=base, base_seed=17) == tmp_path / "got" / "protocol.csv"
+    assert workers == [min(len(pairs), cpus)]
+    want = tree_bytes(tmp_path / "want")
+    assert len(want) == 5 * len(BUNDLE_FILES) + 1
+    assert tree_bytes(tmp_path / "got") == want
+
+
+def test_build_raises_the_first_failing_pairs_error(tmp_path, monkeypatch):
+    # Pair 3 fails while pair 1 is still running; pair 1's error is the one a
+    # build in pair order raises, and the bundles still queued never start.
+    pairs = [(72.0, "train")] * 2 + [(72.0, "test")] * 8
+    pair3_failed = threading.Event()
+    started = []
+    write = synth.write_bundle
+
+    def failing_write(result, out_dir):
+        started.append(out_dir.name)
+        if out_dir.name == "seq001":
+            assert pair3_failed.wait(10)
+            raise ValueError("pair 1")
+        if out_dir.name == "seq003":
+            pair3_failed.set()
+            raise RuntimeError("pair 3")
+        return write(result, out_dir)
+
+    monkeypatch.setattr(synth, "affinity_cpus", lambda: 2)
+    monkeypatch.setattr(synth, "write_bundle", failing_write)
+    with pytest.raises(ValueError, match="pair 1"):
+        build_dataset(tmp_path, pairs, base_config=SynthConfig(duration_s=1.0))
+    assert not (tmp_path / "protocol.csv").exists()
+    assert {"seq000", "seq002"} <= {p.name for p in tmp_path.iterdir()}
+    assert "seq009" not in started
+
+
+def test_interrupted_build_drops_the_queued_bundles(tmp_path, monkeypatch):
+    # Ctrl-C reaches the main thread while it waits for the first bundle, every
+    # pair long since queued.
+    write = synth.write_bundle
+
+    def interrupting_write(result, out_dir):
+        if out_dir.name == "seq000":
+            time.sleep(0.2)
+            _thread.interrupt_main()
+        return write(result, out_dir)
+
+    monkeypatch.setattr(synth, "affinity_cpus", lambda: 1)
+    monkeypatch.setattr(synth, "write_bundle", interrupting_write)
+    with pytest.raises(KeyboardInterrupt):
+        build_dataset(tmp_path, [(72.0, "train"), (72.0, "test")] * 4, base_config=SynthConfig(duration_s=1.0))
+    assert not (tmp_path / "protocol.csv").exists()
+    assert len(list(tmp_path.iterdir())) <= 2  # the interrupted bundle and at most the one started next
+
+
+def test_all_clipping_build_leaves_the_root_empty(tmp_path):
+    config = SynthConfig(duration_s=1.0, noise_sd=60.0)
+    with pytest.raises(ValueError, match="clip"):
+        build_dataset(tmp_path, [(72.0, "train"), (72.0, "test")], base_config=config)
+    assert list(tmp_path.iterdir()) == []

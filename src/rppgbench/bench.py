@@ -154,12 +154,12 @@ def _selection_key(strategy: str, skin_tau: float) -> tuple:
 def _pixel_keys(params) -> list:
     """The :func:`~rppgbench.roi.pixel_features` keys a run with ``params`` reads.
 
-    Its selection's RGB trace, and the background trace when LiCVPR
-    rectifies; parameters that name no selection read no pixel feature.
+    Its selection's RGB trace (with correlations for SSR), and the background trace
+    when LiCVPR rectifies; parameters that name no selection read no pixel feature.
     """
     if not hasattr(params, "strategy"):
         return []
-    keys = [("rgb", *_selection_key(params.strategy, params.skin_tau))]
+    keys = [("corr" if isinstance(params, SsrParams) else "rgb", *_selection_key(params.strategy, params.skin_tau))]
     if getattr(params, "rectify", False):
         keys.append(("background", params.background_margin))
     return keys
@@ -219,10 +219,13 @@ class SequenceFeatures:
     def rgb_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
         return self._pixel_feature(("rgb", *_selection_key(strategy, skin_tau)))
 
+    def corr_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
+        return self._pixel_feature(("corr", *_selection_key(strategy, skin_tau)))
+
     def eigens(self, strategy: str, skin_tau: float) -> tuple:
         """The selection's ``ssr.trace_eigens``: SSR's windows change, its eigen-decompositions do not."""
         key = ("eigens", *_selection_key(strategy, skin_tau))
-        return self._feature(key, lambda: trace_eigens(self.rgb_trace(strategy, skin_tau)))
+        return self._feature(key, lambda: trace_eigens(self.corr_trace(strategy, skin_tau)))
 
     def background(self, margin: int) -> Signal1D:
         return self._pixel_feature(("background", margin))
@@ -268,7 +271,7 @@ def pulse_licvpr(features: SequenceFeatures, params: LiParams) -> PulseSignal:
 
 def pulse_ssr(features: SequenceFeatures, params: SsrParams) -> PulseSignal:
     selection = (params.strategy, params.skin_tau)
-    return ssr_pulse(features.rgb_trace(*selection), params, features.eigens(*selection))
+    return ssr_pulse(features.corr_trace(*selection), params, features.eigens(*selection))
 
 
 def _runner(pulse_fn):
@@ -576,7 +579,7 @@ def greedy_search(
     correlation, is recorded as failed. One :class:`FeatureStore` serves every
     candidate, so a stage that changes only pulse parameters reads no video,
     and the first pass over each video computes every pixel feature that the
-    combinations read.
+    combinations read. Equal parameters are evaluated once per call, failure included.
     """
     stages = list(stages)
     if not stages:
@@ -586,6 +589,7 @@ def greedy_search(
     fixed, per_stage, planned = _stage_assignments(stages, algorithm, dict(defaults or {}))
     store = FeatureStore(dataset_root)
     store.plan(planned)
+    outcomes = {}  # built params -> score, or the expected error that failed them
     trace: list[dict] = []
     n_evaluations = 0
     for stage, assignments in zip(stages, per_stage):
@@ -600,13 +604,16 @@ def greedy_search(
             except ValueError as exc:
                 rows.append(_failed_row(candidate, exc))
                 continue
-            try:
-                report = evaluate(protocol, split, algorithm, dataset_root, params=params, jobs=jobs, store=store)
-                score = report.pearson_rho if objective == "pearson" else -report.rmse
-                if score is None:
-                    raise UndefinedCorrelationError()
-            except EXPECTED_ERRORS as exc:
-                rows.append(_failed_row(candidate, exc))
+            if params not in outcomes:
+                try:
+                    report = evaluate(protocol, split, algorithm, dataset_root, params=params, jobs=jobs, store=store)
+                    outcomes[params] = report.pearson_rho if objective == "pearson" else -report.rmse
+                    if outcomes[params] is None:
+                        raise UndefinedCorrelationError()
+                except EXPECTED_ERRORS as exc:
+                    outcomes[params] = exc
+            if isinstance(score := outcomes[params], Exception):
+                rows.append(_failed_row(candidate, score))
                 continue
             rows.append({"params": candidate, "objective_value": score, "error": None})
             if best_score is None or score > best_score:

@@ -344,9 +344,13 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(ts), np.asarray(vs)
 
 
-def _check_even_steps(path, t: np.ndarray, step: float, expected: str) -> None:
-    """Raise FormatError at the first timestamp more than half a step off ``step`` after its predecessor."""
+def _check_even_steps(path, t: np.ndarray, step: float | None, expected: str) -> None:
+    """Raise FormatError at the first timestamp more than half a step off ``step`` (None: the median step) after
+    its predecessor, or first when increasing timestamps span more than a float holds, so no step overflows."""
+    if not math.isfinite(float(t[-1]) - float(t[0])):
+        raise FormatError(f"timestamps from {t[0]} to {t[-1]} s span more than a float holds", path=str(path))
     steps = np.diff(t)
+    step = np.median(steps) if step is None else step
     uneven = np.flatnonzero(np.abs(steps - step) > step / 2)
     if uneven.size:
         k = uneven[0]

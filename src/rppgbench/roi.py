@@ -116,39 +116,39 @@ class SkinModel:
 class RgbTrace:
     """Per-frame statistics of the selected pixels, at the video frame rate.
 
-    ``means`` (n, 3) is each frame's mean RGB; ``correlations`` (n, 3, 3)
-    is each frame's pixel correlation matrix ``C = V'V / N`` over its N
-    selected pixels ``V``, which SSR decomposes.
+    ``means`` (n, 3) is each frame's mean RGB; ``correlations`` (n, 3, 3),
+    None unless asked for, is each frame's pixel correlation matrix
+    ``C = V'V / N`` over its N selected pixels ``V``, which SSR decomposes.
     """
 
     means: np.ndarray
-    correlations: np.ndarray
     fs: float
     pixel_counts: np.ndarray
     fallback_frames: tuple[int, ...] = ()
+    correlations: np.ndarray | None = None
 
     def __post_init__(self):
         means = np.array(self.means, dtype=np.float64)
-        correlations = np.array(self.correlations, dtype=np.float64)
+        correlations = None if self.correlations is None else np.array(self.correlations, dtype=np.float64)
         counts = np.array(self.pixel_counts, dtype=np.int64)
         if means.ndim != 2 or means.shape[1] != 3 or means.shape[0] == 0:
             raise ValueError("means must be shaped (n_frames, 3) with n_frames >= 1")
-        if correlations.shape != (means.shape[0], 3, 3):
+        if correlations is not None and correlations.shape != (means.shape[0], 3, 3):
             raise ValueError("correlations must be shaped (n_frames, 3, 3)")
         if counts.shape != (means.shape[0],):
             raise ValueError("pixel_counts must hold one count per frame")
         if np.any(counts < 1):
             raise ValueError("every frame must contribute at least one pixel")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(correlations))):
+        if not (np.all(np.isfinite(means)) and (correlations is None or np.all(np.isfinite(correlations)))):
             raise ValueError("trace means and correlations must be finite")
         if means.min() < 0.0 or means.max() > 255.0:
             raise ValueError("trace means must stay within [0, 255]")
         fs = float(self.fs)
         if not np.isfinite(fs) or fs <= 0:
             raise ValueError(f"frame rate must be finite and positive, got {self.fs!r}")
-        means.setflags(write=False)
-        correlations.setflags(write=False)
-        counts.setflags(write=False)
+        for array in (means, correlations, counts):
+            if array is not None:
+                array.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "correlations", correlations)
         object.__setattr__(self, "pixel_counts", counts)
@@ -285,7 +285,7 @@ def _background_window(box: RoiBox, margin: int, width: int, height: int) -> tup
 def _failure(key, seq: FrameSequence, roi: RoiTrack, fit: bool) -> DataError | None:
     """The error a :func:`pixel_features` pass of ``key`` alone would raise, or None: the skin fit's on
     frame 0 (when ``fit``), then each ROI run's bounds check, then its landmark check. A bad key raises."""
-    if key[0] == "rgb":
+    if key[0] in ("rgb", "corr"):
         _check_strategy(key[1])
     elif key[1] < 0:
         raise ValueError(f"margin must be non-negative, got {key[1]}")
@@ -310,49 +310,65 @@ def _failure(key, seq: FrameSequence, roi: RoiTrack, fit: bool) -> DataError | N
 def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | None = None) -> dict:
     """Compute every pixel feature named in ``keys`` in one pass over ``seq``.
 
-    A key is ``("rgb", strategy, skin_tau)`` for the :class:`RgbTrace` of a
-    selection, with ``skin_tau`` None unless the strategy is ``skin``, or
-    ``("background", margin)`` for the mean green value of everything outside
-    the ROI box grown by ``margin`` pixels, a :class:`Signal1D`. Returns each
-    key's feature, or the exception that failed it: a feature fails alone,
-    with the error a pass of its own would raise, decided from the ROI track
-    and the frame size before the pass (see :func:`_failure`), which computes
-    only the others and reads no block when every key fails. Bad arguments
-    (an unknown strategy, a negative margin) and failed reads raise.
+    A key is ``("rgb", strategy, skin_tau)`` for a selection's :class:`RgbTrace` without
+    correlations, ``("corr", strategy, skin_tau)`` for it with them (``skin_tau`` None
+    unless the strategy is ``skin``), or ``("background", margin)`` for the mean green
+    value of everything outside the ROI box grown by ``margin`` pixels, a :class:`Signal1D`.
+    Returns each key's feature, or the exception that failed it: a feature fails alone,
+    with the error a pass of its own would raise, decided from the ROI track and the frame
+    size before the pass (see :func:`_failure`), which computes only the others and reads
+    no block when every key fails. Bad arguments and failed reads raise.
 
-    The pass reads each block of frames once (see :meth:`FrameSequence.reader`),
-    copies each chunk of ``CHUNK_PIXELS`` ROI pixels to float64 once for every
-    selection, and takes the background sums from the same block. Every
-    strategy is a boolean mask over the ROI box: ``bbox`` all of it, ``mask``
-    the landmark polygon and ``skin`` the pixels within each ``skin_tau``'s
-    limit of the skin model, one d^2 per pixel serving every ``skin_tau``.
-    The model is ``model``, or the one :func:`fit_skin_model` fits on frame 0,
-    read for it before the first block. A frame whose selection comes up empty
-    keeps the whole box. Sums of uint8 values and of their products are
-    integers far below 2**53, exact in float64 and independent of summation order.
+    The pass reads each block of frames once (see :meth:`FrameSequence.reader`)
+    and copies each chunk of ``CHUNK_PIXELS`` ROI pixels to float64 once. Each
+    selection is a 0/1 weight per box pixel, built once per ROI run under
+    ``bbox`` and ``mask``; under ``skin`` one d^2 per pixel serves every
+    ``skin_tau`` (``model``, else fitted on frame 0). An empty selection keeps
+    the whole box. Its sums are one product of the chunk with the weights; its
+    3x3 products are taken once, for ``"corr"`` keys only. Background sums are
+    one product of each block's green plane with a 0/1 weight per margin,
+    rewritten per ROI run over its old and new windows. All sums are integers
+    below 2**53, exact in any order.
     """
     keys = list(dict.fromkeys(keys))
     n = seq.n_frames
     out = {key: _failure(key, seq, roi, model is None) for key in keys}
-    traces = {key: (np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty((n, 3, 3)), np.empty(n, dtype=bool))
-              for key in keys if key[0] == "rgb" and out[key] is None}
-    greens = {key: np.empty(n) for key in keys if key[0] == "background" and out[key] is None}
-    skins = [key for key in traces if key[1] == "skin"]
+    wanted = [key for key in keys if key[0] != "background" and out[key] is None]
+    corr = {key[1:] for key in wanted if key[0] == "corr"}
+    # selection (strategy, skin_tau) -> counts, sums, products (None without a "corr" key), fallback flags
+    traces = {key[1:]: (np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty((n, 3, 3)) if key[1:] in corr else None,
+                        np.empty(n, dtype=bool)) for key in wanted}
+    margins = [key for key in keys if key[0] == "background" and out[key] is None]
+    # Blocks of about BLOCK_BYTES, each a whole number of chunks of about CHUNK_PIXELS box pixels.
+    block_frames = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
+    greens, planes = np.empty((n, len(margins))), np.empty((block_frames if margins else 0, seq.height * seq.width))
+    # Per margin, 1 for each pixel outside the window of the last ROI run.
+    outside, placed = np.ones((len(margins), seq.height, seq.width)), [(slice(0), slice(0))] * len(margins)
+    skins = [selection for selection in traces if selection[0] == "skin"]
     with seq.reader() as read:
         if skins and model is None:
-            model = fit_skin_model(read(0, 1)[0], roi.entries[0], skins[0][2])
-        limits = [replace(model, tau=key[2]).mahalanobis_limit() for key in skins]
-        for start, stop, entry in roi.runs(n) if traces or greens else ():
+            model = fit_skin_model(read(0, 1)[0], roi.entries[0], skins[0][1])
+        limits = [replace(model, tau=selection[1]).mahalanobis_limit() for selection in skins]
+        for start, stop, entry in roi.runs(n) if traces or margins else ():
             box = entry.bbox()
-            # Blocks of about BLOCK_BYTES, each a whole number of chunks of about CHUNK_PIXELS box pixels.
-            block_frames = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
             chunk = max(1, min(CHUNK_PIXELS // (box.w * box.h), block_frames))
             step = chunk * (block_frames // chunk)
             block = read(start, min(start + step, stop))
-            whole = np.ones(box.h * box.w, dtype=bool)
-            regions = {key: lower_face_mask(entry).reshape(-1) if key[1] == "mask" else whole for key in traces}
-            windows = {key: _background_window(box, key[1], seq.width, seq.height) for key in greens}
+            weights = {}
+            for selection, (counts, _, _, fell_back) in traces.items():
+                if selection[0] != "skin":  # the same weights for every frame of the run
+                    region = lower_face_mask(entry).ravel() if selection[0] == "mask" else np.ones(box.h * box.w, bool)
+                    fell_back[start:stop] = empty = not region.any()
+                    counts[start:stop] = region.size if empty else np.count_nonzero(region)
+                    weights[selection] = (region | empty).astype(np.float64)
+            n_outside = np.empty(len(margins))
+            for j, key in enumerate(margins):
+                rows, cols, n_outside[j] = _background_window(box, key[1], seq.width, seq.height)
+                outside[j][placed[j]] = 1.0
+                outside[j][rows, cols] = 0.0
+                placed[j] = (rows, cols)
             buffer = np.empty((min(chunk, stop - start), 3, box.h * box.w))
+            spare = np.empty_like(buffer) if corr else None  # the products' left operand: numpy copies overlaps
             for a in range(start, stop, step):
                 if a > start:
                     block = read(a, min(a + step, stop))
@@ -364,32 +380,32 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
                               frames[:, box.y:box.y + box.h, box.x:box.x + box.w].transpose(0, 3, 1, 2))
                     if skins:
                         selected = dict(zip(skins, _skin_select(x.transpose(1, 0, 2), model, limits)))
-                    for key, region in regions.items():
-                        mask = selected[key] if key[1] == "skin" else np.broadcast_to(region, (c, region.size))
-                        fallback = ~mask.any(axis=1)
-                        if fallback.any():
-                            mask = mask | fallback[:, None]
-                        counts, sums, products, fell_back = traces[key]
-                        counts[f:f + c] = mask.sum(axis=1)
-                        weighted = x * mask[:, None, :]
-                        sums[f:f + c] = weighted.sum(axis=2)
-                        products[f:f + c] = weighted @ x.transpose(0, 2, 1)
-                        fell_back[f:f + c] = fallback
-                if windows:
-                    green = block[:, :, :, 1]
-                    total = green.sum(axis=(1, 2), dtype=np.int64)
-                    for key, (rows, cols, n_outside) in windows.items():
-                        # The difference of exact integer sums converts to float64 exactly.
-                        inner = green[:, rows, cols].sum(axis=(1, 2), dtype=np.int64)
-                        greens[key][a:a + len(block)] = (total - inner) / n_outside
-    for key, green in greens.items():
-        out[key] = Signal1D(green, seq.fps)
-    for key, (counts, sums, products, fell_back) in traces.items():
+                    for selection, (counts, sums, products, fell_back) in traces.items():
+                        if selection[0] == "skin":
+                            mask = selected[selection]
+                            fell_back[f:f + c] = fallback = ~mask.any(axis=1)
+                            mask[fallback] = True
+                            counts[f:f + c] = mask.sum(axis=1)
+                            w = mask.astype(np.float64)[:, None, :]
+                            sums[f:f + c] = (x @ w.reshape(c, -1, 1))[:, :, 0]
+                        else:
+                            w = weights[selection]
+                            sums[f:f + c] = (x.reshape(3 * c, -1) @ w).reshape(c, 3)
+                        if products is not None:
+                            np.multiply(x, w, out=spare[:c])
+                            products[f:f + c] = spare[:c] @ x.transpose(0, 2, 1)
+                if margins:
+                    np.copyto(planes[:len(block)].reshape(-1, seq.height, seq.width), block[:, :, :, 1])
+                    greens[a:a + len(block)] = (planes[:len(block)] @ outside.reshape(len(margins), -1).T) / n_outside
+    for j, key in enumerate(margins):
+        out[key] = Signal1D(greens[:, j], seq.fps)
+    for key in wanted:
+        counts, sums, products, fell_back = traces[key[1:]]
         fallbacks = np.flatnonzero(fell_back)
         if fallbacks.size:
             log.info("ROI fallback on %d/%d frames", fallbacks.size, n)
-        out[key] = RgbTrace(means=sums / counts[:, None], correlations=products / counts[:, None, None], fs=seq.fps,
-                            pixel_counts=counts, fallback_frames=fallbacks)
+        out[key] = RgbTrace(means=sums / counts[:, None], fs=seq.fps, pixel_counts=counts, fallback_frames=fallbacks,
+                            correlations=products / counts[:, None, None] if key[0] == "corr" else None)
     return out
 
 
@@ -402,10 +418,10 @@ def _one_feature(outcomes: dict):
 
 
 def _rgb_key(strategy: str, model: SkinModel | None) -> tuple:
-    """The :func:`pixel_features` key of one selection; ``skin`` needs a fitted ``model``, else ValueError."""
+    """The :func:`pixel_features` ``"corr"`` key of a selection; ``skin`` needs a fitted ``model``, else ValueError."""
     if strategy == "skin" and model is None:
         raise ValueError("strategy 'skin' requires a fitted SkinModel")
-    return ("rgb", strategy, model.tau if strategy == "skin" else None)
+    return ("corr", strategy, model.tau if strategy == "skin" else None)
 
 
 def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:

@@ -90,8 +90,10 @@ def trace_eigens(trace: RgbTrace) -> tuple[np.ndarray, np.ndarray]:
 
     ``trace.correlations`` holds one ``C = V'V / N`` per frame over that
     frame's N >= 3 selected pixels ``V``; fewer pixels in any frame raise
-    :class:`DataError`.
+    :class:`DataError`, and a trace without correlations ValueError.
     """
+    if trace.correlations is None:
+        raise ValueError("the trace holds no correlations; SSR reads a ('corr', ...) pixel feature")
     few = np.flatnonzero(trace.pixel_counts < 3)
     if few.size:
         raise DataError(f"need at least 3 pixels, got {trace.pixel_counts[few[0]]}")

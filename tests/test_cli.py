@@ -777,6 +777,15 @@ def test_hr_on_unevenly_spaced_pulse_exits_2(tmp_path, capsys):
     assert out == "" and str(pulse_csv) in err and "t=40.0" in err
 
 
+def test_hr_on_timestamps_spanning_past_the_float_range_exits_2(tmp_path, capsys):
+    # 1e308 - (-1e308) overflows: every step and the rate would come out inf or NaN.
+    pulse_csv = tmp_path / "p.csv"
+    pulse_csv.write_text("t,value\n-1e308,0.0\n1e308,1.0\n", encoding="ascii")
+    code, out, err = run(capsys, "hr", str(pulse_csv))
+    assert_data_error(code, err)
+    assert out == "" and f"{pulse_csv}: timestamps from -1e+308 to 1e+308 s span more than a float holds" in err
+
+
 @pytest.mark.parametrize(
     ("roi_row", "command", "options"),
     [

@@ -98,6 +98,52 @@ def test_search_objectives_equal_fresh_evaluations(protocol, small_dataset, algo
         assert row["objective_value"] == -fresh.rmse, row["params"]
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The params of every ``evaluate`` call that ``greedy_search`` makes, in call order."""
+    calls = []
+    original = bench.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["params"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "evaluate", counting)
+    return calls
+
+
+def stage_by_stage(stages, protocol, algorithm, root, objective):
+    """The search as one call per stage from the earlier winners, so no call meets an earlier stage's candidate."""
+    best, trace, n_evaluations = {}, [], 0
+    for stage in stages:
+        result = greedy_search([stage], protocol, algorithm, root, objective=objective, defaults=best)
+        best, trace, n_evaluations = result.best_params, trace + list(result.trace), n_evaluations + result.n_evaluations
+    return bench.SearchResult(best_params=best, objective=objective, trace=tuple(trace), n_evaluations=n_evaluations)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_search_scores_each_distinct_candidate_once(protocol, small_dataset, evaluations, algorithm):
+    # Each later stage tries the incumbent again (its grid holds the default); it is scored once.
+    stages = stages_of(STAGES[algorithm])
+    result = greedy_search(stages, protocol, algorithm, small_dataset, objective="neg_rmse")
+    built = [bench.build_params(algorithm, row["params"]) for stage in result.trace for row in stage["evaluations"]]
+    assert len(built) == result.n_evaluations > len(evaluations) == len(set(built))
+    assert evaluations == list(dict.fromkeys(built))
+    evaluations.clear()
+    oracle = stage_by_stage(stages, protocol, algorithm, small_dataset, "neg_rmse")
+    assert len(evaluations) == result.n_evaluations
+    assert json.dumps(result.to_jsonable(), indent=2) == json.dumps(oracle.to_jsonable(), indent=2)
+
+
+def test_search_scores_a_failed_candidate_once(protocol, small_dataset, evaluations):
+    stages = stages_of([{"grid": {"detrend_lambda": [100.0, 300.0]}}, {"grid": {"background_margin": [100, 5, 100]}}])
+    result = greedy_search(stages, protocol, "licvpr", small_dataset, objective="neg_rmse")
+    rows = result.trace[1]["evaluations"]
+    assert [row["error"] is None for row in rows] == [False, True, False] and rows[0]["error"] == rows[2]["error"]
+    assert [params.background_margin for params in evaluations] == [10, 10, 100, 5]
+    assert result.n_evaluations == 5
+
+
 def test_search_json_is_the_same_at_any_jobs(protocol, small_dataset):
     outputs = []
     for jobs in (1, 2):
@@ -274,9 +320,11 @@ def test_a_failed_feature_fails_alone(passes, entry, failures, tmp_path):
 
 
 def test_chrom_and_ssr_share_one_pixel_pass(protocol, peaks_dataset, reads):
-    # CHROM's mean RGB and SSR's correlations are one feature per selection.
+    # CHROM reads a selection's means and SSR its correlations too: planned
+    # before the first evaluation, both come from one pass per video.
     store = FeatureStore(peaks_dataset)
     selection = {"strategy": "skin", "skin_tau": 0.3}
+    store.plan([("corr", "skin", 0.3)])
     evaluate(protocol, "train", "chrom", peaks_dataset, params=selection, store=store)
     shared = evaluate(protocol, "train", "ssr", peaks_dataset, params=selection, store=store)
     assert reads["video"] == {"seq000": 1, "seq001": 1}

@@ -399,6 +399,15 @@ def test_physio_sidecar_rate_must_have_a_finite_step(tmp_path):
         read_physio_csv(csv_path, meta_path)
 
 
+def test_physio_timestamps_spanning_past_the_float_range(tmp_path):
+    # Checked before any step is taken, so no overflow warning (an error under this suite's filter).
+    csv_path, meta_path = tmp_path / "bvp.csv", tmp_path / "bvp_meta.json"
+    write_series_csv([-1e308, 1e308], [1.0, 2.0], csv_path)
+    meta_path.write_text(json.dumps({"subject_id": "s", "lighting": "studio", "sample_rate_hz": 2, "signal_type": "bvp"}))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(csv_path))}: timestamps from -1e\\+308 to 1e\\+308 s span"):
+        read_physio_csv(csv_path, meta_path)
+
+
 @pytest.mark.parametrize("subject", [True, 5, None])
 def test_physio_sidecar_subject_must_be_a_string(tmp_path, subject):
     csv_path = tmp_path / "bvp.csv"

@@ -20,6 +20,7 @@ from rppgbench.licvpr import background_trace
 from rppgbench.roi import (
     CHUNK_PIXELS,
     COV_RIDGE,
+    STRATEGIES,
     SkinModel,
     _skin_select,
     fit_skin_model,
@@ -85,14 +86,18 @@ def assert_matches_oracle(seq, roi, strategy, model):
         assert np.array_equal(pixels, want)
 
 
-def assert_trace_matches(trace, expected):
+def assert_trace_matches(trace, expected, correlations=True):
+    """``trace`` holds the oracle's counts, fallback frames and means, bit for bit, and its correlations
+    when ``correlations``, else none."""
     counts = np.array([p.shape[0] for p, _ in expected])
-    assert np.array_equal(trace.pixel_counts, counts)
+    assert trace.pixel_counts.tobytes() == counts.astype(np.int64).tobytes()
     assert trace.fallback_frames == tuple(i for i, (_, fb) in enumerate(expected) if fb)
     means = np.stack([p.mean(axis=0) for p, _ in expected])
-    corr = np.stack([p.T @ p / p.shape[0] for p, _ in expected])
-    assert np.array_equal(trace.means, means)
-    assert np.array_equal(trace.correlations, corr)
+    assert trace.means.tobytes() == means.tobytes()
+    if correlations:
+        assert trace.correlations.tobytes() == np.stack([p.T @ p / p.shape[0] for p, _ in expected]).tobytes()
+    else:
+        assert trace.correlations is None
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +117,12 @@ def volume(seed, n, h, w, skin_share):
 
 @st.composite
 def polygons(draw, w, h):
-    """Convex polygons inside the frame; sometimes too small to hold a pixel center."""
+    """Convex polygons inside the frame; sometimes a sliver over one or more pixels that holds no pixel center."""
     if draw(st.booleans()):
         x = draw(st.integers(0, w - 1))
         y = draw(st.integers(0, h - 1))
-        return RoiPolygon(((x + 0.1, y + 0.1), (x + 0.4, y + 0.1), (x + 0.4, y + 0.4), (x + 0.1, y + 0.4)))
+        x1 = x + draw(st.integers(0, w - 1 - x)) + 0.4
+        return RoiPolygon(((x + 0.1, y + 0.1), (x1, y + 0.1), (x1, y + 0.4), (x + 0.1, y + 0.4)))
     k = draw(st.integers(4, 8))
     rx = draw(st.floats(1.0, w / 2))
     ry = draw(st.floats(1.0, h / 2))
@@ -222,10 +228,10 @@ def test_skin_moments_match_oracle(case, picks, gaussian):
         assume(tau is not None)
         taus.append(tau)
     taus = list(dict.fromkeys(taus))
-    outcomes = pixel_features(seq, roi, [("rgb", "skin", tau) for tau in taus], model)
+    outcomes = pixel_features(seq, roi, [("corr", "skin", tau) for tau in taus], model)
     for tau in taus:
         tuned = SkinModel(mean=model.mean, cov=model.cov, tau=tau)
-        assert_trace_matches(outcomes[("rgb", "skin", tau)], oracle_frames(seq, roi, "skin", tuned))
+        assert_trace_matches(outcomes[("corr", "skin", tau)], oracle_frames(seq, roi, "skin", tuned))
         assert_matches_oracle(seq, roi, "skin", tuned)
 
 
@@ -244,7 +250,7 @@ def test_one_pass_equals_the_one_feature_passes(case, taus, margins):
     # Boxes fail the mask, small boxes the skin fit and wide margins the
     # background: each fails alone, as its own pass fails.
     seq, roi = case
-    keys = [("rgb", "bbox", None), ("rgb", "mask", None), *(("rgb", "skin", tau) for tau in taus),
+    keys = [("corr", "bbox", None), ("corr", "mask", None), *(("corr", "skin", tau) for tau in taus),
             *(("background", margin) for margin in margins)]
     outcomes = pixel_features(seq, roi, keys)
     for key in keys:
@@ -267,6 +273,29 @@ def test_one_pass_equals_the_one_feature_passes(case, taus, margins):
             assert got.fallback_frames == want.fallback_frames
 
 
+@SETTINGS
+@given(st.sampled_from(STRATEGIES).flatmap(lambda strategy: st.tuples(st.just(strategy), cases(strategy))),
+       st.sets(st.sampled_from(["rgb", "corr"]), min_size=1), st.sampled_from([0.05, 0.3, 0.9]),
+       st.none() | skin_gaussians())
+@example(("mask", LONG_CASE), {"rgb", "corr"}, 0.3, None)
+@example(("skin", LONG_CASE), {"rgb", "corr"}, 0.3, None)
+def test_each_kind_of_trace_matches_oracle(drawn, kinds, tau, gaussian):
+    # Frames hold black pixels; small polygons and tight or distant skin
+    # models leave selections empty. "rgb" computes no 3x3 products and
+    # "corr" adds them, and a plan of both equals the two one-key passes.
+    strategy, (seq, roi) = drawn
+    model = None
+    if strategy == "skin":
+        mean, cov = gaussian if gaussian is not None else (np.array([0.45, 0.3]), np.array([[4e-4, 1e-4], [1e-4, 3e-4]]))
+        model = SkinModel(mean=mean, cov=cov, tau=tau)
+    keys = [(kind, strategy, tau if model else None) for kind in sorted(kinds)]
+    outcomes = pixel_features(seq, roi, keys, model)
+    expected = oracle_frames(seq, roi, strategy, model)
+    for key in keys:
+        assert_trace_matches(outcomes[key], expected, correlations=key[0] == "corr")
+        assert_same_outcome(outcomes[key], pixel_features(seq, roi, [key], model)[key], key)
+
+
 def assert_same_outcome(got, want, key):
     """Two outcomes of one key: the same failure type and message, or byte-equal features."""
     if isinstance(want, Exception):
@@ -275,8 +304,12 @@ def assert_same_outcome(got, want, key):
         assert got.samples.tobytes() == want.samples.tobytes(), key
     else:
         for name in ("means", "correlations", "pixel_counts"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (key, name)
+            assert _bytes(getattr(got, name)) == _bytes(getattr(want, name)), (key, name)
         assert got.fallback_frames == want.fallback_frames, key
+
+
+def _bytes(array):
+    return None if array is None else array.tobytes()
 
 
 @st.composite

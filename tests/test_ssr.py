@@ -400,3 +400,13 @@ def test_anchor_exactly_at_the_bound_is_skipped_like_the_window_loop(caplog):
     params = SsrParams(window_l=20, degeneracy_eps=5e-7)
     assert_ssr_same_outcome(trace, params, caplog, eigens=(lams, vectors))
     assert caplog.records[-1].getMessage() == "skipped 1/3 degenerate windows"
+
+
+def test_trace_eigens_rejects_a_trace_without_correlations():
+    # A ("rgb", ...) pixel feature holds no correlations; SSR reads ("corr", ...).
+    trace = trace_of(make_frames(np.random.default_rng(7), 8), 20.0)
+    lean = RgbTrace(means=trace.means, fs=trace.fs, pixel_counts=trace.pixel_counts)
+    assert lean.correlations is None
+    for call in (lambda: trace_eigens(lean), lambda: ssr_pulse(lean, SsrParams(window_l=4))):
+        with pytest.raises(ValueError, match="holds no correlations"):
+            call()

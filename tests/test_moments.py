@@ -288,7 +288,7 @@ def test_each_kind_of_trace_matches_oracle(drawn, kinds, tau, gaussian):
     if strategy == "skin":
         mean, cov = gaussian if gaussian is not None else (np.array([0.45, 0.3]), np.array([[4e-4, 1e-4], [1e-4, 3e-4]]))
         model = SkinModel(mean=mean, cov=cov, tau=tau)
-    keys = [(kind, strategy, tau if model else None) for kind in sorted(kinds)]
+    keys = [(kind, strategy, tau if strategy == "skin" else None) for kind in sorted(kinds)]
     outcomes = pixel_features(seq, roi, keys, model)
     expected = oracle_frames(seq, roi, strategy, model)
     for key in keys:
@@ -337,7 +337,7 @@ def straying_tracks(draw):
 
 #: Every pixel feature a plan may name: margin 30 grows any box past these frames.
 ALL_KEYS = (("rgb", "bbox", None), ("rgb", "mask", None), ("rgb", "skin", 0.3), ("rgb", "skin", 0.2),
-            ("background", 0), ("background", 3), ("background", 30))
+            ("corr", "mask", None), ("corr", "skin", 0.3), ("background", 0), ("background", 3), ("background", 30))
 
 
 @SETTINGS

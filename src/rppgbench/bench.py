@@ -151,20 +151,6 @@ def _selection_key(strategy: str, skin_tau: float) -> tuple:
     return (strategy, skin_tau if strategy == "skin" else None)
 
 
-def _pixel_keys(params) -> list:
-    """The :func:`~rppgbench.roi.pixel_features` keys a run with ``params`` reads.
-
-    Its selection's RGB trace (with correlations for SSR), and the background trace
-    when LiCVPR rectifies; parameters that name no selection read no pixel feature.
-    """
-    if not hasattr(params, "strategy"):
-        return []
-    keys = [("corr" if isinstance(params, SsrParams) else "rgb", *_selection_key(params.strategy, params.skin_tau))]
-    if getattr(params, "rectify", False):
-        keys.append(("background", params.background_margin))
-    return keys
-
-
 class SequenceFeatures:
     """One sequence's features for one evaluation, each computed on first use.
 
@@ -177,7 +163,8 @@ class SequenceFeatures:
     while the sequence is evaluated. A pixel feature that fails is stored as
     its exception, without a traceback, and every later request for it, in
     this evaluation or another through the same cache, raises a copy of it
-    (same type and message) without another pass.
+    (same type and message) without another pass. A selection's ``"rgb"``
+    trace is served from its stored ``"corr"`` trace, or failure, when there is one.
     """
 
     def __init__(self, cache: dict, load, planned=()):
@@ -217,7 +204,8 @@ class SequenceFeatures:
         return self._feature(("truth",), lambda: load_ground_truth(self.bundle))
 
     def rgb_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
-        return self._pixel_feature(("rgb", *_selection_key(strategy, skin_tau)))
+        selection = _selection_key(strategy, skin_tau)
+        return self._pixel_feature(("corr" if ("corr", *selection) in self._cache else "rgb", *selection))
 
     def corr_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
         return self._pixel_feature(("corr", *_selection_key(strategy, skin_tau)))
@@ -285,19 +273,22 @@ def _runner(pulse_fn):
 run_chrom, run_licvpr, run_ssr = (_runner(f) for f in (pulse_chrom, pulse_licvpr, pulse_ssr))
 
 
-#: algorithm tag -> (parameter dataclass, pulse extractor, bpm runner); the
-#: extractor and the runner take ``(SequenceFeatures, params)``.
+#: algorithm tag -> (parameter dataclass, pulse extractor, bpm runner, reads); the extractor and the
+#: runner take ``(SequenceFeatures, params)``, and ``reads(params)`` lists the
+#: :func:`~rppgbench.roi.pixel_features` keys a run with ``params`` reads. Entries are plain tuples,
+#: read by position: the span tracer (``perfbench/spans.py``) rebuilds each entry it wraps as a tuple.
 ALGORITHMS = {
-    "chrom": (ChromParams, pulse_chrom, run_chrom),
-    "licvpr": (LiParams, pulse_licvpr, run_licvpr),
-    "ssr": (SsrParams, pulse_ssr, run_ssr),
+    "chrom": (ChromParams, pulse_chrom, run_chrom, lambda p: [("rgb", *_selection_key(p.strategy, p.skin_tau))]),
+    "licvpr": (LiParams, pulse_licvpr, run_licvpr, lambda p: [("rgb", *_selection_key(p.strategy, p.skin_tau))]
+               + ([("background", p.background_margin)] if p.rectify else [])),
+    "ssr": (SsrParams, pulse_ssr, run_ssr, lambda p: [("corr", *_selection_key(p.strategy, p.skin_tau))]),
 }
 
 
 def extract_pulse(bundle: SequenceBundle, algorithm: str, params=None) -> PulseSignal:
     """Run one algorithm's pulse extraction on a loaded bundle."""
-    (_, pulse_fn, _), params = _resolve(algorithm, params)
-    return pulse_fn(SequenceFeatures.of(bundle, _pixel_keys(params)), params)
+    (_, pulse_fn, _, reads), params = _resolve(algorithm, params)
+    return pulse_fn(SequenceFeatures.of(bundle, reads(params)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +430,8 @@ def evaluate(
         store = FeatureStore(dataset_root)
     elif store.root != dataset_root:
         raise ValueError(f"feature store of {store.root} cannot serve {dataset_root}")
-    (_, _, runner), params = _resolve(algorithm, params)
-    store.plan(_pixel_keys(params))
+    (_, _, runner, reads), params = _resolve(algorithm, params)
+    store.plan(reads(params))
     ordered = sorted(protocol.split_entries(split), key=lambda e: e.sequence_id)
 
     # Missing files are a dataset problem, not a per-sequence one: fail fast
@@ -539,7 +530,7 @@ def _stage_assignments(stages, algorithm: str, defaults: dict) -> tuple[dict, li
     for key in keys:
         if keys.count(key) > 1:
             raise ValueError(f"parameter {key!r} appears in more than one stage")
-    params = build_params(algorithm, defaults)
+    (*_, reads), params = _resolve(algorithm, defaults)
     fixed = {key: getattr(params, key) for key in defaults}
     per_stage, planned = [], []
     for stage in stages:
@@ -548,7 +539,7 @@ def _stage_assignments(stages, algorithm: str, defaults: dict) -> tuple[dict, li
         for combo in itertools.product(*(candidates for _, candidates in stage.grid)):
             params = build_params(algorithm, {**fixed, **dict(zip(names, combo))})
             assignments.append({key: getattr(params, key) for key in names})
-            planned += _pixel_keys(params)
+            planned += reads(params)
         per_stage.append(assignments)
     return fixed, per_stage, planned
 

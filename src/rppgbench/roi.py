@@ -353,7 +353,6 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
             box = entry.bbox()
             chunk = max(1, min(CHUNK_PIXELS // (box.w * box.h), block_frames))
             step = chunk * (block_frames // chunk)
-            block = read(start, min(start + step, stop))
             weights = {}
             for selection, (counts, _, _, fell_back) in traces.items():
                 if selection[0] != "skin":  # the same weights for every frame of the run
@@ -370,8 +369,7 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
             buffer = np.empty((min(chunk, stop - start), 3, box.h * box.w))
             spare = np.empty_like(buffer) if corr else None  # the products' left operand: numpy copies overlaps
             for a in range(start, stop, step):
-                if a > start:
-                    block = read(a, min(a + step, stop))
+                block = read(a, min(a + step, stop))
                 for f in range(a, a + len(block), chunk) if traces else ():
                     frames = block[f - a:f - a + chunk]
                     c = len(frames)

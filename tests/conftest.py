@@ -116,13 +116,13 @@ class StubParams:
 
 @pytest.fixture
 def register_stub(monkeypatch):
-    """Register ``run(features, StubParams) -> bpm`` in ``ALGORITHMS`` for one test.
+    """Register ``run(features, StubParams) -> bpm``, reading no pixel feature, in ``ALGORITHMS`` for one test.
 
     Returns a function that registers ``run`` under its name and returns the tag.
     """
 
     def register(run) -> str:
-        monkeypatch.setitem(ALGORITHMS, run.__name__, (StubParams, None, run))
+        monkeypatch.setitem(ALGORITHMS, run.__name__, (StubParams, None, run, lambda params: []))
         return run.__name__
 
     return register

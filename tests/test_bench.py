@@ -655,6 +655,6 @@ def test_reference_spot_values():
 
 def test_algorithm_registry_shape():
     assert set(ALGORITHMS) == {"chrom", "licvpr", "ssr"}
-    for cls, pulse_fn, run_fn in ALGORITHMS.values():
-        assert callable(pulse_fn) and callable(run_fn)
+    for cls, pulse_fn, run_fn, reads in ALGORITHMS.values():
+        assert callable(pulse_fn) and callable(run_fn) and callable(reads)
         assert cls() is not None

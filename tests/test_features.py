@@ -1,5 +1,6 @@
 """The per-sequence feature store shared by a search's candidates."""
 
+import dataclasses
 import gc
 import json
 import shutil
@@ -10,13 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import synth_bundle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rppgbench import bench, ssr
 from rppgbench.bench import ALGORITHMS, FeatureStore, SearchStage, SequenceBundle, evaluate, greedy_search
-from rppgbench.errors import DataError
+from rppgbench.errors import EXPECTED_ERRORS, DataError
 from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack, load_protocol, write_roi_track, write_rvid
 from rppgbench.roi import STRATEGIES
 from rppgbench.ssr import SsrParams
+from rppgbench.synth import SynthConfig
 
 #: Small grids per algorithm: pulse-only stages first, then a feature stage.
 STAGES = {
@@ -329,6 +334,53 @@ def test_chrom_and_ssr_share_one_pixel_pass(protocol, peaks_dataset, reads):
     shared = evaluate(protocol, "train", "ssr", peaks_dataset, params=selection, store=store)
     assert reads["video"] == {"seq000": 1, "seq001": 1}
     assert shared == evaluate(protocol, "train", "ssr", peaks_dataset, params=selection)
+
+
+def test_a_stored_corr_trace_serves_the_rgb_trace(protocol, small_dataset, passes):
+    # SSR stores the selection's "corr" trace, which holds the means CHROM reads: CHROM reads no video.
+    store = FeatureStore(small_dataset)
+    selection = {"strategy": "skin", "skin_tau": 0.3}
+    evaluate(protocol, "train", "ssr", small_dataset, params=selection, store=store)
+    served = evaluate(protocol, "train", "chrom", small_dataset, params=selection, store=store)
+    assert passes == [("seq000", {("corr", "skin", 0.3)}), ("seq001", {("corr", "skin", 0.3)})]
+    assert served == evaluate(protocol, "train", "chrom", small_dataset, params=selection)
+
+
+def test_a_stored_corr_failure_is_raised_for_the_rgb_trace(passes, tmp_path):
+    frames = np.random.default_rng(5).integers(0, 256, size=(12, 64, 64, 3), dtype=np.uint8)
+    write_rvid(64, 64, 20, len(frames), [frames], tmp_path / "video.rvid")
+    track = RoiTrack((0,), (RoiBox(16, 16, 32, 32),))
+    features = bench.SequenceFeatures.of(SequenceBundle(bench.read_rvid(tmp_path / "video.rvid"), track, tmp_path))
+    for request in (features.corr_trace, features.rgb_trace):
+        with pytest.raises(DataError, match="strategy 'mask' requires landmark ROI entries"):
+            request("mask", 0.3)
+    assert passes == [(tmp_path.name, {("corr", "mask", None)})]
+
+
+@pytest.fixture(scope="module")
+def short_bundle():
+    return synth_bundle(SynthConfig(duration_s=4.0, seed=11))
+
+
+#: Draws for every selection and background field a parameter class may have.
+FEATURE_FIELDS = {"strategy": st.sampled_from(STRATEGIES), "skin_tau": st.floats(0.05, 0.95),
+                  "rectify": st.booleans(), "background_margin": st.integers(0, 40)}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_each_entry_plans_the_features_its_pulse_reads(short_bundle, passes, algorithm, data):
+    # An entry that plans less than its pulse reads costs a second pass per video; one that plans more, a wasted one.
+    cls, pulse_fn, _, reads = ALGORITHMS[algorithm]
+    names = {f.name for f in dataclasses.fields(cls)}
+    params = cls(**{name: data.draw(field, label=name) for name, field in FEATURE_FIELDS.items() if name in names})
+    passes.clear()
+    try:
+        pulse_fn(bench.SequenceFeatures.of(short_bundle), params)
+    except EXPECTED_ERRORS:
+        pass
+    assert {key for _, keys in passes for key in keys} == set(reads(params))
 
 
 def test_store_serves_one_dataset(protocol, small_dataset, tmp_path):

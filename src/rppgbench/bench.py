@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import itertools
@@ -14,7 +13,7 @@ from io import StringIO
 from pathlib import Path
 
 from .chrom import ChromParams, chrom_pulse
-from .errors import EXPECTED_ERRORS, DataError, FormatError, UndefinedCorrelationError
+from .errors import EXPECTED_ERRORS, DataError, FormatError, UndefinedCorrelationError, _memo
 from .hr import HrEstimate, detect_peaks, estimate_hr_spectral, hr_from_peaks
 from .io import (
     FrameSequence,
@@ -154,16 +153,14 @@ def _selection_key(strategy: str, skin_tau: float) -> tuple:
 class SequenceFeatures:
     """One sequence's features for one evaluation, each computed on first use.
 
-    A feature is looked up in ``cache`` (a :class:`FeatureStore`'s entry for
-    the sequence, or a private dict); on a miss the bundle is opened once and
-    held by this object only, and the computed feature is stored. The bundle
-    holds no frames. A pixel feature that misses is computed in one pass over
-    the video file (see :func:`~rppgbench.roi.pixel_features`) together with
-    every feature of ``planned`` not yet stored, so the file must not change
-    while the sequence is evaluated. A pixel feature that fails is stored as
-    its exception, without a traceback, and every later request for it, in
-    this evaluation or another through the same cache, raises a copy of it
-    (same type and message) without another pass. A selection's ``"rgb"``
+    A feature (the truth, a pixel feature or a selection's eigens) is looked up in ``cache``
+    (a :class:`FeatureStore`'s entry for the sequence, or a private dict). On a miss the
+    bundle is opened once and held by this object only, and the feature, or the expected
+    error that failed it, is stored; a stored failure is raised again as a copy, without
+    reading a file again (see :func:`~rppgbench.errors._memo`). The bundle holds no frames.
+    A pixel feature that misses is computed in one pass over the video file (see
+    :func:`~rppgbench.roi.pixel_features`) with every feature of ``planned`` not yet stored,
+    so the file must not change while the sequence is evaluated. A selection's ``"rgb"``
     trace is served from its stored ``"corr"`` trace, or failure, when there is one.
     """
 
@@ -185,23 +182,14 @@ class SequenceFeatures:
             self._bundle = self._load()
         return self._bundle
 
-    def _feature(self, key: tuple, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
     def _pixel_feature(self, key: tuple):
-        if key not in self._cache:
-            wanted = [key, *(k for k in self._planned if k not in self._cache)]
-            self._cache.update(pixel_features(self.bundle.sequence, self.bundle.roi, wanted))
-        if isinstance(self._cache[key], Exception):
-            raise copy.copy(self._cache[key])  # a copy, so no traceback attaches to the stored failure
-        return self._cache[key]
+        return _memo(self._cache, key, lambda: pixel_features(
+            self.bundle.sequence, self.bundle.roi, [key, *(k for k in self._planned if k not in self._cache)]))
 
     def truth(self) -> HrEstimate:
         # On a miss the bundle is read before the BVP, so a sequence whose
         # video and BVP are both bad fails on the video.
-        return self._feature(("truth",), lambda: load_ground_truth(self.bundle))
+        return _memo(self._cache, ("truth",), lambda: {("truth",): load_ground_truth(self.bundle)})
 
     def rgb_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
         selection = _selection_key(strategy, skin_tau)
@@ -213,7 +201,7 @@ class SequenceFeatures:
     def eigens(self, strategy: str, skin_tau: float) -> tuple:
         """The selection's ``ssr.trace_eigens``: SSR's windows change, its eigen-decompositions do not."""
         key = ("eigens", *_selection_key(strategy, skin_tau))
-        return self._feature(key, lambda: trace_eigens(self.corr_trace(strategy, skin_tau)))
+        return _memo(self._cache, key, lambda: {key: trace_eigens(self.corr_trace(strategy, skin_tau))})
 
     def background(self, margin: int) -> Signal1D:
         return self._pixel_feature(("background", margin))
@@ -224,14 +212,13 @@ class FeatureStore:
 
     ``greedy_search`` shares one store between its candidates, so each
     sequence's truth, RGB traces, SSR eigen-decompositions and background
-    traces are computed once per feature setting, and a pixel feature that
-    fails is stored as its failure, so it fails once. A run names the pixel
-    features it will read with :meth:`plan` before its first evaluation, and
-    the first pass over each sequence computes all of them. The store holds no
-    frames, and no feature computation holds a whole video: a pass reads a
-    few frames at a time from the file, which must not change while the
-    store serves its sequence. A bundle opened on a miss lives only as long
-    as the :class:`SequenceFeatures` that opened it.
+    traces are computed once per feature setting, and fail once. A run names
+    the pixel features it will read with :meth:`plan` before its first
+    evaluation, and the first pass over each sequence computes all of them.
+    The store holds no frames, and no feature computation holds a whole
+    video: a pass reads a few frames at a time from the file, which must not
+    change while the store serves its sequence. A bundle opened on a miss
+    lives only as long as the :class:`SequenceFeatures` that opened it.
     """
 
     def __init__(self, dataset_root):
@@ -580,42 +567,42 @@ def greedy_search(
     fixed, per_stage, planned = _stage_assignments(stages, algorithm, dict(defaults or {}))
     store = FeatureStore(dataset_root)
     store.plan(planned)
+
+    def score(params) -> dict:
+        report = evaluate(protocol, split, algorithm, dataset_root, params=params, jobs=jobs, store=store)
+        if (value := report.pearson_rho if objective == "pearson" else -report.rmse) is None:
+            raise UndefinedCorrelationError()
+        return {params: value}
+
     outcomes = {}  # built params -> score, or the expected error that failed them
     trace: list[dict] = []
-    n_evaluations = 0
     for stage, assignments in zip(stages, per_stage):
         best_score = best_assignment = None
         rows = []
         for assignment in assignments:
             candidate = {**fixed, **assignment}
-            n_evaluations += 1
             try:
                 # Every combination builds on the defaults, so only an earlier winner breaks it.
                 params = build_params(algorithm, candidate)
             except ValueError as exc:
                 rows.append(_failed_row(candidate, exc))
                 continue
-            if params not in outcomes:
-                try:
-                    report = evaluate(protocol, split, algorithm, dataset_root, params=params, jobs=jobs, store=store)
-                    outcomes[params] = report.pearson_rho if objective == "pearson" else -report.rmse
-                    if outcomes[params] is None:
-                        raise UndefinedCorrelationError()
-                except EXPECTED_ERRORS as exc:
-                    outcomes[params] = exc
-            if isinstance(score := outcomes[params], Exception):
-                rows.append(_failed_row(candidate, score))
+            try:
+                value = _memo(outcomes, params, lambda: score(params))
+            except EXPECTED_ERRORS as exc:
+                rows.append(_failed_row(candidate, exc))
                 continue
-            rows.append({"params": candidate, "objective_value": score, "error": None})
-            if best_score is None or score > best_score:
-                best_score = score
+            rows.append({"params": candidate, "objective_value": value, "error": None})
+            if best_score is None or value > best_score:
+                best_score = value
                 best_assignment = assignment
         if best_assignment is None:
             raise DataError(f"all candidates failed in search stage {stage.name!r}")
         fixed.update(best_assignment)
         trace.append({"stage": stage.name, "evaluations": rows, "selected": dict(best_assignment),
                       "objective_value": best_score})
-    return SearchResult(best_params=fixed, objective=objective, trace=tuple(trace), n_evaluations=n_evaluations)
+    return SearchResult(best_params=fixed, objective=objective, trace=tuple(trace),
+                        n_evaluations=sum(map(len, per_stage)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ exits 1. Per-sequence and per-candidate isolation records only
 
 from __future__ import annotations
 
+import copy
+
 __all__ = [
     "DataError",
     "FormatError",
@@ -68,3 +70,16 @@ class DegenerateSubspaceError(NumericDegeneracyError):
 
 #: Failures a run expects from its inputs; isolation catches these only.
 EXPECTED_ERRORS = (DataError, NumericDegeneracyError, OSError)
+
+
+def _memo(cache: dict, key, compute):
+    """``cache[key]``; a miss first stores every outcome of ``compute()``, a ``{key: outcome}`` map, or under ``key``
+    the :data:`EXPECTED_ERRORS` instance it raised. A stored error is raised as a copy, with no traceback."""
+    if key not in cache:
+        try:
+            cache.update(compute())
+        except EXPECTED_ERRORS as exc:
+            cache[key] = copy.copy(exc)  # no traceback, so no frame it saw stays alive
+    if isinstance(outcome := cache[key], EXPECTED_ERRORS):
+        raise copy.copy(outcome)
+    return outcome

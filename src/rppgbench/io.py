@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,7 +297,8 @@ def _loadtxt_series(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
 
     ``loadtxt`` strips the separators \\x1c-\\x1f around a number, which ``float`` rejects.
     """
-    if not any(line.strip() for line in lines) or re.search("[\x1c-\x1f]", "\n".join(lines)):
+    text = "".join(lines)
+    if not any(line.strip() for line in lines) or any(separator in text for separator in "\x1c\x1d\x1e\x1f"):
         return None
     try:
         rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
@@ -434,7 +435,7 @@ class ProtocolEntry:
 
 @dataclass(frozen=True)
 class ProtocolIndex:
-    """The sequences of a protocol, tagged train/test; both splits non-empty, no subject in both."""
+    """The sequences of a protocol, tagged train/test; both splits non-empty, no subject in both, no id twice."""
 
     entries: tuple[ProtocolEntry, ...]
     name: str = ""
@@ -447,6 +448,8 @@ class ProtocolIndex:
         overlap = self.subjects("train") & self.subjects("test")
         if overlap:
             raise DataError(f"subjects {sorted(overlap)} appear in both splits")
+        if repeated := sorted(i for i, n in Counter(e.sequence_id for e in self.entries).items() if n > 1):
+            raise DataError(f"sequence ids {repeated} appear more than once")
 
     def split_entries(self, split: str) -> tuple[ProtocolEntry, ...]:
         if split not in SPLITS:

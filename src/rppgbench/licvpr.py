@@ -14,9 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _memo
 from .io import FrameSequence, RoiTrack
-from .roi import RgbTrace, _one_feature, check_params, pixel_features
+from .roi import RgbTrace, check_params, pixel_features
 from .signals import (
     BandHz,
     PulseSignal,
@@ -87,7 +87,7 @@ def background_trace(seq: FrameSequence, roi: RoiTrack, margin: int = 10) -> Sig
     DataError when the grown box swallows the whole frame on some frame (no
     background pixels remain).
     """
-    return _one_feature(pixel_features(seq, roi, [("background", margin)]))
+    return _memo({}, ("background", margin), lambda: pixel_features(seq, roi, [("background", margin)]))
 
 
 def eliminate_motion_segments(s: Signal1D, segment_s: float, p: float) -> tuple[Signal1D, tuple[int, ...], int]:

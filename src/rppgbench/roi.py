@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _memo
 from .io import BLOCK_BYTES, FrameSequence, RoiBox, RoiPolygon, RoiTrack
 from .signals import Signal1D
 
@@ -407,14 +407,6 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
     return out
 
 
-def _one_feature(outcomes: dict):
-    """The feature of a one-feature :func:`pixel_features` pass; raises the exception that failed it."""
-    (outcome,) = outcomes.values()
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _rgb_key(strategy: str, model: SkinModel | None) -> tuple:
     """The :func:`pixel_features` ``"corr"`` key of a selection; ``skin`` needs a fitted ``model``, else ValueError."""
     if strategy == "skin" and model is None:
@@ -428,7 +420,8 @@ def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", mo
     The one-feature call of :func:`pixel_features`: one vectorized pass over
     ``seq`` under ``strategy``, with ``model`` (its tau too) under ``skin``.
     """
-    return _one_feature(pixel_features(seq, roi, [_rgb_key(strategy, model)], model))
+    key = _rgb_key(strategy, model)
+    return _memo({}, key, lambda: pixel_features(seq, roi, [key], model))
 
 
 def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None):

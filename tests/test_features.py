@@ -17,8 +17,18 @@ from hypothesis import strategies as st
 
 from rppgbench import bench, ssr
 from rppgbench.bench import ALGORITHMS, FeatureStore, SearchStage, SequenceBundle, evaluate, greedy_search
-from rppgbench.errors import EXPECTED_ERRORS, DataError
-from rppgbench.io import FrameSequence, RoiBox, RoiPolygon, RoiTrack, load_protocol, write_roi_track, write_rvid
+from rppgbench.errors import EXPECTED_ERRORS, DataError, FormatError, _memo
+from rppgbench.io import (
+    FrameSequence,
+    ProtocolEntry,
+    ProtocolIndex,
+    RoiBox,
+    RoiPolygon,
+    RoiTrack,
+    load_protocol,
+    write_roi_track,
+    write_rvid,
+)
 from rppgbench.roi import STRATEGIES
 from rppgbench.ssr import SsrParams
 from rppgbench.synth import SynthConfig
@@ -412,3 +422,93 @@ def test_store_served_eigens_give_the_fresh_pulse(small_dataset):
     served = bench.pulse_ssr(features, params)
     fresh = bench.pulse_ssr(FeatureStore(small_dataset).sequence("seq000"), params)
     assert served.samples.tobytes() == fresh.samples.tobytes()
+
+
+def train_copy(small_dataset, root) -> ProtocolIndex:
+    """seq000-seq002 of ``small_dataset`` copied under ``root``, all three in the train split."""
+    for seq in ("seq000", "seq001", "seq002"):
+        shutil.copytree(small_dataset / seq, root / seq)
+    entries = [ProtocolEntry(seq, "train", "studio") for seq in ("seq000", "seq001", "seq002")]
+    return ProtocolIndex((*entries, ProtocolEntry("seq003", "test", "studio")), name="three")
+
+
+@pytest.fixture
+def bad_bvp(small_dataset, tmp_path):
+    """Three train bundles without gt.json, so truth comes from the BVP; row 51 of seq002's bvp.csv is bad."""
+    protocol = train_copy(small_dataset, tmp_path)
+    for gt in tmp_path.glob("*/gt.json"):
+        gt.unlink()
+    bvp = tmp_path / "seq002" / "bvp.csv"
+    lines = bvp.read_text().splitlines(keepends=True)
+    bvp.write_text("".join([*lines[:50], "0.5,oops\n", *lines[51:]]))
+    return protocol, tmp_path, f"FormatError: {bvp}: row 51: unparsable number"
+
+
+def failed_details(report) -> list:
+    return [row.detail for row in report.sequences if row.status == "failed"]
+
+
+def test_search_reads_a_sequence_with_a_bad_bvp_once(bad_bvp, reads):
+    protocol, root, reason = bad_bvp
+    stages = [{"grid": {"window_s": [0.8, 1.6, 3.2]}}, {"grid": {"band_lo": [0.5, 0.67], "band_hi": [3.0, 4.0]}}]
+    result = greedy_search(stages_of(stages), protocol, "chrom", root, objective="neg_rmse")
+    # Its truth fails once, on the first candidate; the other candidates raise the stored failure.
+    assert reads["video"] == reads["bvp"] == {"seq000": 1, "seq001": 1, "seq002": 1}
+    for row in (row for stage in result.trace for row in stage["evaluations"]):
+        fresh = evaluate(protocol, "train", "chrom", root, params=row["params"])
+        assert failed_details(fresh) == [reason]
+        assert row["objective_value"] == -fresh.rmse, row["params"]
+
+
+def test_a_stored_failure_is_raised_again_in_every_report_row(bad_bvp, reads):
+    protocol, root, reason = bad_bvp
+    store = FeatureStore(root)
+    reports = [evaluate(protocol, "train", algorithm, root, store=store) for algorithm in sorted(ALGORITHMS)]
+    assert [failed_details(report) for report in reports] == [[reason]] * len(ALGORITHMS)
+    assert reads["bvp"] == {"seq000": 1, "seq001": 1, "seq002": 1}
+
+
+def test_a_failing_eigen_decomposition_is_computed_once(small_dataset, tmp_path, monkeypatch):
+    protocol = train_copy(small_dataset, tmp_path)
+    # A 1x2 px box: SSR's selection has 2 pixels in every frame, too few for a correlation's eigen-decomposition.
+    write_roi_track(RoiTrack((0,), (RoiBox(16, 16, 1, 2),)), tmp_path / "seq002" / "roi.csv")
+    calls = []
+    original = bench.trace_eigens
+
+    def counting(trace):
+        calls.append(len(trace))
+        return original(trace)
+
+    monkeypatch.setattr(bench, "trace_eigens", counting)
+    store = FeatureStore(tmp_path)
+    reports = [evaluate(protocol, "train", "ssr", tmp_path, params={"strategy": "bbox", "window_l": window}, store=store)
+               for window in (16, 20)]
+    assert len(calls) == 3, "one eigen-decomposition per sequence, failed or not"
+    assert [failed_details(report) for report in reports] == [["DataError: need at least 3 pixels, got 2"]] * 2
+
+
+def test_memo_stores_an_expected_failure_and_raises_copies_of_it():
+    calls = []
+
+    def compute():
+        calls.append(None)
+        raise FormatError("row 3: unparsable number", path="bvp.csv", offset=7)
+
+    cache, raised = {}, []
+    for _ in range(2):
+        with pytest.raises(FormatError) as err:
+            _memo(cache, "truth", compute)
+        raised.append(err.value)
+    assert len(calls) == 1
+    assert [(type(e), str(e), e.path, e.offset) for e in raised] == [
+        (FormatError, "bvp.csv: row 3: unparsable number", "bvp.csv", 7)] * 2
+    stored = cache["truth"]
+    assert stored.__traceback__ is None and stored.__context__ is None
+    assert all(e is not stored for e in raised) and raised[0] is not raised[1]
+    # Outcomes are stored as compute() returns them, failures included; a programming error propagates unstored.
+    assert _memo(cache, "a", lambda: {"a": 1.0, "b": DataError("no b")}) == 1.0
+    with pytest.raises(DataError, match="no b"):
+        _memo(cache, "b", compute)
+    with pytest.raises(KeyError):
+        _memo(cache, "bug", lambda: {}["x"])
+    assert "bug" not in cache and len(calls) == 1

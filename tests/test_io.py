@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rppgbench import io
-from rppgbench.errors import FormatError
+from rppgbench.errors import DataError, FormatError
 from rppgbench.io import (
     FrameSequence,
     PhysioSignal,
@@ -485,6 +485,15 @@ def test_protocol_rejects_subject_overlap(tmp_path):
     )
     with pytest.raises(FormatError, match="subj1"):
         load_protocol(p)
+
+
+@pytest.mark.parametrize("splits", [("train", "test", "test"), ("train", "train", "test")], ids=["across", "within"])
+def test_protocol_index_rejects_a_repeated_sequence_id(splits):
+    # A protocol built in code: an id in both splits puts a test sequence in
+    # training, one repeated within a split is scored twice.
+    entries = [ProtocolEntry(sid, split, "any") for sid, split in zip(("seq000", "seq000", "seq001"), splits)]
+    with pytest.raises(DataError, match=r"sequence ids \['seq000'\] appear more than once"):
+        ProtocolIndex(entries=tuple(entries), name="p")
 
 
 def test_protocol_error_names_the_physical_line(tmp_path):

@@ -425,7 +425,8 @@ def test_store_served_eigens_give_the_fresh_pulse(small_dataset):
 
 
 def train_copy(small_dataset, root) -> ProtocolIndex:
-    """seq000-seq002 of ``small_dataset`` copied under ``root``, all three in the train split."""
+    """seq000-seq002 of ``small_dataset`` copied under ``root``, all three in the train split; the test split's
+    seq003 is not copied, as only the train split is evaluated."""
     for seq in ("seq000", "seq001", "seq002"):
         shutil.copytree(small_dataset / seq, root / seq)
     entries = [ProtocolEntry(seq, "train", "studio") for seq in ("seq000", "seq001", "seq002")]

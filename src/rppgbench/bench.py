@@ -28,7 +28,7 @@ from .io import (
 )
 from .licvpr import LiParams, licvpr_pulse
 from .roi import RgbTrace, pixel_features
-from .signals import BandHz, PulseSignal, Signal1D, pearson, rmse
+from .signals import PulseSignal, Signal1D, pearson, rmse
 from .ssr import SsrParams, ssr_pulse, trace_eigens
 from .synth import BUNDLE_FILES
 
@@ -41,7 +41,6 @@ __all__ = [
     "SearchStage",
     "SearchResult",
     "ALGORITHMS",
-    "DEFAULT_ESTIMATION_BAND",
     "OBJECTIVES",
     "REFERENCE_RESULTS",
     "build_params",
@@ -53,11 +52,6 @@ __all__ = [
     "emit_report",
     "read_report",
 ]
-
-#: Band searched when estimating bpm for methods that do not band-pass
-#: internally (the subspace-rotation extractor).
-DEFAULT_ESTIMATION_BAND = BandHz(0.67, 4.0)
-
 
 # ---------------------------------------------------------------------------
 # reference results from the literature
@@ -250,9 +244,9 @@ def pulse_ssr(features: SequenceFeatures, params: SsrParams) -> PulseSignal:
 
 
 def _runner(pulse_fn):
-    """The bpm runner of ``pulse_fn``: the spectral HR of its pulse, in the params' band or the default one."""
+    """The bpm runner of ``pulse_fn``: the spectral HR of its pulse, in the params' band."""
     def run(features: SequenceFeatures, params) -> float:
-        return estimate_hr_spectral(pulse_fn(features, params), getattr(params, "band", DEFAULT_ESTIMATION_BAND)).bpm
+        return estimate_hr_spectral(pulse_fn(features, params), params.band).bpm
 
     return run
 

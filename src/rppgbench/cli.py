@@ -16,6 +16,7 @@ import numpy as np
 
 from .bench import (
     ALGORITHMS,
+    OBJECTIVES,
     SearchStage,
     SequenceFeatures,
     _report_format,
@@ -28,9 +29,10 @@ from .bench import (
 )
 from .errors import DataError, FormatError, NumericDegeneracyError
 from .hr import estimate_hr_spectral
-from .io import _check_even_steps, _read_json, affinity_cpus, load_protocol, read_series_csv, write_series_csv
+from .io import SPLITS, _check_even_steps, _read_json, affinity_cpus, load_protocol, read_series_csv, write_series_csv
 from .roi import STRATEGIES, check_selection
 from .signals import BandHz, Signal1D
+from .ssr import SsrParams
 from .synth import SynthConfig, build_dataset
 
 EXIT_OK = 0
@@ -113,15 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hr = sub.add_parser("hr", help="estimate bpm from a pulse CSV")
     p_hr.add_argument("pulse_csv", help="t,value CSV as written by the pulse command")
-    p_hr.add_argument("--band-lo", type=float, default=0.67)
-    p_hr.add_argument("--band-hi", type=float, default=4.0)
+    p_hr.add_argument("--band-lo", type=float, default=SsrParams.band.lo)
+    p_hr.add_argument("--band-hi", type=float, default=SsrParams.band.hi)
     p_hr.set_defaults(func=cmd_hr)
 
     p_eval = sub.add_parser("eval", help="evaluate an algorithm over a protocol split")
     p_eval.add_argument("--root", required=True, help="dataset root directory")
     p_eval.add_argument("--protocol", required=True, help="protocol CSV")
     p_eval.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
-    p_eval.add_argument("--split", choices=("train", "test"), default="test")
+    p_eval.add_argument("--split", choices=SPLITS, default="test")
     p_eval.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
     p_eval.add_argument("--out", required=True, help="report path (.csv or .json)")
     p_eval.add_argument("--jobs", type=_positive_int, default=affinity_cpus())
@@ -132,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--protocol", required=True, help="protocol CSV")
     p_search.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     p_search.add_argument("--stages", required=True, help="stage grid JSON file")
-    p_search.add_argument("--objective", choices=("pearson", "neg_rmse"), default="pearson")
-    p_search.add_argument("--split", choices=("train", "test"), default="train")
+    p_search.add_argument("--objective", choices=OBJECTIVES, default="pearson")
+    p_search.add_argument("--split", choices=SPLITS, default="train")
     p_search.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                           help="fixed defaults applied to every candidate")
     p_search.add_argument("--out", required=True, help="output JSON (best params + trace)")

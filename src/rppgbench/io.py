@@ -9,7 +9,8 @@ Formats
 - protocol CSV: ``sequence_id,split,condition[,subject_id]`` rows.
 - ROI CSV: per keyframe either ``frame,x,y,w,h`` or ``frame,x1,y1,x2,y2,...``
   with at least four landmark points, from frame 0 on; later frames inherit
-  the most recent earlier entry.
+  the most recent earlier entry. A landmark coordinate must be finite and
+  within ``±_MAX_DIM``, the largest frame side a header may declare.
 - ground truth JSON: ``{"hr_bpm": <float>}``.
 """
 
@@ -89,6 +90,16 @@ def _read_lines(path) -> list[str]:
     a reader's messages is ``lines[i - 1]``.
     """
     return _decode(Path(path), "ascii").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _rows(path: Path, lines: list[str], strip: bool = True):
+    """Yield ``(cells, error)`` for each non-blank line of :func:`_read_lines`: its comma-separated cells, each
+    stripped of surrounding whitespace if ``strip``, and ``error(message)``, the FormatError naming the file and
+    the row (``lines[i]`` is row ``i + 1``) for the reader to raise."""
+    for row_no, line in enumerate(lines, start=1):
+        if line.strip():
+            cells = [c.strip() for c in line.split(",")] if strip else line.split(",")
+            yield cells, lambda message, row_no=row_no: FormatError(f"row {row_no}: {message}", path=str(path))
 
 
 def _read_json(path):
@@ -322,22 +333,20 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise FormatError("first line must be the header 't,value'", path=str(path))
     if (parsed := _loadtxt_series(lines[1:])) is not None:
         return parsed
+    lines[0] = ""  # the header, checked above: the walk skips it like a blank row
     ts: list[float] = []
     vs: list[float] = []
-    for row_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
+    for cells, error in _rows(path, lines, strip=False):
         if len(cells) != 2:
-            raise FormatError(f"row {row_no}: expected 2 columns, got {len(cells)}", path=str(path))
+            raise error(f"expected 2 columns, got {len(cells)}")
         try:
             t, v = float(cells[0]), float(cells[1])
         except ValueError:
-            raise FormatError(f"row {row_no}: unparsable number", path=str(path)) from None
+            raise error("unparsable number") from None
         if not (math.isfinite(t) and math.isfinite(v)):
-            raise FormatError(f"row {row_no}: non-finite value", path=str(path))
+            raise error("non-finite value")
         if ts and t <= ts[-1]:
-            raise FormatError(f"row {row_no}: timestamps must be strictly increasing", path=str(path))
+            raise error("timestamps must be strictly increasing")
         ts.append(t)
         vs.append(v)
     if not ts:
@@ -470,15 +479,15 @@ def load_protocol(path) -> ProtocolIndex:
     splits, and subjects that appear on both sides of the train/test divide.
     """
     path = Path(path)
-    rows = [(row_no, ln) for row_no, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
-    if rows and rows[0][1].strip() in _PROTOCOL_HEADERS:
-        rows = rows[1:]
+    lines = _read_lines(path)
+    first = next((i for i, line in enumerate(lines) if line.strip()), 0)
+    if lines[first].strip() in _PROTOCOL_HEADERS:
+        lines[first] = ""  # the header: the walk skips it like a blank row
     entries: list[ProtocolEntry] = []
     seen: set[str] = set()
-    for row_no, line in rows:
-        cells = [c.strip() for c in line.split(",")]
+    for cells, error in _rows(path, lines):
         if len(cells) not in (3, 4):
-            raise FormatError(f"row {row_no}: expected 3 or 4 columns, got {len(cells)}", path=str(path))
+            raise error(f"expected 3 or 4 columns, got {len(cells)}")
         try:
             entry = ProtocolEntry(
                 sequence_id=cells[0],
@@ -487,9 +496,9 @@ def load_protocol(path) -> ProtocolIndex:
                 subject_id=cells[3] if len(cells) == 4 and cells[3] else None,
             )
         except ValueError as exc:
-            raise FormatError(f"row {row_no}: {exc}", path=str(path)) from None
+            raise error(str(exc)) from None
         if entry.sequence_id in seen:
-            raise FormatError(f"row {row_no}: duplicate sequence_id {entry.sequence_id!r}", path=str(path))
+            raise error(f"duplicate sequence_id {entry.sequence_id!r}")
         seen.add(entry.sequence_id)
         entries.append(entry)
     try:
@@ -560,7 +569,8 @@ def _check_simple_polygon(points) -> None:
 
 @dataclass(frozen=True)
 class RoiPolygon:
-    """A landmark polygon of at least four vertices (else ValueError), simple by construction (else DataError)."""
+    """A landmark polygon of at least four finite vertices within ``±_MAX_DIM`` (else ValueError), simple by
+    construction (else DataError). No frame is larger than the cap, which keeps the simplicity check finite."""
 
     points: tuple[tuple[float, float], ...]
 
@@ -568,6 +578,11 @@ class RoiPolygon:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         if len(pts) < 4:
             raise ValueError(f"a landmark polygon needs at least 4 points, got {len(pts)}")
+        coords = [c for pt in pts for c in pt]
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError("non-finite landmark")
+        if far := [c for c in coords if abs(c) > _MAX_DIM]:
+            raise ValueError(f"landmark coordinate {far[0]!r} is outside [-{_MAX_DIM}, {_MAX_DIM}]")
         _check_simple_polygon(pts)
         object.__setattr__(self, "points", pts)
 
@@ -620,52 +635,33 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
     path = Path(path)
     frames: list[int] = []
     entries: list = []
-    for row_no, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
+    for cells, error in _rows(path, _read_lines(path)):
         try:
             frame_idx = int(cells[0])
         except ValueError:
-            raise FormatError(f"row {row_no}: unparsable frame index", path=str(path)) from None
+            raise error("unparsable frame index") from None
         if not frames and frame_idx != 0:
-            raise FormatError(f"row {row_no}: the first ROI entry must be at frame 0, got {frame_idx}", path=str(path))
+            raise error(f"the first ROI entry must be at frame 0, got {frame_idx}")
         if frames and frame_idx <= frames[-1]:
-            raise FormatError(f"row {row_no}: frame indices must be strictly increasing", path=str(path))
+            raise error("frame indices must be strictly increasing")
         if len(cells) == 5:
-            try:
-                x, y, w, h = (int(c) for c in cells[1:])
-            except ValueError:
-                raise FormatError(f"row {row_no}: unparsable box coordinates", path=str(path)) from None
-            try:
-                entry, kind = RoiBox(x, y, w, h), "box"
-            except ValueError as exc:
-                raise FormatError(f"row {row_no}: {exc}", path=str(path)) from None
+            kind, number, build = "box", int, lambda c: RoiBox(*c)
         elif len(cells) >= 9 and len(cells) % 2 == 1:
-            try:
-                coords = [float(c) for c in cells[1:]]
-            except ValueError:
-                raise FormatError(f"row {row_no}: unparsable landmark coordinates", path=str(path)) from None
-            if any(math.isnan(c) or math.isinf(c) for c in coords):
-                raise FormatError(f"row {row_no}: non-finite landmark", path=str(path))
-            pts = tuple(zip(coords[0::2], coords[1::2]))
-            try:
-                entry, kind = RoiPolygon(pts), "landmark bounding box"
-            except ValueError as exc:
-                raise FormatError(f"row {row_no}: {exc}", path=str(path)) from None
+            kind, number, build = "landmark", float, lambda c: RoiPolygon(tuple(zip(c[0::2], c[1::2])))
         else:
-            raise FormatError(
-                f"row {row_no}: expected 5 cells (box) or an odd count >= 9 (landmarks), "
-                f"got {len(cells)}",
-                path=str(path),
-            )
+            raise error(f"expected 5 cells (box) or an odd count >= 9 (landmarks), got {len(cells)}")
+        try:
+            coords = [number(c) for c in cells[1:]]
+        except ValueError:
+            raise error(f"unparsable {kind} coordinates") from None
+        try:
+            entry = build(coords)
+        except ValueError as exc:
+            raise error(str(exc)) from None
         b = entry.bbox()
         if not b.within(frame_width, frame_height):
-            raise FormatError(
-                f"row {row_no}: {kind} ({b.x},{b.y},{b.w},{b.h}) exceeds the "
-                f"{frame_width}x{frame_height} frame",
-                path=str(path),
-            )
+            extent = kind if isinstance(entry, RoiBox) else f"{kind} bounding box"
+            raise error(f"{extent} ({b.x},{b.y},{b.w},{b.h}) exceeds the {frame_width}x{frame_height} frame")
         entries.append(entry)
         frames.append(frame_idx)
     if not frames:

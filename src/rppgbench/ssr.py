@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateSubspaceError, NumericDegeneracyError
 from .roi import RgbTrace, check_params
-from .signals import PulseSignal, alpha_overlap_add, window_length, window_starts
+from .signals import BandHz, PulseSignal, alpha_overlap_add, window_length, window_starts
 
 __all__ = ["SsrParams", "frame_eigen", "correlation_eigens", "canonical_eigenvector_signs",
            "trace_eigens", "ssr_pulse"]
@@ -32,6 +32,8 @@ class SsrParams:
     strategy: str = "skin"
     skin_tau: float = 0.3
     degeneracy_eps: float = 1e-12
+    #: Band searched when estimating bpm: SSR does not band-pass internally. A class attribute, not a field.
+    band = BandHz(0.67, 4.0)
 
     def __post_init__(self):
         check_params(self)

@@ -610,6 +610,63 @@ def test_roi_first_row_must_be_frame_0(tmp_path, first):
         read_roi_track(p, 64, 64)
 
 
+#: Just past the landmark coordinate cap, and no frame reaches the cap itself.
+PAST_CAP = math.nextafter(io._MAX_DIM, math.inf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "row, coord",
+    [
+        ("1,1e200,1e200,3e200,1e200,3e200,3e200,1e200,3e200", "1e+200"),
+        ("1,-1e200,-1e200,-3e200,-1e200,-3e200,-3e200,-1e200,-3e200", "-1e+200"),
+        (f"1,1,1,{PAST_CAP!r},1,{PAST_CAP!r},4,1,4", repr(PAST_CAP)),
+        (f"1,{-PAST_CAP!r},1,1,1,1,4,{-PAST_CAP!r},4", repr(-PAST_CAP)),
+    ],
+    ids=["1e200", "-1e200", "past-cap", "minus-past-cap"],
+)
+def test_roi_rejects_landmarks_past_the_coordinate_cap(tmp_path, row, coord):
+    # The cap comes before the simplicity check, whose products would overflow.
+    p = tmp_path / "roi.csv"
+    p.write_text(f"0,1,1,4,4\n{row}\n")
+    message = f"row 2: landmark coordinate {coord} is outside [-{io._MAX_DIM}, {io._MAX_DIM}]"
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        read_roi_track(p, 64, 64)
+
+
+def test_roi_polygon_takes_coordinates_at_the_cap():
+    cap = io._MAX_DIM
+    assert RoiPolygon(((-cap, -cap), (cap, -cap), (cap, cap), (-cap, cap))).bbox() == RoiBox(-cap, -cap, 2 * cap, 2 * cap)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_roi_polygon_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="^non-finite landmark$"):
+        RoiPolygon(((0, 0), (4, 0), (4, bad), (0, 4)))
+
+
+@pytest.mark.parametrize(
+    "head, good, bad, message, read",
+    [
+        ("t,value", ["0.0,1.0", "0.5,2.0", "1.0,3.0"], "1.0,4.0", "timestamps must be strictly increasing",
+         read_series_csv),
+        ("sequence_id,split,condition", ["a,train,any", "b,test,any", "c,test,any"], "a,test,any",
+         "duplicate sequence_id 'a'", load_protocol),
+        ("0,1,1,4,4", ["1,2,2,4,4", "2,1,1,4,4", "3,2,2,4,4"], "3,1,1,4,4", "frame indices must be strictly increasing",
+         lambda p: read_roi_track(p, 64, 64)),
+    ],
+    ids=["series", "protocol", "roi"],
+)
+def test_text_readers_count_blank_and_cr_lines_as_rows(tmp_path, head, good, bad, message, read):
+    # Physical lines 3 and 5 are blank and whitespace-only; a lone CR and CR LF end lines like LF.
+    lines = [head, good[0], "", good[1], " \t", good[2], bad]
+    p = tmp_path / "file.csv"
+    p.write_bytes("".join(line + end for line, end in zip(lines, ["\r\n", "\n", "\r", "\r\n", "\r", "\n", "\n"])).encode())
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: row 7: {message}')}$"):
+        read(p)
+
+
 def test_roi_track_round_trip(tmp_path):
     track = RoiTrack(
         frames=(0, 5),

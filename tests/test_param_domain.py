@@ -15,7 +15,7 @@ import sys
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from rppgbench.bench import DEFAULT_ESTIMATION_BAND, SequenceBundle, build_params, extract_pulse
+from rppgbench.bench import SequenceBundle, build_params, extract_pulse
 from rppgbench.errors import EXPECTED_ERRORS
 from rppgbench.hr import estimate_hr_spectral
 from rppgbench.roi import STRATEGIES
@@ -49,7 +49,7 @@ def check(algorithm: str, overrides: dict) -> None:
         reject()  # outside the class's domain, e.g. band_lo >= band_hi
     try:
         pulse = extract_pulse(short_bundle(), algorithm, params)
-        estimate_hr_spectral(pulse, getattr(params, "band", DEFAULT_ESTIMATION_BAND))
+        estimate_hr_spectral(pulse, params.band)
     except EXPECTED_ERRORS:
         pass
 

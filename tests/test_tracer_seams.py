@@ -1,7 +1,7 @@
 """The benchmark's span tracer wraps named package functions from outside.
 
 ``perfbench/spans.py`` looks up ``bench.run_*``, the ``(ParamsCls,
-pulse_fn, run_fn)`` registry tuples, ``roi.iter_roi_pixels``,
+pulse_fn, run_fn, reads)`` registry tuples, ``roi.iter_roi_pixels``,
 ``ssr.frame_eigen``, ``chrom.window_starts``, ``evaluate``'s ``jobs``
 parameter and more by name. A refactor that drops one of them breaks the
 traced benchmark run; this test catches that in the unit suite, and checks

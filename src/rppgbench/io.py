@@ -336,7 +336,7 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     lines[0] = ""  # the header, checked above: the walk skips it like a blank row
     ts: list[float] = []
     vs: list[float] = []
-    for cells, error in _rows(path, lines, strip=False):
+    for cells, error in _rows(path, lines, strip=False):  # float() rejects \x1c-\x1f, which strip() removes
         if len(cells) != 2:
             raise error(f"expected 2 columns, got {len(cells)}")
         try:

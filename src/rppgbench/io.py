@@ -9,8 +9,8 @@ Formats
 - protocol CSV: ``sequence_id,split,condition[,subject_id]`` rows.
 - ROI CSV: per keyframe either ``frame,x,y,w,h`` or ``frame,x1,y1,x2,y2,...``
   with at least four landmark points, from frame 0 on; later frames inherit
-  the most recent earlier entry. A landmark coordinate must be finite and
-  within ``±_MAX_DIM``, the largest frame side a header may declare.
+  the most recent earlier entry. Landmark coordinates must be finite; they and
+  box cells lie within ``±_MAX_DIM``, frame indices within ``±_MAX_FRAMES``.
 - ground truth JSON: ``{"hr_bpm": <float>}``.
 """
 
@@ -596,6 +596,13 @@ class RoiPolygon:
         return RoiBox(x0, y0, max(x1 - x0, 1), max(y1 - y0, 1))
 
 
+def _frame_order_error(previous: int | None, frame: int) -> str | None:
+    """The frame-order rule a ROI entry at ``frame`` after one at ``previous`` (None: the first) breaks, or None."""
+    if previous is None:
+        return None if frame == 0 else f"the first ROI entry must be at frame 0, got {frame}"
+    return None if frame > previous else "frame indices must be strictly increasing"
+
+
 @dataclass(frozen=True)
 class RoiTrack:
     """Per-frame regions of interest from frame 0 on, with carry-forward inheritance."""
@@ -607,10 +614,8 @@ class RoiTrack:
         frames = tuple(int(f) for f in self.frames)
         if len(frames) != len(self.entries) or not frames:
             raise ValueError("frames and entries must be non-empty and parallel")
-        if frames[0] != 0:
-            raise ValueError(f"ROI track must cover the sequence from frame 0, got a first entry at {frames[0]}")
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("frame indices must be strictly increasing")
+        if broken := next(filter(None, map(_frame_order_error, (None,) + frames, frames)), None):
+            raise ValueError(broken)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "entries", tuple(self.entries))
 
@@ -640,10 +645,10 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
             frame_idx = int(cells[0])
         except ValueError:
             raise error("unparsable frame index") from None
-        if not frames and frame_idx != 0:
-            raise error(f"the first ROI entry must be at frame 0, got {frame_idx}")
-        if frames and frame_idx <= frames[-1]:
-            raise error("frame indices must be strictly increasing")
+        if abs(frame_idx) > _MAX_FRAMES:
+            raise error(f"frame index is outside [-{_MAX_FRAMES}, {_MAX_FRAMES}]")
+        if broken := _frame_order_error(frames[-1] if frames else None, frame_idx):
+            raise error(broken)
         if len(cells) == 5:
             kind, number, build = "box", int, lambda c: RoiBox(*c)
         elif len(cells) >= 9 and len(cells) % 2 == 1:
@@ -654,6 +659,8 @@ def read_roi_track(path, frame_width: int, frame_height: int) -> RoiTrack:
             coords = [number(c) for c in cells[1:]]
         except ValueError:
             raise error(f"unparsable {kind} coordinates") from None
+        if kind == "box" and any(abs(c) > _MAX_DIM for c in coords):
+            raise error(f"box cell is outside [-{_MAX_DIM}, {_MAX_DIM}]")
         try:
             entry = build(coords)
         except ValueError as exc:

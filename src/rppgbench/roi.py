@@ -40,6 +40,11 @@ _COV_EIG_FLOOR = 1e-12
 #: off the heap, and faulted in again on every chunk: about 100k minor faults
 #: per eval-small benchmark round, against under 2k with 8 frames.
 CHUNK_PIXELS = 32 * 32 * 8
+#: Colours a skin pass's colour table holds at most (see :class:`_SkinTable`): its codes then take 64 KiB, one
+#: float64 plane of a chunk. A ROI of uniformly random colours would otherwise grow the table to all 2**24 colours.
+TABLE_COLOURS = 8 * CHUNK_PIXELS
+#: Values the table's box reaches past a chunk's colour range when it grows, so that later chunks seldom grow it.
+_TABLE_PAD = 4
 
 
 def _check_strategy(strategy: str) -> None:
@@ -240,6 +245,60 @@ def _skin_select(planes: np.ndarray, model: SkinModel, limits) -> list[np.ndarra
     return [d2 <= limit for limit in limits]
 
 
+class _SkinTable:
+    """The skin masks of a pass's pixel chunks, from one code per colour in a box of RGB values.
+
+    A colour's code is 1 plus the number of ``limits`` its d^2 meets, 0 until it is evaluated. The limits are
+    nested, so a colour meets ``limit`` exactly when its code exceeds the number of limits at least ``limit``.
+    Codes come from :func:`_skin_select` on the box's colours, so every mask equals the per-pixel test bit for bit.
+    The box grows to take in each chunk's colour range, padded by ``_TABLE_PAD``, and evaluates only its new
+    colours, in pieces of half a chunk; a chunk that would take it past ``TABLE_COLOURS`` colours is
+    tested pixel by pixel. A pass thus evaluates at most its pixels plus ``TABLE_COLOURS`` colours.
+    """
+
+    def __init__(self, model: SkinModel, limits):
+        self.model, self.limits = model, limits
+        self.thresholds = [sum(other >= limit for other in limits) for limit in limits]
+        self.lo, self.hi = np.full(3, 256), np.full(3, -1)  # an empty box
+        self.codes = np.zeros(0, np.min_scalar_type(len(limits) + 1))
+        self.weights, self.offset = np.zeros(3), 0.0  # a colour's key: weights @ colour - offset
+
+    def masks(self, x: np.ndarray) -> list[np.ndarray]:
+        """One (c, P) mask per limit for a chunk ``x`` (c, 3, P) of float64 RGB values."""
+        low, high = x.min(axis=(0, 2)).astype(np.int64), x.max(axis=(0, 2)).astype(np.int64)
+        if ((low < self.lo) | (high > self.hi)).any() and not self._grow(low, high):
+            return _skin_select(x.transpose(1, 0, 2), self.model, self.limits)
+        key = self.weights @ x  # each colour's row-major index in the box, an integer below 2**24: exact
+        key -= self.offset
+        codes = self.codes[key.astype(np.intp)]
+        return [codes > threshold for threshold in self.thresholds]
+
+    def _grow(self, low: np.ndarray, high: np.ndarray) -> bool:
+        """Take colours ``low`` to ``high`` (per channel) into the box; False, with the box unchanged, past the cap."""
+        lo = np.maximum(np.minimum(low - _TABLE_PAD, self.lo), 0)
+        hi = np.minimum(np.maximum(high + _TABLE_PAD, self.hi), 255)
+        shape = hi - lo + 1
+        if np.prod(shape) > TABLE_COLOURS:
+            return False
+        codes = np.zeros(shape, self.codes.dtype)
+        if self.codes.size:
+            codes[tuple(map(slice, self.lo - lo, self.hi - lo + 1))] = self.codes.reshape(self.hi - self.lo + 1)
+        codes = codes.ravel()
+        # Half a chunk per piece: its colour planes and indices with the test's d^2 temporaries then take no more
+        # memory than a chunk's test did (a whole chunk per piece raised peak_rss_mb by about 0.8 MB).
+        step = CHUNK_PIXELS // 2
+        for start in range(0, codes.size, step):
+            piece = codes[start:start + step]
+            fresh = np.flatnonzero(piece == 0)
+            colours = np.array(np.unravel_index(start + fresh, shape), dtype=np.float64)
+            colours += lo[:, None]
+            piece[fresh] = 1 + np.sum(_skin_select(colours, self.model, self.limits), axis=0)
+        self.lo, self.hi, self.codes = lo, hi, codes
+        self.weights = np.array([shape[1] * shape[2], shape[2], 1], dtype=np.float64)
+        self.offset = float(self.weights @ lo)
+        return True
+
+
 def lower_face_mask(landmarks: RoiPolygon) -> np.ndarray:
     """Rasterize a landmark polygon into a boolean mask over its box ``landmarks.bbox()``.
 
@@ -322,13 +381,15 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
     The pass reads each block of frames once (see :meth:`FrameSequence.reader`)
     and copies each chunk of ``CHUNK_PIXELS`` ROI pixels to float64 once. Each
     selection is a 0/1 weight per box pixel, built once per ROI run under
-    ``bbox`` and ``mask``; under ``skin`` one d^2 per pixel serves every
-    ``skin_tau`` (``model``, else fitted on frame 0). An empty selection keeps
-    the whole box. Its sums are one product of the chunk with the weights; its
-    3x3 products are taken once, for ``"corr"`` keys only. Background sums are
-    one product of each block's green plane with a 0/1 weight per margin,
-    rewritten per ROI run over its old and new windows. All sums are integers
-    below 2**53, exact in any order.
+    ``bbox`` and ``mask``; under ``skin`` one code per colour serves every
+    ``skin_tau`` (``model``, else fitted on frame 0), from a table of the
+    colours the pass meets, capped at ``TABLE_COLOURS`` colours, past which
+    a chunk's pixels are tested one by one (see :class:`_SkinTable`). An
+    empty selection keeps the whole box. Its sums are one product of the
+    chunk with the weights; its 3x3 products are taken once, for ``"corr"``
+    keys only. Background sums are one product of each block's green plane
+    with a 0/1 weight per margin, rewritten per ROI run over its old and new
+    windows. All sums are integers below 2**53, exact in any order.
     """
     keys = list(dict.fromkeys(keys))
     n = seq.n_frames
@@ -348,7 +409,7 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
     with seq.reader() as read:
         if skins and model is None:
             model = fit_skin_model(read(0, 1)[0], roi.entries[0], skins[0][1])
-        limits = [replace(model, tau=selection[1]).mahalanobis_limit() for selection in skins]
+        table = _SkinTable(model, [replace(model, tau=selection[1]).mahalanobis_limit() for selection in skins])
         for start, stop, entry in roi.runs(n) if traces or margins else ():
             box = entry.bbox()
             chunk = max(1, min(CHUNK_PIXELS // (box.w * box.h), block_frames))
@@ -377,7 +438,7 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
                     np.copyto(x.reshape(c, 3, box.h, box.w),
                               frames[:, box.y:box.y + box.h, box.x:box.x + box.w].transpose(0, 3, 1, 2))
                     if skins:
-                        selected = dict(zip(skins, _skin_select(x.transpose(1, 0, 2), model, limits)))
+                        selected = dict(zip(skins, table.masks(x)))
                     for selection, (counts, sums, products, fell_back) in traces.items():
                         if selection[0] == "skin":
                             mask = selected[selection]

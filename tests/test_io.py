@@ -634,6 +634,33 @@ def test_roi_rejects_landmarks_past_the_coordinate_cap(tmp_path, row, coord):
         read_roi_track(p, 64, 64)
 
 
+BIG = "9" * 300
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0,0,0,4,4", f"1,0,0,{BIG},1"], f"row 2: box cell is outside [-{io._MAX_DIM}, {io._MAX_DIM}]"),
+        ([f"0,0,0,-{BIG},1"], f"row 1: box cell is outside [-{io._MAX_DIM}, {io._MAX_DIM}]"),
+        ([f"0,{io._MAX_DIM + 1},0,4,4"], f"row 1: box cell is outside [-{io._MAX_DIM}, {io._MAX_DIM}]"),
+        ([f"{BIG},0,0,4,4"], f"row 1: frame index is outside [-{io._MAX_FRAMES}, {io._MAX_FRAMES}]"),
+        (["0,0,0,4,4", f"-{BIG},0,0,4,4"], f"row 2: frame index is outside [-{io._MAX_FRAMES}, {io._MAX_FRAMES}]"),
+        ([f"{io._MAX_FRAMES + 1},0,0,4,4"], f"row 1: frame index is outside [-{io._MAX_FRAMES}, {io._MAX_FRAMES}]"),
+        # At the caps the frame-order and bounds checks speak, as before.
+        ([f"{io._MAX_FRAMES},0,0,4,4"], f"row 1: the first ROI entry must be at frame 0, got {io._MAX_FRAMES}"),
+        ([f"0,0,0,{io._MAX_DIM},1"], f"row 1: box (0,0,{io._MAX_DIM},1) exceeds the 64x64 frame"),
+    ],
+    ids=["huge-width", "huge-negative-width", "past-cap-x", "huge-frame", "huge-negative-frame", "past-cap-frame",
+         "frame-at-cap", "width-at-cap"],
+)
+def test_roi_rejects_box_cells_and_frame_indices_past_the_caps(tmp_path, rows, message):
+    # The caps come before the bounds and frame-order checks, which would print the whole number.
+    p = tmp_path / "roi.csv"
+    p.write_text("".join(row + "\n" for row in rows))
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        read_roi_track(p, 64, 64)
+
+
 def test_roi_polygon_takes_coordinates_at_the_cap():
     cap = io._MAX_DIM
     assert RoiPolygon(((-cap, -cap), (cap, -cap), (cap, cap), (-cap, cap))).bbox() == RoiBox(-cap, -cap, 2 * cap, 2 * cap)
@@ -761,8 +788,15 @@ def test_roi_track_runs_tile_the_frames_like_entry_for(frames, n_frames):
 
 
 def test_roi_entry_before_first_frame_errors():
-    with pytest.raises(ValueError, match="from frame 0"):
+    with pytest.raises(ValueError, match="^the first ROI entry must be at frame 0, got 5$"):
         RoiTrack(frames=(5,), entries=(RoiBox(0, 0, 2, 2),))
+
+
+@pytest.mark.parametrize("frames", [(0, 3, 3), (0, 3, 2)])
+def test_roi_track_frames_must_increase(frames):
+    # The rules read_roi_track checks per row, with the same messages.
+    with pytest.raises(ValueError, match="^frame indices must be strictly increasing$"):
+        RoiTrack(frames=frames, entries=(RoiBox(0, 0, 2, 2),) * 3)
 
 
 # ---------------------------------------------------------------------------

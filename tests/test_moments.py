@@ -8,12 +8,14 @@ average them and form ``V'V``. Every comparison is exact equality.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from rppgbench import roi as roi_module
 from rppgbench.errors import DataError, FormatError
 from rppgbench.io import RoiBox, RoiPolygon, RoiTrack, read_rvid, write_rvid
 from rppgbench.licvpr import background_trace
@@ -21,8 +23,10 @@ from rppgbench.roi import (
     CHUNK_PIXELS,
     COV_RIDGE,
     STRATEGIES,
+    TABLE_COLOURS,
     SkinModel,
     _skin_select,
+    _SkinTable,
     fit_skin_model,
     iter_roi_pixels,
     lower_face_mask,
@@ -484,6 +488,106 @@ def test_background_trace_matches_oracle(case, margin):
             return
         want.append((green.sum() - green[y0:y1, x0:x1].sum()) / n_outside)
     assert np.array_equal(background_trace(seq, roi, margin).samples, np.array(want))
+
+
+# ---------------------------------------------------------------------------
+# the skin colour table
+# ---------------------------------------------------------------------------
+
+#: Colours a test's colour ranges centre on: corners of the RGB cube, and a skin tone.
+BASES = [(0, 0, 0), (255, 255, 255), (0, 255, 128), (180, 120, 100)]
+DEFAULT_GAUSSIAN = (np.array([0.45, 0.3]), np.array([[4e-4, 1e-4], [1e-4, 3e-4]]))
+
+
+@st.composite
+def colour_blocks(draw, n, size, base):
+    """uint8 pixels (n, size, 3): colours within a few values of a drawn shift of ``base``, or anywhere in the RGB
+    cube, with some black (0, 0, 0) pixels or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 2)):
+        centre = np.array(base) + [draw(st.integers(-8, 8)) for _ in range(3)]
+        spread = draw(st.integers(0, 12))
+        pixels = np.clip(centre + rng.integers(-spread, spread + 1, (n, size, 3)), 0, 255)
+    else:
+        pixels = rng.integers(0, 256, (n, size, 3))
+    pixels[rng.random((n, size)) < draw(st.sampled_from([0.0, 0.0, 0.05]))] = 0
+    return pixels.astype(np.uint8)
+
+
+def block_lists(shapes, max_size):
+    """Lists of up to ``max_size`` :func:`colour_blocks` around one base, shaped by ``shapes``, a strategy."""
+    return st.sampled_from(BASES).flatmap(lambda base: st.lists(
+        shapes.flatmap(lambda shape: colour_blocks(*shape, base)), min_size=1, max_size=max_size))
+
+
+def taus_for(pixels, model, picks):
+    """One tau per pick, distinct: one whose limit is the d^2 of a colour of ``pixels`` (N, 3) exactly where
+    one exists, else 0.05, 0.3 or 0.9."""
+    d2 = np.unique(oracle_d2(pixels, model))
+    d2 = d2[(d2 >= 1.0) & (d2 <= 1000.0)]
+    taus = []
+    for pick in picks:
+        on_limit = (tau_on_limit(float(d2[(pick + k) % d2.size])) for k in range(min(d2.size, 8)))
+        taus.append(next(filter(None, on_limit), (0.05, 0.3, 0.9)[pick % 3]))
+    return list(dict.fromkeys(taus))
+
+
+@SETTINGS
+@given(block_lists(st.tuples(st.integers(1, 8), st.integers(1, 64)), 5),
+       st.lists(st.integers(0, 2**16), min_size=1, max_size=3), st.none() | skin_gaussians())
+def test_skin_table_masks_equal_the_pixel_test(chunks, picks, gaussian):
+    # One table reads the chunks in turn: narrow ones grow it, keeping the codes it holds, and one that would take
+    # it past the cap is tested pixel by pixel. Taus put colours exactly on their limits.
+    mean, cov = gaussian if gaussian is not None else DEFAULT_GAUSSIAN
+    model = SkinModel(mean=mean, cov=cov, tau=0.5)
+    taus = taus_for(np.concatenate([pixels.reshape(-1, 3) for pixels in chunks]), model, picks)
+    limits = [replace(model, tau=tau).mahalanobis_limit() for tau in taus]
+    table = _SkinTable(model, limits)
+    for pixels in chunks:
+        x = np.ascontiguousarray(pixels.transpose(0, 2, 1), dtype=np.float64)  # (c, 3, P), as a pass holds a chunk
+        got, want = table.masks(x), _skin_select(x.transpose(1, 0, 2), model, limits)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@SETTINGS
+@given(block_lists(st.tuples(st.sampled_from([8, 16, 5]), st.just(32 * 32)), 6),
+       st.lists(st.integers(0, 2**16), min_size=1, max_size=3), st.none() | skin_gaussians())
+def test_skin_pass_over_wide_colours_equals_the_frame_oracle(blocks, picks, gaussian):
+    # Whole 32x32 frames, 8 to a chunk: runs of frames of few colours, served by the table, and of many, which
+    # pass its cap, against iter_roi_pixels, which tests each frame's pixels on their own.
+    frames = np.concatenate(blocks).reshape(-1, 32, 32, 3)
+    seq, roi = rvid_sequence(frames), RoiTrack(frames=(0,), entries=(RoiBox(0, 0, 32, 32),))
+    mean, cov = gaussian if gaussian is not None else DEFAULT_GAUSSIAN
+    model = SkinModel(mean=mean, cov=cov, tau=0.5)
+    taus = taus_for(frames.reshape(-1, 3), model, picks)
+    outcomes = pixel_features(seq, roi, [("corr", "skin", tau) for tau in taus], model)
+    for tau in taus:
+        expected = list(iter_roi_pixels(seq, roi, "skin", replace(model, tau=tau)))
+        assert_trace_matches(outcomes[("corr", "skin", tau)], expected)
+
+
+@pytest.mark.parametrize("spread", ["uniform", "skin-tones"])
+def test_a_skin_pass_evaluates_at_most_its_pixels_plus_the_table(monkeypatch, spread):
+    # Uniformly random colours pass the table's cap in every chunk and are tested pixel by pixel, as with no table;
+    # a table grown to hold them all would evaluate all 2**24 colours. Skin tones all come from the table.
+    rng = np.random.default_rng(5)
+    if spread == "uniform":
+        frames = rng.integers(0, 256, (100, 64, 64, 3), dtype=np.uint8)
+    else:
+        frames = np.clip(rng.normal((180, 120, 100), 2.0, (100, 64, 64, 3)), 0, 255).astype(np.uint8)
+    seq, roi = rvid_sequence(frames), RoiTrack(frames=(0,), entries=(RoiBox(0, 0, 64, 64),))
+    evaluated = []
+
+    def counted(planes, model, limits):
+        evaluated.append(planes[0].size)
+        return _skin_select(planes, model, limits)
+
+    monkeypatch.setattr(roi_module, "_skin_select", counted)
+    model = SkinModel(*DEFAULT_GAUSSIAN, tau=0.3)
+    pixel_features(seq, roi, [("rgb", "skin", 0.3), ("rgb", "skin", 0.2)], model)
+    assert 0 < sum(evaluated) <= (frames[..., 0].size if spread == "uniform" else 0) + TABLE_COLOURS
 
 
 # ---------------------------------------------------------------------------

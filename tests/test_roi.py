@@ -471,7 +471,7 @@ def test_roi_exceeding_frame_bounds_rejected():
 
 def test_track_starting_late_rejected():
     seq = constant_sequence(SKIN)
-    with pytest.raises(ValueError, match="cover"):
+    with pytest.raises(ValueError, match="^the first ROI entry must be at frame 0, got 3$"):
         track = RoiTrack(frames=(3,), entries=(RoiBox(0, 0, 4, 4),))
         mean_rgb_trace(seq, track, "bbox")
 

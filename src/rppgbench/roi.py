@@ -285,7 +285,7 @@ class _SkinTable:
             codes[tuple(map(slice, self.lo - lo, self.hi - lo + 1))] = self.codes.reshape(self.hi - self.lo + 1)
         codes = codes.ravel()
         # Half a chunk per piece: its colour planes and indices with the test's d^2 temporaries then take no more
-        # memory than a chunk's test did (a whole chunk per piece raised peak_rss_mb by about 0.8 MB).
+        # memory than a chunk's test did (a whole chunk per piece raised peak_rss_mb by 0.5 to 1.1 MB).
         step = CHUNK_PIXELS // 2
         for start in range(0, codes.size, step):
             piece = codes[start:start + step]

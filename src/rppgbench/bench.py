@@ -7,7 +7,6 @@ import dataclasses
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -401,12 +400,12 @@ def evaluate(
     and propagates. Fewer than two successes raise :class:`DataError`, which
     names each failed sequence and its reason; when every truth or every
     estimate is equal, ``pearson_rho`` is None.
-    Aggregates are computed over sequences sorted by id, so row order never
-    matters. Features are read through ``store``, a fresh
+    Sequences run one at a time on the calling thread, sorted by id, so row
+    order never matters; ``jobs`` is accepted and selects nothing until worker
+    processes arrive. Features are read through ``store``, a fresh
     :class:`FeatureStore` unless the caller shares one over ``dataset_root``.
     """
     dataset_root = Path(dataset_root)
-    jobs = max(1, int(jobs))
     if store is None:
         store = FeatureStore(dataset_root)
     elif store.root != dataset_root:
@@ -434,12 +433,7 @@ def evaluate(
                 entry.sequence_id, "failed", None, None, f"{type(exc).__name__}: {exc}"
             )
 
-    if jobs == 1:  # inline: a one-worker pool costs peak memory and buys nothing
-        results = [process(e) for e in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(process, ordered))
-
+    results = [process(e) for e in ordered]
     ok = [r for r in results if r.status == "ok"]
     if len(ok) < 2:
         failed = ", ".join(f"{r.sequence_id} ({r.detail})" for r in results if r.status == "failed")
@@ -551,7 +545,8 @@ def greedy_search(
     correlation, is recorded as failed. One :class:`FeatureStore` serves every
     candidate, so a stage that changes only pulse parameters reads no video,
     and the first pass over each video computes every pixel feature that the
-    combinations read. Equal parameters are evaluated once per call, failure included.
+    combinations read. Equal parameters are evaluated once per call, failure
+    included. ``jobs`` is passed to :func:`evaluate`, where it selects nothing.
     """
     stages = list(stages)
     if not stages:
@@ -671,7 +666,7 @@ def read_report(path) -> EvalReport:
             if not cells:
                 continue
             try:
-                if cells[0] in ("rmse", "pearson"):
+                if len(cells) == 2 and cells[0] in ("rmse", "pearson"):  # a sequence row has 4 or 5 cells
                     trailer[cells[0]] = float(cells[1]) if cells[1] or cells[0] == "rmse" else None
                 else:
                     estimate, truth = (float(cell) if cell else None for cell in cells[2:4])

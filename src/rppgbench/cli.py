@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
 degeneracy. Identical arguments, input files and seed give byte-identical
-output files, also with ``--jobs`` above one.
+output files at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=SPLITS, default="test")
     p_eval.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
     p_eval.add_argument("--out", required=True, help="report path (.csv or .json)")
-    p_eval.add_argument("--jobs", type=_positive_int, default=affinity_cpus())
+    p_eval.add_argument("--jobs", type=_positive_int, default=affinity_cpus(), help="accepted; selects nothing yet")
     p_eval.set_defaults(func=cmd_eval)
 
     p_search = sub.add_parser("search", help="greedy stage-wise parameter search")
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                           help="fixed defaults applied to every candidate")
     p_search.add_argument("--out", required=True, help="output JSON (best params + trace)")
-    p_search.add_argument("--jobs", type=_positive_int, default=affinity_cpus())
+    p_search.add_argument("--jobs", type=_positive_int, default=affinity_cpus(), help="accepted; selects nothing yet")
     p_search.set_defaults(func=cmd_search)
     return parser
 
@@ -201,7 +201,9 @@ def cmd_hr(args) -> int:
     if t.size < 2:
         raise DataError(f"{args.pulse_csv}: pulse CSV must contain at least 2 samples")
     _check_even_steps(args.pulse_csv, t, None, "the median step")
-    fs = (t.size - 1) / (t[-1] - t[0])
+    fs = (t.size - 1) / (float(t[-1]) - float(t[0]))  # a float division: inf, not a warning, past the float range
+    if not np.isfinite(fs):
+        raise FormatError(f"timestamps from {t[0]} to {t[-1]} s are too close for a finite rate", path=args.pulse_csv)
     band = BandHz(args.band_lo, args.band_hi)
     if band.lo >= fs / 2:  # no file at this rate can hold the band: a usage error
         raise ValueError(f"band [{band.lo}, {band.hi}] Hz is empty below the {fs / 2} Hz Nyquist limit")

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ def test_parallel_evaluation_is_deterministic(protocol, small_dataset):
     serial = evaluate(protocol, "test", "chrom", small_dataset, jobs=1)
     parallel = evaluate(protocol, "test", "chrom", small_dataset, jobs=3)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 8])
+def test_every_sequence_runs_on_the_calling_thread_in_id_order(protocol, small_dataset, register_stub, jobs):
+    calls = []
+
+    def recorded(features, params):
+        calls.append((threading.get_ident(), features.bundle.directory.name))
+        return features.truth().bpm
+
+    reversed_protocol = ProtocolIndex(entries=tuple(reversed(protocol.entries)), name=protocol.name)
+    evaluate(reversed_protocol, "test", register_stub(recorded), small_dataset, jobs=jobs)
+    ids = sorted(e.sequence_id for e in protocol.split_entries("test"))
+    assert calls == [(threading.get_ident(), sequence_id) for sequence_id in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +398,26 @@ def test_csv_report_roundtrip_keeps_non_ascii_detail(tmp_path):
             SequenceResult("s1", "ok", 60.0, 61.0),
             SequenceResult("s2", "failed", None, None, "FormatError: d\u00e9/s2/roi.csv: row 1: exceeds"),
             SequenceResult("s3", "ok", 70.0, 69.0),
+        ),
+        rmse=1.0,
+        pearson_rho=1.0,
+    )
+    path = tmp_path / "report.csv"
+    emit_report(report, path)
+    assert read_report(path) == report
+
+
+def test_csv_report_roundtrip_with_sequences_named_like_the_trailer(tmp_path):
+    # Only a row of exactly two cells is a trailer row; a sequence row has five.
+    report = EvalReport(
+        protocol="",
+        algorithm="",
+        split="",
+        params={},
+        sequences=(
+            SequenceResult("pearson", "ok", 60.0, 61.0),
+            SequenceResult("rmse", "ok", 70.0, 69.0),
+            SequenceResult("s3", "failed", None, None, "DataError: boom"),
         ),
         rmse=1.0,
         pearson_rho=1.0,

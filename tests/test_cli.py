@@ -786,6 +786,16 @@ def test_hr_on_timestamps_spanning_past_the_float_range_exits_2(tmp_path, capsys
     assert out == "" and f"{pulse_csv}: timestamps from -1e+308 to 1e+308 s span more than a float holds" in err
 
 
+def test_hr_on_timestamps_too_close_for_a_finite_rate_exits_2(tmp_path, capsys):
+    # 1 / 1e-320 overflows: the span is finite, but the rate would come out inf.
+    pulse_csv = tmp_path / "p.csv"
+    pulse_csv.write_text("t,value\n0,1\n1e-320,2\n", encoding="ascii")
+    code, out, err = run(capsys, "hr", str(pulse_csv))
+    assert_data_error(code, err)
+    assert out == ""
+    assert err == f"error: {pulse_csv}: timestamps from 0.0 to 1e-320 s are too close for a finite rate\n"
+
+
 @pytest.mark.parametrize(
     ("roi_row", "command", "options"),
     [

@@ -207,7 +207,10 @@ def cmd_hr(args) -> int:
     band = BandHz(args.band_lo, args.band_hi)
     if band.lo >= fs / 2:  # no file at this rate can hold the band: a usage error
         raise ValueError(f"band [{band.lo}, {band.hi}] Hz is empty below the {fs / 2} Hz Nyquist limit")
-    estimate = estimate_hr_spectral(Signal1D(values, fs), band)
+    try:
+        estimate = estimate_hr_spectral(Signal1D(values, fs), band)
+    except DataError as exc:  # too short a pulse, say: name the file
+        raise FormatError(str(exc), path=args.pulse_csv) from None
     print(f"{estimate.bpm:.4f}")
     return EXIT_OK
 

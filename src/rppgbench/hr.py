@@ -58,9 +58,8 @@ def estimate_hr_spectral(pulse, band: BandHz) -> HrEstimate:
     samples = np.asarray(pulse.samples, dtype=np.float64)
     fs = float(pulse.fs)
     if samples.size < 2 * fs:
-        raise DataError(
-            f"need at least 2 s of signal ({2 * fs:.0f} samples), got {samples.size}"
-        )
+        need = f"{2 * fs:.0f}" if 2 * fs < 1e9 else f"{2 * fs:.3g}"  # no 300-digit count at a rate near 1e300 Hz
+        raise DataError(f"need at least 2 s of signal ({need} samples), got {samples.size}")
     lo = band.lo
     hi = min(band.hi, fs / 2)
     if lo >= hi:

@@ -378,18 +378,17 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
     size before the pass (see :func:`_failure`), which computes only the others and reads
     no block when every key fails. Bad arguments and failed reads raise.
 
-    The pass reads each block of frames once (see :meth:`FrameSequence.reader`)
-    and copies each chunk of ``CHUNK_PIXELS`` ROI pixels to float64 once. Each
-    selection is a 0/1 weight per box pixel, built once per ROI run under
-    ``bbox`` and ``mask``; under ``skin`` one code per colour serves every
-    ``skin_tau`` (``model``, else fitted on frame 0), from a table of the
-    colours the pass meets, capped at ``TABLE_COLOURS`` colours, past which
-    a chunk's pixels are tested one by one (see :class:`_SkinTable`). An
-    empty selection keeps the whole box. Its sums are one product of the
-    chunk with the weights; its 3x3 products are taken once, for ``"corr"``
-    keys only. Background sums are one product of each block's green plane
-    with a 0/1 weight per margin, rewritten per ROI run over its old and new
-    windows. All sums are integers below 2**53, exact in any order.
+    The pass reads each ROI run in chunks of about ``CHUNK_PIXELS`` box pixels and at most
+    ``BLOCK_BYTES`` of frames (see :meth:`FrameSequence.reader`), and copies and reduces
+    each chunk's frames once. Each selection is a 0/1 weight per box pixel, built once per
+    ROI run under ``bbox`` and ``mask``; under ``skin`` one code per colour serves every
+    ``skin_tau`` (``model``, else fitted on frame 0), from a table of the colours the pass
+    meets, capped at ``TABLE_COLOURS`` colours, past which a chunk's pixels are tested one
+    by one (see :class:`_SkinTable`). An empty selection keeps the whole box. Its sums are
+    one product of the chunk with the weights; its 3x3 products are taken once, for
+    ``"corr"`` keys only. Background sums are one product of each chunk's green planes with
+    a 0/1 weight per margin, reset per ROI run to 0 inside its window. All sums are integers
+    below 2**53, exact in any order.
     """
     keys = list(dict.fromkeys(keys))
     n = seq.n_frames
@@ -400,11 +399,11 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
     traces = {key[1:]: (np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty((n, 3, 3)) if key[1:] in corr else None,
                         np.empty(n, dtype=bool)) for key in wanted}
     margins = [key for key in keys if key[0] == "background" and out[key] is None]
-    # Blocks of about BLOCK_BYTES, each a whole number of chunks of about CHUNK_PIXELS box pixels.
-    block_frames = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
-    greens, planes = np.empty((n, len(margins))), np.empty((block_frames if margins else 0, seq.height * seq.width))
-    # Per margin, 1 for each pixel outside the window of the last ROI run.
-    outside, placed = np.ones((len(margins), seq.height, seq.width)), [(slice(0), slice(0))] * len(margins)
+    # Chunks of about CHUNK_PIXELS box pixels, and of at most BLOCK_BYTES of frames (one frame at the least).
+    max_frames = max(1, BLOCK_BYTES // (seq.width * seq.height * 3))
+    greens, planes = np.empty((n, len(margins))), np.empty((max_frames if margins else 0, seq.height * seq.width))
+    # Per margin, 1 for each pixel outside the window of the current ROI run.
+    outside = np.empty((len(margins), seq.height, seq.width))
     skins = [selection for selection in traces if selection[0] == "skin"]
     with seq.reader() as read:
         if skins and model is None:
@@ -412,8 +411,7 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
         table = _SkinTable(model, [replace(model, tau=selection[1]).mahalanobis_limit() for selection in skins])
         for start, stop, entry in roi.runs(n) if traces or margins else ():
             box = entry.bbox()
-            chunk = max(1, min(CHUNK_PIXELS // (box.w * box.h), block_frames))
-            step = chunk * (block_frames // chunk)
+            chunk = min(max(1, CHUNK_PIXELS // (box.w * box.h)), max_frames)
             weights = {}
             for selection, (counts, _, _, fell_back) in traces.items():
                 if selection[0] != "skin":  # the same weights for every frame of the run
@@ -424,38 +422,36 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
             n_outside = np.empty(len(margins))
             for j, key in enumerate(margins):
                 rows, cols, n_outside[j] = _background_window(box, key[1], seq.width, seq.height)
-                outside[j][placed[j]] = 1.0
+                outside[j] = 1.0
                 outside[j][rows, cols] = 0.0
-                placed[j] = (rows, cols)
-            buffer = np.empty((min(chunk, stop - start), 3, box.h * box.w))
+            buffer = np.empty((min(chunk, stop - start) if traces else 0, 3, box.h * box.w))
             spare = np.empty_like(buffer) if corr else None  # the products' left operand: numpy copies overlaps
-            for a in range(start, stop, step):
-                block = read(a, min(a + step, stop))
-                for f in range(a, a + len(block), chunk) if traces else ():
-                    frames = block[f - a:f - a + chunk]
-                    c = len(frames)
-                    x = buffer[:c]
+            for f in range(start, stop, chunk):
+                frames = read(f, min(f + chunk, stop))
+                c = len(frames)
+                x = buffer[:c]
+                if traces:
                     np.copyto(x.reshape(c, 3, box.h, box.w),
                               frames[:, box.y:box.y + box.h, box.x:box.x + box.w].transpose(0, 3, 1, 2))
-                    if skins:
-                        selected = dict(zip(skins, table.masks(x)))
-                    for selection, (counts, sums, products, fell_back) in traces.items():
-                        if selection[0] == "skin":
-                            mask = selected[selection]
-                            fell_back[f:f + c] = fallback = ~mask.any(axis=1)
-                            mask[fallback] = True
-                            counts[f:f + c] = mask.sum(axis=1)
-                            w = mask.astype(np.float64)[:, None, :]
-                            sums[f:f + c] = (x @ w.reshape(c, -1, 1))[:, :, 0]
-                        else:
-                            w = weights[selection]
-                            sums[f:f + c] = (x.reshape(3 * c, -1) @ w).reshape(c, 3)
-                        if products is not None:
-                            np.multiply(x, w, out=spare[:c])
-                            products[f:f + c] = spare[:c] @ x.transpose(0, 2, 1)
+                if skins:
+                    selected = dict(zip(skins, table.masks(x)))
+                for selection, (counts, sums, products, fell_back) in traces.items():
+                    if selection[0] == "skin":
+                        mask = selected[selection]
+                        fell_back[f:f + c] = fallback = ~mask.any(axis=1)
+                        mask[fallback] = True
+                        counts[f:f + c] = mask.sum(axis=1)
+                        w = mask.astype(np.float64)[:, None, :]
+                        sums[f:f + c] = (x @ w.reshape(c, -1, 1))[:, :, 0]
+                    else:
+                        w = weights[selection]
+                        sums[f:f + c] = (x.reshape(3 * c, -1) @ w).reshape(c, 3)
+                    if products is not None:
+                        np.multiply(x, w, out=spare[:c])
+                        products[f:f + c] = spare[:c] @ x.transpose(0, 2, 1)
                 if margins:
-                    np.copyto(planes[:len(block)].reshape(-1, seq.height, seq.width), block[:, :, :, 1])
-                    greens[a:a + len(block)] = (planes[:len(block)] @ outside.reshape(len(margins), -1).T) / n_outside
+                    np.copyto(planes[:c].reshape(-1, seq.height, seq.width), frames[:, :, :, 1])
+                    greens[f:f + c] = (planes[:c] @ outside.reshape(len(margins), -1).T) / n_outside
     for j, key in enumerate(margins):
         out[key] = Signal1D(greens[:, j], seq.fps)
     for key in wanted:

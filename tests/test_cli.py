@@ -796,6 +796,18 @@ def test_hr_on_timestamps_too_close_for_a_finite_rate_exits_2(tmp_path, capsys):
     assert err == f"error: {pulse_csv}: timestamps from 0.0 to 1e-320 s are too close for a finite rate\n"
 
 
+def test_hr_on_a_rate_near_the_float_limit_names_the_file_in_one_short_line(tmp_path, capsys):
+    # Steps of 1e-300 s give a finite rate near 1e300 Hz: 3 samples are far short of 2 s, whose
+    # sample count printed in full would take 300 digits.
+    pulse_csv = tmp_path / "p.csv"
+    pulse_csv.write_text("t,value\n0,1\n1e-300,2\n2e-300,3\n", encoding="ascii")
+    code, out, err = run(capsys, "hr", str(pulse_csv))
+    assert_data_error(code, err)
+    assert out == ""
+    assert err.startswith(f"error: {pulse_csv}: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize(
     ("roi_row", "command", "options"),
     [

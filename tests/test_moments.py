@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rppgbench import roi as roi_module
 from rppgbench.errors import DataError, FormatError
-from rppgbench.io import RoiBox, RoiPolygon, RoiTrack, read_rvid, write_rvid
+from rppgbench.io import BLOCK_BYTES, RoiBox, RoiPolygon, RoiTrack, read_rvid, write_rvid
 from rppgbench.licvpr import background_trace
 from rppgbench.roi import (
     CHUNK_PIXELS,
@@ -79,6 +79,20 @@ def oracle_frames(seq, roi, strategy, model):
         fallback = not mask.any()
         pixels = sub.reshape(-1, 3) if fallback else sub[mask]
         out.append((pixels.astype(np.float64), fallback))
+    return out
+
+
+def oracle_background(seq, roi, margin):
+    """Per frame, the mean green value outside the ROI box grown by ``margin`` px, or None when nothing is left."""
+    frames = read_frames(seq)
+    out = []
+    for i in range(seq.n_frames):
+        box = entry_at(roi, i).bbox()
+        x0, y0 = max(box.x - margin, 0), max(box.y - margin, 0)
+        x1, y1 = min(box.x + box.w + margin, seq.width), min(box.y + box.h + margin, seq.height)
+        green = frames[i, :, :, 1].astype(np.float64)
+        n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
+        out.append((green.sum() - green[y0:y1, x0:x1].sum()) / n_outside if n_outside > 0 else None)
     return out
 
 
@@ -474,20 +488,31 @@ def test_runs_longer_than_one_chunk():
           RoiTrack(frames=(0, 700), entries=(RoiBox(2, 2, 3, 3), RoiBox(1, 3, 4, 2)))), 2)
 def test_background_trace_matches_oracle(case, margin):
     seq, roi = case
-    frames = read_frames(seq)
-    want = []
-    for i in range(seq.n_frames):
-        box = entry_at(roi, i).bbox()
-        x0, y0 = max(box.x - margin, 0), max(box.y - margin, 0)
-        x1, y1 = min(box.x + box.w + margin, seq.width), min(box.y + box.h + margin, seq.height)
-        green = frames[i, :, :, 1].astype(np.float64)
-        n_outside = seq.width * seq.height - (x1 - x0) * (y1 - y0)
-        if n_outside <= 0:
-            with pytest.raises(ValueError, match=f"no background pixels left at frame {i}:"):
-                background_trace(seq, roi, margin)
-            return
-        want.append((green.sum() - green[y0:y1, x0:x1].sum()) / n_outside)
+    want = oracle_background(seq, roi, margin)
+    if None in want:
+        with pytest.raises(ValueError, match=f"no background pixels left at frame {want.index(None)}:"):
+            background_trace(seq, roi, margin)
+        return
     assert np.array_equal(background_trace(seq, roi, margin).samples, np.array(want))
+
+
+def test_chunks_capped_by_the_block_size_match_the_oracles():
+    # Frames of 200x160 px cap a chunk at BLOCK_BYTES // 96,000 = 2 frames, where a 4x4 box alone would put
+    # CHUNK_PIXELS // 16 = 512 in it. Two ROI runs of 5 and 4 frames, each ending in a short chunk; the skin
+    # selection of frame 2 is empty, so the whole box is kept there.
+    frames = volume(13, 9, 160, 200, 0.6)
+    frames[2, 40:44, 60:64] = (0, 0, 255)
+    assert BLOCK_BYTES // frames[0].nbytes == 2 < CHUNK_PIXELS // 16
+    seq = rvid_sequence(frames)
+    roi = RoiTrack(frames=(0, 5), entries=(RoiPolygon(((60.2, 40.5), (63.9, 41.0), (63.0, 43.8), (60.5, 43.5))),
+                                           RoiPolygon(((150, 100), (154, 100), (154, 104), (150, 104)))))
+    model = SkinModel(*DEFAULT_GAUSSIAN, tau=0.3)
+    keys = [(kind, strategy, 0.3 if strategy == "skin" else None) for kind in ("rgb", "corr") for strategy in STRATEGIES]
+    outcomes = pixel_features(seq, roi, [*keys, ("background", 3)], model)
+    for key in keys:
+        assert_trace_matches(outcomes[key], oracle_frames(seq, roi, key[1], model), correlations=key[0] == "corr")
+    assert outcomes[("rgb", "skin", 0.3)].fallback_frames == (2,)
+    assert outcomes[("background", 3)].samples.tobytes() == np.array(oracle_background(seq, roi, 3)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .io import (
     read_rvid,
 )
 from .licvpr import LiParams, licvpr_pulse
-from .roi import RgbTrace, pixel_features
-from .signals import PulseSignal, Signal1D, pearson, rmse
+from .roi import pixel_features, pixel_key
+from .signals import PulseSignal, pearson, rmse
 from .ssr import SsrParams, ssr_pulse, trace_eigens
 from .synth import BUNDLE_FILES
 
@@ -138,23 +138,20 @@ def load_ground_truth(bundle: SequenceBundle) -> HrEstimate:
     return hr_from_peaks(detect_peaks(bvp), bvp.fs)
 
 
-def _selection_key(strategy: str, skin_tau: float) -> tuple:
-    """The pixels a selection keeps depend on ``skin_tau`` only under ``skin``."""
-    return (strategy, skin_tau if strategy == "skin" else None)
-
-
 class SequenceFeatures:
     """One sequence's features for one evaluation, each computed on first use.
 
-    A feature (the truth, a pixel feature or a selection's eigens) is looked up in ``cache``
-    (a :class:`FeatureStore`'s entry for the sequence, or a private dict). On a miss the
-    bundle is opened once and held by this object only, and the feature, or the expected
-    error that failed it, is stored; a stored failure is raised again as a copy, without
+    ``features[key]`` is the feature ``key`` names: ``("truth",)`` for the ground truth (see
+    :func:`load_ground_truth`), ``pixel_key("eigens", strategy, skin_tau)`` for ``ssr.trace_eigens``
+    of the selection's ``"corr"`` trace, or a :func:`~rppgbench.roi.pixel_features` key. It is
+    looked up in ``cache`` (a :class:`FeatureStore`'s entry for the sequence, or a private dict).
+    On a miss the bundle is opened once and held by this object only, and the feature, or the
+    expected error that failed it, is stored; a stored failure is raised again as a copy, without
     reading a file again (see :func:`~rppgbench.errors._memo`). The bundle holds no frames.
-    A pixel feature that misses is computed in one pass over the video file (see
-    :func:`~rppgbench.roi.pixel_features`) with every feature of ``planned`` not yet stored,
-    so the file must not change while the sequence is evaluated. A selection's ``"rgb"``
-    trace is served from its stored ``"corr"`` trace, or failure, when there is one.
+    A pixel feature that misses is computed in one pass over the video file with every feature
+    of ``planned`` not yet stored, so the file must not change while the sequence is evaluated.
+    A selection's ``"rgb"`` trace is served from its stored ``"corr"`` trace, or failure, when
+    there is one.
     """
 
     def __init__(self, cache: dict, load, planned=()):
@@ -175,29 +172,21 @@ class SequenceFeatures:
             self._bundle = self._load()
         return self._bundle
 
-    def _pixel_feature(self, key: tuple):
-        return _memo(self._cache, key, lambda: pixel_features(
-            self.bundle.sequence, self.bundle.roi, [key, *(k for k in self._planned if k not in self._cache)]))
+    def __getitem__(self, key: tuple):
+        if key[0] == "rgb" and ("corr", *key[1:]) in self._cache:
+            key = ("corr", *key[1:])
 
-    def truth(self) -> HrEstimate:
-        # On a miss the bundle is read before the BVP, so a sequence whose
-        # video and BVP are both bad fails on the video.
-        return _memo(self._cache, ("truth",), lambda: {("truth",): load_ground_truth(self.bundle)})
+        def compute() -> dict:
+            if key == ("truth",):
+                # On a miss the bundle is read before the BVP, so a sequence whose
+                # video and BVP are both bad fails on the video.
+                return {key: load_ground_truth(self.bundle)}
+            if key[0] == "eigens":  # SSR's windows change, its eigen-decompositions do not
+                return {key: trace_eigens(self[("corr", *key[1:])])}
+            planned = [k for k in self._planned if k not in self._cache]
+            return pixel_features(self.bundle.sequence, self.bundle.roi, [key, *planned])
 
-    def rgb_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
-        selection = _selection_key(strategy, skin_tau)
-        return self._pixel_feature(("corr" if ("corr", *selection) in self._cache else "rgb", *selection))
-
-    def corr_trace(self, strategy: str, skin_tau: float) -> RgbTrace:
-        return self._pixel_feature(("corr", *_selection_key(strategy, skin_tau)))
-
-    def eigens(self, strategy: str, skin_tau: float) -> tuple:
-        """The selection's ``ssr.trace_eigens``: SSR's windows change, its eigen-decompositions do not."""
-        key = ("eigens", *_selection_key(strategy, skin_tau))
-        return _memo(self._cache, key, lambda: {key: trace_eigens(self.corr_trace(strategy, skin_tau))})
-
-    def background(self, margin: int) -> Signal1D:
-        return self._pixel_feature(("background", margin))
+        return _memo(self._cache, key, compute)
 
 
 class FeatureStore:
@@ -229,17 +218,17 @@ class FeatureStore:
 
 
 def pulse_chrom(features: SequenceFeatures, params: ChromParams) -> PulseSignal:
-    return chrom_pulse(features.rgb_trace(params.strategy, params.skin_tau), params)
+    return chrom_pulse(features[pixel_key("rgb", params.strategy, params.skin_tau)], params)
 
 
 def pulse_licvpr(features: SequenceFeatures, params: LiParams) -> PulseSignal:
-    trace = features.rgb_trace(params.strategy, params.skin_tau)
-    return licvpr_pulse(trace, features.background(params.background_margin) if params.rectify else None, params)
+    trace = features[pixel_key("rgb", params.strategy, params.skin_tau)]  # asked for before the background
+    return licvpr_pulse(trace, features[("background", params.background_margin)] if params.rectify else None, params)
 
 
 def pulse_ssr(features: SequenceFeatures, params: SsrParams) -> PulseSignal:
     selection = (params.strategy, params.skin_tau)
-    return ssr_pulse(features.corr_trace(*selection), params, features.eigens(*selection))
+    return ssr_pulse(features[pixel_key("corr", *selection)], params, features[pixel_key("eigens", *selection)])
 
 
 def _runner(pulse_fn):
@@ -258,10 +247,10 @@ run_chrom, run_licvpr, run_ssr = (_runner(f) for f in (pulse_chrom, pulse_licvpr
 #: :func:`~rppgbench.roi.pixel_features` keys a run with ``params`` reads. Entries are plain tuples,
 #: read by position: the span tracer (``perfbench/spans.py``) rebuilds each entry it wraps as a tuple.
 ALGORITHMS = {
-    "chrom": (ChromParams, pulse_chrom, run_chrom, lambda p: [("rgb", *_selection_key(p.strategy, p.skin_tau))]),
-    "licvpr": (LiParams, pulse_licvpr, run_licvpr, lambda p: [("rgb", *_selection_key(p.strategy, p.skin_tau))]
+    "chrom": (ChromParams, pulse_chrom, run_chrom, lambda p: [pixel_key("rgb", p.strategy, p.skin_tau)]),
+    "licvpr": (LiParams, pulse_licvpr, run_licvpr, lambda p: [pixel_key("rgb", p.strategy, p.skin_tau)]
                + ([("background", p.background_margin)] if p.rectify else [])),
-    "ssr": (SsrParams, pulse_ssr, run_ssr, lambda p: [("corr", *_selection_key(p.strategy, p.skin_tau))]),
+    "ssr": (SsrParams, pulse_ssr, run_ssr, lambda p: [pixel_key("corr", p.strategy, p.skin_tau)]),
 }
 
 
@@ -425,7 +414,7 @@ def evaluate(
     def process(entry) -> SequenceResult:
         features = store.sequence(entry.sequence_id)
         try:
-            truth = features.truth()
+            truth = features[("truth",)]
             bpm = float(runner(features, params))
             return SequenceResult(entry.sequence_id, "ok", bpm, truth.bpm)
         except EXPECTED_ERRORS as exc:

@@ -30,7 +30,7 @@ from .bench import (
 from .errors import DataError, FormatError, NumericDegeneracyError
 from .hr import estimate_hr_spectral
 from .io import SPLITS, _check_even_steps, _read_json, affinity_cpus, load_protocol, read_series_csv, write_series_csv
-from .roi import STRATEGIES, check_selection
+from .roi import STRATEGIES, check_selection, pixel_key
 from .signals import BandHz, Signal1D
 from .ssr import SsrParams
 from .synth import SynthConfig, build_dataset
@@ -174,7 +174,7 @@ def cmd_synth(args) -> int:
 
 def cmd_trace(args) -> int:
     check_selection(args.strategy, args.tau)
-    trace = SequenceFeatures.of(read_bundle(args.video, args.roi)).rgb_trace(args.strategy, args.tau)
+    trace = SequenceFeatures.of(read_bundle(args.video, args.roi))[pixel_key("rgb", args.strategy, args.tau)]
     out = Path(args.out) if args.out else Path(args.video).parent / "trace.csv"
     fallback = set(trace.fallback_frames)
     with open(out, "w", encoding="ascii", newline="\n") as fh:

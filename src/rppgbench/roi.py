@@ -22,6 +22,7 @@ __all__ = [
     "check_selection",
     "fit_skin_model",
     "lower_face_mask",
+    "pixel_key",
     "pixel_features",
     "mean_rgb_trace",
     "iter_roi_pixels",
@@ -47,11 +48,6 @@ TABLE_COLOURS = 8 * CHUNK_PIXELS
 _TABLE_PAD = 4
 
 
-def _check_strategy(strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-
-
 def check_finite(params) -> None:
     """Reject a dataclass with a NaN or infinite float field, alone or in a tuple, naming each such field."""
     values = {f.name: getattr(params, f.name) for f in fields(params)}
@@ -63,9 +59,16 @@ def check_finite(params) -> None:
 
 def check_selection(strategy: str, skin_tau: float) -> None:
     """Reject a selection no run can use: an unknown strategy, or a skin threshold outside (0, 1)."""
-    _check_strategy(strategy)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if not 0.0 < skin_tau < 1.0:
         raise ValueError(f"skin_tau must lie in (0, 1), got {skin_tau}")
+
+
+def pixel_key(kind: str, strategy: str, skin_tau) -> tuple:
+    """The key of a selection's ``kind`` of feature (``"rgb"``, ``"corr"`` or ``"eigens"``): the pixels a
+    selection keeps depend on ``skin_tau`` only under ``skin``."""
+    return (kind, strategy, skin_tau if strategy == "skin" else None)
 
 
 def check_params(params) -> None:
@@ -343,11 +346,18 @@ def _background_window(box: RoiBox, margin: int, width: int, height: int) -> tup
 
 def _failure(key, seq: FrameSequence, roi: RoiTrack, fit: bool) -> DataError | None:
     """The error a :func:`pixel_features` pass of ``key`` alone would raise, or None: the skin fit's on
-    frame 0 (when ``fit``), then each ROI run's bounds check, then its landmark check. A bad key raises."""
-    if key[0] in ("rgb", "corr"):
-        _check_strategy(key[1])
-    elif key[1] < 0:
-        raise ValueError(f"margin must be non-negative, got {key[1]}")
+    frame 0 (when ``fit``), then each ROI run's bounds check, then its landmark check. A key that names no
+    feature raises ValueError: a selection's τ must be :func:`pixel_key`'s, and a margin a non-negative int."""
+    match key:
+        case ("rgb" | "corr", "skin", float(tau)) if 0.0 < tau < 1.0:
+            pass
+        case ("rgb" | "corr", "bbox" | "mask", None):
+            pass
+        case ("background", int(margin)) if margin >= 0 and not isinstance(margin, bool):
+            pass
+        case _:
+            raise ValueError(f"not a pixel feature key: {key!r}; expected ('rgb' or 'corr', strategy in "
+                             f"{STRATEGIES}, skin_tau in (0, 1) under 'skin' else None) or ('background', margin >= 0)")
     if key[1] == "skin" and fit:
         try:
             _skin_seed(roi.entries[0].bbox(), seq.width, seq.height)
@@ -369,10 +379,10 @@ def _failure(key, seq: FrameSequence, roi: RoiTrack, fit: bool) -> DataError | N
 def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | None = None) -> dict:
     """Compute every pixel feature named in ``keys`` in one pass over ``seq``.
 
-    A key is ``("rgb", strategy, skin_tau)`` for a selection's :class:`RgbTrace` without
-    correlations, ``("corr", strategy, skin_tau)`` for it with them (``skin_tau`` None
-    unless the strategy is ``skin``), or ``("background", margin)`` for the mean green
-    value of everything outside the ROI box grown by ``margin`` pixels, a :class:`Signal1D`.
+    A key is ``pixel_key("rgb", strategy, skin_tau)`` for a selection's :class:`RgbTrace`
+    without correlations, ``pixel_key("corr", strategy, skin_tau)`` for it with them, or
+    ``("background", margin)`` for the mean green value of everything outside the ROI box
+    grown by ``margin`` pixels, a :class:`Signal1D`; any other key raises ValueError.
     Returns each key's feature, or the exception that failed it: a feature fails alone,
     with the error a pass of its own would raise, decided from the ROI track and the frame
     size before the pass (see :func:`_failure`), which computes only the others and reads
@@ -464,11 +474,11 @@ def pixel_features(seq: FrameSequence, roi: RoiTrack, keys, model: SkinModel | N
     return out
 
 
-def _rgb_key(strategy: str, model: SkinModel | None) -> tuple:
-    """The :func:`pixel_features` ``"corr"`` key of a selection; ``skin`` needs a fitted ``model``, else ValueError."""
+def _model_tau(strategy: str, model: SkinModel | None) -> float | None:
+    """The skin_tau of a one-selection view: ``model``'s, which ``skin`` needs (else ValueError)."""
     if strategy == "skin" and model is None:
         raise ValueError("strategy 'skin' requires a fitted SkinModel")
-    return ("corr", strategy, model.tau if strategy == "skin" else None)
+    return None if model is None else model.tau
 
 
 def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", model: SkinModel | None = None) -> RgbTrace:
@@ -477,7 +487,7 @@ def mean_rgb_trace(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", mo
     The one-feature call of :func:`pixel_features`: one vectorized pass over
     ``seq`` under ``strategy``, with ``model`` (its tau too) under ``skin``.
     """
-    key = _rgb_key(strategy, model)
+    key = pixel_key("corr", strategy, _model_tau(strategy, model))
     return _memo({}, key, lambda: pixel_features(seq, roi, [key], model))
 
 
@@ -491,7 +501,7 @@ def iter_roi_pixels(seq: FrameSequence, roi: RoiTrack, strategy: str = "bbox", m
     the first frame, decided from the ROI track and the frame size without
     reading a frame; a read error raises at the frame it stops.
     """
-    failure = _failure(_rgb_key(strategy, model), seq, roi, False)
+    failure = _failure(pixel_key("corr", strategy, _model_tau(strategy, model)), seq, roi, False)
     if failure is not None:
         raise failure
     with seq.reader() as read:

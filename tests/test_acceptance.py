@@ -253,7 +253,7 @@ def test_09_greedy_search_contract(small_dataset, capfd, register_stub):
     protocol = load_protocol(small_dataset / "protocol.csv")
 
     def biased(features, params):
-        truth = features.truth().bpm
+        truth = features[("truth",)].bpm
         return truth * params.scale + params.bias
 
     stages = [

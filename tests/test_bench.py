@@ -39,11 +39,11 @@ from conftest import entry_at, read_frames, rvid_sequence, synth_bundle
 
 def perfect(features, params):
     """Stub extractor that answers with the recorded ground truth."""
-    return features.truth().bpm
+    return features[("truth",)].bpm
 
 
 def biased(features, params):
-    return features.truth().bpm * params.scale + params.bias
+    return features[("truth",)].bpm * params.scale + params.bias
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def test_failures_are_isolated_per_sequence(protocol, small_dataset, register_st
     def flaky(features, params):
         if features.bundle.directory.name == "seq003":
             raise DataError("boom")
-        return features.truth().bpm
+        return features[("truth",)].bpm
 
     report = evaluate(protocol, "test", register_stub(flaky), small_dataset)
     assert report.ok_count == 3
@@ -192,7 +192,7 @@ def test_every_sequence_runs_on_the_calling_thread_in_id_order(protocol, small_d
 
     def recorded(features, params):
         calls.append((threading.get_ident(), features.bundle.directory.name))
-        return features.truth().bpm
+        return features[("truth",)].bpm
 
     reversed_protocol = ProtocolIndex(entries=tuple(reversed(protocol.entries)), name=protocol.name)
     evaluate(reversed_protocol, "test", register_stub(recorded), small_dataset, jobs=jobs)
@@ -574,7 +574,7 @@ def test_greedy_search_records_candidate_errors(protocol, small_dataset, registe
     def picky(features, params):
         if params.bias > 0:
             raise DataError("dead")
-        return features.truth().bpm + params.bias
+        return features[("truth",)].bpm + params.bias
 
     stages = [SearchStage("bias", grid=(("bias", (1.0, 0.0)),))]
     result = greedy_search(

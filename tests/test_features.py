@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import re
 import shutil
 import tracemalloc
 import types
@@ -29,8 +30,8 @@ from rppgbench.io import (
     write_roi_track,
     write_rvid,
 )
-from rppgbench.roi import STRATEGIES
-from rppgbench.ssr import SsrParams
+from rppgbench.roi import STRATEGIES, pixel_features, pixel_key
+from rppgbench.ssr import SsrParams, trace_eigens
 from rppgbench.synth import SynthConfig
 
 #: Small grids per algorithm: pulse-only stages first, then a feature stage.
@@ -250,9 +251,9 @@ def test_pixel_passes_hold_a_small_part_of_the_video(tmp_path):
         features = FeatureStore(tmp_path).sequence("seq")
         features.bundle  # load_bundle
         for strategy in STRATEGIES:  # skin fits its model on frame 0 first
-            trace = features.rgb_trace(strategy, 0.3)
+            trace = features[pixel_key("rgb", strategy, 0.3)]
             assert trace.fallback_frames == ()
-        features.background(10)
+        features[("background", 10)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,14 +314,10 @@ def test_a_failed_feature_fails_alone(passes, entry, failures, tmp_path):
     bundle = SequenceBundle(bench.read_rvid(tmp_path / "video.rvid"), RoiTrack((0,), (entry,)), tmp_path)
     cache = {}
     features = bench.SequenceFeatures(cache, lambda: bundle, PLANNED)
-
-    def request(key):
-        return features.background(key[1]) if key[0] == "background" else features.rgb_trace(key[1], key[2])
-
     errors = {}
     for key in PLANNED:
         try:
-            request(key)
+            features[key]
         except DataError as exc:
             errors[key] = f"{type(exc).__name__}: {exc}"
     assert errors == {**failures, ("background", 100): NO_BACKGROUND}
@@ -329,7 +326,7 @@ def test_a_failed_feature_fails_alone(passes, entry, failures, tmp_path):
     assert {key for key, value in cache.items() if isinstance(value, DataError)} == set(errors)
     for key, error in errors.items():
         with pytest.raises(DataError) as again:
-            request(key)
+            features[key]
         assert f"{type(again.value).__name__}: {again.value}" == error
     assert passes == [(tmp_path.name, set(PLANNED))]
 
@@ -361,9 +358,9 @@ def test_a_stored_corr_failure_is_raised_for_the_rgb_trace(passes, tmp_path):
     write_rvid(64, 64, 20, len(frames), [frames], tmp_path / "video.rvid")
     track = RoiTrack((0,), (RoiBox(16, 16, 32, 32),))
     features = bench.SequenceFeatures.of(SequenceBundle(bench.read_rvid(tmp_path / "video.rvid"), track, tmp_path))
-    for request in (features.corr_trace, features.rgb_trace):
+    for kind in ("corr", "rgb"):
         with pytest.raises(DataError, match="strategy 'mask' requires landmark ROI entries"):
-            request("mask", 0.3)
+            features[pixel_key(kind, "mask", 0.3)]
     assert passes == [(tmp_path.name, {("corr", "mask", None)})]
 
 
@@ -391,6 +388,40 @@ def test_each_entry_plans_the_features_its_pulse_reads(short_bundle, passes, alg
     except EXPECTED_ERRORS:
         pass
     assert {key for _, keys in passes for key in keys} == set(reads(params))
+
+
+def bits(value, name):
+    """A field of a feature, as bytes when it is an array."""
+    field = getattr(value, name)
+    return field.tobytes() if isinstance(field, np.ndarray) else field
+
+
+def test_each_key_gives_the_feature_its_computation_gives(short_bundle):
+    # Every kind of key, served by one accessor, is bit-equal to the function that computes it.
+    features = bench.SequenceFeatures.of(short_bundle)
+    assert features[("truth",)] == bench.load_ground_truth(short_bundle)
+    keys = [pixel_key(kind, strategy, 0.3) for kind in ("rgb", "corr") for strategy in STRATEGIES]
+    keys += [("background", 0), ("background", 10)]
+    for key in keys:
+        served, fresh = features[key], pixel_features(short_bundle.sequence, short_bundle.roi, [key])[key]
+        names = [f.name for f in dataclasses.fields(fresh)]
+        assert type(served) is type(fresh) and [bits(served, n) for n in names] == [bits(fresh, n) for n in names]
+        if key[0] == "corr":
+            for got, want in zip(features[pixel_key("eigens", *key[1:])], trace_eigens(fresh)):
+                assert got.tobytes() == want.tobytes(), key
+    # The threshold counts only under "skin".
+    assert pixel_key("rgb", "bbox", 0.2) == pixel_key("rgb", "bbox", 0.9) == ("rgb", "bbox", None)
+    assert pixel_key("eigens", "skin", 0.2) == ("eigens", "skin", 0.2)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("rbg", "skin", 0.3), ("background", "10"), ("background",), ("rgb", "skin", None), ("rgb", "bbox", 0.3)],
+    ids=["unknown_kind", "margin_as_text", "no_margin", "skin_without_tau", "tau_under_bbox"],
+)
+def test_a_key_that_names_no_feature_raises_a_value_error_naming_it(short_bundle, key):
+    with pytest.raises(ValueError, match=f"^not a pixel feature key: {re.escape(repr(key))}; "):
+        pixel_features(short_bundle.sequence, short_bundle.roi, [("rgb", "bbox", None), key])
 
 
 def test_store_serves_one_dataset(protocol, small_dataset, tmp_path):

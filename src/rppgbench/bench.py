@@ -222,7 +222,8 @@ def pulse_chrom(features: SequenceFeatures, params: ChromParams) -> PulseSignal:
 
 
 def pulse_licvpr(features: SequenceFeatures, params: LiParams) -> PulseSignal:
-    trace = features[pixel_key("rgb", params.strategy, params.skin_tau)]  # asked for before the background
+    # The trace first: a sequence whose trace and background both fail reports the trace's failure.
+    trace = features[pixel_key("rgb", params.strategy, params.skin_tau)]
     return licvpr_pulse(trace, features[("background", params.background_margin)] if params.rectify else None, params)
 
 

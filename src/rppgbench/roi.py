@@ -66,8 +66,7 @@ def check_selection(strategy: str, skin_tau: float) -> None:
 
 
 def pixel_key(kind: str, strategy: str, skin_tau) -> tuple:
-    """The key of a selection's ``kind`` of feature (``"rgb"``, ``"corr"`` or ``"eigens"``): the pixels a
-    selection keeps depend on ``skin_tau`` only under ``skin``."""
+    """A selection's ``"rgb"``, ``"corr"`` or ``"eigens"`` key: its ``skin_tau`` counts only under ``skin``."""
     return (kind, strategy, skin_tau if strategy == "skin" else None)
 
 
@@ -346,8 +345,8 @@ def _background_window(box: RoiBox, margin: int, width: int, height: int) -> tup
 
 def _failure(key, seq: FrameSequence, roi: RoiTrack, fit: bool) -> DataError | None:
     """The error a :func:`pixel_features` pass of ``key`` alone would raise, or None: the skin fit's on
-    frame 0 (when ``fit``), then each ROI run's bounds check, then its landmark check. A key that names no
-    feature raises ValueError: a selection's τ must be :func:`pixel_key`'s, and a margin a non-negative int."""
+    frame 0 (when ``fit``), then each ROI run's bounds check, then its landmark check. A key other than
+    a :func:`pixel_key` of a known strategy and τ, or ``("background", int >= 0)``, raises ValueError."""
     match key:
         case ("rgb" | "corr", "skin", float(tau)) if 0.0 < tau < 1.0:
             pass
